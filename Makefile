@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-range bench-hotpath figures examples torture torture-wal crash-check loc serve loadtest bench-server bench-server-sharded metrics-smoke trace-smoke check-si
+.PHONY: all build vet test race bench bench-range bench-hotpath bench-e2e bench-compare figures examples torture torture-wal crash-check loc serve loadtest metrics-smoke trace-smoke check-si
 
 all: build vet test
 
@@ -71,7 +71,7 @@ torture-wal:
 	$(GO) test -race -count 1 -run 'TestWAL' ./internal/server
 
 # kill -9 a WAL-backed daemon mid-burst, restart, and audit that every
-# acknowledged write survived (single-domain and 4-shard router).
+# acknowledged write survived (1 shard and 4).
 crash-check:
 	./scripts/crash_check.sh
 
@@ -84,16 +84,17 @@ loadtest:
 	$(GO) run ./cmd/mvkvload -addr 127.0.0.1:6399 -conns 8 -pipeline 16 \
 		-readpct 90 -duration 5s
 
-# Regenerate BENCH_server.json: daemon + load generator at 1/8/64
-# connections, mvrlu-kv vs vanilla, plus a sharded mvrlu-kv cell
-# (shards=GOMAXPROCS; forced to 4 on a 1-core host).
-bench-server:
-	./scripts/bench_server.sh
+# The layered end-to-end benchmark (benchmark/README.md): four workloads,
+# untraced then traced, through the driver's entry point. Add
+# ARGS=-history to append the result to benchmark/history.jsonl.
+bench-e2e:
+	bash benchmark/run.sh $(ARGS)
 
-# The sharded cell alone, forced to 4 shards regardless of core count —
-# quick check of the batch router's cost/benefit.
-bench-server-sharded:
-	SHARDS=4 ./scripts/bench_server.sh
+# Compare two result files of the benchmark, e.g. a parent-commit run
+# against this checkout's: make bench-compare A=base.jsonl B=change.jsonl
+# (exit 1 on a regression beyond a metric's bound).
+bench-compare:
+	$(GO) run ./benchmark compare $(A) $(B)
 
 # Scrape-safety smoke: race-built daemon under load while /metrics,
 # INFO, and METRICS are polled in a loop (fails on any scrape error or

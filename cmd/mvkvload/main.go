@@ -7,7 +7,11 @@
 // Usage:
 //
 //	go run ./cmd/mvkvload -addr 127.0.0.1:6399 -conns 64 -pipeline 16 \
-//	    -readpct 90 -duration 10s -json BENCH_server_run.json
+//	    -readpct 90 -duration 10s -json run.json
+//
+// It drives a daemon by hand; the repository's measured numbers come
+// from benchmark/ (go run ./benchmark) and their trajectory is
+// benchmark/history.jsonl.
 package main
 
 import (

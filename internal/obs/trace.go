@@ -38,15 +38,14 @@ const (
 	// commands off the socket buffer (the first command of a batch is
 	// read while the connection is idle and is not attributed).
 	StageParse Stage = iota
-	// StagePlan is the routed path's batch planning: classifying each
-	// command into a slot and bucketing its keys by shard.
+	// StagePlan is batch planning: looking each command up, compiling it
+	// into a slot and bucketing its keys by shard.
 	StagePlan
 	// StageSessionWait is time blocked checking an engine session out of
 	// the bounded pool — queueing delay behind other batches.
 	StageSessionWait
-	// StageEngine is the store-call span: dispatching one command (or one
-	// shard's op list) against a checked-out session, nested stages
-	// included.
+	// StageEngine is the store-call span: running one shard's op list
+	// against a checked-out session, nested stages included.
 	StageEngine
 	// StageLockWait is time blocked on a store slot/index writer mutex.
 	StageLockWait

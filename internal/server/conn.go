@@ -2,17 +2,13 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sort"
-	"strconv"
-	"strings"
+	"sync"
 	"time"
 
-	"mvrlu/internal/kvstore"
 	"mvrlu/internal/obs"
 	"mvrlu/internal/wal"
 )
@@ -26,14 +22,28 @@ type conn struct {
 	bw   *bufio.Writer
 	gate *walGate // nil when the server runs without a WAL
 	// tr is the connection's reusable request trace: armed per batch
-	// when tracing is enabled (serve), stamped by the dispatch path and
-	// shard workers, snapshotted into the flight recorder after the
+	// when tracing is enabled (serve), stamped by the batch pipeline and
+	// its shard workers, snapshotted into the flight recorder after the
 	// reply flush. One allocation per connection, zero per batch.
 	tr *obs.Trace
 	// txn is the connection's open MULTI body (txn.go). It survives
 	// across batches — MULTI and EXEC may arrive in separate bursts —
 	// and dies with the connection.
 	txn txnState
+
+	// The current batch (router.go), kept on the connection and reset
+	// rather than reallocated, so steady pipelined traffic allocates no
+	// batch bookkeeping: slots[:nslots] are the batch's commands in
+	// submission order (the pointers beyond nslots are zeroed spares),
+	// queues[shard] the ops each touched shard will run, wg the join of
+	// the shard workers.
+	slots  []*slot
+	nslots int
+	queues [][]shardOp
+	wg     sync.WaitGroup
+	// closing is set when QUIT or SHUTDOWN is planned: collection stops
+	// there and the connection closes once the batch has rendered.
+	closing bool
 }
 
 // walGate sits between a connection's reply buffer and its socket and
@@ -42,7 +52,7 @@ type conn struct {
 // that write's acknowledgment — may reach the socket before a WAL sync
 // barrier covers the write's log record. Interposing on the writer
 // rather than barriering in flush() is deliberate: bufio auto-flushes
-// when a large batch overflows its 16 KiB buffer mid-dispatch, and those
+// when a large batch overflows its 16 KiB buffer mid-render, and those
 // early flushes must gate too. A barrier failure (the log died) aborts
 // the flush with the error, so a failed WAL can never leak an ack.
 //
@@ -54,8 +64,8 @@ type walGate struct {
 	dirty bool
 	// tr is the connection's trace; the barrier stamps its duration as
 	// the wal_barrier stage when the trace is armed. AddStage (no span
-	// slot) because the gate cannot see batch boundaries — a mid-dispatch
-	// bufio overflow flushes, and barriers, from inside the engine span.
+	// slot) because the gate cannot see batch boundaries — a mid-render
+	// bufio overflow flushes, and barriers, outside the flush span.
 	tr *obs.Trace
 }
 
@@ -77,7 +87,10 @@ func (g *walGate) Write(p []byte) (int, error) {
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	c := &conn{srv: s, nc: nc, br: bufio.NewReaderSize(nc, 16<<10), tr: &obs.Trace{}}
+	c := &conn{
+		srv: s, nc: nc, br: bufio.NewReaderSize(nc, 16<<10), tr: &obs.Trace{},
+		queues: make([][]shardOp, len(s.shards)),
+	}
 	var w io.Writer = nc
 	if s.cfg.WAL != nil {
 		c.gate = &walGate{nc: nc, wal: s.cfg.WAL, tr: c.tr}
@@ -88,9 +101,10 @@ func newConn(s *Server, nc net.Conn) *conn {
 }
 
 // markDirty records that the current batch executed a write command, so
-// the gate must barrier before the next socket write. Call it after the
-// store call (whose commit hook appended the record) and before writing
-// the reply into the buffer.
+// the gate must barrier before the next socket write. renderSlot calls it
+// after every shard worker has joined (so the commit hooks have appended
+// the batch's records) and before writing the write's reply into the
+// buffer.
 func (c *conn) markDirty() {
 	if c.gate != nil {
 		c.gate.dirty = true
@@ -120,9 +134,10 @@ func (c *conn) nudge() {
 // serve is the connection loop. Panics anywhere below — a codec bug, a
 // store bug the engine's own panic recovery re-raised — are isolated
 // here: counted, reported to the client best-effort, and the connection
-// closed, never the server. The engine side is already safe (Execute
-// rolls a panicking write set back), so the pooled session a panicking
-// batch held remains usable and is returned by runBatch's defer.
+// closed, never the server. A panic inside a store op does not even get
+// this far: runShardOps recovers it per op, so it poisons one slot of the
+// batch and the session it ran on returns to its pool healthy (the engine
+// has already rolled the write set back).
 func (c *conn) serve() {
 	defer c.srv.connWG.Done()
 	defer func() {
@@ -168,82 +183,6 @@ func (c *conn) serve() {
 	}
 }
 
-// runBatch executes one pipelined batch: the command already read plus
-// every further command the client has in flight. Over a sharded store
-// the batch goes through the router (split by key hash, executed
-// per-shard concurrently, replies reassembled in submission order — see
-// router.go); over a single domain it runs here on one pooled session.
-// The session is held across the whole batch (one checkout per burst,
-// not per command) and returned before the connection blocks on the
-// socket again, so a thousand mostly idle connections consume zero
-// engine handles. Reports false when the connection must close.
-func (c *conn) runBatch(first [][]byte) (keep bool) {
-	if c.srv.routed() {
-		return c.runRoutedBatch(first)
-	}
-	var tr *obs.Trace
-	if c.tr.Active() {
-		tr = c.tr
-	}
-	var t0 int64
-	if tr != nil {
-		t0 = obs.Now()
-	}
-	ps := c.srv.pools[0].get()
-	defer c.srv.pools[0].put(ps)
-	if tr != nil {
-		tr.EndStage(obs.StageSessionWait, t0)
-		tr.AddShard()
-		if tc, ok := ps.sess.(kvstore.TraceCarrier); ok {
-			tc.SetTrace(tr)
-			defer tc.SetTrace(nil)
-		}
-	}
-	if obs.Enabled() {
-		// Batch service time = how long the session is held; observed
-		// before the pool return (LIFO defers) so the histogram matches
-		// what a queued batch actually waits behind.
-		start := obs.Now()
-		defer func() { c.srv.batchHist.Observe(uint64(obs.Now() - start)) }()
-	}
-	keep = c.dispatchTraced(tr, ps, first)
-	for keep && c.br.Buffered() > 0 && !c.srv.shutting.Load() {
-		c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
-		if tr != nil {
-			t0 = obs.Now()
-		}
-		args, err := ReadCommand(c.br)
-		if tr != nil {
-			tr.EndStage(obs.StageParse, t0)
-		}
-		if err != nil {
-			c.reportReadError(err)
-			return false
-		}
-		if len(args) == 0 {
-			continue
-		}
-		keep = c.dispatchTraced(tr, ps, args)
-	}
-	return keep
-}
-
-// dispatchTraced is dispatch under an engine-stage span; with no active
-// trace it is dispatch itself. The engine span covers the whole store
-// call including the reply write (a mid-dispatch buffer overflow can
-// flush and barrier here — AdjustedStages reassigns that excess).
-func (c *conn) dispatchTraced(tr *obs.Trace, ps *pooledSession, args [][]byte) bool {
-	if tr == nil {
-		return c.dispatch(ps, args)
-	}
-	tr.SetCmd(strings.ToUpper(string(args[0])))
-	tr.AddCommands(1)
-	t0 := obs.Now()
-	keep := c.dispatch(ps, args)
-	tr.EndStage(obs.StageEngine, t0)
-	return keep
-}
-
 // flush pushes buffered replies under the write timeout.
 func (c *conn) flush() bool {
 	c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
@@ -256,321 +195,4 @@ func (c *conn) reportReadError(err error) {
 	if errors.Is(err, errProtocol) {
 		writeErrorReply(c.bw, "ERR "+err.Error())
 	}
-}
-
-// dispatch executes one command against the batch's session and writes
-// the reply into the connection's buffer. It reports false when the
-// connection must close (sticky write error, QUIT, SHUTDOWN). Command
-// errors (unknown command, arity) are RESP error replies, not
-// connection errors.
-func (c *conn) dispatch(ps *pooledSession, args [][]byte) bool {
-	c.srv.commands.Add(1)
-	c.srv.shardCmds[0].n.Add(1)
-	ps.commands.Add(1)
-	name := strings.ToUpper(string(args[0]))
-	ps.lastCmd.Store(&name)
-	sess := ps.sess
-	if c.txn.active {
-		return c.dispatchInMulti(sess, name, args)
-	}
-	switch name {
-	case "PING":
-		if len(args) > 1 {
-			return writeBulk(c.bw, args[1]) == nil
-		}
-		return writeSimple(c.bw, "PONG") == nil
-
-	case "GET":
-		if len(args) != 2 {
-			return c.arityErr(name)
-		}
-		if v, ok := sess.Get(string(args[1])); ok {
-			return writeBulkString(c.bw, v) == nil
-		}
-		return writeNull(c.bw) == nil
-
-	case "SET":
-		if len(args) != 3 {
-			return c.arityErr(name)
-		}
-		if msg := c.walRefusal(); msg != "" {
-			return writeErrorReply(c.bw, msg) == nil
-		}
-		sess.Set(string(args[1]), string(args[2]))
-		c.markDirty()
-		return writeSimple(c.bw, "OK") == nil
-
-	case "DEL":
-		if len(args) < 2 {
-			return c.arityErr(name)
-		}
-		if msg := c.walRefusal(); msg != "" {
-			return writeErrorReply(c.bw, msg) == nil
-		}
-		n := int64(0)
-		for _, k := range args[1:] {
-			if sess.Remove(string(k)) {
-				n++
-			}
-		}
-		c.markDirty()
-		return writeInt(c.bw, n) == nil
-
-	case "EXISTS":
-		if len(args) < 2 {
-			return c.arityErr(name)
-		}
-		n := int64(0)
-		for _, k := range args[1:] {
-			if _, ok := sess.Get(string(k)); ok {
-				n++
-			}
-		}
-		return writeInt(c.bw, n) == nil
-
-	case "MGET":
-		if len(args) < 2 {
-			return c.arityErr(name)
-		}
-		if writeArrayHeader(c.bw, len(args)-1) != nil {
-			return false
-		}
-		for _, k := range args[1:] {
-			if v, ok := sess.Get(string(k)); ok {
-				if writeBulkString(c.bw, v) != nil {
-					return false
-				}
-			} else if writeNull(c.bw) != nil {
-				return false
-			}
-		}
-		return true
-
-	case "MSET":
-		if len(args) < 3 || len(args)%2 != 1 {
-			return c.arityErr(name)
-		}
-		if msg := c.walRefusal(); msg != "" {
-			return writeErrorReply(c.bw, msg) == nil
-		}
-		for i := 1; i < len(args); i += 2 {
-			sess.Set(string(args[i]), string(args[i+1]))
-		}
-		c.markDirty()
-		return writeSimple(c.bw, "OK") == nil
-
-	case "SCAN":
-		return c.cmdScan(sess, args)
-
-	case "RANGE":
-		return c.cmdRange(sess, args)
-
-	case "MULTI":
-		c.txn.active = true
-		return writeSimple(c.bw, "OK") == nil
-
-	case "EXEC":
-		return writeErrorReply(c.bw, msgExecNoMulti) == nil
-
-	case "DISCARD":
-		return writeErrorReply(c.bw, msgDiscardNoMulti) == nil
-
-	case "INFO":
-		// INFO → race-free sections only; INFO ALL → also the full
-		// engine Stats behind a bounded pool quiesce (see infoText).
-		// held=1: this goroutine holds one of pool 0's sessions.
-		full := len(args) > 1 && strings.EqualFold(string(args[1]), "ALL")
-		return writeBulkString(c.bw, c.srv.infoText(full, 1)) == nil
-
-	case "METRICS":
-		// The full Prometheus exposition over RESP — same registry the
-		// /metrics endpoint serves, same always-safe atomic-read
-		// discipline, so it never quiesces or blocks traffic. For
-		// deployments without the HTTP listener.
-		var buf bytes.Buffer
-		if err := c.srv.reg.WriteText(&buf); err != nil {
-			return writeErrorReply(c.bw, "ERR metrics: "+err.Error()) == nil
-		}
-		return writeBulkString(c.bw, buf.String()) == nil
-
-	case "TRACELOG":
-		// The flight recorder over RESP: slowest/recent traces, the
-		// GC/watermark timeline (TRACELOG GC), RESET. See trace.go.
-		req, errmsg := parseTracelog(args)
-		if errmsg != "" {
-			return writeErrorReply(c.bw, errmsg) == nil
-		}
-		return writeBulkString(c.bw, c.srv.tracelogText(req)) == nil
-
-	case "QUIT":
-		writeSimple(c.bw, "OK")
-		return false
-
-	case "SHUTDOWN":
-		// Acknowledge, then drain the whole server. The reply must be
-		// flushed before this connection participates in the drain.
-		writeSimple(c.bw, "OK")
-		c.flush()
-		go c.srv.Shutdown()
-		return false
-	}
-	return writeErrorReply(c.bw,
-		fmt.Sprintf("ERR unknown command '%s'", strings.ToLower(name))) == nil
-}
-
-// scanKV is one SCAN result pair.
-type scanKV struct{ k, v string }
-
-// parseScan validates SCAN <prefix> [LIMIT n]; errmsg is an empty string
-// on success and the error-reply text otherwise.
-func parseScan(args [][]byte) (prefix string, limit int, errmsg string) {
-	if len(args) != 2 && len(args) != 4 {
-		return "", 0, arityMsg("SCAN")
-	}
-	limit = -1
-	if len(args) == 4 {
-		if !strings.EqualFold(string(args[2]), "LIMIT") {
-			return "", 0, "ERR syntax error"
-		}
-		n, err := strconv.Atoi(string(args[3]))
-		if err != nil || n < 0 {
-			return "", 0, "ERR invalid LIMIT"
-		}
-		limit = n
-	}
-	return string(args[1]), limit, ""
-}
-
-// collectScan walks one session's keyspace slice inside a single
-// snapshot critical section and collects up to limit matches (-1 =
-// unbounded). Results are collected inside the snapshot and written
-// after it, so the pin lasts the walk, not the client's drain of the
-// reply.
-//
-// Both SCAN paths pass limit = -1 here and truncate at render instead:
-// capping during the walk would keep whichever keys the walk order (or,
-// sharded, the partitioning) happened to visit first, making a
-// truncating LIMIT non-deterministic across shard counts. Collecting
-// everything and cutting after the global sort makes LIMIT n mean "the n
-// smallest matching keys" identically on every build and shard count.
-func collectScan(sess kvstore.Session, prefix string, limit int) []scanKV {
-	var out []scanKV
-	sess.ForEachPrefix(prefix, func(k, v string) bool {
-		if limit >= 0 && len(out) >= limit {
-			return false
-		}
-		out = append(out, scanKV{k, v})
-		return true
-	})
-	return out
-}
-
-// renderScan sorts the collected pairs by key, applies LIMIT, and writes
-// the flat key,value,... array. Sorting before the cut makes the reply
-// deterministic and — the point for the sharded build — independent of
-// how the keyspace is partitioned: a cross-shard merge concatenated in
-// shard order and a single-domain walk sort to the same sequence and
-// keep the same smallest-n prefix.
-func renderScan(w *bufio.Writer, out []scanKV, limit int) bool {
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	if limit >= 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	if writeArrayHeader(w, 2*len(out)) != nil {
-		return false
-	}
-	for _, p := range out {
-		if writeBulkString(w, p.k) != nil || writeBulkString(w, p.v) != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// cmdScan implements SCAN <prefix> [LIMIT n]: a consistent snapshot of
-// every record whose key starts with prefix, as a flat key,value,...
-// array sorted by key. This deliberately diverges from Redis's cursor
-// SCAN — the point here is the opposite of Redis's: ONE snapshot
-// critical section over the whole keyspace, the long-lived reader that
-// pins old versions and exercises the multi-version GC.
-func (c *conn) cmdScan(sess kvstore.Session, args [][]byte) bool {
-	prefix, limit, errmsg := parseScan(args)
-	if errmsg != "" {
-		return writeErrorReply(c.bw, errmsg) == nil
-	}
-	return renderScan(c.bw, collectScan(sess, prefix, -1), limit)
-}
-
-// cmdRange implements RANGE <start> <stop> [LIMIT n] [REV]: every record
-// with start <= key <= stop, observed at ONE snapshot timestamp, as a
-// flat key,value,... array in key order. Requires an ordered-index build.
-func (c *conn) cmdRange(sess kvstore.Session, args [][]byte) bool {
-	lo, hi, limit, rev, errmsg := parseRange(args)
-	if errmsg != "" {
-		return writeErrorReply(c.bw, errmsg) == nil
-	}
-	osess, ok := sess.(kvstore.OrderedSession)
-	if !ok {
-		return writeErrorReply(c.bw, msgNotOrdered) == nil
-	}
-	return renderRange(c.bw, collectRange(osess, lo, hi), limit, rev)
-}
-
-// dispatchInMulti handles every command while the connection has an open
-// MULTI body: SET/DEL queue, EXEC commits, DISCARD drops, anything else
-// errors and latches the abort flag.
-func (c *conn) dispatchInMulti(sess kvstore.Session, name string, args [][]byte) bool {
-	switch name {
-	case "MULTI":
-		return writeErrorReply(c.bw, msgNestedMulti) == nil
-	case "DISCARD":
-		c.txn.reset()
-		return writeSimple(c.bw, "OK") == nil
-	case "EXEC":
-		return c.execTxn(sess)
-	}
-	reply, isErr := c.txn.queue(name, args)
-	if isErr {
-		return writeErrorReply(c.bw, reply) == nil
-	}
-	return writeSimple(c.bw, reply) == nil
-}
-
-// execTxn commits the open MULTI body through ApplyTxn: one engine
-// commit, one timestamp, one WAL record group. The reply is the
-// per-command array, or an error leaving the store untouched.
-func (c *conn) execTxn(sess kvstore.Session) bool {
-	cmds, aborted := c.txn.cmds, c.txn.aborted
-	c.txn.reset()
-	if aborted {
-		return writeErrorReply(c.bw, msgExecAbort) == nil
-	}
-	osess, ok := sess.(kvstore.OrderedSession)
-	if !ok {
-		return writeErrorReply(c.bw, msgNotOrdered) == nil
-	}
-	if len(cmds) == 0 {
-		return writeArrayHeader(c.bw, 0) == nil
-	}
-	if msg := c.walRefusal(); msg != "" {
-		return writeErrorReply(c.bw, msg) == nil
-	}
-	removed, err := osess.ApplyTxn(flattenTxn(cmds))
-	if err != nil {
-		if err == kvstore.ErrCrossShard {
-			return writeErrorReply(c.bw, msgCrossShard) == nil
-		}
-		return writeErrorReply(c.bw, "ERR "+err.Error()) == nil
-	}
-	c.markDirty()
-	return renderExec(c.bw, cmds, removed)
-}
-
-func arityMsg(name string) string {
-	return fmt.Sprintf("ERR wrong number of arguments for '%s' command",
-		strings.ToLower(name))
-}
-
-func (c *conn) arityErr(name string) bool {
-	return writeErrorReply(c.bw, arityMsg(name)) == nil
 }

@@ -41,13 +41,10 @@ const quiesceBudget = 250 * time.Millisecond
 // channel receive is the happens-before edge with each handle's last
 // user). That is a deliberate, bounded traffic stall per shard; past
 // quiesceBudget the section degrades to engine_stats:busy instead of
-// blocking the server — e.g. while a long SCAN holds a handle.
-//
-// held is how many of pools[0]'s handles the calling goroutine itself
-// holds: 1 on the direct dispatch path (the batch's session), 0 on the
-// routed path (inline commands render after every shard worker has
-// joined and returned its session).
-func (s *Server) infoText(full bool, held int) string {
+// blocking the server — e.g. while a long SCAN holds a handle. The
+// caller holds no session itself: INFO renders after its batch's shard
+// workers have joined and returned theirs.
+func (s *Server) infoText(full bool) string {
 	var b strings.Builder
 	nHandles := 0
 	for _, p := range s.pools {
@@ -65,7 +62,8 @@ func (s *Server) infoText(full bool, held int) string {
 	fmt.Fprintf(&b, "commands:%d\n", s.commands.Load())
 	fmt.Fprintf(&b, "panics:%d\n", s.panics.Load())
 	fmt.Fprintf(&b, "shutting:%d\n", boolInt(s.shutting.Load()))
-	if s.routed() {
+	sharded := len(s.shards) > 1
+	if sharded {
 		for i := range s.shards {
 			fmt.Fprintf(&b, "shard_%d_commands:%d\n", i, s.shardCmds[i].n.Load())
 		}
@@ -91,14 +89,14 @@ func (s *Server) infoText(full bool, held int) string {
 
 	if full {
 		for i, st := range s.shards {
-			s.writeEngineSection(&b, i, st, held)
+			s.writeEngineSection(&b, i, st)
 		}
 	}
 
 	fmt.Fprintf(&b, "\n# handles\n")
 	for i, p := range s.pools {
 		for _, ps := range p.all {
-			if s.routed() {
+			if sharded {
 				fmt.Fprintf(&b, "shard%d_", i)
 			}
 			fmt.Fprintf(&b,
@@ -110,21 +108,25 @@ func (s *Server) infoText(full bool, held int) string {
 	return b.String()
 }
 
-// writeWatermarkSection emits one shard's watermark/stall section. The
-// unsharded server keeps the exact historical section name so existing
-// scrapers (and mvkvload's INFO probe) parse unchanged; sharded sections
-// carry the shard index.
+// shardLabel suffixes a per-shard INFO section name. The one-shard
+// server keeps the exact historical unlabelled names so existing scrapers
+// (and mvkvload's INFO probe) parse unchanged; with more shards the
+// sections carry the shard index.
+func (s *Server) shardLabel(i int) string {
+	if len(s.shards) == 1 {
+		return ""
+	}
+	return fmt.Sprintf(" shard=%d", i)
+}
+
+// writeWatermarkSection emits one shard's watermark/stall section.
 func (s *Server) writeWatermarkSection(b *strings.Builder, i int, st kvstore.Store) {
 	cl, ok := st.(clockser)
 	if !ok {
 		return
 	}
 	now, w := cl.Now(), cl.Watermark()
-	if s.routed() {
-		fmt.Fprintf(b, "\n# watermark shard=%d\n", i)
-	} else {
-		fmt.Fprintf(b, "\n# watermark\n")
-	}
+	fmt.Fprintf(b, "\n# watermark%s\n", s.shardLabel(i))
 	fmt.Fprintf(b, "clock_now:%d\n", now)
 	fmt.Fprintf(b, "watermark:%d\n", w)
 	fmt.Fprintf(b, "watermark_age:%d\n", now-w)
@@ -143,24 +145,16 @@ func (s *Server) writeWatermarkSection(b *strings.Builder, i int, st kvstore.Sto
 }
 
 // writeEngineSection emits one shard's quiescent engine Stats (INFO ALL
-// only). selfHeld is how many of this shard's pool handles the caller
-// already holds — nonzero only for shard 0 on the direct dispatch path.
-func (s *Server) writeEngineSection(b *strings.Builder, i int, st kvstore.Store, selfHeld int) {
+// only).
+func (s *Server) writeEngineSection(b *strings.Builder, i int, st kvstore.Store) {
 	stat, ok := st.(statser)
 	if !ok {
 		return
 	}
-	if i != 0 {
-		selfHeld = 0
-	}
-	held, all := s.quiescePool(s.pools[i], selfHeld, quiesceBudget)
+	held, all := s.quiescePool(s.pools[i], quiesceBudget)
+	fmt.Fprintf(b, "\n# engine%s\n", s.shardLabel(i))
 	if all {
 		stats := stat.Stats()
-		if s.routed() {
-			fmt.Fprintf(b, "\n# engine shard=%d\n", i)
-		} else {
-			fmt.Fprintf(b, "\n# engine\n")
-		}
 		fmt.Fprintf(b, "commits:%d\n", stats.Commits)
 		fmt.Fprintf(b, "aborts:%d\n", stats.Aborts)
 		fmt.Fprintf(b, "abort_ratio:%.4f\n", stats.AbortRatio())
@@ -185,24 +179,20 @@ func (s *Server) writeEngineSection(b *strings.Builder, i int, st kvstore.Store,
 		fmt.Fprintf(b, "stalled_for_us:%d\n", stats.StalledFor.Microseconds())
 		fmt.Fprintf(b, "stall_episodes:%d\n", stats.StallEpisodes)
 		fmt.Fprintf(b, "stall_total_us:%d\n", stats.StallTotal.Microseconds())
-	} else if s.routed() {
-		fmt.Fprintf(b, "\n# engine shard=%d\nengine_stats:busy\n", i)
 	} else {
-		fmt.Fprintf(b, "\n# engine\nengine_stats:busy\n")
+		fmt.Fprintf(b, "engine_stats:busy\n")
 	}
 	s.releaseHeld(s.pools[i], held)
 }
 
-// quiescePool checks a pool's handles (all but the selfHeld the caller
-// already holds) out of the free channel, within budget. It never
-// blocks indefinitely, so two racing INFO ALL commands cannot deadlock
-// holding partial sets — the loser times out, releases, and reports
-// busy.
-func (s *Server) quiescePool(p *sessionPool, selfHeld int, budget time.Duration) (held []*pooledSession, all bool) {
+// quiescePool checks every handle of a pool out of the free channel,
+// within budget. It never blocks indefinitely, so two racing INFO ALL
+// commands cannot deadlock holding partial sets — the loser times out,
+// releases, and reports busy.
+func (s *Server) quiescePool(p *sessionPool, budget time.Duration) (held []*pooledSession, all bool) {
 	deadline := time.NewTimer(budget)
 	defer deadline.Stop()
-	need := len(p.all) - selfHeld
-	for len(held) < need {
+	for len(held) < len(p.all) {
 		select {
 		case ps := <-p.free:
 			held = append(held, ps)

@@ -94,10 +94,9 @@ func TestBatchHistogramRecords(t *testing.T) {
 // TestInfoAllDegradesWhenPoolBusy pins one pool session past the quiesce
 // budget and asserts INFO ALL still answers promptly — with the engine
 // section degraded to engine_stats:busy — instead of blocking the server
-// behind the held handle. The stats section needs every *other* handle
-// quiescent; with Handles=2, the client's own batch holds one and the
-// directly checked-out session holds the other, so the quiesce must time
-// out.
+// behind the held handle. The stats section needs every handle of the
+// pool quiescent, and the directly checked-out session is not coming
+// back, so the quiesce must time out.
 func TestInfoAllDegradesWhenPoolBusy(t *testing.T) {
 	store := newMVStore(t)
 	defer store.Close()

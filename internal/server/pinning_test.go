@@ -151,7 +151,7 @@ func TestServerSlowReaderPinning(t *testing.T) {
 					// The engine's stall diagnosis and the server's
 					// handle bookkeeping agree on who is pinning.
 					// INFO must say the same, remotely visible.
-					info := srv.infoText(false, 0)
+					info := srv.infoText(false)
 					if !strings.Contains(info, "stalled:1") ||
 						!strings.Contains(info, fmt.Sprintf("stall_thread_id:%d", si.ThreadID)) {
 						t.Errorf("INFO does not surface the stall:\n%s", info)
@@ -197,24 +197,22 @@ func TestServerSlowReaderPinning(t *testing.T) {
 	}
 }
 
-// TestShardedScanBlastRadius is the sharding payoff test: a long SCAN's
-// walk over a heavily loaded shard pins that shard's watermark only.
-// Shard 0 carries ~100× the records of shards 1 and 2, so the routed
-// SCAN's per-shard walks finish almost instantly on shards 1 and 2 and
-// keep walking shard 0 — and while shard 0's stall detector declares the
-// pin, the other shards' watermarks must keep advancing under writer
-// churn. On the pre-sharding single-domain server the same SCAN pinned
-// the one global watermark, stalling reclamation for every key.
+// TestShardedScanBlastRadius is the sharding payoff test: a long snapshot
+// walk over one shard pins that shard's watermark only. Shard 0 is pinned
+// deterministically — a session checked out of its pool sits inside a
+// ForEachPrefix callback, i.e. inside the walk's snapshot critical
+// section, until the test releases it — while pipelined cross-shard SET
+// churn through the server drives every shard's commits. Shard 0's
+// detector must blame the pinned handle and its watermark must stay at
+// or below the pin's entry timestamp, while the watermarks of shards 1
+// and 2 pass clock readings taken after the pin began: something no
+// pinned domain's watermark can do. On the pre-sharding single-domain
+// server the same walk pinned the one global watermark, stalling
+// reclamation for every key.
 func TestShardedScanBlastRadius(t *testing.T) {
-	old := runtime.GOMAXPROCS(0)
-	if old < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(old)
-	}
-
 	opts := core.DefaultOptions()
 	opts.LogSlots = 512
-	opts.DynamicLog = true
+	opts.DynamicLog = true // writers must not livelock behind the pin
 	opts.GPInterval = 200 * time.Microsecond
 	opts.StallThreshold = 1
 	shards := make([]kvstore.Store, 3)
@@ -225,136 +223,117 @@ func TestShardedScanBlastRadius(t *testing.T) {
 	defer store.Close()
 	mv := func(i int) *kvstore.MVRLUStore { return shards[i].(*kvstore.MVRLUStore) }
 
-	// Partition candidate keys by owning shard: shard 0 gets the bulk
-	// (a long walk), shards 1 and 2 only enough to have churn targets.
-	const bulk = 24000
-	var keys [3][]string
-	for i := 0; len(keys[0]) < bulk || len(keys[1]) < 64 || len(keys[2]) < 64; i++ {
-		k := fmt.Sprintf("p:%07d", i)
-		sh := store.ShardFor(k)
-		if (sh == 0 && len(keys[0]) < bulk) || (sh != 0 && len(keys[sh]) < 64) {
-			keys[sh] = append(keys[sh], k)
+	// A hot set with keys on every shard, so each shard has something to
+	// walk and commit traffic driving its clock and watermark.
+	var hot []string
+	var perShard [3]int
+	for i := 0; len(hot) < 3*32; i++ {
+		k := fmt.Sprintf("p:%05d", i)
+		if sh := store.ShardFor(k); perShard[sh] < 32 {
+			perShard[sh]++
+			hot = append(hot, k)
 		}
 	}
-	seedVal := strings.Repeat("s", 512)
-	for si := range shards {
-		sess := shards[si].Session()
-		for _, k := range keys[si] {
-			sess.Set(k, seedVal)
-		}
-		sess.Close()
+	sess := store.Session()
+	for _, k := range hot {
+		sess.Set(k, "seed")
 	}
+	sess.Close()
 
 	srv, _ := startServer(t, store, Config{Handles: 6})
 	defer srv.Shutdown()
 
-	// Churn writer: pipelined SETs over a hot set drawn from every
-	// shard, so each shard has commit traffic driving its clock and
-	// giving its watermark room to advance.
-	var hot []string
-	for si := range keys {
-		hot = append(hot, keys[si][:32]...)
+	// Pin shard 0. The session goes to the walking goroutine by the go
+	// statement and comes back over walked, the hand-offs the Session
+	// contract asks for; the deferred release also unblocks a failed test.
+	ps := srv.pools[0].get()
+	entered, release, walked := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(walked)
+		ps.sess.ForEachPrefix("", func(string, string) bool {
+			close(entered)
+			<-release
+			return false
+		})
+	}()
+	var once sync.Once
+	unpin := func() {
+		once.Do(func() {
+			close(release)
+			<-walked
+			srv.pools[0].put(ps)
+		})
 	}
-	startWriter := func() (stopWriter func()) {
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nc, err := net.Dial("tcp", srv.Addr().String())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer nc.Close()
-			br := bufio.NewReaderSize(nc, 64<<10)
-			w := bufio.NewWriterSize(nc, 64<<10)
-			seq := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				const depth = 64
-				for d := 0; d < depth; d++ {
-					k := hot[seq%len(hot)]
-					seq++
-					WriteCommandStrings(w, "SET", k, fmt.Sprintf("v%d", seq))
-				}
-				if w.Flush() != nil {
-					return
-				}
-				for d := 0; d < depth; d++ {
-					if _, err := ReadReply(br); err != nil {
-						return
-					}
-				}
-			}
-		}()
-		var once sync.Once
-		return func() { once.Do(func() { close(stop) }); wg.Wait() }
-	}
+	defer unpin()
+	<-entered
+	base1, base2 := mv(1).Now(), mv(2).Now()
 
-	// attempt runs one routed whole-keyspace SCAN under churn and, the
-	// moment shard 0's detector declares the pin, samples every shard's
-	// watermark twice 10ms apart.
-	attempt := func() (ok bool) {
-		stopWriter := startWriter()
-		defer stopWriter()
-
+	// Churn: one connection pipelining SETs over the hot set until told
+	// to stop, so the server's own write path is what drives the shards.
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
 		nc, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
-		br := bufio.NewReaderSize(nc, 1<<20)
-		bw := bufio.NewWriter(nc)
-		done := make(chan struct{})
-		go func() {
-			// Read errors are expected when an attempt gives up and
-			// closes the connection under the in-flight scan.
-			defer close(done)
-			WriteCommandStrings(bw, "SCAN", "")
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			ReadReply(br)
-		}()
-		defer func() { nc.Close(); <-done }()
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
+		defer nc.Close()
+		br := bufio.NewReaderSize(nc, 64<<10)
+		w := bufio.NewWriterSize(nc, 64<<10)
+		for seq := 0; ; {
 			select {
-			case <-done:
-				return false // scan finished before the stall was seen
+			case <-stop:
+				return
 			default:
 			}
-			if _, stalled := mv(0).Stalled(); !stalled {
-				time.Sleep(100 * time.Microsecond)
-				continue
+			const depth = 64
+			for d := 0; d < depth; d++ {
+				WriteCommandStrings(w, "SET", hot[seq%len(hot)], fmt.Sprintf("v%d", seq))
+				seq++
 			}
-			w0a, w1a, w2a := mv(0).Watermark(), mv(1).Watermark(), mv(2).Watermark()
-			time.Sleep(10 * time.Millisecond)
-			_, still := mv(0).Stalled()
-			w0b, w1b, w2b := mv(0).Watermark(), mv(1).Watermark(), mv(2).Watermark()
-			t.Logf("pin sample: shard0 stalled=%v wm %d->%d; shard1 wm %d->%d; shard2 wm %d->%d",
-				still, w0a, w0b, w1a, w1b, w2a, w2b)
-			if !still {
-				return false // pin released mid-sample; retry
+			if w.Flush() != nil {
+				return
 			}
-			if w0b != w0a {
-				return false // shard 0 advanced; the pin we saw was not the scan
+			for d := 0; d < depth; d++ {
+				if _, err := ReadReply(br); err != nil {
+					return
+				}
 			}
-			return w1b > w1a && w2b > w2a
 		}
-		return false
+	}()
+	defer func() { close(stop); churn.Wait() }()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		info, stalled := mv(0).Stalled()
+		w0, w1, w2 := mv(0).Watermark(), mv(1).Watermark(), mv(2).Watermark()
+		blamed := stalled && info.ThreadID == ps.threadID
+		if blamed && w0 > info.EntryTS {
+			t.Fatalf("shard 0 watermark %d passed the pinned snapshot's entry %d", w0, info.EntryTS)
+		}
+		if blamed && w1 > base1 && w2 > base2 {
+			t.Logf("shard 0 pinned by handle thread %d at wm %d; shard 1 wm %d > %d, shard 2 wm %d > %d",
+				info.ThreadID, w0, w1, base1, w2, base2)
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("blast radius not confined: shard 0 stalled=%v (thread %d, pinned handle %d); "+
+				"shard 1 wm %d (pin-time clock %d), shard 2 wm %d (pin-time clock %d)",
+				stalled, info.ThreadID, ps.threadID, w1, base1, w2, base2)
+		}
+		time.Sleep(200 * time.Microsecond) // poll pacing only
 	}
 
-	ok := false
-	for i := 0; i < 5 && !ok; i++ {
-		ok = attempt()
-		t.Logf("attempt %d: blast radius confined=%v", i, ok)
-	}
-	if !ok {
-		t.Fatal("non-pinned shards did not advance their watermarks while shard 0 was pinned")
+	// Releasing the pin is what lets shard 0 move again.
+	pinned := mv(0).Watermark()
+	unpin()
+	for mv(0).Watermark() <= pinned {
+		if time.Now().After(deadline) {
+			t.Fatalf("shard 0 watermark still %d after the pin was released", pinned)
+		}
+		time.Sleep(200 * time.Microsecond)
 	}
 }

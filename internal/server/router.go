@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,52 +11,44 @@ import (
 	"mvrlu/internal/obs"
 )
 
-// This file is the batch router: the sharded-store execution path for
-// one pipelined RESP batch. The single-domain path (conn.dispatch)
-// executes commands one by one on one pooled session; here the batch is
-// instead split three ways —
+// This file is the batch pipeline: the one way a pipelined RESP batch is
+// served, at every shard count. A batch goes through four stages —
 //
-//  1. collect: read every command the client has in flight,
-//  2. execute: partition the commands' keys by shard, run each shard's
-//     sub-batch on its own pooled session concurrently (one worker per
-//     touched shard, each holding exactly one session, so workers can
-//     never deadlock against each other),
-//  3. render: walk the commands in submission order on the connection
-//     goroutine and write each reply from the results the workers left
+//  1. collect: read every command the client has in flight (up to
+//     maxBatch),
+//  2. plan: look each command up in the command table (commands.go) and
+//     let its entry compile it into an ordered slot plus per-shard ops,
+//  3. execute: run each touched shard's ops on that shard's pooled
+//     session — the first touched shard inline on the connection
+//     goroutine, any further ones on worker goroutines, each holding
+//     exactly one session, so executors can never deadlock against each
+//     other,
+//  4. render: walk the slots in submission order on the connection
+//     goroutine and write each reply from the results the ops left
 //     behind.
+//
+// An unsharded store is the one-shard case, not a different server:
+// shardFor is constantly 0, there is one queue, and the "first touched
+// shard runs inline" rule means the whole batch executes on the
+// connection goroutine with no goroutine and no hand-off.
 //
 // The ordering invariant this preserves: replies appear in exactly the
 // order commands were submitted (RESP pipelining's contract), and any
 // two commands touching the same key execute in submission order,
 // because the same key always maps to the same shard and a shard's
-// sub-batch runs its ops in submission order on one session. Commands
-// touching different shards may interleave arbitrarily — indistinguishable
-// to the client, which only observes the ordered replies.
+// queue runs in submission order on one session. Commands touching
+// different shards may interleave arbitrarily — indistinguishable to the
+// client, which only observes the ordered replies.
 
-// Slot kinds: what a collected command turned out to be. Inline kinds
-// (everything from kPing down) execute during render, on the connection
-// goroutine, after every worker has joined — which is why the routed
-// INFO path reports zero held sessions to the quiesce (held=0).
-const (
-	kGet = iota
-	kSet
-	kDel
-	kExists
-	kMGet
-	kMSet
-	kScan
-	kRange
-	kExec
-	kPing
-	kInfo
-	kMetrics
-	kTracelog
-	kQuit
-	kShutdown
-	kOK     // inline +OK (MULTI, DISCARD)
-	kQueued // inline +QUEUED (SET/DEL inside an open MULTI)
-	kErr    // arity/syntax/unknown-command error reply
-)
+// maxBatch bounds how many commands one batch collects. ReadCommand
+// refills the read buffer from the socket, so without a bound a client
+// that writes without ever reading would grow the batch forever and
+// never be answered; with it the batch is served and flushed — and the
+// flush is what pushes back on such a client — and the serve loop starts
+// the next batch from the bytes still buffered. It also bounds the
+// bookkeeping an idle connection keeps for reuse. Well above useful
+// pipeline depths (tens), so real batches are never split.
+const maxBatch = 256
 
 // mgetVal is one MGET result cell.
 type mgetVal struct {
@@ -67,20 +56,25 @@ type mgetVal struct {
 	ok bool
 }
 
-// slot is one command of a routed batch. Workers write results into
-// disjoint parts of it (per-key cells for MGET, per-shard slices for
-// SCAN, an atomic for the DEL/EXISTS counts); the render stage reads
-// them after the WaitGroup join, which is the happens-before edge.
+// slot is one command of a batch. Shard ops write results into disjoint
+// parts of it (per-key cells for MGET, per-shard slices for SCAN, an
+// atomic for the DEL/EXISTS counts); the render stage reads them after
+// the WaitGroup join, which is the happens-before edge.
+//
+// Slots are reused across batches (conn.slots). They hold atomics, so
+// reset one with a zero composite literal, never by copying another.
 type slot struct {
-	name string
-	kind int
+	cmd *command // table entry; nil for an unknown command word
+	// errmsg, when set at plan time, is the whole reply: arity, syntax,
+	// unknown command, refusal. No ops were queued for the slot.
+	errmsg string
+	queued bool // joined an open MULTI body: the reply is +QUEUED
 
-	ping   []byte      // PING payload (nil → PONG)
-	errmsg string      // kErr reply text
-	full   bool        // INFO ALL
-	limit  int         // SCAN / RANGE limit (-1 unbounded)
-	rev    bool        // RANGE REV
-	tlog   tracelogReq // kTracelog parsed request
+	ping  []byte      // PING payload (nil → PONG)
+	full  bool        // INFO ALL
+	limit int         // SCAN / RANGE limit (-1 unbounded)
+	rev   bool        // RANGE REV
+	tlog  tracelogReq // TRACELOG parsed request
 
 	got  bool         // GET
 	val  string       // GET
@@ -88,33 +82,18 @@ type slot struct {
 	vals []mgetVal    // MGET, indexed by key position
 	scan [][]scanKV   // SCAN / RANGE, indexed by shard
 
-	// kExec results: the queued commands (for the reply shape), the
-	// engine's per-op removed flags, and the worker-side error text ("" =
-	// committed). One shard worker writes removed/txnErr; render reads
-	// them after the join.
+	// EXEC: the queued commands (for the reply shape), the engine's
+	// per-op removed flags, and the exec-side error text ("" = committed).
+	// One shard op writes removed/txnErr; render reads them after the join.
 	txnCmds []txnCmd
 	removed []bool
 	txnErr  string
 
 	// panicked holds the recovered panic text if any shard op of this
 	// slot panicked; render turns it into an error reply and closes the
-	// connection, mirroring the single-path behavior where a panic
-	// aborts the batch.
+	// connection.
 	panicked atomic.Pointer[string]
 }
-
-// Shard-op opcodes: what a shardOp does on its session.
-const (
-	opGet = iota
-	opSet
-	opDel    // count removals of keys into sl.n
-	opExists // count hits of keys into sl.n
-	opMGet   // fill sl.vals at iks indices
-	opMSet   // set pairs
-	opScan   // prefix-walk into sl.scan[shard]
-	opRange  // ordered range walk into sl.scan[shard]
-	opTxn    // ApplyTxn of a whole MULTI body on its one shard
-)
 
 // idxKey is one MGET key with its position in the reply array.
 type idxKey struct {
@@ -124,141 +103,71 @@ type idxKey struct {
 
 // shardOp is one unit of per-shard work, stored as plain data — not a
 // closure — so a queue of them is a single backing array with no
-// per-op heap allocation on the routed hot path.
+// per-op heap allocation. What it does is its slot's command's exec
+// hook; the fields are that hook's operands.
 type shardOp struct {
 	sl    *slot
-	kind  uint8
-	shard int             // opScan: index into sl.scan
-	key   string          // opGet/opSet key, opScan prefix
-	val   string          // opSet value
-	keys  []string        // opDel/opExists keys on this shard
-	iks   []idxKey        // opMGet cells on this shard
-	pairs [][2]string     // opMSet pairs on this shard
-	ops   []kvstore.TxnOp // opTxn body (single shard by construction)
+	shard int             // index into sl.scan
+	key   string          // GET/SET key, SCAN prefix, RANGE lo
+	val   string          // SET value, RANGE hi
+	keys  []string        // DEL/EXISTS keys on this shard
+	iks   []idxKey        // MGET cells on this shard
+	pairs [][2]string     // MSET pairs on this shard
+	ops   []kvstore.TxnOp // EXEC body (single shard by construction)
 }
 
-// run executes the op on a checked-out session of its shard.
-func (op *shardOp) run(sess kvstore.Session) {
-	switch op.kind {
-	case opGet:
-		op.sl.val, op.sl.got = sess.Get(op.key)
-	case opSet:
-		sess.Set(op.key, op.val)
-	case opDel:
-		n := int64(0)
-		for _, k := range op.keys {
-			if sess.Remove(k) {
-				n++
-			}
-		}
-		op.sl.n.Add(n)
-	case opExists:
-		n := int64(0)
-		for _, k := range op.keys {
-			if _, ok := sess.Get(k); ok {
-				n++
-			}
-		}
-		op.sl.n.Add(n)
-	case opMGet:
-		for _, ik := range op.iks {
-			v, ok := sess.Get(ik.k)
-			op.sl.vals[ik.i] = mgetVal{v, ok}
-		}
-	case opMSet:
-		for _, p := range op.pairs {
-			sess.Set(p[0], p[1])
-		}
-	case opScan:
-		// Unbounded walk regardless of sl.limit: the cut happens after the
-		// cross-shard merge sorts (see collectScan), so a truncating LIMIT
-		// selects the same keys at any shard count.
-		op.sl.scan[op.shard] = collectScan(sess, op.key, -1)
-	case opRange:
-		// Same unbounded discipline; lo rides in key, hi in val. The
-		// OrderedSession assertion is safe: planSlot only emits range/txn
-		// ops when the server probed the build as ordered at startup.
-		op.sl.scan[op.shard] = collectRange(sess.(kvstore.OrderedSession), op.key, op.val)
-	case opTxn:
-		removed, err := sess.(kvstore.OrderedSession).ApplyTxn(op.ops)
-		if err != nil {
-			op.sl.txnErr = "ERR " + err.Error()
-			return
-		}
-		op.sl.removed = removed
+// op appends a fresh op for sl to shard's queue and returns it for the
+// plan hook to fill in. The pointer is good until the next append.
+func (c *conn) op(sl *slot, shard int) *shardOp {
+	q := append(c.queues[shard], shardOp{sl: sl, shard: shard})
+	c.queues[shard] = q
+	return &q[len(q)-1]
+}
+
+// opFor returns sl's op on shard, appending one if the command has not
+// touched that shard yet — how multi-key commands group their keys into
+// exactly one op per touched shard. A slot's ops are all appended while
+// it is being planned, so its op on a shard, if any, is that queue's tail.
+func (c *conn) opFor(sl *slot, shard int) *shardOp {
+	if q := c.queues[shard]; len(q) > 0 && q[len(q)-1].sl == sl {
+		return &q[len(q)-1]
+	}
+	return c.op(sl, shard)
+}
+
+// fanOut queues one op per shard carrying (key, val) — the whole-keyspace
+// walks, whose per-shard results land in sl.scan[shard].
+func (c *conn) fanOut(sl *slot, key, val string) {
+	sl.scan = make([][]scanKV, len(c.queues))
+	for shard := range c.queues {
+		op := c.op(sl, shard)
+		op.key, op.val = key, val
 	}
 }
 
-// runRoutedBatch executes one pipelined batch over a sharded store.
-// Reports false when the connection must close.
-func (c *conn) runRoutedBatch(first [][]byte) bool {
+// runBatch serves one pipelined batch: the command already read plus
+// every further command the client has in flight. Sessions are held only
+// while a shard's queue executes (one checkout per shard per burst, not
+// per command) and are back in their pools before the connection renders
+// or blocks on the socket again, so a thousand mostly idle connections
+// consume zero engine handles. Reports false when the connection must
+// close.
+func (c *conn) runBatch(first [][]byte) bool {
 	var tr *obs.Trace
 	if c.tr.Active() {
 		tr = c.tr
 	}
-	slots, queues, readErr := c.collectBatch(tr, first)
-
-	var start int64
-	if obs.Enabled() {
-		start = obs.Now()
-	}
-	// Sub-batches running inline do so on the connection goroutine,
-	// which holds no session of its own and takes at most one at a time
-	// — so inline execution can never deadlock, only wait its turn at a
-	// pool like any worker would.
-	//
-	// With one scheduler core there is no parallelism for workers to
-	// buy, only handoff churn to pay, so every touched shard runs
-	// inline, sequentially. With real cores each touched shard beyond
-	// the first gets a worker goroutine; the first runs inline so a
-	// batch confined to one shard — the dominant case for unpipelined
-	// single-key traffic — routes with no handoff at all.
-	var wg sync.WaitGroup
-	seq := runtime.GOMAXPROCS(0) == 1
-	inline := -1
-	for shard, ops := range queues {
-		if len(ops) == 0 {
-			continue
-		}
-		// Shard count is stamped here, on the connection goroutine (the
-		// trace's plain counters are owner-only), before workers spawn.
-		if tr != nil {
-			tr.AddShard()
-		}
-		if seq {
-			wg.Add(1)
-			c.srv.runShardOps(shard, ops, &wg, tr)
-			continue
-		}
-		if inline >= 0 {
-			wg.Add(1)
-			go c.srv.runShardOps(shard, ops, &wg, tr)
-			continue
-		}
-		inline = shard
-	}
-	if inline >= 0 {
-		wg.Add(1)
-		c.srv.runShardOps(inline, queues[inline], &wg, tr)
-	}
-	wg.Wait()
-	if obs.Enabled() {
-		c.srv.batchHist.Observe(uint64(obs.Now() - start))
-	}
-
+	readErr := c.collectBatch(tr, first)
+	c.srv.commands.Add(uint64(c.nslots))
+	c.execBatch(tr)
 	keep := true
-	for _, sl := range slots {
-		// Every worker has joined, so all of this batch's commit records
-		// are appended; mark before rendering the write's reply so the
-		// gate barriers ahead of any flush carrying the ack.
-		if sl.kind == kSet || sl.kind == kMSet || sl.kind == kDel || sl.kind == kExec {
-			c.markDirty()
-		}
+	for _, sl := range c.slots[:c.nslots] {
 		if !c.renderSlot(sl) {
 			keep = false
 			break
 		}
 	}
+	c.resetBatch()
 	if readErr != nil {
 		// Replies for everything collected before the bad bytes have
 		// been rendered; now report the protocol error and close.
@@ -268,33 +177,15 @@ func (c *conn) runRoutedBatch(first [][]byte) bool {
 	return keep
 }
 
-// collectBatch reads the full in-flight batch (the command already read
-// plus everything buffered) and compiles it into ordered slots plus
-// per-shard op queues. Collection stops at QUIT/SHUTDOWN — the
-// connection closes after them, so later bytes are the next life's
-// problem — or at a read error, returned for reporting after render.
-func (c *conn) collectBatch(tr *obs.Trace, first [][]byte) (slots []*slot, queues [][]shardOp, readErr error) {
-	queues = make([][]shardOp, len(c.srv.shards))
-	var t0 int64
-	plan := func(args [][]byte) {
-		if tr == nil {
-			slots = append(slots, c.planSlot(args, queues))
-			return
-		}
-		t0 = obs.Now()
-		sl := c.planSlot(args, queues)
-		tr.EndStage(obs.StagePlan, t0)
-		tr.SetCmd(sl.name)
-		tr.AddCommands(1)
-		slots = append(slots, sl)
-	}
-	plan(first)
-	for c.br.Buffered() > 0 && !c.srv.shutting.Load() {
-		last := slots[len(slots)-1]
-		if last.kind == kQuit || last.kind == kShutdown {
-			break
-		}
+// collectBatch reads the in-flight batch (the command already read plus
+// what is buffered, up to maxBatch) and plans each command into the
+// connection's slots and queues. Collection also stops at QUIT/SHUTDOWN
+// or at a read error, returned for reporting after render.
+func (c *conn) collectBatch(tr *obs.Trace, first [][]byte) error {
+	c.planSlot(tr, first)
+	for c.nslots < maxBatch && !c.closing && c.br.Buffered() > 0 && !c.srv.shutting.Load() {
 		c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
+		var t0 int64
 		if tr != nil {
 			t0 = obs.Now()
 		}
@@ -303,264 +194,119 @@ func (c *conn) collectBatch(tr *obs.Trace, first [][]byte) (slots []*slot, queue
 			tr.EndStage(obs.StageParse, t0)
 		}
 		if err != nil {
-			return slots, queues, err
+			return err
 		}
 		if len(args) == 0 {
 			continue
 		}
-		plan(args)
+		c.planSlot(tr, args)
 	}
-	return slots, queues, nil
+	return nil
 }
 
-// planSlot classifies one command and appends its per-shard ops to the
-// queues. Key-routed commands are decomposed so each touched shard gets
-// exactly one op writing a disjoint part of the slot's results.
-func (c *conn) planSlot(args [][]byte, queues [][]shardOp) *slot {
-	c.srv.commands.Add(1)
-	sl := &slot{name: strings.ToUpper(string(args[0]))}
-	add := func(shard int, op shardOp) {
-		op.sl = sl
-		queues[shard] = append(queues[shard], op)
+// planSlot takes the batch's next slot and plans one command into it:
+// table lookup, the generic checks the entry declares (arity, degraded-
+// WAL refusal of writes), then the entry's plan hook. Inside an open
+// MULTI body everything but the transaction-control commands is queued
+// instead (planQueued).
+func (c *conn) planSlot(tr *obs.Trace, args [][]byte) {
+	var t0 int64
+	if tr != nil {
+		t0 = obs.Now()
 	}
-	if c.txn.active {
-		return c.planTxnSlot(sl, args, queues)
+	if c.nslots == len(c.slots) {
+		c.slots = append(c.slots, new(slot))
 	}
-	switch sl.kind = kErr; sl.name {
-	case "PING":
-		sl.kind = kPing
-		if len(args) > 1 {
-			sl.ping = append([]byte(nil), args[1]...)
+	sl := c.slots[c.nslots]
+	c.nslots++
+	cmd := lookupCommand(args[0])
+	sl.cmd = cmd
+	switch {
+	case c.txn.active && (cmd == nil || !cmd.multi):
+		c.planQueued(sl, cmd, args)
+	case cmd == nil:
+		sl.errmsg = fmt.Sprintf("ERR unknown command '%s'", strings.ToLower(string(args[0])))
+	case !cmd.arity(len(args)):
+		sl.errmsg = arityMsg(cmd.name)
+	default:
+		// EXEC (the one multi write) applies the refusal itself, after it
+		// has taken the body: see planExec.
+		if cmd.write && !cmd.multi {
+			sl.errmsg = c.walRefusal()
 		}
+		if sl.errmsg == "" && cmd.plan != nil {
+			cmd.plan(c, sl, args)
+		}
+	}
+	if tr != nil {
+		tr.EndStage(obs.StagePlan, t0)
+		if cmd != nil {
+			tr.SetCmd(cmd.name)
+		}
+		tr.AddCommands(1)
+	}
+}
 
-	case "GET":
-		if len(args) != 2 {
-			sl.errmsg = arityMsg(sl.name)
-			return sl
+// execBatch runs every touched shard's queue and joins.
+//
+// Queues running inline do so on the connection goroutine, which holds
+// no session of its own and takes at most one at a time — so inline
+// execution can never deadlock, only wait its turn at a pool like any
+// worker would. The first touched shard always runs inline, so a batch
+// confined to one shard — every batch of a one-shard server, and the
+// dominant case for unpipelined single-key traffic on any — executes
+// with no handoff at all. Each further touched shard gets a worker
+// goroutine, except on one scheduler core, where there is no parallelism
+// for workers to buy, only handoff churn to pay, and they run inline too.
+func (c *conn) execBatch(tr *obs.Trace) {
+	var start int64
+	timed := obs.Enabled()
+	if timed {
+		start = obs.Now()
+	}
+	inline, procs := -1, 0
+	for shard, ops := range c.queues {
+		if len(ops) == 0 {
+			continue
 		}
-		sl.kind = kGet
-		key := string(args[1])
-		add(c.srv.shardFor(key), shardOp{kind: opGet, key: key})
-
-	case "SET":
-		if len(args) != 3 {
-			sl.errmsg = arityMsg(sl.name)
-			return sl
+		// Shard count is stamped here, on the connection goroutine (the
+		// trace's plain counters are owner-only), before workers spawn.
+		if tr != nil {
+			tr.AddShard()
 		}
-		if msg := c.walRefusal(); msg != "" {
-			sl.errmsg = msg
-			return sl
+		if inline < 0 {
+			inline = shard
+			continue
 		}
-		sl.kind = kSet
-		key, val := string(args[1]), string(args[2])
-		add(c.srv.shardFor(key), shardOp{kind: opSet, key: key, val: val})
-
-	case "DEL", "EXISTS":
-		if len(args) < 2 {
-			sl.errmsg = arityMsg(sl.name)
-			return sl
+		if procs == 0 {
+			// Reading it takes the scheduler lock: at most once per batch,
+			// and never for a batch confined to one shard.
+			procs = runtime.GOMAXPROCS(0)
 		}
-		op := uint8(opDel)
-		if sl.name == "DEL" {
-			if msg := c.walRefusal(); msg != "" {
-				sl.errmsg = msg
-				return sl
-			}
-			sl.kind = kDel
+		if procs == 1 {
+			c.srv.runShardOps(shard, ops, tr)
 		} else {
-			sl.kind = kExists
-			op = opExists
+			c.wg.Add(1)
+			go func() {
+				// Done runs after runShardOps has returned its session and
+				// closed its spans: the edge Trace.Finish synchronizes on.
+				defer c.wg.Done()
+				c.srv.runShardOps(shard, ops, tr)
+			}()
 		}
-		for shard, keys := range keysByShard(c.srv.shardFor, args[1:]) {
-			add(shard, shardOp{kind: op, keys: keys})
-		}
-
-	case "MGET":
-		if len(args) < 2 {
-			sl.errmsg = arityMsg(sl.name)
-			return sl
-		}
-		sl.kind = kMGet
-		sl.vals = make([]mgetVal, len(args)-1)
-		perShard := map[int][]idxKey{}
-		for i, a := range args[1:] {
-			k := string(a)
-			shard := c.srv.shardFor(k)
-			perShard[shard] = append(perShard[shard], idxKey{i, k})
-		}
-		for shard, iks := range perShard {
-			add(shard, shardOp{kind: opMGet, iks: iks})
-		}
-
-	case "MSET":
-		if len(args) < 3 || len(args)%2 != 1 {
-			sl.errmsg = arityMsg(sl.name)
-			return sl
-		}
-		if msg := c.walRefusal(); msg != "" {
-			sl.errmsg = msg
-			return sl
-		}
-		sl.kind = kMSet
-		perShard := map[int][][2]string{}
-		for i := 1; i < len(args); i += 2 {
-			k, v := string(args[i]), string(args[i+1])
-			shard := c.srv.shardFor(k)
-			perShard[shard] = append(perShard[shard], [2]string{k, v})
-		}
-		for shard, pairs := range perShard {
-			add(shard, shardOp{kind: opMSet, pairs: pairs})
-		}
-
-	case "SCAN":
-		prefix, limit, errmsg := parseScan(args)
-		if errmsg != "" {
-			sl.errmsg = errmsg
-			return sl
-		}
-		sl.kind = kScan
-		sl.limit = limit
-		sl.scan = make([][]scanKV, len(c.srv.shards))
-		for shard := range c.srv.shards {
-			add(shard, shardOp{kind: opScan, shard: shard, key: prefix})
-		}
-
-	case "RANGE":
-		lo, hi, limit, rev, errmsg := parseRange(args)
-		if errmsg != "" {
-			sl.errmsg = errmsg
-			return sl
-		}
-		if !c.srv.ordered {
-			sl.errmsg = msgNotOrdered
-			return sl
-		}
-		sl.kind = kRange
-		sl.limit, sl.rev = limit, rev
-		sl.scan = make([][]scanKV, len(c.srv.shards))
-		for shard := range c.srv.shards {
-			add(shard, shardOp{kind: opRange, shard: shard, key: lo, val: hi})
-		}
-
-	case "MULTI":
-		c.txn.active = true
-		sl.kind = kOK
-
-	case "EXEC":
-		sl.errmsg = msgExecNoMulti
-
-	case "DISCARD":
-		sl.errmsg = msgDiscardNoMulti
-
-	case "INFO":
-		sl.kind = kInfo
-		sl.full = len(args) > 1 && strings.EqualFold(string(args[1]), "ALL")
-
-	case "METRICS":
-		sl.kind = kMetrics
-
-	case "TRACELOG":
-		req, errmsg := parseTracelog(args)
-		if errmsg != "" {
-			sl.errmsg = errmsg
-			return sl
-		}
-		sl.kind = kTracelog
-		sl.tlog = req
-
-	case "QUIT":
-		sl.kind = kQuit
-
-	case "SHUTDOWN":
-		sl.kind = kShutdown
-
-	default:
-		sl.errmsg = fmt.Sprintf("ERR unknown command '%s'", strings.ToLower(sl.name))
 	}
-	return sl
+	if inline >= 0 {
+		c.srv.runShardOps(inline, c.queues[inline], tr)
+		c.wg.Wait()
+	}
+	if timed {
+		c.srv.batchHist.Observe(uint64(obs.Now() - start))
+	}
 }
 
-// planTxnSlot plans one command while the connection has an open MULTI
-// body. Queueing mutates conn-local state at plan time — safe, because
-// plan runs on the connection goroutine in submission order — and EXEC
-// compiles the whole body into ONE shard op, so the transaction executes
-// on a single session inside a single engine commit. A body whose keys
-// hash to different shards is rejected here, at plan time, with the
-// store untouched: single-shard MULTI is the documented contract
-// (DESIGN.md §12).
-func (c *conn) planTxnSlot(sl *slot, args [][]byte, queues [][]shardOp) *slot {
-	sl.kind = kErr
-	switch sl.name {
-	case "MULTI":
-		sl.errmsg = msgNestedMulti
-
-	case "DISCARD":
-		c.txn.reset()
-		sl.kind = kOK
-
-	case "EXEC":
-		cmds, aborted := c.txn.cmds, c.txn.aborted
-		c.txn.reset()
-		if aborted {
-			sl.errmsg = msgExecAbort
-			return sl
-		}
-		if !c.srv.ordered {
-			sl.errmsg = msgNotOrdered
-			return sl
-		}
-		if len(cmds) == 0 {
-			sl.kind = kExec
-			return sl
-		}
-		if msg := c.walRefusal(); msg != "" {
-			sl.errmsg = msg
-			return sl
-		}
-		ops := flattenTxn(cmds)
-		shard := c.srv.shardFor(ops[0].Key)
-		for _, op := range ops[1:] {
-			if c.srv.shardFor(op.Key) != shard {
-				sl.errmsg = msgCrossShard
-				return sl
-			}
-		}
-		sl.kind = kExec
-		sl.txnCmds = cmds
-		queues[shard] = append(queues[shard], shardOp{sl: sl, kind: opTxn, ops: ops})
-
-	default:
-		reply, isErr := c.txn.queue(sl.name, args)
-		if isErr {
-			sl.errmsg = reply
-			return sl
-		}
-		sl.kind = kQueued
-	}
-	return sl
-}
-
-// keysByShard groups raw key arguments by owning shard, preserving
-// argument order within each group (same-key DEL arguments stay in
-// order on their shard).
-func keysByShard(shardFor func(string) int, raw [][]byte) map[int][]string {
-	m := map[int][]string{}
-	for _, a := range raw {
-		k := string(a)
-		shard := shardFor(k)
-		m[shard] = append(m[shard], k)
-	}
-	return m
-}
-
-// runShardOps is one shard worker: check out the shard's pooled
-// session, run this batch's sub-ops in submission order, return it.
-// Each op runs under its own recover so an engine panic poisons only
-// its slot (the engine has already rolled the write set back and the
-// session stays usable); the connection still closes at render, but the
-// session returns to the pool healthy either way.
-func (s *Server) runShardOps(shard int, ops []shardOp, wg *sync.WaitGroup, tr *obs.Trace) {
-	defer wg.Done()
+// runShardOps executes one shard's share of a batch: check out the
+// shard's pooled session, run the ops in submission order, return it.
+func (s *Server) runShardOps(shard int, ops []shardOp, tr *obs.Trace) {
 	var t0 int64
 	if tr != nil {
 		t0 = obs.Now()
@@ -571,8 +317,7 @@ func (s *Server) runShardOps(shard int, ops []shardOp, wg *sync.WaitGroup, tr *o
 		// Concurrent workers stamp the same trace: the stage cells and
 		// span slots are built for that (atomics). Defers run LIFO, so
 		// the engine span closes and the session's trace clears before
-		// the session returns to the pool, and wg.Done — the edge
-		// Finish synchronizes on — runs last of all.
+		// the session returns to the pool.
 		tr.EndStage(obs.StageSessionWait, t0)
 		if tc, ok := ps.sess.(kvstore.TraceCarrier); ok {
 			tc.SetTrace(tr)
@@ -584,137 +329,58 @@ func (s *Server) runShardOps(shard int, ops []shardOp, wg *sync.WaitGroup, tr *o
 	s.shardCmds[shard].n.Add(uint64(len(ops)))
 	ps.commands.Add(uint64(len(ops)))
 	for i := range ops {
-		op := &ops[i]
-		ps.lastCmd.Store(&op.sl.name)
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					s.panics.Add(1)
-					msg := fmt.Sprint(r)
-					op.sl.panicked.Store(&msg)
-				}
-			}()
-			op.run(ps.sess)
-		}()
+		ps.lastCmd.Store(&ops[i].sl.cmd.name)
+		s.runOp(&ops[i], ps.sess)
 	}
 }
 
-// renderSlot writes one command's reply from its gathered results.
-// Reports false when the connection must close.
+// runOp runs one op under its own recover, so a store panic poisons only
+// its slot (the engine has already rolled the write set back and the
+// session stays usable): earlier replies of the batch are still
+// delivered, then this slot's error, then the connection closes.
+func (s *Server) runOp(op *shardOp, sess kvstore.Session) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Add(1)
+			msg := fmt.Sprint(r)
+			op.sl.panicked.Store(&msg)
+		}
+	}()
+	op.sl.cmd.exec(op, sess)
+}
+
+// renderSlot writes one command's reply. Reports false when the
+// connection must close.
 func (c *conn) renderSlot(sl *slot) bool {
+	switch {
+	case sl.errmsg != "":
+		return writeErrorReply(c.bw, sl.errmsg) == nil
+	case sl.queued:
+		return writeSimple(c.bw, "QUEUED") == nil
+	}
+	// Every worker has joined, so all of this batch's commit records are
+	// appended; mark before rendering the write's reply so the gate
+	// barriers ahead of any flush carrying the ack.
+	if sl.cmd.write {
+		c.markDirty()
+	}
 	if p := sl.panicked.Load(); p != nil {
 		writeErrorReply(c.bw, "ERR internal error: "+*p)
 		return false
 	}
-	switch sl.kind {
-	case kErr:
-		return writeErrorReply(c.bw, sl.errmsg) == nil
+	return sl.cmd.render(c, sl)
+}
 
-	case kPing:
-		if sl.ping != nil {
-			return writeBulk(c.bw, sl.ping) == nil
-		}
-		return writeSimple(c.bw, "PONG") == nil
-
-	case kGet:
-		if sl.got {
-			return writeBulkString(c.bw, sl.val) == nil
-		}
-		return writeNull(c.bw) == nil
-
-	case kSet, kMSet:
-		return writeSimple(c.bw, "OK") == nil
-
-	case kDel, kExists:
-		return writeInt(c.bw, sl.n.Load()) == nil
-
-	case kMGet:
-		if writeArrayHeader(c.bw, len(sl.vals)) != nil {
-			return false
-		}
-		for _, mv := range sl.vals {
-			if mv.ok {
-				if writeBulkString(c.bw, mv.v) != nil {
-					return false
-				}
-			} else if writeNull(c.bw) != nil {
-				return false
-			}
-		}
-		return true
-
-	case kScan:
-		// Concatenate the per-shard walks in shard order, then let
-		// renderScan sort by key and apply LIMIT: walks are unbounded
-		// (see opScan), so the merged reply — truncating LIMIT included —
-		// is byte-identical to the single-domain reply over the same
-		// records.
-		total := 0
-		for _, part := range sl.scan {
-			total += len(part)
-		}
-		merged := make([]scanKV, 0, total)
-		for _, part := range sl.scan {
-			merged = append(merged, part...)
-		}
-		return renderScan(c.bw, merged, sl.limit)
-
-	case kRange:
-		// Concatenate per-shard walks and sort globally: each shard's walk
-		// is ascending but the shards partition by hash, so only the merged
-		// sort restores key order. REV and LIMIT apply after, identically
-		// to the single-domain path — byte-identical replies at any shard
-		// count.
-		total := 0
-		for _, part := range sl.scan {
-			total += len(part)
-		}
-		merged := make([]scanKV, 0, total)
-		for _, part := range sl.scan {
-			merged = append(merged, part...)
-		}
-		sort.Slice(merged, func(i, j int) bool { return merged[i].k < merged[j].k })
-		return renderRange(c.bw, merged, sl.limit, sl.rev)
-
-	case kExec:
-		if sl.txnErr != "" {
-			return writeErrorReply(c.bw, sl.txnErr) == nil
-		}
-		if len(sl.txnCmds) == 0 {
-			return writeArrayHeader(c.bw, 0) == nil
-		}
-		return renderExec(c.bw, sl.txnCmds, sl.removed)
-
-	case kOK:
-		return writeSimple(c.bw, "OK") == nil
-
-	case kQueued:
-		return writeSimple(c.bw, "QUEUED") == nil
-
-	case kInfo:
-		// held=0: workers have joined and every session is back in its
-		// pool, so the quiesce may collect full budgets.
-		return writeBulkString(c.bw, c.srv.infoText(sl.full, 0)) == nil
-
-	case kMetrics:
-		var buf bytes.Buffer
-		if err := c.srv.reg.WriteText(&buf); err != nil {
-			return writeErrorReply(c.bw, "ERR metrics: "+err.Error()) == nil
-		}
-		return writeBulkString(c.bw, buf.String()) == nil
-
-	case kTracelog:
-		return writeBulkString(c.bw, c.srv.tracelogText(sl.tlog)) == nil
-
-	case kQuit:
-		writeSimple(c.bw, "OK")
-		return false
-
-	case kShutdown:
-		writeSimple(c.bw, "OK")
-		c.flush()
-		go c.srv.Shutdown()
-		return false
+// resetBatch zeroes what the batch used, dropping every reference the
+// slots and ops held (values, scan results, arguments), and keeps the
+// memory for the next batch.
+func (c *conn) resetBatch() {
+	for _, sl := range c.slots[:c.nslots] {
+		*sl = slot{}
 	}
-	return false
+	c.nslots = 0
+	for shard, q := range c.queues {
+		clear(q)
+		c.queues[shard] = q[:0]
+	}
 }

@@ -2,434 +2,20 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
-	"math/rand"
+	"io"
 	"net"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
-
-	"mvrlu/internal/kvstore"
 )
 
-// newShardedMV builds an n-shard mvrlu store — n independent domains,
-// each with its own watermark, detector, and GC.
-func newShardedMV(t *testing.T, n int) kvstore.Store {
-	t.Helper()
-	st, err := kvstore.NewSharded("mvrlu-kv", n, 8, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-// TestRoutedServerCommands runs the full command matrix over a 4-shard
-// store: every reply must be indistinguishable from the unsharded
-// server's, and INFO must surface the shard topology.
-func TestRoutedServerCommands(t *testing.T) {
-	store := newShardedMV(t, 4)
-	defer store.Close()
-	srv, _ := startServer(t, store, Config{Handles: 8})
-	defer srv.Shutdown()
-	if !srv.routed() {
-		t.Fatal("4-shard store did not enable the router")
-	}
-	c := dialT(t, srv)
-
-	if r := c.cmd("PING"); r.Kind != SimpleReply || r.Str != "PONG" {
-		t.Fatalf("PING: %v", r)
-	}
-	if r := c.cmd("PING", "hello"); r.Kind != BulkReply || r.Str != "hello" {
-		t.Fatalf("PING msg: %v", r)
-	}
-	if r := c.cmd("GET", "nope"); r.Kind != NullReply {
-		t.Fatalf("GET missing: %v", r)
-	}
-	if r := c.cmd("SET", "k", "v1"); r.Str != "OK" {
-		t.Fatalf("SET: %v", r)
-	}
-	if r := c.cmd("GET", "k"); r.Str != "v1" {
-		t.Fatalf("GET: %v", r)
-	}
-	// Multi-key commands decompose across shards and merge: use enough
-	// keys that several shards are touched.
-	var msetArgs = []string{"MSET"}
-	for i := 0; i < 16; i++ {
-		msetArgs = append(msetArgs, fmt.Sprintf("m:%02d", i), fmt.Sprintf("val%d", i))
-	}
-	if r := c.cmd(msetArgs...); r.Str != "OK" {
-		t.Fatalf("MSET: %v", r)
-	}
-	mgetArgs := []string{"MGET"}
-	for i := 0; i < 16; i++ {
-		mgetArgs = append(mgetArgs, fmt.Sprintf("m:%02d", i))
-	}
-	mgetArgs = append(mgetArgs, "absent")
-	r := c.cmd(mgetArgs...)
-	if r.Kind != ArrayReply || len(r.Elems) != 17 {
-		t.Fatalf("MGET: %v", r)
-	}
-	for i := 0; i < 16; i++ {
-		if r.Elems[i].Str != fmt.Sprintf("val%d", i) {
-			t.Fatalf("MGET[%d] = %v", i, r.Elems[i])
-		}
-	}
-	if r.Elems[16].Kind != NullReply {
-		t.Fatalf("MGET absent: %v", r.Elems[16])
-	}
-	existsArgs := append([]string{"EXISTS"}, mgetArgs[1:]...)
-	if r := c.cmd(existsArgs...); r.Int != 16 {
-		t.Fatalf("EXISTS: %v", r)
-	}
-	delArgs := []string{"DEL", "m:00", "m:07", "m:13", "absent"}
-	if r := c.cmd(delArgs...); r.Int != 3 {
-		t.Fatalf("DEL: %v", r)
-	}
-	if r := c.cmd(existsArgs...); r.Int != 13 {
-		t.Fatalf("EXISTS after DEL: %v", r)
-	}
-	// SCAN merges per-shard walks sorted by key.
-	r = c.cmd("SCAN", "m:")
-	if r.Kind != ArrayReply || len(r.Elems) != 2*13 {
-		t.Fatalf("SCAN: %d elems", len(r.Elems))
-	}
-	for i := 2; i+1 < len(r.Elems); i += 2 {
-		if r.Elems[i].Str <= r.Elems[i-2].Str {
-			t.Fatalf("SCAN not sorted: %q after %q", r.Elems[i].Str, r.Elems[i-2].Str)
-		}
-	}
-	if r := c.cmd("SCAN", "m:", "LIMIT", "5"); len(r.Elems) != 10 {
-		t.Fatalf("SCAN LIMIT: %d elems", len(r.Elems))
-	}
-	if r := c.cmd("NOSUCH", "x"); !r.IsError() || !strings.Contains(r.Str, "unknown command") {
-		t.Fatalf("unknown: %v", r)
-	}
-	if r := c.cmd("GET"); !r.IsError() || !strings.Contains(r.Str, "wrong number") {
-		t.Fatalf("arity: %v", r)
-	}
-
-	info := c.cmd("INFO")
-	for _, want := range []string{
-		"build:mvrlu-kv", "shards:4",
-		"# watermark shard=0", "# watermark shard=3",
-		"shard_0_commands:", "shard_3_commands:",
-	} {
-		if !strings.Contains(info.Str, want) {
-			t.Fatalf("INFO missing %q:\n%s", want, info.Str)
-		}
-	}
-	all := c.cmd("INFO", "ALL")
-	for _, want := range []string{"# engine shard=0", "# engine shard=3", "commits:"} {
-		if !strings.Contains(all.Str, want) {
-			t.Fatalf("INFO ALL missing %q:\n%s", want, all.Str)
-		}
-	}
-	metrics := c.cmd("METRICS")
-	for _, want := range []string{
-		`server_shard_commands_total{shard="0"}`,
-		`server_shard_commands_total{shard="3"}`,
-		"server_shards 4",
-	} {
-		if !strings.Contains(metrics.Str, want) {
-			t.Fatalf("METRICS missing %q", want)
-		}
-	}
-}
-
-// TestRoutedPipelinedOracle is the router's ordering oracle: 64
-// connections each pipeline deep batches of mixed single- and multi-key
-// commands whose keys scatter across every shard, and every reply must
-// come back in submission order with the value the per-connection
-// oracle predicts. Any reassembly bug — replies swapped across slots,
-// a sub-batch applied out of order against a same-key successor — is a
-// deterministic failure here, not a flake.
-func TestRoutedPipelinedOracle(t *testing.T) {
-	store := newShardedMV(t, 4)
-	defer store.Close()
-	srv, _ := startServer(t, store, Config{Handles: 8})
-	defer srv.Shutdown()
-
-	const (
-		conns   = 64
-		batches = 20
-		depth   = 8
-	)
-	var wg sync.WaitGroup
-	errs := make(chan error, conns)
-	for i := 0; i < conns; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			nc, err := net.Dial("tcp", srv.Addr().String())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer nc.Close()
-			br := bufio.NewReaderSize(nc, 64<<10)
-			bw := bufio.NewWriterSize(nc, 64<<10)
-			rng := rand.New(rand.NewSource(int64(id)*9901 + 17))
-			prefix := fmt.Sprintf("r%02d:", id)
-			oracle := map[string]string{}
-			key := func() string { return prefix + fmt.Sprintf("k%02d", rng.Intn(24)) }
-			type expect struct {
-				op   string
-				keys []string
-				vals []string // oracle values at send time
-				n    int64
-			}
-			for b := 0; b < batches; b++ {
-				var exps []expect
-				for d := 0; d < depth; d++ {
-					switch rng.Intn(12) {
-					case 0, 1, 2: // SET
-						k := key()
-						v := fmt.Sprintf("v%d.%d.%d", id, b, d)
-						WriteCommandStrings(bw, "SET", k, v)
-						oracle[k] = v
-						exps = append(exps, expect{op: "SET"})
-					case 3: // DEL of 3 keys (dup keys allowed)
-						ks := []string{key(), key(), key()}
-						WriteCommandStrings(bw, append([]string{"DEL"}, ks...)...)
-						n := int64(0)
-						for _, k := range ks {
-							if _, ok := oracle[k]; ok {
-								n++
-								delete(oracle, k)
-							}
-						}
-						exps = append(exps, expect{op: "DEL", n: n})
-					case 4: // MSET of 3 pairs
-						k1, k2, k3 := key(), key(), key()
-						v := fmt.Sprintf("m%d.%d.%d", id, b, d)
-						WriteCommandStrings(bw, "MSET", k1, v+"a", k2, v+"b", k3, v+"c")
-						// Later pairs win on duplicate keys, matching
-						// sequential Set application.
-						oracle[k1] = v + "a"
-						oracle[k2] = v + "b"
-						oracle[k3] = v + "c"
-						exps = append(exps, expect{op: "MSET"})
-					case 5: // MGET of 3 keys
-						ks := []string{key(), key(), key()}
-						WriteCommandStrings(bw, append([]string{"MGET"}, ks...)...)
-						vals := make([]string, len(ks))
-						for i, k := range ks {
-							vals[i] = oracle[k]
-						}
-						exps = append(exps, expect{op: "MGET", keys: ks, vals: vals})
-					case 6: // EXISTS of 3 keys
-						ks := []string{key(), key(), key()}
-						WriteCommandStrings(bw, append([]string{"EXISTS"}, ks...)...)
-						n := int64(0)
-						for _, k := range ks {
-							if _, ok := oracle[k]; ok {
-								n++
-							}
-						}
-						exps = append(exps, expect{op: "EXISTS", n: n})
-					default: // GET
-						k := key()
-						WriteCommandStrings(bw, "GET", k)
-						exps = append(exps, expect{op: "GET", keys: []string{k}, vals: []string{oracle[k]}})
-					}
-				}
-				scan := b%6 == 5
-				if scan {
-					WriteCommandStrings(bw, "SCAN", prefix)
-				}
-				if err := bw.Flush(); err != nil {
-					errs <- err
-					return
-				}
-				for _, e := range exps {
-					rep, err := ReadReply(br)
-					if err != nil {
-						errs <- err
-						return
-					}
-					switch e.op {
-					case "SET", "MSET":
-						if rep.Str != "OK" {
-							errs <- fmt.Errorf("conn %d %s: %v", id, e.op, rep)
-							return
-						}
-					case "DEL", "EXISTS":
-						if rep.Kind != IntReply || rep.Int != e.n {
-							errs <- fmt.Errorf("conn %d %s: %v want %d", id, e.op, rep, e.n)
-							return
-						}
-					case "GET":
-						switch {
-						case e.vals[0] == "" && rep.Kind != NullReply:
-							errs <- fmt.Errorf("conn %d GET %s: %v want null", id, e.keys[0], rep)
-							return
-						case e.vals[0] != "" && rep.Str != e.vals[0]:
-							errs <- fmt.Errorf("conn %d GET %s: %v want %q", id, e.keys[0], rep, e.vals[0])
-							return
-						}
-					case "MGET":
-						if rep.Kind != ArrayReply || len(rep.Elems) != len(e.keys) {
-							errs <- fmt.Errorf("conn %d MGET: %v", id, rep)
-							return
-						}
-						for i := range e.keys {
-							el := rep.Elems[i]
-							switch {
-							case e.vals[i] == "" && el.Kind != NullReply:
-								errs <- fmt.Errorf("conn %d MGET %s: %v want null", id, e.keys[i], el)
-								return
-							case e.vals[i] != "" && el.Str != e.vals[i]:
-								errs <- fmt.Errorf("conn %d MGET %s: %v want %q", id, e.keys[i], el, e.vals[i])
-								return
-							}
-						}
-					}
-				}
-				if scan {
-					rep, err := ReadReply(br)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if rep.Kind != ArrayReply || len(rep.Elems) != 2*len(oracle) {
-						errs <- fmt.Errorf("conn %d SCAN: %d elems, oracle %d keys",
-							id, len(rep.Elems), len(oracle))
-						return
-					}
-					for i := 0; i+1 < len(rep.Elems); i += 2 {
-						k, v := rep.Elems[i].Str, rep.Elems[i+1].Str
-						if ov, ok := oracle[k]; !ok || ov != v {
-							errs <- fmt.Errorf("conn %d SCAN %s=%q, oracle %q (present %v)",
-								id, k, v, ov, ok)
-							return
-						}
-						if i >= 2 && k <= rep.Elems[i-2].Str {
-							errs <- fmt.Errorf("conn %d SCAN unsorted: %q after %q",
-								id, k, rep.Elems[i-2].Str)
-							return
-						}
-					}
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	// The router must have spread work over every shard.
-	for i := range srv.shardCmds {
-		if srv.shardCmds[i].n.Load() == 0 {
-			t.Errorf("shard %d executed no commands", i)
-		}
-	}
-}
-
-// TestRoutedScanMatchesUnsharded loads the same records into a 1-shard
-// and a 4-shard server and verifies SCAN returns the identical sorted
-// reply from both — the shard-count-independence the sorted merge buys.
-func TestRoutedScanMatchesUnsharded(t *testing.T) {
-	single := newMVStore(t)
-	defer single.Close()
-	sharded := newShardedMV(t, 4)
-	defer sharded.Close()
-	srv1, _ := startServer(t, single, Config{Handles: 2})
-	defer srv1.Shutdown()
-	srv4, _ := startServer(t, sharded, Config{Handles: 8})
-	defer srv4.Shutdown()
-
-	c1, c4 := dialT(t, srv1), dialT(t, srv4)
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("s:%05d", i*37%1000)
-		v := fmt.Sprintf("v%d", i)
-		if r := c1.cmd("SET", k, v); r.Str != "OK" {
-			t.Fatal(r)
-		}
-		if r := c4.cmd("SET", k, v); r.Str != "OK" {
-			t.Fatal(r)
-		}
-	}
-	r1 := c1.cmd("SCAN", "s:")
-	r4 := c4.cmd("SCAN", "s:")
-	if len(r1.Elems) == 0 || len(r1.Elems) != len(r4.Elems) {
-		t.Fatalf("SCAN sizes differ: %d vs %d", len(r1.Elems), len(r4.Elems))
-	}
-	for i := range r1.Elems {
-		if r1.Elems[i].Str != r4.Elems[i].Str {
-			t.Fatalf("SCAN[%d]: unsharded %q, sharded %q",
-				i, r1.Elems[i].Str, r4.Elems[i].Str)
-		}
-	}
-	// And the merged order really is the global sort.
-	var keys []string
-	for i := 0; i+1 < len(r4.Elems); i += 2 {
-		keys = append(keys, r4.Elems[i].Str)
-	}
-	if !sort.StringsAreSorted(keys) {
-		t.Fatalf("sharded SCAN not globally sorted: %v", keys)
-	}
-}
-
-// TestRoutedPanicIsolation: a store panic inside a shard worker must be
-// recovered off the connection goroutine, surface as an error reply,
-// close only that connection, and leave every shard serving.
-func TestRoutedPanicIsolation(t *testing.T) {
-	inner := []kvstore.Store{}
-	for i := 0; i < 4; i++ {
-		st, err := kvstore.New("mvrlu-kv", 2, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inner = append(inner, &panicStore{st})
-	}
-	store := kvstore.NewShardedStore(inner)
-	defer store.Close()
-	srv, _ := startServer(t, store, Config{Handles: 8})
-	defer srv.Shutdown()
-
-	bad := dialT(t, srv)
-	// Pipeline healthy commands around the poisoned one: replies before
-	// the panic slot must still arrive, in order.
-	bad.send("SET", "ok1", "a")
-	bad.send("GET", "boom")
-	bad.send("SET", "ok2", "b")
-	bad.flush()
-	if r := bad.recv(); r.Str != "OK" {
-		t.Fatalf("pre-panic SET: %v", r)
-	}
-	rep, err := ReadReply(bad.br)
-	if err == nil && !rep.IsError() {
-		t.Fatalf("panicking command returned %v", rep)
-	}
-	bad.nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	for err == nil {
-		_, err = ReadReply(bad.br)
-	}
-
-	good := dialT(t, srv)
-	if r := good.cmd("PING"); r.Str != "PONG" {
-		t.Fatalf("server dead after shard-worker panic: %v", r)
-	}
-	if got := srv.panics.Load(); got != 1 {
-		t.Fatalf("panics = %d, want 1", got)
-	}
-	// Every shard still serves writes (sessions returned healthy).
-	for i := 0; i < 16; i++ {
-		if r := good.cmd("SET", fmt.Sprintf("after%02d", i), "ok"); r.Str != "OK" {
-			t.Fatalf("store unusable after panic: %v", r)
-		}
-	}
-}
-
-// TestRoutedQuiesceWithStats: INFO ALL over a sharded store must emit
-// one quiescent engine section per shard even under concurrent traffic
-// (the routed path holds no session while rendering, so each shard's
-// pool can be fully collected).
-func TestRoutedInfoAllQuiesce(t *testing.T) {
-	store := newShardedMV(t, 3)
+// TestInfoAllQuiesce: INFO ALL must emit one quiescent engine section per
+// shard (INFO renders after its batch's workers have returned their
+// sessions, so each shard's pool can be fully collected).
+func TestInfoAllQuiesce(t *testing.T) {
+	store := newKVStore(t, 3)
 	defer store.Close()
 	srv, _ := startServer(t, store, Config{Handles: 6})
 	defer srv.Shutdown()
@@ -448,4 +34,131 @@ func TestRoutedInfoAllQuiesce(t *testing.T) {
 			t.Fatalf("INFO ALL missing shard %d engine section:\n%s", i, all.Str)
 		}
 	}
+}
+
+// memConn is an in-memory net.Conn: reads drain a prepared request
+// stream — all of it available at once, as from a client that writes
+// without ever reading — and writes collect the reply stream.
+type memConn struct {
+	r io.Reader
+	w bytes.Buffer
+}
+
+func (m *memConn) Read(p []byte) (int, error)       { return m.r.Read(p) }
+func (m *memConn) Write(p []byte) (int, error)      { return m.w.Write(p) }
+func (m *memConn) Close() error                     { return nil }
+func (m *memConn) LocalAddr() net.Addr              { return nil }
+func (m *memConn) RemoteAddr() net.Addr             { return nil }
+func (m *memConn) SetDeadline(time.Time) error      { return nil }
+func (m *memConn) SetReadDeadline(time.Time) error  { return nil }
+func (m *memConn) SetWriteDeadline(time.Time) error { return nil }
+
+// requestStream encodes commands as one RESP byte stream.
+func requestStream(cmds [][]string) *memConn {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	for _, cmd := range cmds {
+		WriteCommandStrings(bw, cmd...)
+	}
+	bw.Flush()
+	return &memConn{r: &buf}
+}
+
+// serveStream runs the real connection loop over a prepared request
+// stream until it is exhausted and returns the parsed replies.
+func serveStream(t *testing.T, srv *Server, mc *memConn) []Reply {
+	t.Helper()
+	c := newConn(srv, mc)
+	srv.sem <- struct{}{}
+	if !srv.addConn(c) {
+		t.Fatal("server refused the connection")
+	}
+	c.serve()
+	var out []Reply
+	br := bufio.NewReader(&mc.w)
+	for {
+		rep, err := ReadReply(br)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("reply %d: %v", len(out), err)
+		}
+		out = append(out, rep)
+	}
+}
+
+// TestBatchCap: a client that keeps writing without reading must not
+// grow one batch without limit (and so never be answered). Collection
+// stops at maxBatch commands, the batch is served and flushed, and the
+// serve loop starts the next from the still-buffered bytes — with
+// replies in submission order across the splits and connection state
+// (an open MULTI body) carried over them.
+func TestBatchCap(t *testing.T) {
+	forShardCounts(t, func(t *testing.T, shards int) {
+		store := newStore(t, "mvrlu-idx", shards)
+		defer store.Close()
+		srv := New(store, Config{Handles: 2 * shards})
+		defer srv.Shutdown()
+
+		const total = 10 * maxBatch
+		sess := store.Session()
+		gets := make([][]string, total)
+		for i := range gets {
+			k := fmt.Sprintf("g%05d", i)
+			sess.Set(k, fmt.Sprint(i))
+			gets[i] = []string{"GET", k}
+		}
+		sess.Close()
+
+		// One collect takes exactly the cap, however much more is waiting.
+		c := newConn(srv, requestStream(gets))
+		first, err := ReadCommand(c.br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.collectBatch(nil, first); err != nil {
+			t.Fatal(err)
+		}
+		if c.nslots != maxBatch {
+			t.Fatalf("first batch collected %d commands, want the cap %d", c.nslots, maxBatch)
+		}
+
+		// Served through the real loop, every command is answered, in order.
+		reps := serveStream(t, srv, requestStream(gets))
+		if len(reps) != total {
+			t.Fatalf("%d replies for %d commands", len(reps), total)
+		}
+		for i, rep := range reps {
+			if rep.Str != fmt.Sprint(i) {
+				t.Fatalf("reply %d = %v: out of submission order", i, rep)
+			}
+		}
+
+		// MULTI ... EXEC straddling a batch boundary: the cap falls between
+		// the two queued SETs, and the body still commits, once, whole.
+		keys := sameShardKeys(store, "cap:", 2)
+		script := append([][]string{}, gets[:maxBatch-2]...)
+		script = append(script,
+			[]string{"MULTI"},
+			[]string{"SET", keys[0], "1"},
+			[]string{"SET", keys[1], "2"},
+			[]string{"EXEC"},
+			[]string{"MGET", keys[0], keys[1]})
+		reps = serveStream(t, srv, requestStream(script))
+		if len(reps) != len(script) {
+			t.Fatalf("%d replies for %d commands", len(reps), len(script))
+		}
+		tail := reps[maxBatch-2:]
+		if tail[0].Str != "OK" || tail[1].Str != "QUEUED" || tail[2].Str != "QUEUED" {
+			t.Fatalf("MULTI/queue replies across the split: %v", tail[:3])
+		}
+		if ex := tail[3]; ex.Kind != ArrayReply || len(ex.Elems) != 2 ||
+			ex.Elems[0].Str != "OK" || ex.Elems[1].Str != "OK" {
+			t.Fatalf("EXEC across the split: %v %v", ex, ex.Elems)
+		}
+		if mg := tail[4]; len(mg.Elems) != 2 || mg.Elems[0].Str != "1" || mg.Elems[1].Str != "2" {
+			t.Fatalf("straddling transaction not committed whole: %v", mg.Elems)
+		}
+	})
 }

@@ -102,16 +102,16 @@ type Server struct {
 	cfg   Config
 	store kvstore.Store
 	// shards are the routing targets and pools their per-shard session
-	// pools (parallel slices). An unsharded store is the degenerate
-	// one-shard case: shards[0] == store, shardFor nil, and every batch
-	// takes the direct dispatch path with zero router overhead.
+	// pools (parallel slices); shardFor maps a key to its index. An
+	// unsharded store is the one-shard case: shards[0] == store and
+	// shardFor is constantly 0.
 	shards   []kvstore.Store
 	pools    []*sessionPool
 	shardFor func(string) int
 	// ordered reports whether the build's sessions carry the
 	// ordered-index capability (RANGE, MULTI/EXEC) — probed once at
-	// startup from a pooled session, so the routed planner can reject
-	// range/txn commands before queueing shard work.
+	// startup from a pooled session, so the planner can reject range/txn
+	// commands before queueing shard work.
 	ordered bool
 	ln      net.Listener
 	sem     chan struct{} // MaxConns slots, acquired before Accept
@@ -131,8 +131,8 @@ type Server struct {
 
 	// shardCmds counts commands executed per shard (multi-key commands
 	// count once per shard touched) — the routing-balance observable
-	// mvkvload folds into its bench artifacts. Padded: every dispatched
-	// command increments one of these from whatever P runs the batch.
+	// mvkvload folds into its bench artifacts. Padded: every batch
+	// increments one per touched shard from whatever P runs it.
 	shardCmds []shardCounter
 
 	// reg is the metric registry (see metrics.go); batchHist records
@@ -153,10 +153,10 @@ type shardCounter struct {
 	_ [56]byte
 }
 
-// sharder is the optional store capability that turns the router on:
-// a store partitioned into independently reclaimed shards (see
-// kvstore.Sharded). A store without it — or with one shard — is served
-// on the direct single-pool path, byte-for-byte the pre-sharding server.
+// sharder is the optional store capability that gives the server more
+// than one shard: a store partitioned into independently reclaimed
+// shards (see kvstore.Sharded). A store without it is served as one
+// shard.
 type sharder interface {
 	NumShards() int
 	Shard(i int) kvstore.Store
@@ -166,8 +166,8 @@ type sharder interface {
 // New creates a server over store. The session pools register their
 // handles immediately, so engine registration cost is paid once at
 // startup, not per connection. A sharded store gets one pool per shard
-// (Handles split across them, minimum 2 each) and the batch router;
-// anything else gets the single pool and the direct dispatch path.
+// (Handles split across them, minimum 2 each); anything else is one
+// shard with one pool of Handles sessions.
 func New(store kvstore.Store, cfg Config) *Server {
 	cfg.sanitize()
 	s := &Server{
@@ -195,6 +195,7 @@ func New(store kvstore.Store, cfg Config) *Server {
 	} else {
 		s.shards = []kvstore.Store{store}
 		s.pools = []*sessionPool{newSessionPool(store, cfg.Handles)}
+		s.shardFor = func(string) int { return 0 }
 	}
 	s.shardCmds = make([]shardCounter, len(s.shards))
 	if len(s.pools[0].all) > 0 {
@@ -203,9 +204,6 @@ func New(store kvstore.Store, cfg Config) *Server {
 	s.registerMetrics()
 	return s
 }
-
-// routed reports whether batches go through the shard router.
-func (s *Server) routed() bool { return len(s.shards) > 1 }
 
 // Listen binds the configured address. Separate from Serve so callers
 // can learn the bound address (Addr) before serving — tests listen on

@@ -89,220 +89,386 @@ func newMVStore(t *testing.T) *kvstore.MVRLUStore {
 	return st.(*kvstore.MVRLUStore)
 }
 
-func TestServerCommands(t *testing.T) {
-	store := newMVStore(t)
-	defer store.Close()
-	srv, _ := startServer(t, store, Config{Handles: 2})
-	defer srv.Shutdown()
-	c := dialT(t, srv)
+// shardCounts are the shard counts every shard-agnostic server test runs
+// at: one shard and several are the same pipeline, and the tables below
+// are what keeps it so.
+var shardCounts = []int{1, 4}
 
-	if r := c.cmd("PING"); r.Kind != SimpleReply || r.Str != "PONG" {
-		t.Fatalf("PING: %v", r)
+// newStore builds an n-shard store of the named build — n independent
+// domains, each with its own watermark, detector, and GC; n=1 is the
+// plain store.
+func newStore(t *testing.T, build string, n int) kvstore.Store {
+	t.Helper()
+	st, err := kvstore.NewSharded(build, n, 8, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r := c.cmd("PING", "hello"); r.Kind != BulkReply || r.Str != "hello" {
-		t.Fatalf("PING msg: %v", r)
-	}
-	if r := c.cmd("GET", "nope"); r.Kind != NullReply {
-		t.Fatalf("GET missing: %v", r)
-	}
-	if r := c.cmd("SET", "k", "v1"); r.Str != "OK" {
-		t.Fatalf("SET: %v", r)
-	}
-	if r := c.cmd("GET", "k"); r.Str != "v1" {
-		t.Fatalf("GET: %v", r)
-	}
-	if r := c.cmd("EXISTS", "k", "nope", "k"); r.Int != 2 {
-		t.Fatalf("EXISTS: %v", r)
-	}
-	if r := c.cmd("MSET", "a", "1", "b", "2"); r.Str != "OK" {
-		t.Fatalf("MSET: %v", r)
-	}
-	r := c.cmd("MGET", "a", "nope", "b")
-	if r.Kind != ArrayReply || len(r.Elems) != 3 ||
-		r.Elems[0].Str != "1" || r.Elems[1].Kind != NullReply || r.Elems[2].Str != "2" {
-		t.Fatalf("MGET: %v %v", r, r.Elems)
-	}
-	if r := c.cmd("DEL", "a", "nope"); r.Int != 1 {
-		t.Fatalf("DEL: %v", r)
-	}
-	if r := c.cmd("SET", "user:1", "x"); r.Str != "OK" {
-		t.Fatalf("SET: %v", r)
-	}
-	if r := c.cmd("SET", "user:2", "y"); r.Str != "OK" {
-		t.Fatalf("SET: %v", r)
-	}
-	r = c.cmd("SCAN", "user:")
-	if r.Kind != ArrayReply || len(r.Elems) != 4 {
-		t.Fatalf("SCAN: %v (%d elems)", r, len(r.Elems))
-	}
-	r = c.cmd("SCAN", "user:", "LIMIT", "1")
-	if len(r.Elems) != 2 {
-		t.Fatalf("SCAN LIMIT: %d elems", len(r.Elems))
-	}
-	if r := c.cmd("NOSUCH", "x"); !r.IsError() || !strings.Contains(r.Str, "unknown command") {
-		t.Fatalf("unknown: %v", r)
-	}
-	if r := c.cmd("GET"); !r.IsError() || !strings.Contains(r.Str, "wrong number") {
-		t.Fatalf("arity: %v", r)
-	}
-	info := c.cmd("INFO")
-	if info.Kind != BulkReply || !strings.Contains(info.Str, "build:mvrlu-kv") {
-		t.Fatalf("INFO: %v", info)
-	}
-	if !strings.Contains(info.Str, "stalled:0") {
-		t.Fatalf("INFO missing stall section:\n%s", info.Str)
-	}
-	all := c.cmd("INFO", "ALL")
-	if !strings.Contains(all.Str, "commits:") || !strings.Contains(all.Str, "gc_runs:") {
-		t.Fatalf("INFO ALL missing engine section:\n%s", all.Str)
+	return st
+}
+
+func newKVStore(t *testing.T, n int) kvstore.Store { return newStore(t, "mvrlu-kv", n) }
+
+// forShardCounts runs fn as one subtest per entry of shardCounts.
+func forShardCounts(t *testing.T, fn func(t *testing.T, shards int)) {
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { fn(t, shards) })
 	}
 }
 
-// TestServerPipelinedOracle drives 64 connections, each pipelining mixed
-// GET/SET/DEL/SCAN batches over its own key namespace, and checks every
-// reply against a per-connection oracle map. This is the tier-1 race
-// target: 64 goroutine connections multiplexed over a 3-handle pool.
-func TestServerPipelinedOracle(t *testing.T) {
-	store := newMVStore(t)
-	defer store.Close()
-	srv, _ := startServer(t, store, Config{Handles: 3})
-	defer srv.Shutdown()
+// TestServerCommands runs the command matrix at every shard count: the
+// replies must not depend on it, and INFO/METRICS must surface the shard
+// topology.
+func TestServerCommands(t *testing.T) {
+	forShardCounts(t, func(t *testing.T, shards int) {
+		store := newKVStore(t, shards)
+		defer store.Close()
+		srv, _ := startServer(t, store, Config{Handles: 2 * shards})
+		defer srv.Shutdown()
+		c := dialT(t, srv)
 
-	const (
-		conns   = 64
-		batches = 25
-		depth   = 8
-	)
-	var wg sync.WaitGroup
-	errs := make(chan error, conns)
-	for i := 0; i < conns; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			nc, err := net.Dial("tcp", srv.Addr().String())
-			if err != nil {
-				errs <- err
-				return
+		if r := c.cmd("PING"); r.Kind != SimpleReply || r.Str != "PONG" {
+			t.Fatalf("PING: %v", r)
+		}
+		if r := c.cmd("PING", "hello"); r.Kind != BulkReply || r.Str != "hello" {
+			t.Fatalf("PING msg: %v", r)
+		}
+		if r := c.cmd("GET", "nope"); r.Kind != NullReply {
+			t.Fatalf("GET missing: %v", r)
+		}
+		if r := c.cmd("SET", "k", "v1"); r.Str != "OK" {
+			t.Fatalf("SET: %v", r)
+		}
+		if r := c.cmd("GET", "k"); r.Str != "v1" {
+			t.Fatalf("GET: %v", r)
+		}
+		if r := c.cmd("EXISTS", "k", "nope", "k"); r.Int != 2 {
+			t.Fatalf("EXISTS: %v", r)
+		}
+		if r := c.cmd("MSET", "a", "1", "b", "2"); r.Str != "OK" {
+			t.Fatalf("MSET: %v", r)
+		}
+		r := c.cmd("MGET", "a", "nope", "b")
+		if r.Kind != ArrayReply || len(r.Elems) != 3 ||
+			r.Elems[0].Str != "1" || r.Elems[1].Kind != NullReply || r.Elems[2].Str != "2" {
+			t.Fatalf("MGET: %v %v", r, r.Elems)
+		}
+		if r := c.cmd("DEL", "a", "nope"); r.Int != 1 {
+			t.Fatalf("DEL: %v", r)
+		}
+		// Multi-key commands decompose across shards and merge: use enough
+		// keys that several shards are touched.
+		var msetArgs = []string{"MSET"}
+		for i := 0; i < 16; i++ {
+			msetArgs = append(msetArgs, fmt.Sprintf("m:%02d", i), fmt.Sprintf("val%d", i))
+		}
+		if r := c.cmd(msetArgs...); r.Str != "OK" {
+			t.Fatalf("MSET: %v", r)
+		}
+		mgetArgs := []string{"MGET"}
+		for i := 0; i < 16; i++ {
+			mgetArgs = append(mgetArgs, fmt.Sprintf("m:%02d", i))
+		}
+		mgetArgs = append(mgetArgs, "absent")
+		r = c.cmd(mgetArgs...)
+		if r.Kind != ArrayReply || len(r.Elems) != 17 {
+			t.Fatalf("MGET: %v", r)
+		}
+		for i := 0; i < 16; i++ {
+			if r.Elems[i].Str != fmt.Sprintf("val%d", i) {
+				t.Fatalf("MGET[%d] = %v", i, r.Elems[i])
 			}
-			defer nc.Close()
-			br := bufio.NewReaderSize(nc, 64<<10)
-			bw := bufio.NewWriterSize(nc, 64<<10)
-			rng := rand.New(rand.NewSource(int64(id)*7919 + 3))
-			prefix := fmt.Sprintf("c%02d:", id)
-			oracle := map[string]string{}
-			type expect struct {
-				op  string
-				key string
-				val string // oracle value at send time
-				n   int64  // for DEL
+		}
+		if r.Elems[16].Kind != NullReply {
+			t.Fatalf("MGET absent: %v", r.Elems[16])
+		}
+		existsArgs := append([]string{"EXISTS"}, mgetArgs[1:]...)
+		if r := c.cmd(existsArgs...); r.Int != 16 {
+			t.Fatalf("EXISTS: %v", r)
+		}
+		if r := c.cmd("DEL", "m:00", "m:07", "m:13", "absent"); r.Int != 3 {
+			t.Fatalf("DEL: %v", r)
+		}
+		if r := c.cmd(existsArgs...); r.Int != 13 {
+			t.Fatalf("EXISTS after DEL: %v", r)
+		}
+		// SCAN merges per-shard walks sorted by key.
+		r = c.cmd("SCAN", "m:")
+		if r.Kind != ArrayReply || len(r.Elems) != 2*13 {
+			t.Fatalf("SCAN: %d elems", len(r.Elems))
+		}
+		for i := 2; i+1 < len(r.Elems); i += 2 {
+			if r.Elems[i].Str <= r.Elems[i-2].Str {
+				t.Fatalf("SCAN not sorted: %q after %q", r.Elems[i].Str, r.Elems[i-2].Str)
 			}
-			for b := 0; b < batches; b++ {
-				var exps []expect
-				for d := 0; d < depth; d++ {
-					k := prefix + fmt.Sprintf("k%02d", rng.Intn(24))
-					switch rng.Intn(10) {
-					case 0, 1, 2, 3: // SET
-						v := fmt.Sprintf("v%d.%d.%d", id, b, d)
-						WriteCommandStrings(bw, "SET", k, v)
-						oracle[k] = v
-						exps = append(exps, expect{op: "SET", key: k})
-					case 4: // DEL
-						WriteCommandStrings(bw, "DEL", k)
-						n := int64(0)
-						if _, ok := oracle[k]; ok {
-							n = 1
-						}
+		}
+		// A truncating LIMIT keeps the n smallest keys of the WHOLE
+		// keyspace, not whatever each shard's walk met first.
+		r = c.cmd("SCAN", "m:", "LIMIT", "5")
+		if len(r.Elems) != 10 {
+			t.Fatalf("SCAN LIMIT: %d elems", len(r.Elems))
+		}
+		for i, want := range []string{"m:01", "m:02", "m:03", "m:04", "m:05"} {
+			if r.Elems[2*i].Str != want {
+				t.Fatalf("SCAN LIMIT 5 key %d = %q, want %q", i, r.Elems[2*i].Str, want)
+			}
+		}
+		if r := c.cmd("NOSUCH", "x"); !r.IsError() || !strings.Contains(r.Str, "unknown command") {
+			t.Fatalf("unknown: %v", r)
+		}
+		if r := c.cmd("GET"); !r.IsError() || !strings.Contains(r.Str, "wrong number") {
+			t.Fatalf("arity: %v", r)
+		}
+
+		// INFO: the one-shard server keeps the historical unlabelled
+		// section names; more shards label every per-shard section.
+		infoWant := []string{"build:mvrlu-kv", fmt.Sprintf("shards:%d", shards), "stalled:0"}
+		allWant := []string{"commits:", "gc_runs:"}
+		if shards == 1 {
+			infoWant = append(infoWant, "# watermark\n", "\nhandle_0:")
+			allWant = append(allWant, "# engine\n")
+		} else {
+			for _, i := range []int{0, shards - 1} {
+				infoWant = append(infoWant,
+					fmt.Sprintf("# watermark shard=%d\n", i),
+					fmt.Sprintf("shard_%d_commands:", i),
+					fmt.Sprintf("\nshard%d_handle_0:", i))
+				allWant = append(allWant, fmt.Sprintf("# engine shard=%d\n", i))
+			}
+		}
+		info := c.cmd("INFO")
+		if info.Kind != BulkReply {
+			t.Fatalf("INFO: %v", info)
+		}
+		for _, want := range infoWant {
+			if !strings.Contains(info.Str, want) {
+				t.Fatalf("INFO missing %q:\n%s", want, info.Str)
+			}
+		}
+		all := c.cmd("INFO", "ALL")
+		for _, want := range allWant {
+			if !strings.Contains(all.Str, want) {
+				t.Fatalf("INFO ALL missing %q:\n%s", want, all.Str)
+			}
+		}
+		metrics := c.cmd("METRICS")
+		for _, want := range []string{
+			`server_shard_commands_total{shard="0"}`,
+			fmt.Sprintf(`server_shard_commands_total{shard="%d"}`, shards-1),
+			fmt.Sprintf("server_shards %d", shards),
+		} {
+			if !strings.Contains(metrics.Str, want) {
+				t.Fatalf("METRICS missing %q", want)
+			}
+		}
+	})
+}
+
+// TestServerPipelinedOracle is the ordering oracle and the tier-1 race
+// target: 64 connections, multiplexed over a handful of pooled handles,
+// each pipeline deep batches of mixed single- and multi-key commands over
+// a private key namespace that scatters across every shard, and every
+// reply must come back in submission order with the value the
+// per-connection oracle predicts. Any reassembly bug — replies swapped
+// across slots, a shard's queue applied out of order against a same-key
+// successor — is a deterministic failure here, not a flake.
+func TestServerPipelinedOracle(t *testing.T) {
+	forShardCounts(t, func(t *testing.T, shards int) {
+		store := newKVStore(t, shards)
+		defer store.Close()
+		handles := 3 // 64 connections multiplexed over a 3-handle pool
+		if shards > 1 {
+			handles = 2 * shards
+		}
+		srv, _ := startServer(t, store, Config{Handles: handles})
+		defer srv.Shutdown()
+
+		const (
+			conns   = 64
+			batches = 25
+			depth   = 8
+		)
+		var wg sync.WaitGroup
+		errs := make(chan error, conns)
+		for i := 0; i < conns; i++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				if err := oracleConn(srv, id, batches, depth); err != nil {
+					errs <- err
+				}
+			}(i)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		// The work must have spread over every shard.
+		for i := range srv.shardCmds {
+			if srv.shardCmds[i].n.Load() == 0 {
+				t.Errorf("shard %d executed no commands", i)
+			}
+		}
+	})
+}
+
+// oracleConn is one connection of TestServerPipelinedOracle.
+func oracleConn(srv *Server, id, batches, depth int) error {
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		return err
+	}
+	defer nc.Close()
+	br := bufio.NewReaderSize(nc, 64<<10)
+	bw := bufio.NewWriterSize(nc, 64<<10)
+	rng := rand.New(rand.NewSource(int64(id)*9901 + 17))
+	prefix := fmt.Sprintf("r%02d:", id)
+	oracle := map[string]string{}
+	key := func() string { return prefix + fmt.Sprintf("k%02d", rng.Intn(24)) }
+	type expect struct {
+		op   string
+		keys []string
+		vals []string // oracle values at send time
+		n    int64
+	}
+	for b := 0; b < batches; b++ {
+		var exps []expect
+		for d := 0; d < depth; d++ {
+			switch rng.Intn(12) {
+			case 0, 1, 2: // SET
+				k := key()
+				v := fmt.Sprintf("v%d.%d.%d", id, b, d)
+				WriteCommandStrings(bw, "SET", k, v)
+				oracle[k] = v
+				exps = append(exps, expect{op: "SET"})
+			case 3: // DEL of 3 keys (dup keys allowed)
+				ks := []string{key(), key(), key()}
+				WriteCommandStrings(bw, append([]string{"DEL"}, ks...)...)
+				n := int64(0)
+				for _, k := range ks {
+					if _, ok := oracle[k]; ok {
+						n++
 						delete(oracle, k)
-						exps = append(exps, expect{op: "DEL", key: k, n: n})
-					default: // GET
-						WriteCommandStrings(bw, "GET", k)
-						exps = append(exps, expect{op: "GET", key: k, val: oracle[k]})
 					}
 				}
-				scan := b%8 == 7
-				if scan {
-					WriteCommandStrings(bw, "SCAN", prefix)
+				exps = append(exps, expect{op: "DEL", n: n})
+			case 4: // MSET of 3 pairs
+				k1, k2, k3 := key(), key(), key()
+				v := fmt.Sprintf("m%d.%d.%d", id, b, d)
+				WriteCommandStrings(bw, "MSET", k1, v+"a", k2, v+"b", k3, v+"c")
+				// Later pairs win on duplicate keys, matching
+				// sequential Set application.
+				oracle[k1] = v + "a"
+				oracle[k2] = v + "b"
+				oracle[k3] = v + "c"
+				exps = append(exps, expect{op: "MSET"})
+			case 5: // MGET of 3 keys
+				ks := []string{key(), key(), key()}
+				WriteCommandStrings(bw, append([]string{"MGET"}, ks...)...)
+				vals := make([]string, len(ks))
+				for i, k := range ks {
+					vals[i] = oracle[k]
 				}
-				if err := bw.Flush(); err != nil {
-					errs <- err
-					return
-				}
-				for _, e := range exps {
-					rep, err := ReadReply(br)
-					if err != nil {
-						errs <- err
-						return
-					}
-					switch e.op {
-					case "SET":
-						if rep.Str != "OK" {
-							errs <- fmt.Errorf("conn %d SET %s: %v", id, e.key, rep)
-							return
-						}
-					case "DEL":
-						if rep.Kind != IntReply || rep.Int != e.n {
-							errs <- fmt.Errorf("conn %d DEL %s: %v want %d", id, e.key, rep, e.n)
-							return
-						}
-					case "GET":
-						switch {
-						case e.val == "" && rep.Kind != NullReply:
-							errs <- fmt.Errorf("conn %d GET %s: %v want null", id, e.key, rep)
-							return
-						case e.val != "" && rep.Str != e.val:
-							errs <- fmt.Errorf("conn %d GET %s: %v want %q", id, e.key, rep, e.val)
-							return
-						}
+				exps = append(exps, expect{op: "MGET", keys: ks, vals: vals})
+			case 6: // EXISTS of 3 keys
+				ks := []string{key(), key(), key()}
+				WriteCommandStrings(bw, append([]string{"EXISTS"}, ks...)...)
+				n := int64(0)
+				for _, k := range ks {
+					if _, ok := oracle[k]; ok {
+						n++
 					}
 				}
-				if scan {
-					rep, err := ReadReply(br)
-					if err != nil {
-						errs <- err
-						return
-					}
-					// The namespace is private to this connection and all
-					// our earlier commands are acknowledged, so the
-					// snapshot must equal the oracle exactly.
-					if rep.Kind != ArrayReply || len(rep.Elems) != 2*len(oracle) {
-						errs <- fmt.Errorf("conn %d SCAN: %d elems, oracle %d keys",
-							id, len(rep.Elems), len(oracle))
-						return
-					}
-					for i := 0; i+1 < len(rep.Elems); i += 2 {
-						k, v := rep.Elems[i].Str, rep.Elems[i+1].Str
-						if ov, ok := oracle[k]; !ok || ov != v {
-							errs <- fmt.Errorf("conn %d SCAN %s=%q, oracle %q (present %v)",
-								id, k, v, ov, ok)
-							return
-						}
-					}
-				}
-			}
-			// Final consistency sweep against the oracle.
-			for k, v := range oracle {
+				exps = append(exps, expect{op: "EXISTS", n: n})
+			default: // GET
+				k := key()
 				WriteCommandStrings(bw, "GET", k)
-				if err := bw.Flush(); err != nil {
-					errs <- err
-					return
+				exps = append(exps, expect{op: "GET", keys: []string{k}, vals: []string{oracle[k]}})
+			}
+		}
+		scan := b%6 == 5
+		if scan {
+			WriteCommandStrings(bw, "SCAN", prefix)
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		for _, e := range exps {
+			rep, err := ReadReply(br)
+			if err != nil {
+				return err
+			}
+			switch e.op {
+			case "SET", "MSET":
+				if rep.Str != "OK" {
+					return fmt.Errorf("conn %d %s: %v", id, e.op, rep)
 				}
-				rep, err := ReadReply(br)
-				if err != nil {
-					errs <- err
-					return
+			case "DEL", "EXISTS":
+				if rep.Kind != IntReply || rep.Int != e.n {
+					return fmt.Errorf("conn %d %s: %v want %d", id, e.op, rep, e.n)
 				}
-				if rep.Str != v {
-					errs <- fmt.Errorf("conn %d final GET %s: %v want %q", id, k, rep, v)
-					return
+			case "GET":
+				switch {
+				case e.vals[0] == "" && rep.Kind != NullReply:
+					return fmt.Errorf("conn %d GET %s: %v want null", id, e.keys[0], rep)
+				case e.vals[0] != "" && rep.Str != e.vals[0]:
+					return fmt.Errorf("conn %d GET %s: %v want %q", id, e.keys[0], rep, e.vals[0])
+				}
+			case "MGET":
+				if rep.Kind != ArrayReply || len(rep.Elems) != len(e.keys) {
+					return fmt.Errorf("conn %d MGET: %v", id, rep)
+				}
+				for i := range e.keys {
+					el := rep.Elems[i]
+					switch {
+					case e.vals[i] == "" && el.Kind != NullReply:
+						return fmt.Errorf("conn %d MGET %s: %v want null", id, e.keys[i], el)
+					case e.vals[i] != "" && el.Str != e.vals[i]:
+						return fmt.Errorf("conn %d MGET %s: %v want %q", id, e.keys[i], el, e.vals[i])
+					}
 				}
 			}
-		}(i)
+		}
+		if scan {
+			rep, err := ReadReply(br)
+			if err != nil {
+				return err
+			}
+			// The namespace is private to this connection and all our
+			// earlier commands are acknowledged, so the snapshot must
+			// equal the oracle exactly, in key order.
+			if rep.Kind != ArrayReply || len(rep.Elems) != 2*len(oracle) {
+				return fmt.Errorf("conn %d SCAN: %d elems, oracle %d keys",
+					id, len(rep.Elems), len(oracle))
+			}
+			for i := 0; i+1 < len(rep.Elems); i += 2 {
+				k, v := rep.Elems[i].Str, rep.Elems[i+1].Str
+				if ov, ok := oracle[k]; !ok || ov != v {
+					return fmt.Errorf("conn %d SCAN %s=%q, oracle %q (present %v)",
+						id, k, v, ov, ok)
+				}
+				if i >= 2 && k <= rep.Elems[i-2].Str {
+					return fmt.Errorf("conn %d SCAN unsorted: %q after %q",
+						id, k, rep.Elems[i-2].Str)
+				}
+			}
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	// Final consistency sweep against the oracle.
+	for k, v := range oracle {
+		WriteCommandStrings(bw, "GET", k)
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		rep, err := ReadReply(br)
+		if err != nil {
+			return err
+		}
+		if rep.Str != v {
+			return fmt.Errorf("conn %d final GET %s: %v want %q", id, k, rep, v)
+		}
 	}
+	return nil
 }
 
 // TestServerGracefulDrain shuts the server down under write load and
@@ -443,36 +609,60 @@ func (s panicSession) Get(key string) (string, bool) {
 	return s.Session.Get(key)
 }
 
-// TestServerPanicIsolation: a panic inside one connection's command must
-// kill only that connection; the server keeps serving and counts it.
+// TestServerPanicIsolation: a store panic inside one command must be
+// recovered where the op ran (on the connection goroutine or a shard
+// worker), poison only that command's slot — replies queued ahead of it
+// still arrive, in order, then the error — close only that connection,
+// and leave every shard serving.
 func TestServerPanicIsolation(t *testing.T) {
-	store := newMVStore(t)
-	defer store.Close()
-	srv, _ := startServer(t, &panicStore{store}, Config{Handles: 2})
-	defer srv.Shutdown()
+	forShardCounts(t, func(t *testing.T, shards int) {
+		inner := make([]kvstore.Store, shards)
+		for i := range inner {
+			st, err := kvstore.New("mvrlu-kv", 2, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner[i] = &panicStore{st}
+		}
+		store := inner[0]
+		if shards > 1 {
+			store = kvstore.NewShardedStore(inner)
+		}
+		defer store.Close()
+		srv, _ := startServer(t, store, Config{Handles: 2 * shards})
+		defer srv.Shutdown()
 
-	bad := dialT(t, srv)
-	bad.send("GET", "boom")
-	bad.flush()
-	rep, err := ReadReply(bad.br)
-	if err == nil && !rep.IsError() {
-		t.Fatalf("panicking command returned %v", rep)
-	}
-	// The connection must be closed now.
-	bad.nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	for err == nil {
-		_, err = ReadReply(bad.br)
-	}
+		bad := dialT(t, srv)
+		bad.send("SET", "ok1", "a")
+		bad.send("GET", "boom")
+		bad.send("SET", "ok2", "b")
+		bad.flush()
+		if r := bad.recv(); r.Str != "OK" {
+			t.Fatalf("pre-panic SET: %v", r)
+		}
+		rep, err := ReadReply(bad.br)
+		if err == nil && !rep.IsError() {
+			t.Fatalf("panicking command returned %v", rep)
+		}
+		// The connection must be closed now.
+		bad.nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+		for err == nil {
+			_, err = ReadReply(bad.br)
+		}
 
-	// A fresh connection is served normally and the panic was counted.
-	good := dialT(t, srv)
-	if r := good.cmd("PING"); r.Str != "PONG" {
-		t.Fatalf("server dead after connection panic: %v", r)
-	}
-	if got := srv.panics.Load(); got != 1 {
-		t.Fatalf("panics = %d, want 1", got)
-	}
-	if r := good.cmd("SET", "after", "ok"); r.Str != "OK" {
-		t.Fatalf("store unusable after panic: %v", r)
-	}
+		// A fresh connection is served normally and the panic was counted.
+		good := dialT(t, srv)
+		if r := good.cmd("PING"); r.Str != "PONG" {
+			t.Fatalf("server dead after store panic: %v", r)
+		}
+		if got := srv.panics.Load(); got != 1 {
+			t.Fatalf("panics = %d, want 1", got)
+		}
+		// Every shard still serves writes (sessions returned healthy).
+		for i := 0; i < 16; i++ {
+			if r := good.cmd("SET", fmt.Sprintf("after%02d", i), "ok"); r.Str != "OK" {
+				t.Fatalf("store unusable after panic: %v", r)
+			}
+		}
+	})
 }

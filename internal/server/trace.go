@@ -47,7 +47,7 @@ func parseTracelog(args [][]byte) (req tracelogReq, errmsg string) {
 	switch sub {
 	case "RESET":
 		if len(args) != 2 {
-			return req, arityMsg("TRACELOG")
+			return req, arityMsg(string(args[0]))
 		}
 		req.reset = true
 		return req, ""
@@ -58,7 +58,7 @@ func parseTracelog(args [][]byte) (req tracelogReq, errmsg string) {
 			return req, ""
 		}
 		if len(args) != 3 {
-			return req, arityMsg("TRACELOG")
+			return req, arityMsg(string(args[0]))
 		}
 		n, err := strconv.Atoi(string(args[2]))
 		if err != nil || n <= 0 {
@@ -68,7 +68,7 @@ func parseTracelog(args [][]byte) (req tracelogReq, errmsg string) {
 		return req, ""
 	}
 	if len(args) != 2 {
-		return req, arityMsg("TRACELOG")
+		return req, arityMsg(string(args[0]))
 	}
 	n, err := strconv.Atoi(sub)
 	if err != nil || n <= 0 {
@@ -79,7 +79,7 @@ func parseTracelog(args [][]byte) (req tracelogReq, errmsg string) {
 }
 
 // tracelogText renders one TRACELOG reply. Always-safe: snapshot reads
-// only, callable under full load from either dispatch path.
+// only, callable under full load.
 func (s *Server) tracelogText(req tracelogReq) string {
 	switch {
 	case req.reset:

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"mvrlu/internal/kvstore"
 	"mvrlu/internal/obs"
 )
 
@@ -68,104 +67,98 @@ func withTracing(t *testing.T) {
 	})
 }
 
+// TestTracelogOverRESP drives the flight recorder through the wire at
+// every shard count: the same pipeline stamps the same stages — plan and
+// engine included — whether the batch ran inline on one shard or fanned
+// out over several.
 func TestTracelogOverRESP(t *testing.T) {
-	withTracing(t)
-	store := newMVStore(t)
-	defer store.Close()
-	srv, _ := startServer(t, store, Config{Handles: 2})
-	defer srv.Shutdown()
-	c := dialT(t, srv)
+	forShardCounts(t, func(t *testing.T, shards int) {
+		withTracing(t)
+		store := newKVStore(t, shards)
+		defer store.Close()
+		srv, _ := startServer(t, store, Config{Handles: 2 * shards})
+		defer srv.Shutdown()
+		c := dialT(t, srv)
 
-	if r := c.cmd("SET", "k", "v"); r.Str != "OK" {
-		t.Fatalf("SET: %v", r)
-	}
-	if r := c.cmd("GET", "k"); r.Str != "v" {
-		t.Fatalf("GET: %v", r)
-	}
+		if r := c.cmd("SET", "k", "v"); r.Str != "OK" {
+			t.Fatalf("SET: %v", r)
+		}
+		if r := c.cmd("GET", "k"); r.Str != "v" {
+			t.Fatalf("GET: %v", r)
+		}
 
-	r := c.cmd("TRACELOG")
-	if r.Kind != BulkReply {
-		t.Fatalf("TRACELOG kind: %v", r)
-	}
-	lines := strings.Split(strings.TrimSpace(r.Str), "\n")
-	if !strings.HasPrefix(lines[0], "tracing=on recorded=") {
-		t.Fatalf("header: %q", lines[0])
-	}
-	if len(lines) < 3 {
-		t.Fatalf("want >= 2 traces, got:\n%s", r.Str)
-	}
-	for _, line := range lines[1:] {
-		for _, field := range []string{"id=", "cmd=", "total_ns=", "engine=", "dominant="} {
-			if !strings.Contains(line, field) {
-				t.Fatalf("trace line missing %s: %q", field, line)
+		r := c.cmd("TRACELOG")
+		if r.Kind != BulkReply {
+			t.Fatalf("TRACELOG kind: %v", r)
+		}
+		lines := strings.Split(strings.TrimSpace(r.Str), "\n")
+		if !strings.HasPrefix(lines[0], "tracing=on recorded=") {
+			t.Fatalf("header: %q", lines[0])
+		}
+		if len(lines) < 3 {
+			t.Fatalf("want >= 2 traces, got:\n%s", r.Str)
+		}
+		for _, line := range lines[1:] {
+			for _, field := range []string{"id=", "cmd=", "total_ns=", "plan=", "engine=", "dominant="} {
+				if !strings.Contains(line, field) {
+					t.Fatalf("trace line missing %s: %q", field, line)
+				}
 			}
 		}
-	}
-	// The SET batch must attribute engine time and count one shard.
-	found := false
-	for _, line := range lines[1:] {
-		if strings.Contains(line, "cmd=set") && strings.Contains(line, "shards=1") {
-			found = true
+		// The SET batch must count one shard and attribute plan and engine
+		// time.
+		found := false
+		for _, line := range lines[1:] {
+			if strings.Contains(line, "cmd=set") && strings.Contains(line, "shards=1") &&
+				!strings.Contains(line, " plan=0 ") && !strings.Contains(line, " engine=0 ") {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Fatalf("no set trace with shards=1 in:\n%s", r.Str)
-	}
-
-	if r := c.cmd("TRACELOG", "RECENT", "1"); !strings.Contains(r.Str, "recent=1") {
-		t.Fatalf("RECENT: %q", r.Str)
-	}
-	if r := c.cmd("TRACELOG", "bogus"); !r.IsError() {
-		t.Fatalf("bad arg accepted: %v", r)
-	}
-	if r := c.cmd("TRACELOG", "RESET"); r.Str != "OK\n" {
-		t.Fatalf("RESET: %q", r.Str)
-	}
-	// Post-reset, only the RESET batch itself (traced after this read)
-	// may appear; the earlier SET/GET traces must be gone.
-	if r := c.cmd("TRACELOG", "100"); strings.Contains(r.Str, "cmd=set") {
-		t.Fatalf("reset left traces:\n%s", r.Str)
-	}
-}
-
-func TestTracelogRoutedAndGC(t *testing.T) {
-	withTracing(t)
-	st, err := kvstore.NewSharded("mvrlu-kv", 2, 4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	srv, _ := startServer(t, st, Config{Handles: 4})
-	defer srv.Shutdown()
-	c := dialT(t, srv)
-
-	// One pipelined batch spanning both shards.
-	c.send("MSET", "a", "1", "b", "2", "c", "3", "d", "4")
-	c.send("GET", "a")
-	c.flush()
-	if r := c.recv(); r.Str != "OK" {
-		t.Fatalf("MSET: %v", r)
-	}
-	if r := c.recv(); r.Str != "1" {
-		t.Fatalf("GET: %v", r)
-	}
-
-	r := c.cmd("TRACELOG", "5")
-	if r.Kind != BulkReply || !strings.Contains(r.Str, "cmd=mset") {
-		t.Fatalf("routed TRACELOG:\n%s", r.Str)
-	}
-	for _, line := range strings.Split(r.Str, "\n") {
-		if strings.Contains(line, "cmd=mset") && !strings.Contains(line, "cmds=2") {
-			t.Fatalf("batch command count: %q", line)
+		if !found {
+			t.Fatalf("no set trace with shards=1 and plan/engine time in:\n%s", r.Str)
 		}
-	}
 
-	// The engine emits watermark/GP events while tracing is on; give the
-	// detector a beat if none arrived yet, then dump the timeline.
-	r = c.cmd("TRACELOG", "GC")
-	if r.Kind != BulkReply || !strings.HasPrefix(r.Str, "events total=") {
-		t.Fatalf("TRACELOG GC:\n%s", r.Str)
-	}
+		// One pipelined batch of keys that scatter over the shards.
+		c.send("MSET", "a", "1", "b", "2", "c", "3", "d", "4")
+		c.send("GET", "a")
+		c.flush()
+		if r := c.recv(); r.Str != "OK" {
+			t.Fatalf("MSET: %v", r)
+		}
+		if r := c.recv(); r.Str != "1" {
+			t.Fatalf("GET: %v", r)
+		}
+		r = c.cmd("TRACELOG", "5")
+		if r.Kind != BulkReply || !strings.Contains(r.Str, "cmd=mset") {
+			t.Fatalf("TRACELOG after pipelined batch:\n%s", r.Str)
+		}
+		for _, line := range strings.Split(r.Str, "\n") {
+			if strings.Contains(line, "cmd=mset") && !strings.Contains(line, "cmds=2") {
+				t.Fatalf("batch command count: %q", line)
+			}
+		}
+
+		if r := c.cmd("TRACELOG", "RECENT", "1"); !strings.Contains(r.Str, "recent=1") {
+			t.Fatalf("RECENT: %q", r.Str)
+		}
+		if r := c.cmd("TRACELOG", "bogus"); !r.IsError() {
+			t.Fatalf("bad arg accepted: %v", r)
+		}
+		// The engine timeline (watermark/GP events emitted while tracing
+		// is on).
+		r = c.cmd("TRACELOG", "GC")
+		if r.Kind != BulkReply || !strings.HasPrefix(r.Str, "events total=") {
+			t.Fatalf("TRACELOG GC:\n%s", r.Str)
+		}
+		if r := c.cmd("TRACELOG", "RESET"); r.Str != "OK\n" {
+			t.Fatalf("RESET: %q", r.Str)
+		}
+		// Post-reset, only the RESET batch itself (traced after this read)
+		// may appear; the earlier SET/GET traces must be gone.
+		if r := c.cmd("TRACELOG", "100"); strings.Contains(r.Str, "cmd=set") {
+			t.Fatalf("reset left traces:\n%s", r.Str)
+		}
+	})
 }
 
 func TestTraceHandlerJSON(t *testing.T) {
@@ -177,6 +170,12 @@ func TestTraceHandlerJSON(t *testing.T) {
 	c := dialT(t, srv)
 	if r := c.cmd("SET", "k", "v"); r.Str != "OK" {
 		t.Fatalf("SET: %v", r)
+	}
+	// A batch's trace is recorded after its replies are flushed, so the
+	// SET's may not be in the recorder yet; the connection serves batches
+	// one after another, so once a second one is answered it is.
+	if r := c.cmd("GET", "k"); r.Str != "v" {
+		t.Fatalf("GET: %v", r)
 	}
 	obs.RecordEvent(obs.EvGCPass, 1, 5, 100)
 

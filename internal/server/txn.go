@@ -9,9 +9,8 @@ import (
 )
 
 // This file is the wire surface over the ordered-index capability
-// (kvstore.OrderedSession): the RANGE command and the MULTI/EXEC/DISCARD
-// transaction state machine, shared by the single-domain dispatch path
-// (conn.go) and the sharded batch router (router.go).
+// (kvstore.OrderedSession): the helpers behind the RANGE table entry and
+// the MULTI/EXEC/DISCARD transaction state machine.
 //
 // The transaction contract mirrors the store's: every queued mutation of
 // one MULTI body executes inside ONE engine commit — one Execute body,
@@ -36,8 +35,8 @@ const (
 // notQueueableMsg rejects a command inside MULTI: only SET and DEL queue
 // (reads inside a transaction would need the queued writes applied to
 // answer, which the one-commit model deliberately does not do).
-func notQueueableMsg(name string) string {
-	return "ERR '" + strings.ToLower(name) + "' is not allowed inside MULTI (only SET and DEL queue)"
+func notQueueableMsg(word []byte) string {
+	return "ERR '" + strings.ToLower(string(word)) + "' is not allowed inside MULTI (only SET and DEL queue)"
 }
 
 // txnCmd is one queued command of an open MULTI body: a SET (key, val)
@@ -51,9 +50,10 @@ type txnCmd struct {
 }
 
 // txnState is a connection's open transaction. Only the connection
-// goroutine touches it (both dispatch paths plan commands there), so it
-// needs no synchronization. aborted latches a queue-time error; EXEC
-// then refuses with EXECABORT instead of executing half a body.
+// goroutine touches it (commands are planned there, in submission
+// order), so it needs no synchronization. aborted latches a queue-time
+// error; EXEC then refuses with EXECABORT instead of executing half a
+// body.
 type txnState struct {
 	active  bool
 	aborted bool
@@ -62,31 +62,63 @@ type txnState struct {
 
 func (ts *txnState) reset() { *ts = txnState{} }
 
-// queue validates one SET/DEL inside MULTI and appends it, returning the
-// reply text: "QUEUED", or an error reply (which also latches aborted).
-func (ts *txnState) queue(name string, args [][]byte) (reply string, isErr bool) {
-	switch name {
-	case "SET":
-		if len(args) != 3 {
-			ts.aborted = true
-			return arityMsg(name), true
-		}
-		ts.cmds = append(ts.cmds, txnCmd{key: string(args[1]), val: string(args[2])})
-	case "DEL":
-		if len(args) < 2 {
-			ts.aborted = true
-			return arityMsg(name), true
-		}
-		keys := make([]string, len(args)-1)
-		for i, a := range args[1:] {
-			keys[i] = string(a)
-		}
-		ts.cmds = append(ts.cmds, txnCmd{del: true, keys: keys})
+// planQueued plans a command that arrived inside an open MULTI body and
+// is not itself MULTI/EXEC/DISCARD: a well-formed queueable command
+// (one whose table entry has a queue hook) joins the body and answers
+// +QUEUED; anything else is an error reply that also latches aborted.
+// cmd is nil for an unknown command word.
+func (c *conn) planQueued(sl *slot, cmd *command, args [][]byte) {
+	switch {
+	case cmd == nil || cmd.queue == nil:
+		sl.errmsg = notQueueableMsg(args[0])
+	case !cmd.arity(len(args)):
+		sl.errmsg = arityMsg(cmd.name)
 	default:
-		ts.aborted = true
-		return notQueueableMsg(name), true
+		c.txn.cmds = append(c.txn.cmds, cmd.queue(args))
+		sl.queued = true
+		return
 	}
-	return "QUEUED", false
+	c.txn.aborted = true
+}
+
+// planExec is EXEC's plan hook. It always ends the open body, then
+// compiles it into ONE shard op, so the transaction executes on a single
+// session inside a single engine commit. A body whose keys hash to
+// different shards is rejected here, at plan time, with the store
+// untouched: single-shard MULTI is the documented contract (DESIGN.md
+// §12). EXEC is the one write whose degraded-WAL refusal is not
+// planSlot's generic one: the body must be taken, and an aborted or
+// empty body answered as such, before the refusal applies.
+func planExec(c *conn, sl *slot, _ [][]byte) {
+	if !c.txn.active {
+		sl.errmsg = msgExecNoMulti
+		return
+	}
+	cmds, aborted := c.txn.cmds, c.txn.aborted
+	c.txn.reset()
+	switch {
+	case aborted:
+		sl.errmsg = msgExecAbort
+		return
+	case !c.srv.ordered:
+		sl.errmsg = msgNotOrdered
+		return
+	case len(cmds) == 0:
+		return // renders the empty array
+	}
+	if sl.errmsg = c.walRefusal(); sl.errmsg != "" {
+		return
+	}
+	ops := flattenTxn(cmds)
+	shard := c.srv.shardFor(ops[0].Key)
+	for _, op := range ops[1:] {
+		if c.srv.shardFor(op.Key) != shard {
+			sl.errmsg = msgCrossShard
+			return
+		}
+	}
+	sl.txnCmds = cmds
+	c.op(sl, shard).ops = ops
 }
 
 // flattenTxn compiles queued commands into the engine's op list, in
@@ -135,24 +167,20 @@ func renderExec(w *bufio.Writer, cmds []txnCmd, removed []bool) bool {
 	return true
 }
 
-// parseRange validates RANGE <start> <stop> [LIMIT n] [REV]; errmsg is
-// "" on success. Bounds are inclusive; LIMIT and REV compose in either
-// order. A start above stop is legal and yields an empty array.
-func parseRange(args [][]byte) (lo, hi string, limit int, rev bool, errmsg string) {
-	if len(args) < 3 {
-		return "", "", 0, false, arityMsg("RANGE")
-	}
-	lo, hi = string(args[1]), string(args[2])
+// parseRangeOpts validates RANGE's [LIMIT n] [REV] tail; errmsg is "" on
+// success. Bounds are inclusive; LIMIT and REV compose in either order. A
+// start above stop is legal and yields an empty array.
+func parseRangeOpts(tail [][]byte) (limit int, rev bool, errmsg string) {
 	limit = -1
-	for i := 3; i < len(args); {
-		switch strings.ToUpper(string(args[i])) {
+	for i := 0; i < len(tail); {
+		switch strings.ToUpper(string(tail[i])) {
 		case "LIMIT":
-			if i+1 >= len(args) {
-				return "", "", 0, false, "ERR syntax error"
+			if i+1 >= len(tail) {
+				return 0, false, "ERR syntax error"
 			}
-			n, err := strconv.Atoi(string(args[i+1]))
+			n, err := strconv.Atoi(string(tail[i+1]))
 			if err != nil || n < 0 {
-				return "", "", 0, false, "ERR invalid LIMIT"
+				return 0, false, "ERR invalid LIMIT"
 			}
 			limit = n
 			i += 2
@@ -160,16 +188,16 @@ func parseRange(args [][]byte) (lo, hi string, limit int, rev bool, errmsg strin
 			rev = true
 			i++
 		default:
-			return "", "", 0, false, "ERR syntax error"
+			return 0, false, "ERR syntax error"
 		}
 	}
-	return lo, hi, limit, rev, ""
+	return limit, rev, ""
 }
 
 // collectRange walks [lo, hi] ascending inside one snapshot critical
-// section, unbounded — like collectScan, the LIMIT cut happens at render
-// after the (sharded) merge, so a truncating LIMIT selects the same keys
-// at any shard count.
+// section, unbounded — like collectScan, the REV and LIMIT cuts happen at
+// render after the cross-shard merge, so LIMIT n REV means "the n largest
+// keys, descending" on every build and shard count.
 func collectRange(sess kvstore.OrderedSession, lo, hi string) []scanKV {
 	var out []scanKV
 	sess.RangeAscend(lo, hi, func(k, v string) bool {
@@ -177,28 +205,4 @@ func collectRange(sess kvstore.OrderedSession, lo, hi string) []scanKV {
 		return true
 	})
 	return out
-}
-
-// renderRange writes the flat key,value,... array from an
-// ascending-sorted collection: reverse for REV first, then cut LIMIT, so
-// LIMIT n REV means "the n largest keys, descending" on every build and
-// shard count.
-func renderRange(w *bufio.Writer, out []scanKV, limit int, rev bool) bool {
-	if rev {
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
-	}
-	if limit >= 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	if writeArrayHeader(w, 2*len(out)) != nil {
-		return false
-	}
-	for _, p := range out {
-		if writeBulkString(w, p.k) != nil || writeBulkString(w, p.v) != nil {
-			return false
-		}
-	}
-	return true
 }

@@ -1,11 +1,7 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"io"
-	"net"
 	"strings"
 	"testing"
 
@@ -14,21 +10,10 @@ import (
 	_ "mvrlu/internal/index"
 )
 
-// newOrderedStore builds an ordered-index store (sharded when shards >
-// 1) for the RANGE / MULTI tests.
-func newOrderedStore(t *testing.T, build string, shards int) kvstore.Store {
-	t.Helper()
-	st, err := kvstore.NewSharded(build, shards, 4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
 func TestRangeCommand(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			store := newOrderedStore(t, "mvrlu-idx", shards)
+			store := newStore(t, "mvrlu-idx", shards)
 			defer store.Close()
 			srv, _ := startServer(t, store, Config{Handles: 2})
 			defer srv.Shutdown()
@@ -119,7 +104,7 @@ func TestRangeNotOrdered(t *testing.T) {
 func TestMultiExec(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			store := newOrderedStore(t, "mvrlu-idx", shards)
+			store := newStore(t, "mvrlu-idx", shards)
 			defer store.Close()
 			srv, _ := startServer(t, store, Config{Handles: 2})
 			defer srv.Shutdown()
@@ -189,7 +174,7 @@ func TestMultiExec(t *testing.T) {
 func TestMultiErrors(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			store := newOrderedStore(t, "mvrlu-idx", shards)
+			store := newStore(t, "mvrlu-idx", shards)
 			defer store.Close()
 			srv, _ := startServer(t, store, Config{Handles: 2})
 			defer srv.Shutdown()
@@ -243,7 +228,7 @@ func TestMultiErrors(t *testing.T) {
 // is rejected at EXEC with the store untouched — the documented
 // single-shard transaction contract.
 func TestMultiCrossShard(t *testing.T) {
-	store := newOrderedStore(t, "mvrlu-idx", 4)
+	store := newStore(t, "mvrlu-idx", 4)
 	defer store.Close()
 	sh := store.(sharder)
 	srv, _ := startServer(t, store, Config{Handles: 4})
@@ -288,10 +273,10 @@ func TestMultiCrossShard(t *testing.T) {
 }
 
 // TestMultiPipelined drives the whole transaction in ONE pipelined batch
-// so the routed planner queues and executes it within a single collect /
+// so the planner queues and executes it within a single collect /
 // execute / render cycle.
 func TestMultiPipelined(t *testing.T) {
-	store := newOrderedStore(t, "mvrlu-idx", 4)
+	store := newStore(t, "mvrlu-idx", 4)
 	defer store.Close()
 	srv, _ := startServer(t, store, Config{Handles: 4})
 	defer srv.Shutdown()
@@ -344,86 +329,4 @@ func sameShardKeys(store kvstore.Store, prefix string, n int) []string {
 		}
 	}
 	return keys
-}
-
-// rawCmd sends one command and captures the reply's exact wire bytes.
-type rawClient struct {
-	t  *testing.T
-	nc net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
-	// tee duplicates everything the reader consumes into buf.
-	buf *bytes.Buffer
-}
-
-func dialRaw(t *testing.T, srv *Server) *rawClient {
-	t.Helper()
-	nc, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { nc.Close() })
-	buf := &bytes.Buffer{}
-	return &rawClient{
-		t:   t,
-		nc:  nc,
-		br:  bufio.NewReader(io.TeeReader(nc, buf)),
-		bw:  bufio.NewWriter(nc),
-		buf: buf,
-	}
-}
-
-func (c *rawClient) cmd(args ...string) []byte {
-	c.t.Helper()
-	if err := WriteCommandStrings(c.bw, args...); err != nil {
-		c.t.Fatal(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.t.Fatal(err)
-	}
-	c.buf.Reset()
-	if _, err := ReadReply(c.br); err != nil {
-		c.t.Fatal(err)
-	}
-	// The bufio reader may have read ahead past the reply; with one
-	// command in flight there are no further bytes, so the tee buffer
-	// holds exactly the reply.
-	return append([]byte(nil), c.buf.Bytes()...)
-}
-
-// TestRangeShardParityBytes: RANGE replies are byte-identical between an
-// unsharded index and a 4-shard composite over the same records — the
-// collect-unbounded / merge-globally / cut-after discipline at work.
-func TestRangeShardParityBytes(t *testing.T) {
-	replies := map[int][][]byte{}
-	queries := [][]string{
-		{"RANGE", "", "\xff"},
-		{"RANGE", "k10", "k40"},
-		{"RANGE", "k10", "k40", "LIMIT", "7"},
-		{"RANGE", "k10", "k40", "REV"},
-		{"RANGE", "k10", "k40", "LIMIT", "3", "REV"},
-		{"RANGE", "k40", "k10"},
-		{"RANGE", "k00", "k99", "LIMIT", "0"},
-	}
-	for _, shards := range []int{1, 4} {
-		store := newOrderedStore(t, "mvrlu-idx", shards)
-		srv, _ := startServer(t, store, Config{Handles: 4})
-		c := dialRaw(t, srv)
-		seed := dialT(t, srv)
-		for i := 0; i < 50; i++ {
-			if r := seed.cmd("SET", fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i*i)); r.Str != "OK" {
-				t.Fatalf("SET: %v", r)
-			}
-		}
-		for _, q := range queries {
-			replies[shards] = append(replies[shards], c.cmd(q...))
-		}
-		srv.Shutdown()
-		store.Close()
-	}
-	for i, q := range queries {
-		if !bytes.Equal(replies[1][i], replies[4][i]) {
-			t.Fatalf("%v: shards=1 %q != shards=4 %q", q, replies[1][i], replies[4][i])
-		}
-	}
 }

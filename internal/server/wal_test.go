@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -49,250 +48,123 @@ func recoverInto(t *testing.T, dir string, st kvstore.Store) {
 	rec.Apply(sess)
 }
 
+// TestWALAckedWritesSurvive: every acknowledged write is durable before
+// its ack leaves, at every shard count, and recovery is shard-count
+// independent — replay routes each key through a composite session, so
+// the log of an n-shard server restores into a store partitioned
+// differently.
 func TestWALAckedWritesSurvive(t *testing.T) {
-	dir := t.TempDir()
-	store := newMVStore(t)
-	defer store.Close()
-	wlog := openWAL(t, dir, store)
-	srv, errc := startServer(t, store, Config{Handles: 2, WAL: wlog})
-	c := dialT(t, srv)
+	for _, tc := range []struct{ shards, recoverShards int }{{1, 1}, {4, 2}} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			dir := t.TempDir()
+			store := newKVStore(t, tc.shards)
+			defer store.Close()
+			wlog := openWAL(t, dir, store)
+			srv, errc := startServer(t, store, Config{Handles: 2 * tc.shards, WAL: wlog})
+			c := dialT(t, srv)
 
-	want := map[string]string{}
-	for i := 0; i < 50; i++ {
-		k, v := fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i)
-		if r := c.cmd("SET", k, v); r.Str != "OK" {
-			t.Fatalf("SET: %v", r)
-		}
-		want[k] = v
-	}
-	if r := c.cmd("MSET", "ma", "1", "mb", "2"); r.Str != "OK" {
-		t.Fatalf("MSET: %v", r)
-	}
-	want["ma"], want["mb"] = "1", "2"
-	if r := c.cmd("DEL", "k000"); r.Int != 1 {
-		t.Fatalf("DEL: %v", r)
-	}
-	delete(want, "k000")
+			want := map[string]string{}
+			for i := 0; i < 80; i++ {
+				k, v := fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i)
+				if r := c.cmd("SET", k, v); r.Str != "OK" {
+					t.Fatalf("SET: %v", r)
+				}
+				want[k] = v
+			}
+			if r := c.cmd("MSET", "ma", "1", "mb", "2"); r.Str != "OK" {
+				t.Fatalf("MSET: %v", r)
+			}
+			want["ma"], want["mb"] = "1", "2"
+			if r := c.cmd("DEL", "k000"); r.Int != 1 {
+				t.Fatalf("DEL: %v", r)
+			}
+			delete(want, "k000")
 
-	// Every reply above is an ack: the gate ran SyncBarrier before the
-	// bytes left. Tear the server down without any graceful log flush —
-	// durability must already hold.
-	srv.Shutdown()
-	<-errc
-	if err := wlog.Close(); err != nil {
-		t.Fatal(err)
-	}
+			// Every reply above is an ack: the gate ran SyncBarrier before
+			// the bytes left. Tear the server down without any graceful log
+			// flush — durability must already hold.
+			srv.Shutdown()
+			<-errc
+			if err := wlog.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	fresh := newMVStore(t)
-	defer fresh.Close()
-	recoverInto(t, dir, fresh)
-	sess := fresh.Session()
-	defer sess.Close()
-	for k, v := range want {
-		if got, ok := sess.Get(k); !ok || got != v {
-			t.Fatalf("recovered %s = %q,%v want %q", k, got, ok, v)
-		}
-	}
-	if _, ok := sess.Get("k000"); ok {
-		t.Fatal("deleted key resurrected")
-	}
-}
-
-func TestWALShardedAckedWritesSurvive(t *testing.T) {
-	dir := t.TempDir()
-	store := newShardedMV(t, 4)
-	defer store.Close()
-	wlog := openWAL(t, dir, store)
-	srv, errc := startServer(t, store, Config{Handles: 8, WAL: wlog})
-	if !srv.routed() {
-		t.Fatal("4-shard store did not enable the router")
-	}
-	c := dialT(t, srv)
-	want := map[string]string{}
-	for i := 0; i < 80; i++ {
-		k, v := fmt.Sprintf("sh%03d", i), fmt.Sprintf("v%d", i)
-		if r := c.cmd("SET", k, v); r.Str != "OK" {
-			t.Fatalf("SET: %v", r)
-		}
-		want[k] = v
-	}
-	srv.Shutdown()
-	<-errc
-	if err := wlog.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recovery is shard-count independent: replay routes each key through
-	// a composite session, so a 4-shard log restores into a 2-shard store.
-	fresh, err := kvstore.NewSharded("mvrlu-kv", 2, 8, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	recoverInto(t, dir, fresh)
-	sess := fresh.Session()
-	defer sess.Close()
-	for k, v := range want {
-		if got, ok := sess.Get(k); !ok || got != v {
-			t.Fatalf("recovered %s = %q,%v want %q", k, got, ok, v)
-		}
+			fresh := newKVStore(t, tc.recoverShards)
+			defer fresh.Close()
+			recoverInto(t, dir, fresh)
+			sess := fresh.Session()
+			defer sess.Close()
+			for k, v := range want {
+				if got, ok := sess.Get(k); !ok || got != v {
+					t.Fatalf("recovered %s = %q,%v want %q", k, got, ok, v)
+				}
+			}
+			if _, ok := sess.Get("k000"); ok {
+				t.Fatal("deleted key resurrected")
+			}
+		})
 	}
 }
 
 // TestWALDegradedMode crashes the logger under a client and asserts both
-// halves of the contract: the in-flight write is never acked (its
-// connection dies instead), and afterwards the server refuses writes
-// with a WAL error while reads keep working.
+// halves of the contract at every shard count: the in-flight write is
+// never acked (its connection dies instead), and afterwards the server
+// refuses writes at plan time — before any shard executes — with a WAL
+// error while reads keep working.
 func TestWALDegradedMode(t *testing.T) {
-	defer failpoint.Reset()
-	dir := t.TempDir()
-	store := newMVStore(t)
-	defer store.Close()
-	wlog := openWAL(t, dir, store)
-	defer wlog.Close()
-	srv, _ := startServer(t, store, Config{Handles: 2, WAL: wlog})
-	defer srv.Shutdown()
+	forShardCounts(t, func(t *testing.T, shards int) {
+		defer failpoint.Reset()
+		dir := t.TempDir()
+		store := newKVStore(t, shards)
+		defer store.Close()
+		wlog := openWAL(t, dir, store)
+		defer wlog.Close()
+		srv, _ := startServer(t, store, Config{Handles: 2 * shards, WAL: wlog})
+		defer srv.Shutdown()
 
-	c := dialT(t, srv)
-	if r := c.cmd("SET", "before", "1"); r.Str != "OK" {
-		t.Fatalf("SET before crash: %v", r)
-	}
-
-	if err := failpoint.Enable("wal-before-fsync=panic", 1); err != nil {
-		t.Fatal(err)
-	}
-	c.send("SET", "doomed", "x")
-	c.flush()
-	// The logger died under this batch: the ack gate's barrier fails, the
-	// server aborts the flush and closes the connection. No +OK may
-	// arrive.
-	if rep, err := ReadReply(c.br); err == nil {
-		t.Fatalf("reply escaped for an unsynced write: %v", rep)
-	}
-	failpoint.Reset()
-	if err := wlog.Err(); !errors.Is(err, wal.ErrInjectedCrash) {
-		t.Fatalf("wal error = %v, want injected crash", err)
-	}
-
-	// Degraded mode on a fresh connection: writes refused, reads served.
-	c2 := dialT(t, srv)
-	for _, args := range [][]string{
-		{"SET", "k", "v"},
-		{"DEL", "before"},
-		{"MSET", "a", "1", "b", "2"},
-	} {
-		r := c2.cmd(args...)
-		if !r.IsError() || !strings.Contains(r.Str, "wal") {
-			t.Fatalf("%v in degraded mode: %v %q", args, r.Kind, r.Str)
+		c := dialT(t, srv)
+		if r := c.cmd("SET", "before", "1"); r.Str != "OK" {
+			t.Fatalf("SET before crash: %v", r)
 		}
-	}
-	if r := c2.cmd("GET", "before"); r.Str != "1" {
-		t.Fatalf("GET in degraded mode: %v", r)
-	}
-	if r := c2.cmd("PING"); r.Str != "PONG" {
-		t.Fatalf("PING in degraded mode: %v", r)
-	}
-	// INFO surfaces the degradation for operators.
-	info := c2.cmd("INFO")
-	if !strings.Contains(info.Str, "wal_degraded:1") {
-		t.Fatal("INFO does not report wal_degraded:1")
-	}
-}
 
-// TestWALDegradedModeRouted is the sharded variant: the routed write
-// path must apply the same refusal before any shard executes.
-func TestWALDegradedModeRouted(t *testing.T) {
-	defer failpoint.Reset()
-	dir := t.TempDir()
-	store := newShardedMV(t, 4)
-	defer store.Close()
-	wlog := openWAL(t, dir, store)
-	defer wlog.Close()
-	srv, _ := startServer(t, store, Config{Handles: 8, WAL: wlog})
-	defer srv.Shutdown()
-
-	c := dialT(t, srv)
-	if r := c.cmd("SET", "before", "1"); r.Str != "OK" {
-		t.Fatalf("SET: %v", r)
-	}
-	if err := failpoint.Enable("wal-before-fsync=panic", 1); err != nil {
-		t.Fatal(err)
-	}
-	c.send("SET", "doomed", "x")
-	c.flush()
-	if rep, err := ReadReply(c.br); err == nil {
-		t.Fatalf("reply escaped for an unsynced write: %v", rep)
-	}
-	failpoint.Reset()
-
-	c2 := dialT(t, srv)
-	if r := c2.cmd("SET", "k", "v"); !r.IsError() || !strings.Contains(r.Str, "wal") {
-		t.Fatalf("routed SET in degraded mode: %v %q", r.Kind, r.Str)
-	}
-	if r := c2.cmd("GET", "before"); r.Str != "1" {
-		t.Fatalf("routed GET in degraded mode: %v", r)
-	}
-}
-
-// scanReply flattens a SCAN reply into its [k, v, k, v, ...] strings.
-func scanReply(t *testing.T, r Reply) []string {
-	t.Helper()
-	if r.Kind != ArrayReply {
-		t.Fatalf("SCAN reply kind %c (%q)", r.Kind, r.Str)
-	}
-	out := make([]string, 0, len(r.Elems))
-	for _, e := range r.Elems {
-		out = append(out, e.Str)
-	}
-	return out
-}
-
-// TestScanLimitShardIndependent is the regression test for the
-// partition-dependent LIMIT bug: a truncating LIMIT must select the n
-// smallest matching keys of the WHOLE keyspace, so the reply is
-// byte-for-byte identical at any shard count.
-func TestScanLimitShardIndependent(t *testing.T) {
-	load := func(c *tclient) {
-		// Keys deliberately hash across shards out of lexicographic
-		// order: a per-shard limit would pick a different set.
-		for i := 0; i < 40; i++ {
-			k := fmt.Sprintf("p:%02d", i)
-			if r := c.cmd("SET", k, fmt.Sprintf("val-%02d", i)); r.Str != "OK" {
-				t.Fatalf("SET %s: %v", k, r)
-			}
-		}
-		c.cmd("SET", "other", "x") // non-matching key must never appear
-	}
-
-	replies := map[int]map[string][]string{}
-	for _, shards := range []int{1, 4} {
-		store, err := kvstore.NewSharded("mvrlu-kv", shards, 8, 64)
-		if err != nil {
+		if err := failpoint.Enable("wal-before-fsync=panic", 1); err != nil {
 			t.Fatal(err)
 		}
-		srv, errc := startServer(t, store, Config{Handles: 2 * shards})
-		c := dialT(t, srv)
-		load(c)
-		got := map[string][]string{}
-		for _, limit := range []string{"1", "7", "39", "40", "1000"} {
-			got["limit-"+limit] = scanReply(t, c.cmd("SCAN", "p:", "LIMIT", limit))
+		c.send("SET", "doomed", "x")
+		c.flush()
+		// The logger died under this batch: the ack gate's barrier fails,
+		// the server aborts the flush and closes the connection. No +OK
+		// may arrive.
+		if rep, err := ReadReply(c.br); err == nil {
+			t.Fatalf("reply escaped for an unsynced write: %v", rep)
 		}
-		got["full"] = scanReply(t, c.cmd("SCAN", "p:"))
-		replies[shards] = got
-		srv.Shutdown()
-		<-errc
-		store.Close()
-	}
+		failpoint.Reset()
+		if err := wlog.Err(); !errors.Is(err, wal.ErrInjectedCrash) {
+			t.Fatalf("wal error = %v, want injected crash", err)
+		}
 
-	for name, want := range replies[1] {
-		if !reflect.DeepEqual(want, replies[4][name]) {
-			t.Fatalf("SCAN %s diverges: shards=1 %v, shards=4 %v",
-				name, want, replies[4][name])
+		// Degraded mode on a fresh connection: writes refused, reads served.
+		c2 := dialT(t, srv)
+		for _, args := range [][]string{
+			{"SET", "k", "v"},
+			{"DEL", "before"},
+			{"MSET", "a", "1", "b", "2"},
+		} {
+			r := c2.cmd(args...)
+			if !r.IsError() || !strings.Contains(r.Str, "wal") {
+				t.Fatalf("%v in degraded mode: %v %q", args, r.Kind, r.Str)
+			}
 		}
-	}
-	// And the shape itself: LIMIT 7 must be the 7 smallest keys.
-	l7 := replies[1]["limit-7"]
-	if len(l7) != 14 || l7[0] != "p:00" || l7[12] != "p:06" {
-		t.Fatalf("LIMIT 7 wrong selection: %v", l7)
-	}
+		if r := c2.cmd("GET", "before"); r.Str != "1" {
+			t.Fatalf("GET in degraded mode: %v", r)
+		}
+		if r := c2.cmd("PING"); r.Str != "PONG" {
+			t.Fatalf("PING in degraded mode: %v", r)
+		}
+		// INFO surfaces the degradation for operators.
+		info := c2.cmd("INFO")
+		if !strings.Contains(info.Str, "wal_degraded:1") {
+			t.Fatal("INFO does not report wal_degraded:1")
+		}
+	})
 }

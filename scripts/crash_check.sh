@@ -5,8 +5,8 @@
 # file; the daemon is SIGKILLed mid-burst; a fresh daemon recovers from
 # the same WAL directory; mvkvload then audits that every single
 # acknowledged write is present with its acknowledged (or a later acked)
-# value. Runs the whole cycle for both the single-domain server and the
-# 4-shard batch router. Any lost write fails the script.
+# value. Runs the whole cycle at 1 shard and at 4. Any lost write fails
+# the script.
 set -eu
 
 cd "$(dirname "$0")/.."

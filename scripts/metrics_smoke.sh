@@ -29,8 +29,8 @@ fail() {
 go build -race -o "$TMP/mvkvd" ./cmd/mvkvd
 go build -o "$TMP/mvkvload" ./cmd/mvkvload
 
-# Two shards so the scrape loop also crosses the batch router and the
-# per-shard labeled series (SHARDS=1 for the single-domain path).
+# Two shards so the scrape loop also crosses shard worker goroutines and
+# the per-shard labeled series (SHARDS=1 to run everything inline).
 GORACE=halt_on_error=1 "$TMP/mvkvd" -addr "$ADDR" -metrics-addr "$MADDR" -shards "${SHARDS:-2}" &
 daemon=$!
 sleep 1
