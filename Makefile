@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-range bench-hotpath bench-e2e bench-compare figures examples torture torture-wal crash-check loc serve loadtest metrics-smoke trace-smoke check-si
+.PHONY: all build vet test race bench bench-range bench-e2e bench-compare figures examples torture torture-wal crash-check loc serve loadtest metrics-smoke trace-smoke check-si
 
 all: build vet test
 
@@ -27,14 +27,6 @@ bench-range:
 	$(GO) run ./cmd/kvbench -range 0.95 -rangelen 16 -threads 1,2,4 \
 		-records 20000 -value 64 -duration 200ms \
 		-builds mvrlu-idx,rlu-idx,vanilla-idx
-
-# Hot-path microbenchmarks behind BENCH_hotpath.json: the engine's
-# fast-path costs at 1-8 workers, plus the mvbench hot-path cells with
-# machine-readable output.
-bench-hotpath:
-	$(GO) test -bench 'ReadLockUnlock|DerefChainN|TryLockCommit|WatermarkContention|LogPressure' \
-		-benchmem -cpu 1,2,4,8 -benchtime=300ms -run '^$$' ./internal/core
-	$(GO) run ./cmd/mvbench -hotpath -json BENCH_hotpath_run.json
 
 # Regenerate every paper figure with moderate budgets.
 figures:

@@ -38,7 +38,6 @@ func main() {
 		duration = flag.Duration("duration", 200*time.Millisecond, "measurement duration per cell")
 		format   = flag.String("format", "text", "output format: text or csv")
 		jsonPath = flag.String("json", "", "also write machine-readable results (JSON) to this file")
-		hotpath  = flag.Bool("hotpath", false, "run the engine hot-path microbenchmarks instead of a figure")
 		traceOut = flag.String("trace", "",
 			"write a runtime execution trace to this file (view with go tool trace); critical sections and GC passes appear as mvrlu.cs/mvrlu.gc regions")
 	)
@@ -57,25 +56,21 @@ func main() {
 	th := parseThreads(*threads)
 
 	stopTrace := startTrace(*traceOut)
-	if *hotpath {
-		runHotpath(th, *duration)
-	} else {
-		switch *fig {
-		case 1:
-			fig1(th, *duration)
-		case 4:
-			fig4(th, *duration)
-		case 5:
-			fig5(th, *duration)
-		case 6:
-			fig6(th, *duration)
-		case 7:
-			fig7(th[len(th)-1], *duration)
-		default:
-			stopTrace()
-			fmt.Fprintf(os.Stderr, "unknown figure %d\n", *fig)
-			os.Exit(1)
-		}
+	switch *fig {
+	case 1:
+		fig1(th, *duration)
+	case 4:
+		fig4(th, *duration)
+	case 5:
+		fig5(th, *duration)
+	case 6:
+		fig6(th, *duration)
+	case 7:
+		fig7(th[len(th)-1], *duration)
+	default:
+		stopTrace()
+		fmt.Fprintf(os.Stderr, "unknown figure %d\n", *fig)
+		os.Exit(1)
 	}
 	stopTrace()
 
@@ -117,11 +112,9 @@ var render = func(t *bench.Table) { t.Render(os.Stdout) }
 var report *jsonReport
 
 // jsonReport is the machine-readable output of one mvbench invocation:
-// figure tables and/or hot-path microbenchmark results, for tracking the
-// perf trajectory (BENCH_*.json) across PRs.
+// the figure tables.
 type jsonReport struct {
-	Tables  []bench.TableData `json:"tables,omitempty"`
-	Hotpath []hotpathResult   `json:"hotpath,omitempty"`
+	Tables []bench.TableData `json:"tables,omitempty"`
 }
 
 func (r *jsonReport) write(path string) error {

@@ -8,13 +8,14 @@ import (
 	"time"
 )
 
-// Hot-path microbenchmarks behind BENCH_hotpath.json: the per-operation
-// costs the scalability pass optimizes. Run with:
+// Hot-path microbenchmarks: the engine's per-operation fast-path costs.
+// Run with:
 //
-//	go test -bench 'ReadLockUnlock|DerefChainN|TryLockCommit|WatermarkContention' \
+//	go test -bench 'ReadLockUnlock|DerefChainN|TryLockCommit|WatermarkContention|LogPressure' \
 //	    -benchmem -cpu 1,2,4,8 -run '^$' ./internal/core
 //
-// (or `make bench-hotpath`).
+// The tracked trajectory of these costs is the benchmark's core.* layer
+// cuts (benchmark/history.jsonl), not a file written from here.
 
 // BenchmarkReadLockUnlock measures an empty critical section: the
 // ReadLock/ReadUnlock boundary cost, including maybeGC's trigger checks.

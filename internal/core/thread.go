@@ -370,7 +370,8 @@ func (t *Thread[T]) Deref(o *Object[T]) *T {
 	if obs.Enabled() || obs.TraceEnabled() {
 		return t.derefObserved(o)
 	}
-	return t.derefWalk(o)
+	p, _ := t.derefWalk(o)
+	return p
 }
 
 // derefObserved is Deref with telemetry: latency into HistDeref and the
@@ -382,7 +383,7 @@ func (t *Thread[T]) Deref(o *Object[T]) *T {
 func (t *Thread[T]) derefObserved(o *Object[T]) *T {
 	steps := t.stats.chainSteps
 	start := obs.Now()
-	p := t.derefWalk(o)
+	p, _ := t.derefWalk(o)
 	walked := t.stats.chainSteps - steps
 	if obs.Enabled() {
 		t.hists[HistDeref].Observe(uint64(obs.Now() - start))
@@ -394,9 +395,13 @@ func (t *Thread[T]) derefObserved(o *Object[T]) *T {
 
 // derefWalk is Deref's body; Deref itself is only the telemetry gate, so
 // the disabled path costs one atomic load and a branch on top of this.
-func (t *Thread[T]) derefWalk(o *Object[T]) *T {
+// Beside the payload it returns the chain version it selected (nil for
+// the master and for the section's own pending copy), which is all
+// derefChecked needs to describe the observation — one extra register
+// move, so the recording path shares this walk instead of copying it.
+func (t *Thread[T]) derefWalk(o *Object[T]) (*T, *version[T]) {
 	if o == nil {
-		return nil
+		return nil, nil
 	}
 	// Read-your-own-writes (the paper's mvrlu_deref self-locked case):
 	// an object this section already locked must be read through its
@@ -407,7 +412,7 @@ func (t *Thread[T]) derefWalk(o *Object[T]) *T {
 	if t.ws != nil {
 		if p := o.pending.Load(); p != nil && p.owner == t.id && p.ws == t.ws {
 			t.derefCopy++
-			return &p.data
+			return &p.data, nil
 		}
 	}
 	v := o.copy.Load()
@@ -417,7 +422,7 @@ func (t *Thread[T]) derefWalk(o *Object[T]) *T {
 		// paper's master/copy address-space split buys; here the
 		// types differ, so the check is the nil chain head.
 		t.derefMaster++
-		return &o.master
+		return &o.master, nil
 	}
 	ts := t.ts
 	bd := t.d.boundary
@@ -442,60 +447,41 @@ func (t *Thread[T]) derefWalk(o *Object[T]) *T {
 		// with a zero boundary it reduces to the plain `cts <= ts`.
 		if cts <= ts && (mutateAmbiguousDeref || ts-cts >= bd) {
 			t.derefCopy++
-			return &v.data
+			return &v.data, v
 		}
 		v = v.older
 	}
 	t.derefMaster++
-	return &o.master
+	return &o.master, nil
 }
 
-// derefChecked is Deref's history-recording path: the same walk as
-// derefWalk, plus one event per observation carrying the object id, the
-// observed commit timestamp (0 for the master), and the hops walked.
-// Kept as a separate copy of the walk so the unchecked hot path stays
-// byte-identical; any change to the walk must be made in both.
+// derefChecked is Deref's history-recording path: derefWalk bracketed by
+// the ticket (drawn before the walk's first load; see DerefTicket) and
+// one event carrying the object id, the observed commit timestamp (0 for
+// the master and the own copy), and the hops walked — recovered from the
+// chainSteps delta, as derefObserved does. A selected version's
+// timestamp was already final when the walk compared it, so re-resolving
+// it here reads the same value.
 func (t *Thread[T]) derefChecked(o *Object[T]) *T {
 	if o == nil {
 		return nil
 	}
 	oid := check.ObjID(&o.oid)
-	tk := t.crec.DerefTicket() // before the first load; see DerefTicket
-	if t.ws != nil {
-		if p := o.pending.Load(); p != nil && p.owner == t.id && p.ws == t.ws {
-			t.derefCopy++
-			t.crec.DerefAt(tk, oid, 0, 0, check.FlagOwn)
-			return &p.data
-		}
+	tk := t.crec.DerefTicket()
+	steps := t.stats.chainSteps
+	p, v := t.derefWalk(o)
+	var cts uint64
+	var flag uint8
+	switch {
+	case v != nil:
+		cts = v.resolveTS()
+	case p == &o.master:
+		flag = check.FlagFromMaster
+	default:
+		flag = check.FlagOwn
 	}
-	v := o.copy.Load()
-	if v == nil {
-		t.derefMaster++
-		t.crec.DerefAt(tk, oid, 0, 0, check.FlagFromMaster)
-		return &o.master
-	}
-	ts := t.ts
-	bd := t.d.boundary
-	hops := uint64(0)
-	for v != nil {
-		t.stats.chainSteps++
-		hops++
-		cts := v.commitTS.Load()
-		if cts == infinity {
-			if h := v.ws; h != nil {
-				cts = h.commitTS.Load()
-			}
-		}
-		if cts <= ts && (mutateAmbiguousDeref || ts-cts >= bd) {
-			t.derefCopy++
-			t.crec.DerefAt(tk, oid, cts, hops, 0)
-			return &v.data
-		}
-		v = v.older
-	}
-	t.derefMaster++
-	t.crec.DerefAt(tk, oid, 0, hops, check.FlagFromMaster)
-	return &o.master
+	t.crec.DerefAt(tk, oid, cts, t.stats.chainSteps-steps, flag)
+	return p
 }
 
 // TryLock locks o for writing and returns a private copy of its newest

@@ -21,6 +21,19 @@
 //	rlu-idx     single-version RLU engine (internal/rlu)
 //	vanilla-idx RWMutex + sorted slice baseline
 //
+// The two engine builds are one implementation split along the
+// unexported tower interface (session.go): session is the whole
+// OrderedSession surface — the writer mutex, the one commit routine
+// behind Set/Remove/ApplyTxn, hook delivery, KV-history recording,
+// trace spans, the one scan behind every multi-key read — and a tower
+// (mvrlu.go, rlu.go) is an engine's node type plus the loops that Deref:
+// findPreds, the splices, apply (one Execute), get, the level-0 walk.
+// The seam is crossed a bounded number of times per operation, never per
+// node, so each engine's walk stays monomorphic. A new engine-backed
+// ordered build is a node type and a tower. vanilla-idx stays a separate
+// reference build (its hooks fire after unlock by design) and shares
+// only the recording and hook-delivery helpers.
+//
 // Importers pull them in with a blank import:
 //
 //	import _ "mvrlu/internal/index"

@@ -12,6 +12,7 @@ import (
 
 	"mvrlu/internal/check"
 	"mvrlu/internal/kvstore"
+	"mvrlu/internal/obs"
 )
 
 var builds = []string{"mvrlu-idx", "rlu-idx", "vanilla-idx"}
@@ -448,5 +449,242 @@ func TestKVCheckClean(t *testing.T) {
 func TestKVCheckCatchesUnpin(t *testing.T) {
 	if !mutateRangeUnpin {
 		t.Skip("mutation build tag not set")
+	}
+}
+
+// hookLog collects what a store's hooks were handed: per-op deliveries
+// in call order and TxnHook groups (copied — the slice belongs to the
+// store).
+type hookLog struct {
+	mu     sync.Mutex
+	perOp  []kvstore.CommitOp
+	groups [][]kvstore.CommitOp
+}
+
+func (l *hookLog) install(t *testing.T, s kvstore.Store, withTxnHook bool) {
+	t.Helper()
+	if !kvstore.SetStoreCommitHook(s, func(op kvstore.CommitOp) {
+		l.mu.Lock()
+		l.perOp = append(l.perOp, op)
+		l.mu.Unlock()
+	}) {
+		t.Fatalf("%s: no commit hook capability", s.Name())
+	}
+	if withTxnHook && !kvstore.SetStoreTxnCommitHook(s, func(ops []kvstore.CommitOp) {
+		l.mu.Lock()
+		l.groups = append(l.groups, append([]kvstore.CommitOp(nil), ops...))
+		l.mu.Unlock()
+	}) {
+		t.Fatalf("%s: no txn hook capability", s.Name())
+	}
+}
+
+// take returns and clears everything delivered since the last take.
+func (l *hookLog) take() (perOp []kvstore.CommitOp, groups [][]kvstore.CommitOp) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	perOp, groups = l.perOp, l.groups
+	l.perOp, l.groups = nil, nil
+	return perOp, groups
+}
+
+// lastCommitTS reads the commit timestamp of sess's latest commit from
+// below the hook plumbing.
+func lastCommitTS(t *testing.T, sess kvstore.Session) uint64 {
+	t.Helper()
+	switch k := sess.(type) {
+	case *mvIdxSession:
+		return k.t.h.LastCommitTS()
+	case *session:
+		return k.tw.(*rluTower).h.LastCommitTS()
+	case *vanIdxSession:
+		return k.v.verClock.Load()
+	}
+	t.Fatalf("unknown session type %T", sess)
+	return 0
+}
+
+// TestHookRouting pins what the one commit routine must deliver where:
+// single ops to the per-op hook with the commit ts, ApplyTxn groups to
+// the TxnHook as ONE call (falling back per-op without one), nothing for
+// a no-op delete or a superseded op.
+func TestHookRouting(t *testing.T) {
+	set := func(k, v string) kvstore.TxnOp { return kvstore.TxnOp{Key: k, Value: v} }
+	del := func(k string) kvstore.TxnOp { return kvstore.TxnOp{Del: true, Key: k} }
+	for _, build := range builds {
+		for _, withTxnHook := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/txnhook=%v", build, withTxnHook), func(t *testing.T) {
+				s := newStore(t, build)
+				var log hookLog
+				log.install(t, s, withTxnHook)
+				sess := ordered(t, s)
+
+				// expect asserts the deliveries since the last call: want ops,
+				// all stamped with the latest commit ts, as one TxnHook group
+				// when grouped (and a TxnHook exists) or per-op otherwise.
+				expect := func(what string, grouped bool, want ...kvstore.CommitOp) {
+					t.Helper()
+					perOp, groups := log.take()
+					got := perOp
+					if grouped && withTxnHook && len(want) > 0 {
+						if len(groups) != 1 || len(perOp) != 0 {
+							t.Fatalf("%s: %d TxnHook calls, %d per-op calls; want 1, 0", what, len(groups), len(perOp))
+						}
+						got = groups[0]
+					} else if len(groups) != 0 {
+						t.Fatalf("%s: %d TxnHook calls; want none", what, len(groups))
+					}
+					ts := lastCommitTS(t, sess)
+					for i := range want {
+						want[i].TS = ts
+					}
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("%s: delivered %+v want %+v", what, got, want)
+					}
+				}
+
+				sess.Set("a", "1")
+				expect("Set", false, kvstore.CommitOp{Key: "a", Value: "1"})
+				sess.Set("a", "2")
+				expect("Set update", false, kvstore.CommitOp{Key: "a", Value: "2"})
+				if !sess.Remove("a") {
+					t.Fatal("Remove(a) = false")
+				}
+				expect("Remove", false, kvstore.CommitOp{Del: true, Key: "a"})
+				if sess.Remove("a") {
+					t.Fatal("Remove(a) twice = true")
+				}
+				expect("no-op Remove", false)
+
+				sess.ApplyTxn([]kvstore.TxnOp{set("b", "1"), set("c", "1"), del("nope")})
+				expect("ApplyTxn", true, kvstore.CommitOp{Key: "b", Value: "1"}, kvstore.CommitOp{Key: "c", Value: "1"})
+				sess.ApplyTxn([]kvstore.TxnOp{set("d", "1")})
+				expect("one-op ApplyTxn", true, kvstore.CommitOp{Key: "d", Value: "1"})
+				sess.ApplyTxn([]kvstore.TxnOp{del("nope")})
+				expect("no-op ApplyTxn", true)
+				sess.ApplyTxn([]kvstore.TxnOp{set("e", "old"), del("b"), set("e", "new")})
+				expect("superseded op", true, kvstore.CommitOp{Del: true, Key: "b"}, kvstore.CommitOp{Key: "e", Value: "new"})
+			})
+		}
+	}
+}
+
+// TestHookOrderIsCommitOrder: on the engine builds hooks run under the
+// writer mutex, so for every key the hook-call order is the commit
+// order — timestamps never go backwards and the last delivery is the
+// stored value.
+func TestHookOrderIsCommitOrder(t *testing.T) {
+	for _, build := range []string{"mvrlu-idx", "rlu-idx"} {
+		t.Run(build, func(t *testing.T) {
+			s := newStore(t, build)
+			var log hookLog
+			log.install(t, s, true)
+			var wg sync.WaitGroup
+			for wi := 0; wi < 3; wi++ {
+				wg.Add(1)
+				go func(wi int) {
+					defer wg.Done()
+					sess := ordered(t, s)
+					rng := rand.New(rand.NewSource(int64(wi)))
+					for i := 0; i < 300; i++ {
+						k, v := fmt.Sprintf("h%d", rng.Intn(8)), fmt.Sprintf("w%d-%d", wi, i)
+						switch rng.Intn(4) {
+						case 0:
+							sess.Remove(k)
+						case 1:
+							sess.ApplyTxn([]kvstore.TxnOp{{Key: k, Value: v}, {Key: fmt.Sprintf("h%d", rng.Intn(8)), Value: v}})
+						default:
+							sess.Set(k, v)
+						}
+					}
+				}(wi)
+			}
+			wg.Wait()
+
+			// Both hooks run under the one writer mutex, but they land in
+			// two lists; per key the timestamps order them.
+			perOp, groups := log.take()
+			type last struct {
+				ts  uint64
+				op  kvstore.CommitOp
+				src string
+			}
+			final := map[string]last{}
+			check := func(src string, ops []kvstore.CommitOp) {
+				prev := map[string]uint64{}
+				for _, op := range ops {
+					if op.TS < prev[op.Key] {
+						t.Fatalf("%s hook: key %s ts %d delivered after ts %d", src, op.Key, op.TS, prev[op.Key])
+					}
+					prev[op.Key] = op.TS
+					if f := final[op.Key]; op.TS >= f.ts {
+						final[op.Key] = last{op.TS, op, src}
+					}
+				}
+			}
+			check("per-op", perOp)
+			var flat []kvstore.CommitOp
+			for _, g := range groups {
+				for _, op := range g[1:] {
+					if op.TS != g[0].TS {
+						t.Fatalf("txn group with mixed timestamps: %+v", g)
+					}
+				}
+				flat = append(flat, g...)
+			}
+			check("txn", flat)
+			sess := ordered(t, s)
+			for k, f := range final {
+				v, ok := sess.Get(k)
+				if ok == f.op.Del || (ok && v != f.op.Value) {
+					t.Fatalf("key %s: store has %q,%v but the last delivery (%s hook) was %+v", k, v, ok, f.src, f.op)
+				}
+			}
+		})
+	}
+}
+
+// TestEngineSessionsCarryTraces: both engine builds get request tracing
+// from the shared session — one lock_wait and one commit span per write,
+// plus wal_append once a hook is installed.
+func TestEngineSessionsCarryTraces(t *testing.T) {
+	for _, build := range []string{"mvrlu-idx", "rlu-idx"} {
+		t.Run(build, func(t *testing.T) {
+			s := newStore(t, build)
+			sess := ordered(t, s)
+			tc, ok := sess.(kvstore.TraceCarrier)
+			if !ok {
+				t.Fatalf("%s session is not a kvstore.TraceCarrier", build)
+			}
+			var tr obs.Trace
+			tc.SetTrace(&tr)
+			defer tc.SetTrace(nil)
+			spans := func(op func()) map[obs.Stage]int {
+				tr.Begin()
+				op()
+				d := tr.Finish()
+				got := map[obs.Stage]int{}
+				for _, sp := range d.Spans[:d.NSpans] {
+					got[sp.Stage]++
+				}
+				return got
+			}
+			want := map[obs.Stage]int{obs.StageLockWait: 1, obs.StageCommit: 1}
+			if got := spans(func() { sess.Set("a", "1") }); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Set spans %v want %v", got, want)
+			}
+			if got := spans(func() { sess.Get("a") }); len(got) != 0 {
+				t.Fatalf("Get stamped %v", got)
+			}
+			kvstore.SetStoreCommitHook(s, func(kvstore.CommitOp) {})
+			want[obs.StageWALAppend] = 1
+			if got := spans(func() { sess.ApplyTxn([]kvstore.TxnOp{{Key: "b", Value: "1"}, {Key: "c", Value: "1"}}) }); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ApplyTxn spans %v want %v", got, want)
+			}
+			delete(want, obs.StageWALAppend)
+			if got := spans(func() { sess.Remove("nope") }); !reflect.DeepEqual(got, want) {
+				t.Fatalf("no-op Remove spans %v want %v", got, want)
+			}
+		})
 	}
 }

@@ -1,12 +1,6 @@
 package index
 
 import (
-	"math/rand"
-	"strings"
-	"sync"
-	"sync/atomic"
-
-	"mvrlu/internal/check"
 	"mvrlu/internal/core"
 	"mvrlu/internal/kvstore"
 	"mvrlu/internal/obs"
@@ -37,17 +31,9 @@ type mvNode struct {
 // timestamp. A traversal that reaches TryLock success therefore saw the
 // latest committed version of everything it locks.
 type MVIndex struct {
+	indexBase
 	d    *core.Domain[mvNode]
 	head *core.Object[mvNode] // sentinel, height maxHeight, key unused
-
-	mu     sync.Mutex // index-wide writer lock; guards rng, txnSeq
-	rng    *rand.Rand
-	txnSeq uint64
-
-	sessions atomic.Int64
-	hook     kvstore.CommitHook
-	txnHook  kvstore.TxnHook
-	hist     *check.History
 }
 
 // NewMVIndex creates an empty MV-RLU ordered index with default engine
@@ -59,9 +45,9 @@ func NewMVIndex() *MVIndex {
 // NewMVIndexOpts creates an empty index over a domain with opts.
 func NewMVIndexOpts(opts core.Options) *MVIndex {
 	return &MVIndex{
-		d:    core.NewDomain[mvNode](opts),
-		head: core.NewObject(mvNode{h: maxHeight}),
-		rng:  rand.New(rand.NewSource(0x51EED)),
+		indexBase: newIndexBase(),
+		d:         core.NewDomain[mvNode](opts),
+		head:      core.NewObject(mvNode{h: maxHeight}),
 	}
 }
 
@@ -76,16 +62,10 @@ func (s *MVIndex) Stats() core.Stats { return s.d.Stats() }
 
 // Session implements Store.
 func (s *MVIndex) Session() kvstore.Session {
-	s.sessions.Add(1)
-	k := &mvIdxSession{s: s, h: s.d.Register()}
-	if s.hist != nil {
-		k.crec = s.hist.ThreadRec()
-	}
+	k := &mvIdxSession{t: mvTower{head: s.head, h: s.d.Register()}}
+	k.init(&s.indexBase, &k.t)
 	return k
 }
-
-// NumSessions implements Store.
-func (s *MVIndex) NumSessions() int { return int(s.sessions.Load()) }
 
 // RegisterMetrics registers the domain's telemetry under the "mvrlu_"
 // prefix, same discovery path as the hash build.
@@ -111,84 +91,37 @@ func (s *MVIndex) Watermark() uint64 { return s.d.Watermark() }
 // Now reads the domain clock.
 func (s *MVIndex) Now() uint64 { return s.d.Now() }
 
-// SetCommitHook implements commitHooker; same contract as the hash
-// build (runs under the writer lock, hook order equals commit order).
-func (s *MVIndex) SetCommitHook(h kvstore.CommitHook) { s.hook = h }
-
-// SetTxnCommitHook implements txnHooker: committed ApplyTxn groups are
-// delivered here as one call (and not to the per-op hook) when set.
-func (s *MVIndex) SetTxnCommitHook(h kvstore.TxnHook) { s.txnHook = h }
-
 // SetEventTag labels the domain's GC/watermark timeline events (the
 // shard index under NewSharded).
 func (s *MVIndex) SetEventTag(tag uint32) { s.d.SetEventTag(tag) }
 
-// AttachKVHistory makes every session created afterwards record
-// KV-level events (writes, range walks) into h for CheckKV. Attach
-// before creating sessions.
-func (s *MVIndex) AttachKVHistory(h *check.History) { s.hist = h }
-
+// mvIdxSession is the shared session plus the one capability only this
+// engine has.
 type mvIdxSession struct {
-	s    *MVIndex
-	h    *core.Thread[mvNode]
-	crec *check.ThreadRec
-	// tr is the active request trace (kvstore.TraceCarrier); nil costs
-	// writers one pointer test per operation.
-	tr *obs.Trace
-}
-
-// SetTrace implements kvstore.TraceCarrier: write paths stamp lock-wait
-// (the index-wide writer mutex) and commit spans into tr until cleared.
-func (k *mvIdxSession) SetTrace(tr *obs.Trace) { k.tr = tr }
-
-// beginLocked takes the index-wide writer lock, attributing the wait to
-// the lock-wait stage, and returns the timestamp the commit span should
-// start from.
-func (k *mvIdxSession) beginLocked() int64 {
-	tr := k.tr
-	if tr == nil {
-		k.s.mu.Lock()
-		return 0
-	}
-	t0 := obs.Now()
-	k.s.mu.Lock()
-	tr.EndStage(obs.StageLockWait, t0)
-	return obs.Now()
-}
-
-// endCommit closes the commit span opened by beginLocked and returns the
-// start for a WAL-append span around the hook delivery.
-func (k *mvIdxSession) endCommit(t0 int64) int64 {
-	if k.tr == nil {
-		return 0
-	}
-	k.tr.EndStage(obs.StageCommit, t0)
-	return obs.Now()
-}
-
-// endWALAppend closes the WAL-append span when a hook was installed to
-// deliver to (no hook, no span — the time is a few ns of no-op calls).
-func (k *mvIdxSession) endWALAppend(t0 int64) {
-	if k.tr != nil && (k.s.hook != nil || k.s.txnHook != nil) {
-		k.tr.EndStage(obs.StageWALAppend, t0)
-	}
-}
-
-// Close implements Session.
-func (k *mvIdxSession) Close() {
-	k.h.Unregister()
-	k.s.sessions.Add(-1)
+	session
+	t mvTower
 }
 
 // ThreadID exposes the engine registry id backing this session.
-func (k *mvIdxSession) ThreadID() int { return k.h.ID() }
+func (k *mvIdxSession) ThreadID() int { return k.t.h.ID() }
+
+// mvTower implements tower over one registered engine thread.
+type mvTower struct {
+	head *core.Object[mvNode]
+	h    *core.Thread[mvNode]
+}
+
+func (t *mvTower) readLock()          { t.h.ReadLock() }
+func (t *mvTower) readUnlock()        { t.h.ReadUnlock() }
+func (t *mvTower) snapshotTS() uint64 { return t.h.SnapshotTS() }
+func (t *mvTower) close()             { t.h.Unregister() }
 
 // findPreds descends the skiplist to key, filling preds[l] with the
 // rightmost node at level l whose key is < key (the head sentinel
 // counts as -inf), and returns the first level-0 node with key >= key
 // (nil when past the end). Caller must be inside a critical section.
-func findPreds(h *core.Thread[mvNode], head *core.Object[mvNode], key string, preds *[maxHeight]*core.Object[mvNode]) *core.Object[mvNode] {
-	x := head
+func (t *mvTower) findPreds(key string, preds *[maxHeight]*core.Object[mvNode]) *core.Object[mvNode] {
+	h, x := t.h, t.head
 	var at *core.Object[mvNode]
 	for lvl := maxHeight - 1; lvl >= 0; lvl-- {
 		for {
@@ -204,12 +137,13 @@ func findPreds(h *core.Thread[mvNode], head *core.Object[mvNode], key string, pr
 	return at
 }
 
-// applySet is one Set inside an open Execute body: update in place if
-// key exists, else lock the preds up to hgt and link a fresh node.
-// false asks Execute to retry at a fresh timestamp.
-func (k *mvIdxSession) applySet(h *core.Thread[mvNode], key, val string, hgt int) bool {
+// set is one Set inside an open Execute body: update in place if key
+// exists, else lock the preds up to hgt and link a fresh node. false
+// asks Execute to retry at a fresh timestamp.
+func (t *mvTower) set(key, val string, hgt int) bool {
+	h := t.h
 	var preds [maxHeight]*core.Object[mvNode]
-	cand := findPreds(h, k.s.head, key, &preds)
+	cand := t.findPreds(key, &preds)
 	if cand != nil && h.Deref(cand).key == key {
 		c, ok := h.TryLock(cand)
 		if !ok {
@@ -238,12 +172,13 @@ func (k *mvIdxSession) applySet(h *core.Thread[mvNode], key, val string, hgt int
 	return true
 }
 
-// applyDel is one Delete inside an open Execute body: lock the node and
+// del is one Delete inside an open Execute body: lock the node and
 // every pred pointing at it, splice it out, free it. ok=false asks for
 // a retry; removed reports whether the key existed.
-func (k *mvIdxSession) applyDel(h *core.Thread[mvNode], key string) (removed, ok bool) {
+func (t *mvTower) del(key string) (removed, ok bool) {
+	h := t.h
 	var preds [maxHeight]*core.Object[mvNode]
-	cand := findPreds(h, k.s.head, key, &preds)
+	cand := t.findPreds(key, &preds)
 	if cand == nil || h.Deref(cand).key != key {
 		return false, true
 	}
@@ -263,161 +198,57 @@ func (k *mvIdxSession) applyDel(h *core.Thread[mvNode], key string) (removed, ok
 	return true, true
 }
 
-// recordWrites publishes the committed ops into the KV history. Called
-// under the writer mutex right after Execute returns, so ticket order
-// equals commit order — the ordering CheckKV's stale/absence rules
-// assume.
-func (k *mvIdxSession) recordWrites(eff []kvstore.CommitOp, txn uint64) {
-	if k.crec == nil || !check.Enabled() {
-		return
-	}
-	for _, op := range eff {
-		var vh uint64
-		if !op.Del {
-			vh = check.ValueHash(op.Value)
-		}
-		k.crec.KVWrite(k.s.hist.KeyID(op.Key), op.TS, vh, txn, op.Del)
-	}
-}
-
-// fireHooks delivers committed ops: transaction groups go to the
-// TxnHook as one call when installed, everything else to the per-op
-// hook.
-func (k *mvIdxSession) fireHooks(eff []kvstore.CommitOp, txn bool) {
-	if txn && k.s.txnHook != nil {
-		k.s.txnHook(eff)
-		return
-	}
-	if h := k.s.hook; h != nil {
-		for _, op := range eff {
-			h(op)
-		}
-	}
-}
-
-func (k *mvIdxSession) Set(key, value string) {
-	t0 := k.beginLocked()
-	defer k.s.mu.Unlock()
-	hgt := randHeight(k.s.rng)
-	k.h.Execute(func(h *core.Thread[mvNode]) bool {
-		return k.applySet(h, key, value, hgt)
-	})
-	t0 = k.endCommit(t0)
-	eff := []kvstore.CommitOp{{TS: k.h.LastCommitTS(), Key: key, Value: value}}
-	k.recordWrites(eff, 0)
-	k.fireHooks(eff, false)
-	k.endWALAppend(t0)
-}
-
-func (k *mvIdxSession) Remove(key string) bool {
-	t0 := k.beginLocked()
-	defer k.s.mu.Unlock()
-	var removed bool
-	k.h.Execute(func(h *core.Thread[mvNode]) bool {
-		var ok bool
-		removed, ok = k.applyDel(h, key)
-		return ok
-	})
-	t0 = k.endCommit(t0)
-	if !removed {
-		return false
-	}
-	eff := []kvstore.CommitOp{{TS: k.h.LastCommitTS(), Del: true, Key: key}}
-	k.recordWrites(eff, 0)
-	k.fireHooks(eff, false)
-	k.endWALAppend(t0)
-	return true
-}
-
-// ApplyTxn implements OrderedSession: every effective op runs inside
-// ONE Execute body — every touched key TryLocked into one write set,
-// one commit timestamp across all of them — so readers observe all of
-// the transaction or none of it. removed[i] is per original op;
-// superseded ops (compressTxn) report false.
-func (k *mvIdxSession) ApplyTxn(ops []kvstore.TxnOp) ([]bool, error) {
-	removed := make([]bool, len(ops))
-	if len(ops) == 0 {
-		return removed, nil
-	}
-	keep := compressTxn(ops)
-	t0 := k.beginLocked()
-	defer k.s.mu.Unlock()
-	hgts := make([]int, len(keep))
-	for j, i := range keep {
-		if !ops[i].Del {
-			hgts[j] = randHeight(k.s.rng)
-		}
-	}
-	k.h.Execute(func(h *core.Thread[mvNode]) bool {
+func (t *mvTower) apply(ops []kvstore.TxnOp, keep, hgts []int, removed []bool) uint64 {
+	t.h.Execute(func(*core.Thread[mvNode]) bool {
 		for j, i := range keep {
 			op := ops[i]
-			if op.Del {
-				rm, ok := k.applyDel(h, op.Key)
-				if !ok {
+			if !op.Del {
+				if !t.set(op.Key, op.Value, hgts[j]) {
 					return false
 				}
-				removed[i] = rm
-			} else if !k.applySet(h, op.Key, op.Value, hgts[j]) {
+				continue
+			}
+			rm, ok := t.del(op.Key)
+			if !ok {
 				return false
 			}
+			removed[i] = rm
 		}
 		return true
 	})
-	cts := k.h.LastCommitTS()
-	t0 = k.endCommit(t0)
-	eff := make([]kvstore.CommitOp, 0, len(keep))
-	for _, i := range keep {
-		op := ops[i]
-		if op.Del && !removed[i] {
-			continue // no-op delete: nothing committed for this key
-		}
-		eff = append(eff, kvstore.CommitOp{TS: cts, Del: op.Del, Key: op.Key, Value: op.Value})
-	}
-	if len(eff) == 0 {
-		return removed, nil
-	}
-	var txn uint64
-	if len(eff) > 1 {
-		k.s.txnSeq++
-		txn = k.s.txnSeq
-	}
-	k.recordWrites(eff, txn)
-	k.fireHooks(eff, true)
-	k.endWALAppend(t0)
-	return removed, nil
+	return t.h.LastCommitTS()
 }
 
-func (k *mvIdxSession) Get(key string) (string, bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
+func (t *mvTower) get(key string) (string, bool) {
+	t.h.ReadLock()
+	defer t.h.ReadUnlock()
 	var preds [maxHeight]*core.Object[mvNode]
-	cand := findPreds(k.h, k.s.head, key, &preds)
+	cand := t.findPreds(key, &preds)
 	if cand == nil {
 		return "", false
 	}
-	d := k.h.Deref(cand)
+	d := t.h.Deref(cand)
 	if d.key != key {
 		return "", false
 	}
 	return d.val, true
 }
 
-// walkAsc visits level-0 nodes with lo <= key <= hi in order inside the
-// CALLER's open critical section, reporting false when fn stopped the
-// walk early. The mutateRangeUnpin re-pin is the planted checker tooth
-// (see mutate_off.go).
-func (k *mvIdxSession) walkAsc(lo, hi string, fn func(key, value string) bool) bool {
+// The mutateRangeUnpin re-pin is the planted checker tooth (see
+// mutate_off.go).
+func (t *mvTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) bool {
+	h := t.h
 	var preds [maxHeight]*core.Object[mvNode]
-	x := findPreds(k.h, k.s.head, lo, &preds)
+	x := t.findPreds(lo, &preds)
 	for n := 0; x != nil; n++ {
 		if mutateRangeUnpin && n > 0 && n%4 == 0 {
 			// Planted bug: drop the snapshot pin mid-walk and re-enter at
 			// a fresh timestamp while still advertising the original one.
-			k.h.ReadUnlock()
-			k.h.ReadLock()
+			h.ReadUnlock()
+			h.ReadLock()
 		}
-		d := k.h.Deref(x)
-		if d.key > hi {
+		d := h.Deref(x)
+		if bounded && d.key > hi {
 			break
 		}
 		if !fn(d.key, d.val) {
@@ -427,94 +258,3 @@ func (k *mvIdxSession) walkAsc(lo, hi string, fn func(key, value string) bool) b
 	}
 	return true
 }
-
-// RangeAscend implements OrderedSession: one snapshot critical section,
-// KV-history range events bracketing the walk when recording.
-func (k *mvIdxSession) RangeAscend(lo, hi string, fn func(key, value string) bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
-	rec := k.crec != nil && check.Enabled()
-	if rec {
-		// RangeBegin must be ticketed before the walk's first load (same
-		// reasoning as DerefTicket): any write ticketed before it was
-		// fully published before the walk began.
-		k.crec.KVRangeBegin(k.h.SnapshotTS(), k.s.hist.KeyID(lo), k.s.hist.KeyID(hi), false)
-	}
-	complete := k.walkAsc(lo, hi, func(key, val string) bool {
-		if rec {
-			k.crec.KVRangeObs(k.s.hist.KeyID(key), check.ValueHash(val))
-		}
-		return fn(key, val)
-	})
-	if rec {
-		k.crec.KVRangeEnd(!complete)
-	}
-}
-
-// RangeDescend implements OrderedSession: the ascending walk collects
-// inside one critical section and replays reversed, so both directions
-// observe the identical snapshot. Observations are recorded in the
-// order fn sees them (descending), as the checker's ordering rule
-// expects.
-func (k *mvIdxSession) RangeDescend(lo, hi string, fn func(key, value string) bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
-	rec := k.crec != nil && check.Enabled()
-	if rec {
-		k.crec.KVRangeBegin(k.h.SnapshotTS(), k.s.hist.KeyID(lo), k.s.hist.KeyID(hi), true)
-	}
-	var pairs []kv2
-	k.walkAsc(lo, hi, func(key, val string) bool {
-		pairs = append(pairs, kv2{key, val})
-		return true
-	})
-	complete := true
-	for i := len(pairs) - 1; i >= 0; i-- {
-		if rec {
-			k.crec.KVRangeObs(k.s.hist.KeyID(pairs[i].k), check.ValueHash(pairs[i].v))
-		}
-		if !fn(pairs[i].k, pairs[i].v) {
-			complete = false
-			break
-		}
-	}
-	if rec {
-		k.crec.KVRangeEnd(!complete)
-	}
-}
-
-// ForEach implements Session: one snapshot walk of the whole list.
-func (k *mvIdxSession) ForEach(fn func(key, value string) bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
-	x := k.h.Deref(k.s.head).next[0]
-	for x != nil {
-		d := k.h.Deref(x)
-		if !fn(d.key, d.val) {
-			return
-		}
-		x = d.next[0]
-	}
-}
-
-// ForEachPrefix implements Session: the ordered layout makes a prefix
-// scan a seek + bounded walk instead of a full filter.
-func (k *mvIdxSession) ForEachPrefix(prefix string, fn func(key, value string) bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
-	var preds [maxHeight]*core.Object[mvNode]
-	x := findPreds(k.h, k.s.head, prefix, &preds)
-	for x != nil {
-		d := k.h.Deref(x)
-		if !strings.HasPrefix(d.key, prefix) {
-			return
-		}
-		if !fn(d.key, d.val) {
-			return
-		}
-		x = d.next[0]
-	}
-}
-
-// kv2 is one collected pair for the descend replay.
-type kv2 struct{ k, v string }

@@ -1,12 +1,6 @@
 package index
 
 import (
-	"math/rand"
-	"strings"
-	"sync"
-	"sync/atomic"
-
-	"mvrlu/internal/check"
 	"mvrlu/internal/kvstore"
 	"mvrlu/internal/rlu"
 )
@@ -23,28 +17,22 @@ type rNode struct {
 // single writer mutex, but commits write back synchronously inside
 // ReadUnlock (rlu_synchronize on the critical path). Because the commit
 // completes before the mutex releases, the next writer's traversal sees
-// only masters and needs no ambiguity reasoning at all.
+// only masters and needs no ambiguity reasoning at all. RLU readers run
+// at the read clock they sampled at entry; that clock is the recorded
+// snapshot timestamp (boundary 0 for CheckKV).
 type RLUIndex struct {
+	indexBase
 	d    *rlu.Domain[rNode]
 	head *rlu.Object[rNode]
-
-	mu     sync.Mutex
-	rng    *rand.Rand
-	txnSeq uint64
-
-	sessions atomic.Int64
-	hook     kvstore.CommitHook
-	txnHook  kvstore.TxnHook
-	hist     *check.History
 }
 
 // NewRLUIndex creates an empty RLU ordered index (global clock, the
 // vanilla RLU of the paper's comparison).
 func NewRLUIndex() *RLUIndex {
 	return &RLUIndex{
-		d:    rlu.NewDomain[rNode](rlu.ClockGlobal),
-		head: rlu.NewObject(rNode{h: maxHeight}),
-		rng:  rand.New(rand.NewSource(0x51EED)),
+		indexBase: newIndexBase(),
+		d:         rlu.NewDomain[rNode](rlu.ClockGlobal),
+		head:      rlu.NewObject(rNode{h: maxHeight}),
 	}
 }
 
@@ -59,37 +47,25 @@ func (s *RLUIndex) Stats() rlu.Stats { return s.d.Stats() }
 
 // Session implements Store.
 func (s *RLUIndex) Session() kvstore.Session {
-	s.sessions.Add(1)
-	k := &rluIdxSession{s: s, h: s.d.Register()}
-	if s.hist != nil {
-		k.crec = s.hist.ThreadRec()
-	}
+	k := &session{}
+	k.init(&s.indexBase, &rluTower{head: s.head, h: s.d.Register()})
 	return k
 }
 
-// NumSessions implements Store.
-func (s *RLUIndex) NumSessions() int { return int(s.sessions.Load()) }
-
-// SetCommitHook implements commitHooker (runs under the writer lock).
-func (s *RLUIndex) SetCommitHook(h kvstore.CommitHook) { s.hook = h }
-
-// SetTxnCommitHook implements txnHooker.
-func (s *RLUIndex) SetTxnCommitHook(h kvstore.TxnHook) { s.txnHook = h }
-
-// AttachKVHistory makes sessions created afterwards record KV events.
-func (s *RLUIndex) AttachKVHistory(h *check.History) { s.hist = h }
-
-type rluIdxSession struct {
-	s    *RLUIndex
+// rluTower implements tower over one RLU thread; every loop mirrors
+// mvTower's (see the comments there).
+type rluTower struct {
+	head *rlu.Object[rNode]
 	h    *rlu.Thread[rNode]
-	crec *check.ThreadRec
 }
 
-// Close implements Session.
-func (k *rluIdxSession) Close() { k.s.sessions.Add(-1) }
+func (t *rluTower) readLock()          { t.h.ReadLock() }
+func (t *rluTower) readUnlock()        { t.h.ReadUnlock() }
+func (t *rluTower) snapshotTS() uint64 { return t.h.SnapshotTS() }
+func (t *rluTower) close()             {}
 
-func findPredsR(h *rlu.Thread[rNode], head *rlu.Object[rNode], key string, preds *[maxHeight]*rlu.Object[rNode]) *rlu.Object[rNode] {
-	x := head
+func (t *rluTower) findPreds(key string, preds *[maxHeight]*rlu.Object[rNode]) *rlu.Object[rNode] {
+	h, x := t.h, t.head
 	var at *rlu.Object[rNode]
 	for lvl := maxHeight - 1; lvl >= 0; lvl-- {
 		for {
@@ -105,9 +81,10 @@ func findPredsR(h *rlu.Thread[rNode], head *rlu.Object[rNode], key string, preds
 	return at
 }
 
-func (k *rluIdxSession) applySet(h *rlu.Thread[rNode], key, val string, hgt int) bool {
+func (t *rluTower) set(key, val string, hgt int) bool {
+	h := t.h
 	var preds [maxHeight]*rlu.Object[rNode]
-	cand := findPredsR(h, k.s.head, key, &preds)
+	cand := t.findPreds(key, &preds)
 	if cand != nil && h.Deref(cand).key == key {
 		c, ok := h.TryLock(cand)
 		if !ok {
@@ -136,9 +113,10 @@ func (k *rluIdxSession) applySet(h *rlu.Thread[rNode], key, val string, hgt int)
 	return true
 }
 
-func (k *rluIdxSession) applyDel(h *rlu.Thread[rNode], key string) (removed, ok bool) {
+func (t *rluTower) del(key string) (removed, ok bool) {
+	h := t.h
 	var preds [maxHeight]*rlu.Object[rNode]
-	cand := findPredsR(h, k.s.head, key, &preds)
+	cand := t.findPreds(key, &preds)
 	if cand == nil || h.Deref(cand).key != key {
 		return false, true
 	}
@@ -158,139 +136,53 @@ func (k *rluIdxSession) applyDel(h *rlu.Thread[rNode], key string) (removed, ok 
 	return true, true
 }
 
-func (k *rluIdxSession) recordWrites(eff []kvstore.CommitOp, txn uint64) {
-	if k.crec == nil || !check.Enabled() {
-		return
-	}
-	for _, op := range eff {
-		var vh uint64
-		if !op.Del {
-			vh = check.ValueHash(op.Value)
-		}
-		k.crec.KVWrite(k.s.hist.KeyID(op.Key), op.TS, vh, txn, op.Del)
-	}
-}
-
-func (k *rluIdxSession) fireHooks(eff []kvstore.CommitOp, txn bool) {
-	if txn && k.s.txnHook != nil {
-		k.s.txnHook(eff)
-		return
-	}
-	if h := k.s.hook; h != nil {
-		for _, op := range eff {
-			h(op)
-		}
-	}
-}
-
-func (k *rluIdxSession) Set(key, value string) {
-	k.s.mu.Lock()
-	defer k.s.mu.Unlock()
-	hgt := randHeight(k.s.rng)
-	k.h.Execute(func(h *rlu.Thread[rNode]) bool {
-		return k.applySet(h, key, value, hgt)
-	})
-	eff := []kvstore.CommitOp{{TS: k.h.LastCommitTS(), Key: key, Value: value}}
-	k.recordWrites(eff, 0)
-	k.fireHooks(eff, false)
-}
-
-func (k *rluIdxSession) Remove(key string) bool {
-	k.s.mu.Lock()
-	defer k.s.mu.Unlock()
-	var removed bool
-	k.h.Execute(func(h *rlu.Thread[rNode]) bool {
-		var ok bool
-		removed, ok = k.applyDel(h, key)
-		return ok
-	})
-	if !removed {
-		return false
-	}
-	eff := []kvstore.CommitOp{{TS: k.h.LastCommitTS(), Del: true, Key: key}}
-	k.recordWrites(eff, 0)
-	k.fireHooks(eff, false)
-	return true
-}
-
-// ApplyTxn implements OrderedSession — one Execute body, one RLU
-// commit, all-or-nothing exactly like the MV build.
-func (k *rluIdxSession) ApplyTxn(ops []kvstore.TxnOp) ([]bool, error) {
-	removed := make([]bool, len(ops))
-	if len(ops) == 0 {
-		return removed, nil
-	}
-	keep := compressTxn(ops)
-	k.s.mu.Lock()
-	defer k.s.mu.Unlock()
-	hgts := make([]int, len(keep))
-	for j, i := range keep {
-		if !ops[i].Del {
-			hgts[j] = randHeight(k.s.rng)
-		}
-	}
-	k.h.Execute(func(h *rlu.Thread[rNode]) bool {
+func (t *rluTower) apply(ops []kvstore.TxnOp, keep, hgts []int, removed []bool) uint64 {
+	t.h.Execute(func(*rlu.Thread[rNode]) bool {
 		for j, i := range keep {
 			op := ops[i]
-			if op.Del {
-				rm, ok := k.applyDel(h, op.Key)
-				if !ok {
+			if !op.Del {
+				if !t.set(op.Key, op.Value, hgts[j]) {
 					return false
 				}
-				removed[i] = rm
-			} else if !k.applySet(h, op.Key, op.Value, hgts[j]) {
+				continue
+			}
+			rm, ok := t.del(op.Key)
+			if !ok {
 				return false
 			}
+			removed[i] = rm
 		}
 		return true
 	})
-	cts := k.h.LastCommitTS()
-	eff := make([]kvstore.CommitOp, 0, len(keep))
-	for _, i := range keep {
-		op := ops[i]
-		if op.Del && !removed[i] {
-			continue
-		}
-		eff = append(eff, kvstore.CommitOp{TS: cts, Del: op.Del, Key: op.Key, Value: op.Value})
-	}
-	if len(eff) == 0 {
-		return removed, nil
-	}
-	var txn uint64
-	if len(eff) > 1 {
-		k.s.txnSeq++
-		txn = k.s.txnSeq
-	}
-	k.recordWrites(eff, txn)
-	k.fireHooks(eff, true)
-	return removed, nil
+	return t.h.LastCommitTS()
 }
 
-func (k *rluIdxSession) Get(key string) (string, bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
+func (t *rluTower) get(key string) (string, bool) {
+	t.h.ReadLock()
+	defer t.h.ReadUnlock()
 	var preds [maxHeight]*rlu.Object[rNode]
-	cand := findPredsR(k.h, k.s.head, key, &preds)
+	cand := t.findPreds(key, &preds)
 	if cand == nil {
 		return "", false
 	}
-	d := k.h.Deref(cand)
+	d := t.h.Deref(cand)
 	if d.key != key {
 		return "", false
 	}
 	return d.val, true
 }
 
-func (k *rluIdxSession) walkAsc(lo, hi string, fn func(key, value string) bool) bool {
+func (t *rluTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) bool {
+	h := t.h
 	var preds [maxHeight]*rlu.Object[rNode]
-	x := findPredsR(k.h, k.s.head, lo, &preds)
+	x := t.findPreds(lo, &preds)
 	for n := 0; x != nil; n++ {
 		if mutateRangeUnpin && n > 0 && n%4 == 0 {
-			k.h.ReadUnlock()
-			k.h.ReadLock()
+			h.ReadUnlock()
+			h.ReadLock()
 		}
-		d := k.h.Deref(x)
-		if d.key > hi {
+		d := h.Deref(x)
+		if bounded && d.key > hi {
 			break
 		}
 		if !fn(d.key, d.val) {
@@ -299,86 +191,4 @@ func (k *rluIdxSession) walkAsc(lo, hi string, fn func(key, value string) bool) 
 		x = d.next[0]
 	}
 	return true
-}
-
-// RangeAscend implements OrderedSession. RLU readers run at the read
-// clock they sampled at entry; the recorded snapshot timestamp is that
-// clock (boundary 0 for CheckKV).
-func (k *rluIdxSession) RangeAscend(lo, hi string, fn func(key, value string) bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
-	rec := k.crec != nil && check.Enabled()
-	if rec {
-		k.crec.KVRangeBegin(k.h.SnapshotTS(), k.s.hist.KeyID(lo), k.s.hist.KeyID(hi), false)
-	}
-	complete := k.walkAsc(lo, hi, func(key, val string) bool {
-		if rec {
-			k.crec.KVRangeObs(k.s.hist.KeyID(key), check.ValueHash(val))
-		}
-		return fn(key, val)
-	})
-	if rec {
-		k.crec.KVRangeEnd(!complete)
-	}
-}
-
-// RangeDescend implements OrderedSession (collect ascending, replay
-// reversed, one critical section).
-func (k *rluIdxSession) RangeDescend(lo, hi string, fn func(key, value string) bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
-	rec := k.crec != nil && check.Enabled()
-	if rec {
-		k.crec.KVRangeBegin(k.h.SnapshotTS(), k.s.hist.KeyID(lo), k.s.hist.KeyID(hi), true)
-	}
-	var pairs []kv2
-	k.walkAsc(lo, hi, func(key, val string) bool {
-		pairs = append(pairs, kv2{key, val})
-		return true
-	})
-	complete := true
-	for i := len(pairs) - 1; i >= 0; i-- {
-		if rec {
-			k.crec.KVRangeObs(k.s.hist.KeyID(pairs[i].k), check.ValueHash(pairs[i].v))
-		}
-		if !fn(pairs[i].k, pairs[i].v) {
-			complete = false
-			break
-		}
-	}
-	if rec {
-		k.crec.KVRangeEnd(!complete)
-	}
-}
-
-// ForEach implements Session.
-func (k *rluIdxSession) ForEach(fn func(key, value string) bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
-	x := k.h.Deref(k.s.head).next[0]
-	for x != nil {
-		d := k.h.Deref(x)
-		if !fn(d.key, d.val) {
-			return
-		}
-		x = d.next[0]
-	}
-}
-
-// ForEachPrefix implements Session.
-func (k *rluIdxSession) ForEachPrefix(prefix string, fn func(key, value string) bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
-	var preds [maxHeight]*rlu.Object[rNode]
-	x := findPredsR(k.h, k.s.head, prefix, &preds)
-	for x != nil {
-		d := k.h.Deref(x)
-		if !strings.HasPrefix(d.key, prefix) {
-			return
-		}
-		if !fn(d.key, d.val) {
-			return
-		}
-		x = d.next[0]
-	}
 }

@@ -23,8 +23,7 @@ type VanillaIndex struct {
 	keys []string
 	vals map[string]string
 
-	rngMu  sync.Mutex // wraps the txn counter only; mu guards keys/vals
-	txnSeq uint64
+	txnSeq uint64 // guarded by mu (exclusive)
 
 	verClock atomic.Uint64
 	sessions atomic.Int64
@@ -115,31 +114,6 @@ type vanIdxSession struct {
 // Close implements Session.
 func (k *vanIdxSession) Close() { k.v.sessions.Add(-1) }
 
-func (k *vanIdxSession) recordWrites(eff []kvstore.CommitOp, txn uint64) {
-	if k.crec == nil || !check.Enabled() {
-		return
-	}
-	for _, op := range eff {
-		var vh uint64
-		if !op.Del {
-			vh = check.ValueHash(op.Value)
-		}
-		k.crec.KVWrite(k.v.hist.KeyID(op.Key), op.TS, vh, txn, op.Del)
-	}
-}
-
-func (k *vanIdxSession) fireHooks(eff []kvstore.CommitOp, txn bool) {
-	if txn && k.v.txnHook != nil {
-		k.v.txnHook(eff)
-		return
-	}
-	if h := k.v.hook; h != nil {
-		for _, op := range eff {
-			h(op)
-		}
-	}
-}
-
 func (k *vanIdxSession) Get(key string) (string, bool) {
 	k.v.mu.RLock()
 	defer k.v.mu.RUnlock()
@@ -148,69 +122,56 @@ func (k *vanIdxSession) Get(key string) (string, bool) {
 }
 
 func (k *vanIdxSession) Set(key, value string) {
-	k.v.mu.Lock()
-	ts := k.v.verClock.Add(1)
-	k.v.setLocked(key, value)
-	eff := []kvstore.CommitOp{{TS: ts, Key: key, Value: value}}
-	k.recordWrites(eff, 0)
-	k.v.mu.Unlock()
-	k.fireHooks(eff, false)
+	var rm [1]bool
+	k.commit([]kvstore.TxnOp{{Key: key, Value: value}}, rm[:], keepOnly, false)
 }
 
 func (k *vanIdxSession) Remove(key string) bool {
-	k.v.mu.Lock()
-	ts := k.v.verClock.Add(1)
-	removed := k.v.delLocked(key)
-	var eff []kvstore.CommitOp
-	if removed {
-		eff = []kvstore.CommitOp{{TS: ts, Del: true, Key: key}}
-		k.recordWrites(eff, 0)
-	}
-	k.v.mu.Unlock()
-	if removed {
-		k.fireHooks(eff, false)
-	}
-	return removed
+	var rm [1]bool
+	k.commit([]kvstore.TxnOp{{Del: true, Key: key}}, rm[:], keepOnly, false)
+	return rm[0]
 }
 
 // ApplyTxn implements OrderedSession: one write-lock hold, one clock
 // tick shared by every op — atomic by construction.
 func (k *vanIdxSession) ApplyTxn(ops []kvstore.TxnOp) ([]bool, error) {
 	removed := make([]bool, len(ops))
-	if len(ops) == 0 {
-		return removed, nil
+	if len(ops) > 0 {
+		k.commit(ops, removed, compressTxn(ops), true)
 	}
-	keep := compressTxn(ops)
-	k.v.mu.Lock()
-	ts := k.v.verClock.Add(1)
+	return removed, nil
+}
+
+// commit is the one write path (Set and Remove are the one-op case):
+// one write-lock hold, one clock tick, history recorded under the lock,
+// hooks delivered after it is released (see SetCommitHook).
+func (k *vanIdxSession) commit(ops []kvstore.TxnOp, removed []bool, keep []int, group bool) {
+	v := k.v
 	eff := make([]kvstore.CommitOp, 0, len(keep))
+	v.mu.Lock()
+	ts := v.verClock.Add(1)
 	for _, i := range keep {
 		op := ops[i]
 		if op.Del {
-			removed[i] = k.v.delLocked(op.Key)
+			removed[i] = v.delLocked(op.Key)
 			if !removed[i] {
 				continue
 			}
 		} else {
-			k.v.setLocked(op.Key, op.Value)
+			v.setLocked(op.Key, op.Value)
 		}
 		eff = append(eff, kvstore.CommitOp{TS: ts, Del: op.Del, Key: op.Key, Value: op.Value})
 	}
 	var txn uint64
 	if len(eff) > 1 {
-		k.v.rngMu.Lock()
-		k.v.txnSeq++
-		txn = k.v.txnSeq
-		k.v.rngMu.Unlock()
+		v.txnSeq++
+		txn = v.txnSeq
 	}
+	recordWrites(k.crec, v.hist, eff, txn)
+	v.mu.Unlock()
 	if len(eff) > 0 {
-		k.recordWrites(eff, txn)
+		deliver(v.hook, v.txnHook, eff, group)
 	}
-	k.v.mu.Unlock()
-	if len(eff) > 0 {
-		k.fireHooks(eff, true)
-	}
-	return removed, nil
 }
 
 // rangeBounds returns the slice window [i, j) of keys with

@@ -2,7 +2,8 @@ package kvstore
 
 import (
 	"errors"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // This file is the ordered-index capability surface: the interfaces the
@@ -105,7 +106,7 @@ func (o *orderedShardedSession) collect(lo, hi string) []kv {
 			return true
 		})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].k < all[j].k })
+	slices.SortFunc(all, func(a, b kv) int { return strings.Compare(a.k, b.k) })
 	return all
 }
 

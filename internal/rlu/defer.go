@@ -47,6 +47,7 @@ func (t *Thread[T]) Flush() {
 
 // flush runs the full commit protocol over the accumulated log.
 func (t *Thread[T]) flush() {
+	t.writeC.Store(committing)
 	wc := t.d.writeClock()
 	t.writeC.Store(wc)
 	t.lastWC = wc

@@ -29,6 +29,16 @@ import (
 
 const infinity = clock.Infinity
 
+// committing is the writeC value a flush advertises BEFORE it draws its
+// write clock. Drawing first and publishing second leaves a gap in which
+// a reader whose entry clock already covers the commit still sees
+// infinity, reads the old master of one object and later steals the new
+// copy of another — a torn snapshot, and a data race with the
+// write-back that rlu_synchronize no longer orders after that reader. A
+// reader that meets committing waits out the gap (one clock draw); one
+// that meets infinity is certain the clock drawn later exceeds its own.
+const committing = 0
+
 // ClockMode selects RLU's timestamp source.
 type ClockMode int
 
@@ -123,8 +133,6 @@ func (d *Domain[T]) writeClock() uint64 {
 	if d.mode == ClockOrdo {
 		return d.hw.Now() + d.hw.Boundary()
 	}
-	// Advertise g+1, then publish g+1 (the classic two-step is folded
-	// into one atomic increment: returns the new value).
 	return d.global.Add(1)
 }
 
@@ -155,8 +163,9 @@ type Thread[T any] struct {
 	runCnt atomic.Uint64
 	// localC is the critical-section entry clock.
 	localC atomic.Uint64
-	// writeC is the commit write-clock, infinity outside commit; a
-	// reader with localC ≥ writeC steals the writer's copies.
+	// writeC is the commit write-clock, infinity outside commit
+	// (committing while it is being drawn); a reader with localC ≥ writeC
+	// steals the writer's copies.
 	writeC atomic.Uint64
 
 	wlog []*entry[T]
@@ -261,7 +270,12 @@ func (t *Thread[T]) Deref(o *Object[T]) *T {
 		}
 		return &e.data
 	}
-	if wc := e.thr.writeC.Load(); wc <= t.localC.Load() {
+	wc := e.thr.writeC.Load()
+	for wc == committing {
+		runtime.Gosched()
+		wc = e.thr.writeC.Load()
+	}
+	if wc <= t.localC.Load() {
 		t.stats.Steals++
 		if rec {
 			// A stolen copy is an observation of the commit at the

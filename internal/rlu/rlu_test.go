@@ -127,7 +127,7 @@ func TestStealCopy(t *testing.T) {
 	}()
 
 	// Wait until the writer advertises its write clock.
-	for w.writeC.Load() == infinity {
+	for wc := w.writeC.Load(); wc == infinity || wc == committing; wc = w.writeC.Load() {
 		time.Sleep(time.Millisecond)
 	}
 	r.ReadLock()

@@ -47,7 +47,7 @@ type command struct {
 	queue func(args [][]byte) txnCmd
 
 	plan   func(c *conn, sl *slot, args [][]byte)
-	exec   func(op *shardOp, sess kvstore.Session)
+	exec   func(op *shardOp, ps *pooledSession)
 	render func(c *conn, sl *slot) bool
 }
 
@@ -73,8 +73,8 @@ var commands = []command{
 			key := string(args[1])
 			c.op(sl, c.srv.shardFor(key)).key = key
 		},
-		exec: func(op *shardOp, sess kvstore.Session) {
-			op.sl.val, op.sl.got = sess.Get(op.key)
+		exec: func(op *shardOp, ps *pooledSession) {
+			op.sl.val, op.sl.got = ps.sess.Get(op.key)
 		},
 		render: func(c *conn, sl *slot) bool {
 			if sl.got {
@@ -92,7 +92,7 @@ var commands = []command{
 			op := c.op(sl, c.srv.shardFor(key))
 			op.key, op.val = key, string(args[2])
 		},
-		exec:   func(op *shardOp, sess kvstore.Session) { sess.Set(op.key, op.val) },
+		exec:   func(op *shardOp, ps *pooledSession) { ps.sess.Set(op.key, op.val) },
 		render: renderOK},
 
 	{name: "DEL", arity: atLeast(2), write: true,
@@ -104,10 +104,10 @@ var commands = []command{
 			return txnCmd{del: true, keys: keys}
 		},
 		plan: planKeys,
-		exec: func(op *shardOp, sess kvstore.Session) {
+		exec: func(op *shardOp, ps *pooledSession) {
 			n := int64(0)
 			for _, k := range op.keys {
-				if sess.Remove(k) {
+				if ps.sess.Remove(k) {
 					n++
 				}
 			}
@@ -117,10 +117,10 @@ var commands = []command{
 
 	{name: "EXISTS", arity: atLeast(2),
 		plan: planKeys,
-		exec: func(op *shardOp, sess kvstore.Session) {
+		exec: func(op *shardOp, ps *pooledSession) {
 			n := int64(0)
 			for _, k := range op.keys {
-				if _, ok := sess.Get(k); ok {
+				if _, ok := ps.sess.Get(k); ok {
 					n++
 				}
 			}
@@ -137,9 +137,9 @@ var commands = []command{
 				op.iks = append(op.iks, idxKey{i, k})
 			}
 		},
-		exec: func(op *shardOp, sess kvstore.Session) {
+		exec: func(op *shardOp, ps *pooledSession) {
 			for _, ik := range op.iks {
-				v, ok := sess.Get(ik.k)
+				v, ok := ps.sess.Get(ik.k)
 				op.sl.vals[ik.i] = mgetVal{v, ok}
 			}
 		},
@@ -167,9 +167,9 @@ var commands = []command{
 				op.pairs = append(op.pairs, [2]string{k, string(args[i+1])})
 			}
 		},
-		exec: func(op *shardOp, sess kvstore.Session) {
+		exec: func(op *shardOp, ps *pooledSession) {
 			for _, p := range op.pairs {
-				sess.Set(p[0], p[1])
+				ps.sess.Set(p[0], p[1])
 			}
 		},
 		render: renderOK},
@@ -190,8 +190,8 @@ var commands = []command{
 			sl.limit = limit
 			c.fanOut(sl, string(args[1]), "")
 		},
-		exec: func(op *shardOp, sess kvstore.Session) {
-			op.sl.scan[op.shard] = collectScan(sess, op.key)
+		exec: func(op *shardOp, ps *pooledSession) {
+			op.sl.scan[op.shard] = collectScan(ps.sess, op.key)
 		},
 		render: func(c *conn, sl *slot) bool {
 			// Hash-store walks come back in bucket order, so the sort is
@@ -218,10 +218,10 @@ var commands = []command{
 				c.fanOut(sl, string(args[1]), string(args[2]))
 			}
 		},
-		exec: func(op *shardOp, sess kvstore.Session) {
-			// lo rides in key, hi in val. The assertion is safe: plan only
+		exec: func(op *shardOp, ps *pooledSession) {
+			// lo rides in key, hi in val. ps.ordered is non-nil: plan only
 			// queues range ops when the server probed the build as ordered.
-			op.sl.scan[op.shard] = collectRange(sess.(kvstore.OrderedSession), op.key, op.val)
+			op.sl.scan[op.shard] = collectRange(ps.ordered, op.key, op.val)
 		},
 		render: func(c *conn, sl *slot) bool {
 			// Each shard's walk is ascending, but shards partition by hash,
@@ -258,8 +258,8 @@ var commands = []command{
 
 	{name: "EXEC", arity: atLeast(1), write: true, multi: true,
 		plan: planExec,
-		exec: func(op *shardOp, sess kvstore.Session) {
-			removed, err := sess.(kvstore.OrderedSession).ApplyTxn(op.ops)
+		exec: func(op *shardOp, ps *pooledSession) {
+			removed, err := ps.ordered.ApplyTxn(op.ops)
 			if err != nil {
 				op.sl.txnErr = "ERR " + err.Error()
 				return

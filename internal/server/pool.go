@@ -30,7 +30,8 @@ type sessionPool struct {
 type pooledSession struct {
 	idx      int
 	sess     kvstore.Session
-	threadID int // engine registry id; -1 when the build exposes none
+	ordered  kvstore.OrderedSession // sess's range/txn capability; nil on the hash builds
+	threadID int                    // engine registry id; -1 when the build exposes none
 	inUse    atomic.Bool
 	batches  atomic.Uint64
 	commands atomic.Uint64
@@ -45,6 +46,7 @@ func newSessionPool(store kvstore.Store, n int) *sessionPool {
 	p := &sessionPool{free: make(chan *pooledSession, n)}
 	for i := 0; i < n; i++ {
 		ps := &pooledSession{idx: i, sess: store.Session(), threadID: -1}
+		ps.ordered, _ = ps.sess.(kvstore.OrderedSession)
 		if t, ok := ps.sess.(threadIDer); ok {
 			ps.threadID = t.ThreadID()
 		}

@@ -330,7 +330,7 @@ func (s *Server) runShardOps(shard int, ops []shardOp, tr *obs.Trace) {
 	ps.commands.Add(uint64(len(ops)))
 	for i := range ops {
 		ps.lastCmd.Store(&ops[i].sl.cmd.name)
-		s.runOp(&ops[i], ps.sess)
+		s.runOp(&ops[i], ps)
 	}
 }
 
@@ -338,7 +338,7 @@ func (s *Server) runShardOps(shard int, ops []shardOp, tr *obs.Trace) {
 // its slot (the engine has already rolled the write set back and the
 // session stays usable): earlier replies of the batch are still
 // delivered, then this slot's error, then the connection closes.
-func (s *Server) runOp(op *shardOp, sess kvstore.Session) {
+func (s *Server) runOp(op *shardOp, ps *pooledSession) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
@@ -346,7 +346,7 @@ func (s *Server) runOp(op *shardOp, sess kvstore.Session) {
 			op.sl.panicked.Store(&msg)
 		}
 	}()
-	op.sl.cmd.exec(op, sess)
+	op.sl.cmd.exec(op, ps)
 }
 
 // renderSlot writes one command's reply. Reports false when the

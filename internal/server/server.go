@@ -199,7 +199,7 @@ func New(store kvstore.Store, cfg Config) *Server {
 	}
 	s.shardCmds = make([]shardCounter, len(s.shards))
 	if len(s.pools[0].all) > 0 {
-		_, s.ordered = s.pools[0].all[0].sess.(kvstore.OrderedSession)
+		s.ordered = s.pools[0].all[0].ordered != nil
 	}
 	s.registerMetrics()
 	return s
