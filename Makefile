@@ -129,6 +129,8 @@ check-si:
 	else \
 		echo "ok: checker flagged the mutated index range walk"; \
 	fi
+	@echo "descending-only index mutation run (the test asserts the checker flags it):"
+	$(GO) test -tags mvrlu_mutate -count=1 -run 'TestKVCheckCatchesUnpin' ./internal/index
 
 loc:
 	@find . -name '*.go' | xargs wc -l | tail -1

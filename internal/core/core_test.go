@@ -269,6 +269,58 @@ func TestAtomicMultiPointerUpdate(t *testing.T) {
 	r.ReadUnlock()
 }
 
+// TestReaderStampsCommittingHeader stops a commit between its two halves:
+// both versions in their chains, the header committing, no timestamp
+// drawn. A reader that enters there stamps the commit itself, later than
+// its own entry, so it sees neither write; the committer then adopts the
+// reader's stamp. Were the header ∞ until the committer's draw landed, a
+// reader entering between draw and store would see one object old and
+// the other new.
+func TestReaderStampsCommittingHeader(t *testing.T) {
+	for _, mode := range []ClockMode{ClockOrdo, ClockGlobal} {
+		opts := DefaultOptions()
+		opts.ClockMode = mode
+		d := newTestDomain(t, opts)
+		x := NewObject(payload{A: 1})
+		y := NewObject(payload{A: -1})
+		w := d.Register()
+		w.ReadLock()
+		cx, _ := w.TryLock(x)
+		cy, _ := w.TryLock(y)
+		cx.A, cy.A = 2, -2
+		// commit's front half, by hand.
+		for _, v := range w.wset {
+			v.obj.copy.Store(v)
+		}
+		w.ws.commitTS.Store(committing)
+
+		r := d.Register()
+		r.ReadLock()
+		if gx, gy := r.Deref(x).A, r.Deref(y).A; gx != 1 || gy != -1 {
+			t.Fatalf("mode %v: mid-commit reader saw x=%d y=%d, want 1 -1", mode, gx, gy)
+		}
+		stamped := w.ws.commitTS.Load()
+		if stamped == committing || stamped <= r.SnapshotTS() {
+			t.Fatalf("mode %v: header %d after a reader at %d met it, want a stamp above the reader", mode, stamped, r.SnapshotTS())
+		}
+		w.finishCommit()
+		if got := w.LastCommitTS(); got != stamped {
+			t.Fatalf("mode %v: committer used %d, want the reader's stamp %d", mode, got, stamped)
+		}
+		w.ReadUnlock()
+		if gx, gy := r.Deref(x).A, r.Deref(y).A; gx != 1 || gy != -1 {
+			t.Fatalf("mode %v: snapshot moved after the commit: x=%d y=%d", mode, gx, gy)
+		}
+		r.ReadUnlock()
+
+		r.ReadLock()
+		if gx, gy := r.Deref(x).A, r.Deref(y).A; gx != 2 || gy != -2 {
+			t.Fatalf("mode %v: after the commit x=%d y=%d, want 2 -2", mode, gx, gy)
+		}
+		r.ReadUnlock()
+	}
+}
+
 func TestFreeBlocksFutureLocks(t *testing.T) {
 	d := newTestDomain(t, DefaultOptions())
 	o := NewObject(payload{A: 1})

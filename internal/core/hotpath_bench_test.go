@@ -6,12 +6,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mvrlu/internal/obs"
 )
 
 // Hot-path microbenchmarks: the engine's per-operation fast-path costs.
 // Run with:
 //
-//	go test -bench 'ReadLockUnlock|DerefChainN|TryLockCommit|WatermarkContention|LogPressure' \
+//	go test -bench 'ReadLockUnlock|ReadSection|DerefChainN|TryLockCommit|WatermarkContention|LogPressure' \
 //	    -benchmem -cpu 1,2,4,8 -run '^$' ./internal/core
 //
 // The tracked trajectory of these costs is the benchmark's core.* layer
@@ -34,6 +36,54 @@ func BenchmarkReadLockUnlock(b *testing.B) {
 			h.ReadUnlock()
 		}
 	})
+}
+
+// BenchmarkReadSection measures one read critical section — ReadLock,
+// eight Derefs each walking a one-version chain, ReadUnlock — under each
+// telemetry switch: off, metrics on (the mvkvd and benchmark default),
+// and tracing only. Telemetry is paid per section, not per Deref, so the
+// on and traced cells should sit a few clock reads above off whatever
+// the Deref count.
+func BenchmarkReadSection(b *testing.B) {
+	for _, cell := range []struct {
+		name           string
+		metrics, trace bool
+	}{{"off", false, false}, {"on", true, false}, {"traced", false, true}} {
+		b.Run(cell.name, func(b *testing.B) {
+			obs.SetEnabled(cell.metrics)
+			obs.SetTraceEnabled(cell.trace)
+			defer obs.SetEnabled(false)
+			defer obs.SetTraceEnabled(false)
+			d := NewDomain[payload](DefaultOptions())
+			defer d.Close()
+			h := d.Register()
+			defer h.Unregister()
+			objs := make([]*Object[payload], 8)
+			for i := range objs {
+				objs[i] = NewObject(payload{})
+				h.Execute(func(h *Thread[payload]) bool {
+					c, ok := h.TryLock(objs[i])
+					if ok {
+						c.A = i
+					}
+					return ok
+				})
+			}
+			sum := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.ReadLock()
+				for _, o := range objs {
+					sum += h.Deref(o).A
+				}
+				h.ReadUnlock()
+			}
+			if sum < 0 {
+				b.Fatal(sum)
+			}
+		})
+	}
 }
 
 // BenchmarkDerefChainN measures the version-chain walk for a pinned

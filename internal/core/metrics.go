@@ -21,13 +21,13 @@ import (
 type HistKind int
 
 const (
-	// HistDeref is Deref latency in nanoseconds.
-	HistDeref HistKind = iota
-	// HistDerefSteps is version-chain entries walked per Deref.
-	HistDerefSteps
 	// HistCS is critical-section duration (ReadLock to exit) in
-	// nanoseconds, including commit time.
-	HistCS
+	// nanoseconds, including commit time. Derefs are timed only as part
+	// of their section: a clock read costs more than a Deref's walk.
+	HistCS HistKind = iota
+	// HistCSChainMax is, per critical section, the most version-chain
+	// entries any one Deref in it walked.
+	HistCSChainMax
 	// HistTryLock is TryLock/TryLockConst latency in nanoseconds,
 	// successes and failures alike.
 	HistTryLock
@@ -57,9 +57,8 @@ const (
 // histMeta carries the exposition name (prefixed by RegisterMetrics) and
 // help text per kind.
 var histMeta = [NumHistKinds]struct{ name, help string }{
-	HistDeref:       {"deref_ns", "Deref latency in nanoseconds"},
-	HistDerefSteps:  {"deref_chain_steps", "version-chain entries walked per Deref"},
-	HistCS:          {"cs_ns", "critical-section duration in nanoseconds"},
+	HistCS:          {"cs_ns", "critical-section duration in nanoseconds, derefs included"},
+	HistCSChainMax:  {"cs_chain_max", "longest version-chain walk (entries) of any Deref in a critical section, one observation per section"},
 	HistTryLock:     {"trylock_ns", "TryLock latency in nanoseconds"},
 	HistCommit:      {"commit_ns", "write-set commit latency in nanoseconds"},
 	HistGCPass:      {"gc_pass_ns", "log reclamation pass duration in nanoseconds"},

@@ -32,8 +32,8 @@ func runObservedWorkload(t *testing.T, h *Thread[payload], o *Object[payload]) {
 }
 
 // TestHistogramsRecordWhenEnabled asserts every per-thread record site
-// fires under obs.Enabled: deref latency and chain steps, section
-// duration, TryLock and commit latency.
+// fires under obs.Enabled: section duration and longest chain walk,
+// TryLock and commit latency.
 func TestHistogramsRecordWhenEnabled(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
@@ -43,15 +43,23 @@ func TestHistogramsRecordWhenEnabled(t *testing.T) {
 	o := NewObject(payload{A: 1})
 	runObservedWorkload(t, h, o)
 
-	for _, k := range []HistKind{HistDeref, HistDerefSteps, HistCS, HistTryLock, HistCommit} {
+	for _, k := range []HistKind{HistCS, HistCSChainMax, HistTryLock, HistCommit} {
 		if n := d.HistogramSnapshot(k).Count(); n == 0 {
 			t.Errorf("%s recorded nothing", k.MetricName())
 		}
 	}
-	// Section durations: one per ReadLock pairing — at least the 10
-	// Execute commits, 10 read sections, and the aborted section.
-	if n := d.HistogramSnapshot(HistCS).Count(); n < 21 {
-		t.Errorf("cs_ns count %d, want >= 21", n)
+	// Section durations and chain maxima: one each per ReadLock pairing —
+	// at least the 10 Execute commits, 10 read sections, and the aborted
+	// section.
+	for _, k := range []HistKind{HistCS, HistCSChainMax} {
+		if n := d.HistogramSnapshot(k).Count(); n < 21 {
+			t.Errorf("%s count %d, want >= 21", k.MetricName(), n)
+		}
+	}
+	// Every read section derefed o after a commit gave it a chain, so
+	// the sections' maxima sum to at least one step each.
+	if s := d.HistogramSnapshot(HistCSChainMax).Sum; s < 10 {
+		t.Errorf("cs_chain_max sum %d, want >= 10", s)
 	}
 	if n := d.HistogramSnapshot(HistCommit).Count(); n != 10 {
 		t.Errorf("commit_ns count %d, want 10", n)
@@ -71,6 +79,54 @@ func TestHistogramsSilentWhenDisabled(t *testing.T) {
 	for k := HistKind(0); k < numThreadHists; k++ {
 		if n := d.HistogramSnapshot(k).Count(); n != 0 {
 			t.Errorf("%s recorded %d observations while disabled", k.MetricName(), n)
+		}
+	}
+}
+
+// TestChainHighTracedWithoutMetrics asserts the tracing-only path: with
+// metrics off, a section's longest chain walk still reaches the domain's
+// chain high-water mark and the timeline — once, when the section ends —
+// while the histograms stay silent.
+func TestChainHighTracedWithoutMetrics(t *testing.T) {
+	obs.SetTraceEnabled(true)
+	defer obs.SetTraceEnabled(false)
+	obs.ResetEvents()
+	d := newTestDomain(t, DefaultOptions())
+	w, reader := d.Register(), d.Register()
+	defer w.Unregister()
+	defer reader.Unregister()
+	o := NewObject(payload{})
+
+	reader.ReadLock()
+	for i := 1; i <= 3; i++ {
+		w.Execute(func(w *Thread[payload]) bool {
+			c, ok := w.TryLock(o)
+			if ok {
+				c.A = i
+			}
+			return ok
+		})
+	}
+	if got := reader.Deref(o).A; got != 0 {
+		t.Fatalf("pinned reader saw A=%d, want the master's 0", got)
+	}
+	if hw := d.chainHigh.Load(); hw != 0 {
+		t.Fatalf("chain high-water %d noted before the section ended", hw)
+	}
+	reader.ReadUnlock()
+	if hw := d.chainHigh.Load(); hw != 3 {
+		t.Fatalf("chain high-water %d after walking 3 newer versions, want 3", hw)
+	}
+	noted := false
+	for _, e := range obs.EventsSnapshot(64) {
+		noted = noted || (e.Kind == obs.EvChainHigh && e.Value == 3)
+	}
+	if !noted {
+		t.Error("no EvChainHigh event for the 3-step walk")
+	}
+	for k := HistKind(0); k < numThreadHists; k++ {
+		if n := d.HistogramSnapshot(k).Count(); n != 0 {
+			t.Errorf("%s recorded %d observations with metrics off", k.MetricName(), n)
 		}
 	}
 }

@@ -99,6 +99,13 @@ type Thread[T any] struct {
 	lowSlots  uint64
 
 	gcMu sync.Mutex // serializes reclamation (owner vs single collector)
+
+	// csChainMax is the longest chain walk of any Deref in the open
+	// section, kept while telemetry (metrics or tracing) is on and
+	// reported once at the exit, so a Deref pays no clock read and no
+	// shared write. Last in the struct so that every field above keeps
+	// its offset, and the telemetry-off hot path its cache-line layout.
+	csChainMax uint64
 }
 
 // pinState is the slice of a thread the grace-period machinery reads:
@@ -224,10 +231,11 @@ func (t *Thread[T]) ReadLock() {
 }
 
 // obsEndCS closes the critical section's telemetry: record the section
-// duration and end the trace region. Called from every section exit —
-// ReadUnlock, Abort, and the panic unwinds — guarded by the callers on
-// the plain csStart/csRegion fields so the disabled path pays two local
-// loads, no atomics.
+// duration and its longest chain walk, ratchet the domain's chain
+// high-water mark, and end the trace region. Called from every section
+// exit — ReadUnlock, Abort, and the panic unwinds — guarded by the
+// callers on the plain csStart/csRegion/csChainMax fields so the
+// disabled path pays three local loads, no atomics.
 func (t *Thread[T]) obsEndCS() {
 	if t.csRegion != nil {
 		t.csRegion.End()
@@ -235,7 +243,12 @@ func (t *Thread[T]) obsEndCS() {
 	}
 	if t.csStart != 0 {
 		t.hists[HistCS].Observe(uint64(obs.Now() - t.csStart))
+		t.hists[HistCSChainMax].Observe(t.csChainMax)
 		t.csStart = 0
+	}
+	if t.csChainMax != 0 {
+		t.d.noteChainLen(t.csChainMax)
+		t.csChainMax = 0
 	}
 }
 
@@ -277,7 +290,7 @@ func (t *Thread[T]) ReadUnlock() {
 		t.crec.End()
 	}
 	t.pin.localTS.Store(0)
-	if t.csStart != 0 || t.csRegion != nil {
+	if t.csStart != 0 || t.csRegion != nil || t.csChainMax != 0 {
 		t.obsEndCS()
 	}
 	t.maybeGC()
@@ -297,7 +310,7 @@ func (t *Thread[T]) Abort() {
 	}
 	t.pin.localTS.Store(0)
 	t.stats.aborts++
-	if t.csStart != 0 || t.csRegion != nil {
+	if t.csStart != 0 || t.csRegion != nil || t.csChainMax != 0 {
 		t.obsEndCS()
 	}
 	t.maybeGC()
@@ -374,22 +387,20 @@ func (t *Thread[T]) Deref(o *Object[T]) *T {
 	return p
 }
 
-// derefObserved is Deref with telemetry: latency into HistDeref and the
-// chain length into HistDerefSteps. The step count is recovered from the
-// owner-written chainSteps counter rather than re-counting, so the walk
-// itself stays identical to the untimed path. It also ratchets the
-// domain's chain-length high-water mark for the trace event timeline
-// (the histograms stay gated on the metrics switch alone).
+// derefObserved is Deref with telemetry: it keeps the section's longest
+// chain walk in csChainMax, which obsEndCS reports once per section —
+// into HistCSChainMax under metrics, and into the domain's chain-length
+// high-water mark (the trace event timeline) either way. The step count
+// is recovered from the owner-written chainSteps counter rather than
+// re-counting, so the walk itself stays identical to the untimed path,
+// and nothing here reads the clock or writes shared memory: a Deref is
+// timed only as part of its section (HistCS).
 func (t *Thread[T]) derefObserved(o *Object[T]) *T {
 	steps := t.stats.chainSteps
-	start := obs.Now()
 	p, _ := t.derefWalk(o)
-	walked := t.stats.chainSteps - steps
-	if obs.Enabled() {
-		t.hists[HistDeref].Observe(uint64(obs.Now() - start))
-		t.hists[HistDerefSteps].Observe(walked)
+	if walked := t.stats.chainSteps - steps; walked > t.csChainMax {
+		t.csChainMax = walked
 	}
-	t.d.noteChainLen(walked)
 	return p
 }
 
@@ -431,11 +442,14 @@ func (t *Thread[T]) derefWalk(o *Object[T]) (*T, *version[T]) {
 		// resolveTS folded inline: the common hop — a committed
 		// version — costs one atomic load with no call or write-set
 		// header chase; only a version caught mid-commit (duplicate
-		// timestamp not yet stored) consults its header.
+		// timestamp not yet stored) consults its header, and stamps a
+		// commit that has not drawn its timestamp yet (see committing).
 		cts := v.commitTS.Load()
 		if cts == infinity {
 			if h := v.ws; h != nil {
-				cts = h.commitTS.Load()
+				if cts = h.commitTS.Load(); cts == committing {
+					cts = h.stamp(t.d.drawCommitTS())
+				}
 			}
 		}
 		// Window-conservative pick (§3.9): a commit timestamp inside
@@ -647,6 +661,9 @@ func (t *Thread[T]) commit() {
 		// the chain head has not moved since.
 		v.obj.copy.Store(v)
 	}
+	// Every version is in its chain: from here on, any timestamp drawn
+	// is a valid commit time, whoever draws it (see committing).
+	t.ws.commitTS.Store(committing)
 	if failpoint.Enabled() {
 		t.injectCommitPublish()
 	}
@@ -656,7 +673,7 @@ func (t *Thread[T]) commit() {
 // injectCommitPublish fires the failpoint between publishing the write
 // set's copies and duplicating the commit timestamp into them. A panic
 // here must not tear the commit: the copies are already reachable from
-// their chains (readers skip them while the header still reads ∞) and
+// their chains (a reader that meets one stamps the committing header) and
 // the masters are still locked, so abandoning the unwind mid-way would
 // wedge every object in the set. Instead the commit is finished on the
 // unwind — the write set was fully staged and can no longer fail — and
@@ -679,11 +696,12 @@ func (t *Thread[T]) injectCommitPublish() {
 
 // finishCommit is the back half of commit: draw and publish the commit
 // timestamp (the linearization point), duplicate it into the copies,
-// mark superseded predecessors, and unlock the masters.
+// mark superseded predecessors, and unlock the masters. The header
+// already reads committing, and a reader that met it may have stamped it
+// first; its timestamp then stands (see committing).
 func (t *Thread[T]) finishCommit() {
-	cts := t.d.clk.Now() + t.d.boundary
+	cts := t.ws.stamp(t.d.drawCommitTS())
 	t.lastCommitTS = cts
-	t.ws.commitTS.Store(cts)
 	for _, v := range t.wset {
 		v.commitTS.Store(cts)
 		if v.constLock {
@@ -726,6 +744,15 @@ func (t *Thread[T]) finishCommit() {
 	}
 	t.stats.commits++
 	t.endWriteSet(true)
+}
+
+// drawCommitTS draws a commit timestamp for a write set already published
+// into its chains. A reader that loaded a chain before the publish
+// entered before this draw; the +1 makes that strict, because a hardware
+// clock may return the same nanosecond to two cores, and such a reader,
+// having missed one object of the set, must not select another.
+func (d *Domain[T]) drawCommitTS() uint64 {
+	return d.clk.Now() + d.boundary + 1
 }
 
 // rollback implements abort (§3.6): unlock write-set objects and rewind

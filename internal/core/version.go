@@ -10,6 +10,27 @@ import (
 // write set commits).
 const infinity = clock.Infinity
 
+// committing is the header value a commit stores once every version of
+// its write set is published in its chain, BEFORE any commit timestamp
+// is drawn. Drawing first and storing second would leave a gap in which
+// a reader whose entry timestamp already covers the commit still reads
+// ∞, skips one object's new version, and then selects another's once the
+// timestamp lands: a torn snapshot.
+//
+// The header therefore moves ∞ → committing → timestamp:
+//   - ∞: the write set is still being published. The reader read the
+//     clock before the header, and every later stamp is drawn after the
+//     header leaves ∞, so the commit is not in its snapshot: skip.
+//   - committing: every version is in place, so any timestamp drawn from
+//     now on is a valid commit time. The reader draws one and stamps it
+//     itself (see stamp); being drawn after its own entry, it is not in
+//     its snapshot, and the reader skips the whole write set. Nobody
+//     waits on a committer that has been descheduled.
+//
+// Below ∞, so a comparison that does not stamp treats it as "not yet
+// committed".
+const committing = infinity - 1
+
 // wsHeader is a write-set header (§3.2). All copy objects created in one
 // critical section share a header; publishing its commit timestamp is the
 // linearization point of the commit (§3.5), which makes the whole write
@@ -17,6 +38,16 @@ const infinity = clock.Infinity
 // duplicated into the copy headers.
 type wsHeader struct {
 	commitTS atomic.Uint64
+}
+
+// stamp installs cts as the header's commit timestamp unless the
+// committer or a reader stamped it first, and returns the winner. cts
+// must have been drawn after the header was seen committing.
+func (h *wsHeader) stamp(cts uint64) uint64 {
+	if h.commitTS.CompareAndSwap(committing, cts) {
+		return cts
+	}
+	return h.commitTS.Load()
 }
 
 // version is a copy object. Versions live in per-thread circular logs and

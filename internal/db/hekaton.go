@@ -1,6 +1,7 @@
 package db
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -29,15 +30,45 @@ type hekRecord struct {
 }
 
 // hekVersion is one row version. begin is the commit timestamp once the
-// owner commits; while pending, owner identifies the active transaction.
+// owner's commit has been copied into it; while pending, owner is the
+// writing transaction, whose end word decides visibility (Hekaton's
+// "begin field holds a transaction ID" case).
 type hekVersion struct {
 	begin atomic.Uint64 // commit ts; ^0 while pending
-	owner *hekTx
+	owner *hekEnd
 	older atomic.Pointer[hekVersion]
 	data  Row
 }
 
-const hekPending = ^uint64(0)
+// hekEnd is one writing transaction's commit word: hekPending while it
+// runs (and forever if it aborts), hekCommitting while it draws its
+// commit timestamp, then the timestamp. Every write of the transaction
+// points at it, so the whole write set turns visible with one store
+// rather than row by row.
+type hekEnd struct {
+	ts atomic.Uint64
+}
+
+const (
+	hekPending = ^uint64(0)
+	// hekCommitting is published BEFORE the commit timestamp is drawn, so
+	// a reader that meets hekPending knows the draw follows its begin
+	// timestamp. One that meets hekCommitting waits for the timestamp.
+	hekCommitting = hekPending - 1
+)
+
+// settled returns the transaction's commit timestamp, or hekPending, once
+// it is no longer committing. The wait is bounded by one counter
+// increment between the committer's two stores, plus any descheduling,
+// which is why it yields.
+func (w *hekEnd) settled() uint64 {
+	ts := w.ts.Load()
+	for ts == hekCommitting {
+		runtime.Gosched()
+		ts = w.ts.Load()
+	}
+	return ts
+}
 
 // NewHekatonEngine builds a table of records rows.
 func NewHekatonEngine(records int) *HekatonEngine {
@@ -89,8 +120,12 @@ type hekTx struct {
 	e       *HekatonEngine
 	beginTS atomic.Uint64 // hekIdle when quiescent (GC registry)
 	active  atomic.Bool
-	writes  []*hekVersion
-	keys    []int
+	// end is the running transaction's commit word, made on its first
+	// write: fresh per transaction, so a reader holding a pending
+	// version's owner never sees a later transaction's outcome.
+	end    *hekEnd
+	writes []*hekVersion
+	keys   []int
 }
 
 func (t *hekTx) Begin() {
@@ -99,15 +134,21 @@ func (t *hekTx) Begin() {
 	t.beginTS.Store(0)
 	t.beginTS.Store(t.e.clock.Load())
 	t.active.Store(true)
+	t.end = nil
 	t.writes = t.writes[:0]
 	t.keys = t.keys[:0]
 }
 
-// visible reports whether v is in t's snapshot.
+// visible reports whether v is in t's snapshot. A pending version is
+// resolved through its writer's commit word, so a commit whose timestamp
+// is drawn but not yet copied into every row is seen whole or not at all.
 func (t *hekTx) visible(v *hekVersion) bool {
 	b := v.begin.Load()
 	if b == hekPending {
-		return v.owner == t // own pending write
+		if v.owner == t.end {
+			return true // own pending write
+		}
+		b = v.owner.settled()
 	}
 	return b <= t.beginTS.Load()
 }
@@ -127,7 +168,7 @@ func (t *hekTx) Update(key int, fn func(*Row)) bool {
 	rec := &t.e.rows[key]
 	head := rec.head.Load()
 	if head.begin.Load() == hekPending {
-		if head.owner == t {
+		if head.owner == t.end {
 			fn(&head.data) // second update of the same row
 			return true
 		}
@@ -139,7 +180,11 @@ func (t *hekTx) Update(key int, fn func(*Row)) bool {
 	if !t.visible(head) {
 		return false
 	}
-	nv := &hekVersion{owner: t, data: head.data}
+	if t.end == nil {
+		t.end = &hekEnd{}
+		t.end.ts.Store(hekPending)
+	}
+	nv := &hekVersion{owner: t.end, data: head.data}
 	nv.older.Store(head)
 	nv.begin.Store(hekPending)
 	if !rec.head.CompareAndSwap(head, nv) {
@@ -153,7 +198,9 @@ func (t *hekTx) Update(key int, fn func(*Row)) bool {
 
 func (t *hekTx) Commit() bool {
 	if len(t.writes) > 0 {
+		t.end.ts.Store(hekCommitting)
 		cts := t.e.clock.Add(1)
+		t.end.ts.Store(cts)
 		for _, v := range t.writes {
 			v.begin.Store(cts)
 		}

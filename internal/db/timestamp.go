@@ -118,6 +118,11 @@ func (t *tsTx) Update(key int, fn func(*Row)) bool {
 		rec.releaseLatch()
 		return false // a younger transaction already read or wrote
 	}
+	// An update reads the row it rewrites, so it stamps rts like Read: an
+	// older writer that commits after this read must abort, or this
+	// transaction would install a value computed from the row it replaced
+	// (a lost update).
+	rec.rts = t.ts
 	w := tsWrite{key: key, data: rec.data}
 	rec.releaseLatch()
 	fn(&w.data)

@@ -27,7 +27,8 @@
 // behind Set/Remove/ApplyTxn, hook delivery, KV-history recording,
 // trace spans, the one scan behind every multi-key read — and a tower
 // (mvrlu.go, rlu.go) is an engine's node type plus the loops that Deref:
-// findPreds, the splices, apply (one Execute), get, the level-0 walk.
+// findPreds, the splices, apply (one Execute), get, and the ascending
+// and descending walks.
 // The seam is crossed a bounded number of times per operation, never per
 // node, so each engine's walk stays monomorphic. A new engine-backed
 // ordered build is a node type and a tower. vanilla-idx stays a separate

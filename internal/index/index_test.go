@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -442,13 +443,135 @@ func TestKVCheckClean(t *testing.T) {
 	}
 }
 
-// TestKVCheckCatchesUnpin is the teeth test for the planted mutation:
-// under -tags mvrlu_mutate the range walk re-pins mid-stream, and
-// CheckKV must flag the run. Without the tag this test just asserts the
-// constant is off.
+// TestKVCheckCatchesUnpin is the descending walk's checker tooth, and
+// deterministic: the only reader is RangeDescend, and at every pair it
+// visits a second session commits a fresh value to the window's lowest
+// key, which the walk reaches last. A walk that holds one snapshot
+// returns that key as it was when the walk began; one that re-pins
+// mid-stream (-tags mvrlu_mutate) returns a value committed after the
+// timestamp it reported, and CheckKV must flag it. Without the tag the
+// same run is the clean control. mvrlu-idx only: an MV-RLU commit never
+// waits for readers, so committing from inside the walk cannot deadlock,
+// as it would on RLU's synchronize or the vanilla build's read lock.
 func TestKVCheckCatchesUnpin(t *testing.T) {
-	if !mutateRangeUnpin {
-		t.Skip("mutation build tag not set")
+	s := newStore(t, "mvrlu-idx").(*MVIndex)
+	h := check.NewHistory(0)
+	s.AttachKVHistory(h)
+	check.SetEnabled(true)
+	defer check.SetEnabled(false)
+	reader, writer := ordered(t, s), ordered(t, s)
+	const keys = 64
+	for i := 0; i < keys; i++ {
+		writer.Set(fmt.Sprintf("d%03d", i), "seed")
+	}
+	visited := 0
+	reader.RangeDescend("d000", fmt.Sprintf("d%03d", keys-1), func(k, v string) bool {
+		visited++
+		writer.Set("d000", fmt.Sprintf("w%d", visited))
+		return true
+	})
+	if visited != keys {
+		t.Fatalf("descending walk visited %d of %d keys", visited, keys)
+	}
+	rep := check.CheckKV(h, check.Opts{Boundary: s.Boundary()})
+	switch {
+	case mutateRangeUnpin && rep.Ok():
+		t.Fatalf("CheckKV missed a descending walk that re-pinned mid-stream: %s", rep)
+	case !mutateRangeUnpin && !rep.Ok():
+		t.Fatalf("CheckKV: %s", rep)
+	}
+}
+
+// maxTowers is a rand.Source under which randHeight always draws
+// maxHeight.
+type maxTowers struct{}
+
+func (maxTowers) Int63() int64 { return 0 }
+func (maxTowers) Seed(int64)   {}
+
+// TestRangeWalkOracle checks both walk directions of every build against
+// a sorted-slice oracle, with an early stop at every n, over the shapes a
+// finger-search descend could get wrong: an empty index, bounds present
+// and absent, lo > hi, lo == hi, hi past the last key, lo before the
+// first, max-height towers, and deleted neighbours.
+func TestRangeWalkOracle(t *testing.T) {
+	bounds := [][2]string{
+		{"k100", "k150"}, // both bounds present
+		{"k101", "k151"}, // both absent
+		{"k150", "k100"}, // lo > hi
+		{"k100", "k100"}, // lo == hi, present
+		{"k101", "k101"}, // lo == hi, absent
+		{"k150", "z"},    // hi past the last key
+		{"", "k050"},     // lo before the first key
+		{"", "\xff"},     // everything
+		{"k000", "k009"}, // below the first key
+		{"k201", "k999"}, // above the last key
+	}
+	for _, build := range builds {
+		t.Run(build, func(t *testing.T) {
+			s := newStore(t, build)
+			sess := ordered(t, s)
+			var keys []string // the oracle, sorted
+			verify := func(stage string) {
+				t.Helper()
+				for _, b := range bounds {
+					lo, hi := b[0], b[1]
+					var asc []string
+					for _, k := range keys {
+						if lo <= k && k <= hi {
+							asc = append(asc, k+"=v"+k)
+						}
+					}
+					desc := slices.Clone(asc)
+					slices.Reverse(desc)
+					for n := 0; n <= len(asc); n++ { // n = 0: no limit
+						wantAsc, wantDesc := asc, desc
+						if n > 0 {
+							wantAsc, wantDesc = asc[:n], desc[:n]
+						}
+						if got := collectAsc(sess, lo, hi, n); !slices.Equal(got, wantAsc) {
+							t.Fatalf("%s: ascend [%q,%q] stop %d:\n got %v\nwant %v", stage, lo, hi, n, got, wantAsc)
+						}
+						if got := collectDesc(sess, lo, hi, n); !slices.Equal(got, wantDesc) {
+							t.Fatalf("%s: descend [%q,%q] stop %d:\n got %v\nwant %v", stage, lo, hi, n, got, wantDesc)
+						}
+					}
+				}
+			}
+			verify("empty")
+
+			// Even keys k010..k200; every 20th (k100 and the last key
+			// among them) on a max-height tower in the engine builds.
+			var base *indexBase
+			switch st := s.(type) {
+			case *MVIndex:
+				base = &st.indexBase
+			case *RLUIndex:
+				base = &st.indexBase
+			}
+			for i := 10; i <= 200; i += 2 {
+				k := fmt.Sprintf("k%03d", i)
+				if base != nil && i%20 == 0 {
+					rng := base.rng
+					base.rng = rand.New(maxTowers{})
+					sess.Set(k, "v"+k)
+					base.rng = rng
+				} else {
+					sess.Set(k, "v"+k)
+				}
+				keys = append(keys, k)
+			}
+			verify("loaded")
+
+			// Delete the neighbours of the probed bounds, and a tall tower.
+			for _, k := range []string{"k098", "k102", "k148", "k152", "k010", "k140"} {
+				if !sess.Remove(k) {
+					t.Fatalf("Remove(%s) = false", k)
+				}
+				keys = slices.DeleteFunc(keys, func(x string) bool { return x == k })
+			}
+			verify("after deletes")
+		})
 	}
 }
 

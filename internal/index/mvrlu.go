@@ -119,22 +119,36 @@ func (t *mvTower) close()             { t.h.Unregister() }
 // findPreds descends the skiplist to key, filling preds[l] with the
 // rightmost node at level l whose key is < key (the head sentinel
 // counts as -inf), and returns the first level-0 node with key >= key
-// (nil when past the end). Caller must be inside a critical section.
-func (t *mvTower) findPreds(key string, preds *[maxHeight]*core.Object[mvNode]) *core.Object[mvNode] {
-	h, x := t.h, t.head
+// with its payload (nil, nil when past the end). Caller must be inside a
+// critical section.
+func (t *mvTower) findPreds(key string, preds *[maxHeight]*core.Object[mvNode]) (*core.Object[mvNode], *mvNode) {
+	return t.seek(key, t.head, maxHeight, preds)
+}
+
+// seek is findPreds started at x on level top-1, filling preds[:top]; x
+// must be the head or a node with key < key that is on level top-1.
+// Each node is dereferenced once: its payload is kept while the search
+// moves down a level.
+func (t *mvTower) seek(key string, x *core.Object[mvNode], top int, preds *[maxHeight]*core.Object[mvNode]) (*core.Object[mvNode], *mvNode) {
+	h := t.h
+	xd := h.Deref(x)
 	var at *core.Object[mvNode]
-	for lvl := maxHeight - 1; lvl >= 0; lvl-- {
+	var ad *mvNode
+	for lvl := top - 1; lvl >= 0; lvl-- {
 		for {
-			nxt := h.Deref(x).next[lvl]
-			if nxt == nil || h.Deref(nxt).key >= key {
-				at = nxt
+			at = xd.next[lvl]
+			if at == nil {
+				ad = nil
 				break
 			}
-			x = nxt
+			if ad = h.Deref(at); ad.key >= key {
+				break
+			}
+			x, xd = at, ad
 		}
 		preds[lvl] = x
 	}
-	return at
+	return at, ad
 }
 
 // set is one Set inside an open Execute body: update in place if key
@@ -143,8 +157,8 @@ func (t *mvTower) findPreds(key string, preds *[maxHeight]*core.Object[mvNode]) 
 func (t *mvTower) set(key, val string, hgt int) bool {
 	h := t.h
 	var preds [maxHeight]*core.Object[mvNode]
-	cand := t.findPreds(key, &preds)
-	if cand != nil && h.Deref(cand).key == key {
+	cand, cd := t.findPreds(key, &preds)
+	if cand != nil && cd.key == key {
 		c, ok := h.TryLock(cand)
 		if !ok {
 			return false
@@ -178,11 +192,11 @@ func (t *mvTower) set(key, val string, hgt int) bool {
 func (t *mvTower) del(key string) (removed, ok bool) {
 	h := t.h
 	var preds [maxHeight]*core.Object[mvNode]
-	cand := t.findPreds(key, &preds)
-	if cand == nil || h.Deref(cand).key != key {
+	cand, cd := t.findPreds(key, &preds)
+	if cand == nil || cd.key != key {
 		return false, true
 	}
-	hgt := h.Deref(cand).h
+	hgt := cd.h
 	cn, lok := h.TryLock(cand)
 	if !lok {
 		return false, false
@@ -223,23 +237,19 @@ func (t *mvTower) get(key string) (string, bool) {
 	t.h.ReadLock()
 	defer t.h.ReadUnlock()
 	var preds [maxHeight]*core.Object[mvNode]
-	cand := t.findPreds(key, &preds)
-	if cand == nil {
-		return "", false
-	}
-	d := t.h.Deref(cand)
-	if d.key != key {
+	cand, d := t.findPreds(key, &preds)
+	if cand == nil || d.key != key {
 		return "", false
 	}
 	return d.val, true
 }
 
 // The mutateRangeUnpin re-pin is the planted checker tooth (see
-// mutate_off.go).
+// mutate_off.go), in both walks.
 func (t *mvTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) bool {
 	h := t.h
 	var preds [maxHeight]*core.Object[mvNode]
-	x := t.findPreds(lo, &preds)
+	x, _ := t.findPreds(lo, &preds)
 	for n := 0; x != nil; n++ {
 		if mutateRangeUnpin && n > 0 && n%4 == 0 {
 			// Planted bug: drop the snapshot pin mid-walk and re-enter at
@@ -255,6 +265,43 @@ func (t *mvTower) walk(lo, hi string, bounded bool, fn func(key, value string) b
 			return false
 		}
 		x = d.next[0]
+	}
+	return true
+}
+
+// walkDesc seeks hi, then steps down by finger search: preds holds the
+// predecessors of the key last visited, so the next node down is
+// preds[0]. A node of height h is never a pred at level h or above, so
+// after visiting it preds[h:] are still its predecessors and only the
+// levels below h are searched again, from preds[h]. A step costs O(1)
+// derefs expected — a few, against one for an ascending step — rather
+// than a fresh O(log n) search.
+func (t *mvTower) walkDesc(lo, hi string, fn func(key, value string) bool) bool {
+	if lo > hi {
+		return true
+	}
+	h := t.h
+	var preds [maxHeight]*core.Object[mvNode]
+	if at, d := t.findPreds(hi, &preds); at != nil && d.key == hi && !fn(d.key, d.val) {
+		return false
+	}
+	for n := 0; preds[0] != t.head; n++ {
+		if mutateRangeUnpin && n > 0 && n%4 == 0 {
+			h.ReadUnlock()
+			h.ReadLock()
+		}
+		d := h.Deref(preds[0])
+		if d.key < lo {
+			break
+		}
+		if !fn(d.key, d.val) {
+			return false
+		}
+		from := t.head
+		if d.h < maxHeight {
+			from = preds[d.h]
+		}
+		t.seek(d.key, from, d.h, &preds)
 	}
 	return true
 }

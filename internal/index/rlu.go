@@ -64,28 +64,37 @@ func (t *rluTower) readUnlock()        { t.h.ReadUnlock() }
 func (t *rluTower) snapshotTS() uint64 { return t.h.SnapshotTS() }
 func (t *rluTower) close()             {}
 
-func (t *rluTower) findPreds(key string, preds *[maxHeight]*rlu.Object[rNode]) *rlu.Object[rNode] {
-	h, x := t.h, t.head
+func (t *rluTower) findPreds(key string, preds *[maxHeight]*rlu.Object[rNode]) (*rlu.Object[rNode], *rNode) {
+	return t.seek(key, t.head, maxHeight, preds)
+}
+
+func (t *rluTower) seek(key string, x *rlu.Object[rNode], top int, preds *[maxHeight]*rlu.Object[rNode]) (*rlu.Object[rNode], *rNode) {
+	h := t.h
+	xd := h.Deref(x)
 	var at *rlu.Object[rNode]
-	for lvl := maxHeight - 1; lvl >= 0; lvl-- {
+	var ad *rNode
+	for lvl := top - 1; lvl >= 0; lvl-- {
 		for {
-			nxt := h.Deref(x).next[lvl]
-			if nxt == nil || h.Deref(nxt).key >= key {
-				at = nxt
+			at = xd.next[lvl]
+			if at == nil {
+				ad = nil
 				break
 			}
-			x = nxt
+			if ad = h.Deref(at); ad.key >= key {
+				break
+			}
+			x, xd = at, ad
 		}
 		preds[lvl] = x
 	}
-	return at
+	return at, ad
 }
 
 func (t *rluTower) set(key, val string, hgt int) bool {
 	h := t.h
 	var preds [maxHeight]*rlu.Object[rNode]
-	cand := t.findPreds(key, &preds)
-	if cand != nil && h.Deref(cand).key == key {
+	cand, cd := t.findPreds(key, &preds)
+	if cand != nil && cd.key == key {
 		c, ok := h.TryLock(cand)
 		if !ok {
 			return false
@@ -116,11 +125,11 @@ func (t *rluTower) set(key, val string, hgt int) bool {
 func (t *rluTower) del(key string) (removed, ok bool) {
 	h := t.h
 	var preds [maxHeight]*rlu.Object[rNode]
-	cand := t.findPreds(key, &preds)
-	if cand == nil || h.Deref(cand).key != key {
+	cand, cd := t.findPreds(key, &preds)
+	if cand == nil || cd.key != key {
 		return false, true
 	}
-	hgt := h.Deref(cand).h
+	hgt := cd.h
 	cn, lok := h.TryLock(cand)
 	if !lok {
 		return false, false
@@ -161,12 +170,8 @@ func (t *rluTower) get(key string) (string, bool) {
 	t.h.ReadLock()
 	defer t.h.ReadUnlock()
 	var preds [maxHeight]*rlu.Object[rNode]
-	cand := t.findPreds(key, &preds)
-	if cand == nil {
-		return "", false
-	}
-	d := t.h.Deref(cand)
-	if d.key != key {
+	cand, d := t.findPreds(key, &preds)
+	if cand == nil || d.key != key {
 		return "", false
 	}
 	return d.val, true
@@ -175,7 +180,7 @@ func (t *rluTower) get(key string) (string, bool) {
 func (t *rluTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) bool {
 	h := t.h
 	var preds [maxHeight]*rlu.Object[rNode]
-	x := t.findPreds(lo, &preds)
+	x, _ := t.findPreds(lo, &preds)
 	for n := 0; x != nil; n++ {
 		if mutateRangeUnpin && n > 0 && n%4 == 0 {
 			h.ReadUnlock()
@@ -189,6 +194,36 @@ func (t *rluTower) walk(lo, hi string, bounded bool, fn func(key, value string) 
 			return false
 		}
 		x = d.next[0]
+	}
+	return true
+}
+
+func (t *rluTower) walkDesc(lo, hi string, fn func(key, value string) bool) bool {
+	if lo > hi {
+		return true
+	}
+	h := t.h
+	var preds [maxHeight]*rlu.Object[rNode]
+	if at, d := t.findPreds(hi, &preds); at != nil && d.key == hi && !fn(d.key, d.val) {
+		return false
+	}
+	for n := 0; preds[0] != t.head; n++ {
+		if mutateRangeUnpin && n > 0 && n%4 == 0 {
+			h.ReadUnlock()
+			h.ReadLock()
+		}
+		d := h.Deref(preds[0])
+		if d.key < lo {
+			break
+		}
+		if !fn(d.key, d.val) {
+			return false
+		}
+		from := t.head
+		if d.h < maxHeight {
+			from = preds[d.h]
+		}
+		t.seek(d.key, from, d.h, &preds)
 	}
 	return true
 }

@@ -26,6 +26,9 @@ type tower interface {
 	// in order inside the CALLER's critical section, reporting false when
 	// fn stopped it early.
 	walk(lo, hi string, bounded bool, fn func(key, value string) bool) bool
+	// walkDesc is walk in descending order over lo <= key <= hi, same
+	// critical-section contract.
+	walkDesc(lo, hi string, fn func(key, value string) bool) bool
 	readLock()
 	readUnlock()
 	// snapshotTS is the open critical section's entry timestamp.
@@ -221,14 +224,13 @@ func deliver(hook kvstore.CommitHook, txnHook kvstore.TxnHook, eff []kvstore.Com
 }
 
 // scan is every multi-key read: ONE snapshot critical section around
-// the tower's level-0 walk. Bounded scans are the OrderedSession ranges
-// and carry the KV-history bracketing (RangeBegin ticketed before the
-// walk's first load, same reasoning as DerefTicket: any write ticketed
-// before it was fully published before the walk began). Descending
-// collects the ascending walk and replays it reversed, so both
-// directions observe the identical snapshot and observations are
-// recorded in the order fn sees them, as the checker's ordering rule
-// expects.
+// one tower walk, ascending or descending, so either direction observes
+// one timestamp and stops as soon as fn does. Bounded scans are the
+// OrderedSession ranges and carry the KV-history bracketing (RangeBegin
+// ticketed before the walk's first load, same reasoning as DerefTicket:
+// any write ticketed before it was fully published before the walk
+// began), observations recorded in the order fn sees them, as the
+// checker's ordering rule expects.
 func (k *session) scan(lo, hi string, bounded, desc bool, fn func(key, value string) bool) {
 	k.tw.readLock()
 	defer k.tw.readUnlock()
@@ -241,26 +243,16 @@ func (k *session) scan(lo, hi string, bounded, desc bool, fn func(key, value str
 			return fn(key, val)
 		}
 	}
-	complete := true
-	if !desc {
-		complete = k.tw.walk(lo, hi, bounded, visit)
+	var complete bool
+	if desc {
+		complete = k.tw.walkDesc(lo, hi, visit)
 	} else {
-		var pairs []kv2
-		k.tw.walk(lo, hi, bounded, func(key, val string) bool {
-			pairs = append(pairs, kv2{key, val})
-			return true
-		})
-		for i := len(pairs) - 1; i >= 0 && complete; i-- {
-			complete = visit(pairs[i].k, pairs[i].v)
-		}
+		complete = k.tw.walk(lo, hi, bounded, visit)
 	}
 	if rec {
 		k.crec.KVRangeEnd(!complete)
 	}
 }
-
-// kv2 is one collected pair for the descend replay.
-type kv2 struct{ k, v string }
 
 // RangeAscend implements OrderedSession.
 func (k *session) RangeAscend(lo, hi string, fn func(key, value string) bool) {

@@ -185,65 +185,61 @@ func (v *VanillaIndex) rangeBounds(lo, hi string) (int, int) {
 	return i, j
 }
 
-// RangeAscend implements OrderedSession: the read lock held across the
-// walk is the snapshot. The mutateRangeUnpin tooth drops and retakes
-// the lock mid-walk (re-seeking by key), tearing that guarantee.
+// RangeAscend implements OrderedSession.
 func (k *vanIdxSession) RangeAscend(lo, hi string, fn func(key, value string) bool) {
-	k.v.mu.RLock()
-	defer k.v.mu.RUnlock()
+	k.scan(lo, hi, false, fn)
+}
+
+// RangeDescend implements OrderedSession.
+func (k *vanIdxSession) RangeDescend(lo, hi string, fn func(key, value string) bool) {
+	k.scan(lo, hi, true, fn)
+}
+
+// scan walks the window [lo, hi] from either end: the read lock held
+// across the walk is the snapshot. The mutateRangeUnpin tooth drops and
+// retakes the lock mid-walk (re-seeking by key), tearing that guarantee.
+func (k *vanIdxSession) scan(lo, hi string, desc bool, fn func(key, value string) bool) {
+	v := k.v
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	rec := k.crec != nil && check.Enabled()
 	if rec {
-		k.crec.KVRangeBegin(k.v.verClock.Load(), k.v.hist.KeyID(lo), k.v.hist.KeyID(hi), false)
+		k.crec.KVRangeBegin(v.verClock.Load(), v.hist.KeyID(lo), v.hist.KeyID(hi), desc)
 	}
 	complete := true
-	i, _ := k.v.rangeBounds(lo, hi)
-	for n := 0; i < len(k.v.keys) && k.v.keys[i] <= hi; n++ {
+	i, j := v.rangeBounds(lo, hi)
+	for n := 0; i < j; n++ {
 		if mutateRangeUnpin && n > 0 && n%4 == 0 {
 			// Planted bug: release the snapshot guard mid-walk and
 			// re-seek; writes landing in the gap become visible while the
 			// walk still reports its original snapshot timestamp.
-			key := k.v.keys[i]
-			k.v.mu.RUnlock()
-			k.v.mu.RLock()
-			i = sort.SearchStrings(k.v.keys, key)
-			if i >= len(k.v.keys) || k.v.keys[i] > hi {
+			from, to := v.keys[i], hi
+			if desc {
+				from, to = lo, v.keys[j-1]
+			}
+			v.mu.RUnlock()
+			v.mu.RLock()
+			i, j = v.rangeBounds(from, to)
+			if i == j {
 				break
 			}
 		}
-		key := k.v.keys[i]
-		if rec {
-			k.crec.KVRangeObs(k.v.hist.KeyID(key), check.ValueHash(k.v.vals[key]))
+		p := i
+		if desc {
+			p = j - 1
 		}
-		if !fn(key, k.v.vals[key]) {
+		key := v.keys[p]
+		if rec {
+			k.crec.KVRangeObs(v.hist.KeyID(key), check.ValueHash(v.vals[key]))
+		}
+		if !fn(key, v.vals[key]) {
 			complete = false
 			break
 		}
-		i++
-	}
-	if rec {
-		k.crec.KVRangeEnd(!complete)
-	}
-}
-
-// RangeDescend implements OrderedSession, walking the window backwards
-// under the same read-lock snapshot.
-func (k *vanIdxSession) RangeDescend(lo, hi string, fn func(key, value string) bool) {
-	k.v.mu.RLock()
-	defer k.v.mu.RUnlock()
-	rec := k.crec != nil && check.Enabled()
-	if rec {
-		k.crec.KVRangeBegin(k.v.verClock.Load(), k.v.hist.KeyID(lo), k.v.hist.KeyID(hi), true)
-	}
-	complete := true
-	i, j := k.v.rangeBounds(lo, hi)
-	for j--; j >= i; j-- {
-		key := k.v.keys[j]
-		if rec {
-			k.crec.KVRangeObs(k.v.hist.KeyID(key), check.ValueHash(k.v.vals[key]))
-		}
-		if !fn(key, k.v.vals[key]) {
-			complete = false
-			break
+		if desc {
+			j--
+		} else {
+			i++
 		}
 	}
 	if rec {

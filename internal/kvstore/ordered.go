@@ -36,9 +36,11 @@ type OrderedSession interface {
 	// key order, inside ONE snapshot critical section, stopping early
 	// when fn returns false.
 	RangeAscend(lo, hi string, fn func(key, value string) bool)
-	// RangeDescend is RangeAscend in descending order (same single
-	// snapshot; the engine builds collect ascending and replay
-	// reversed, so both directions observe the identical timestamp).
+	// RangeDescend is RangeAscend in descending order: the same single
+	// snapshot critical section, stopping as early. The index builds
+	// walk either direction without collecting the window first, so a
+	// walk that stops after n pairs costs O(n) steps past its seek (the
+	// Sharded composite below still merges whole per-shard windows).
 	RangeDescend(lo, hi string, fn func(key, value string) bool)
 	// ApplyTxn applies ops atomically: one Execute body, every touched
 	// key locked via TryLock, one commit timestamp across all ops, and
@@ -90,9 +92,10 @@ func (s *Sharded) SetTxnCommitHook(h TxnHook) {
 // orderedShardedSession upgrades the Sharded composite session when
 // every shard's session is ordered. Ranges collect per shard and merge
 // globally (sort, then cut by the caller's fn) — the same
-// collect-unbounded / order-globally discipline the server's SCAN and
-// RANGE paths use, so a LIMIT cut by fn selects identical keys at any
-// shard count.
+// collect-unbounded / order-globally discipline the server's SCAN path
+// uses, so a LIMIT cut by fn selects identical keys at any shard count.
+// (The server's RANGE knows its LIMIT and cuts each shard's walk there;
+// a callback cannot tell a walk in advance where it will stop.)
 type orderedShardedSession struct {
 	shardedSession
 	osubs []OrderedSession // parallel to the embedded subs

@@ -198,7 +198,7 @@ var commands = []command{
 			// needed at every shard count; it is also what makes the
 			// reply independent of how the keyspace is partitioned.
 			out := concatShards(sl.scan)
-			sortByKey(out)
+			sortByKey(out, false)
 			return renderPairs(c.bw, out, sl.limit)
 		}},
 
@@ -221,17 +221,15 @@ var commands = []command{
 		exec: func(op *shardOp, ps *pooledSession) {
 			// lo rides in key, hi in val. ps.ordered is non-nil: plan only
 			// queues range ops when the server probed the build as ordered.
-			op.sl.scan[op.shard] = collectRange(ps.ordered, op.key, op.val)
+			op.sl.scan[op.shard] = collectRange(ps.ordered, op.key, op.val, op.sl.limit, op.sl.rev)
 		},
 		render: func(c *conn, sl *slot) bool {
-			// Each shard's walk is ascending, but shards partition by hash,
-			// so only a merged sort restores key order across several.
+			// Each shard's walk is already in reply order and at most limit
+			// long, but shards partition by hash, so only a merged sort
+			// restores key order across several before the cut.
 			out := concatShards(sl.scan)
 			if len(sl.scan) > 1 {
-				sortByKey(out)
-			}
-			if sl.rev {
-				slices.Reverse(out)
+				sortByKey(out, sl.rev)
 			}
 			return renderPairs(c.bw, out, sl.limit)
 		}},
@@ -399,12 +397,14 @@ func parseScanLimit(tail [][]byte) (limit int, errmsg string) {
 // and written after it, so the pin lasts the walk, not the client's
 // drain of the reply.
 //
-// The walk is unbounded whatever the command's LIMIT: capping during the
-// walk would keep whichever keys the walk order (or the partitioning)
-// happened to visit first, making a truncating LIMIT non-deterministic
-// across shard counts. Collecting everything and cutting after the global
-// sort makes LIMIT n mean "the n smallest matching keys" identically on
-// every build and shard count.
+// The walk is unbounded whatever the command's LIMIT: the hash builds
+// walk in bucket order, so capping during the walk would keep whichever
+// keys the buckets happened to hold first, making a truncating LIMIT
+// non-deterministic across builds and shard counts. Collecting
+// everything and cutting after the global sort makes LIMIT n mean "the
+// n smallest matching keys" identically everywhere. (RANGE runs only on
+// the ordered builds, whose walks are in key order, so it cuts per shard
+// instead; see collectRange.)
 func collectScan(sess kvstore.Session, prefix string) []scanKV {
 	var out []scanKV
 	sess.ForEachPrefix(prefix, func(k, v string) bool {
@@ -414,8 +414,12 @@ func collectScan(sess kvstore.Session, prefix string) []scanKV {
 	return out
 }
 
-func sortByKey(out []scanKV) {
+// sortByKey orders pairs by key, descending when desc.
+func sortByKey(out []scanKV, desc bool) {
 	slices.SortFunc(out, func(a, b scanKV) int { return strings.Compare(a.k, b.k) })
+	if desc {
+		slices.Reverse(out)
+	}
 }
 
 // concatShards joins the per-shard walks in shard order.

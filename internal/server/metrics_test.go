@@ -31,7 +31,8 @@ func TestMetricsCommand(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE server_commands_total counter\n",
 		"# TYPE server_batch_ns histogram\n",
-		"# TYPE mvrlu_deref_ns histogram\n",
+		"# TYPE mvrlu_cs_ns histogram\n",
+		"# TYPE mvrlu_cs_chain_max histogram\n",
 		"# TYPE mvrlu_watermark gauge\n",
 		"mvrlu_stall_events_total 0\n",
 	} {

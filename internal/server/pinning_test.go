@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,23 +15,16 @@ import (
 )
 
 // TestServerSlowReaderPinning is the server-level version of the paper's
-// central tension: one slow snapshot reader (a whole-keyspace SCAN) pins
-// the watermark while writers churn, so version chains grow; the stall
-// detector must name the session running the scan; and once the scan's
-// snapshot is released, writer-driven GC writes versions back and the
-// chains shrink again.
+// central tension: one slow snapshot reader pins the watermark while
+// writers churn, so version chains grow; the stall detector must name
+// the pinned session; and once the snapshot is released, writer-driven
+// GC writes versions back and the chains shrink again. The pin is
+// deterministic, as in TestShardedScanBlastRadius: a pooled session sits
+// inside a ForEachPrefix callback — inside the walk's snapshot critical
+// section, where a SCAN in flight would be — until the test releases it,
+// so nothing depends on how long a real SCAN happens to take. Every wait
+// is a poll with a deadline.
 func TestServerSlowReaderPinning(t *testing.T) {
-	// The SCAN's critical section is CPU-bound, so on a single-P
-	// schedule the detector goroutine only runs when the scan is
-	// preempted (~10ms slices) and its ticks cluster outside the pin.
-	// Widen GOMAXPROCS so the detector timeshares at OS granularity and
-	// reliably ticks while the pin is held.
-	old := runtime.GOMAXPROCS(0)
-	if old < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(old)
-	}
-
 	opts := core.DefaultOptions()
 	opts.LogSlots = 512
 	opts.DynamicLog = true // writers must not livelock behind the pin
@@ -42,28 +34,31 @@ func TestServerSlowReaderPinning(t *testing.T) {
 	opts.OnStall = func(core.StallInfo) { stallEpisodes.Add(1) }
 	store := kvstore.NewMVRLUStore(8, 64, opts)
 	defer store.Close()
-
-	// Populate enough data that the SCAN's snapshot section lasts tens
-	// of milliseconds: long enough for the detector to tick inside the
-	// pin and for the test to stop the writers and measure chain depth
-	// before the pin is released. Fat values make the walk's collection
-	// phase do real memory work.
-	const seedKeys = 32000
-	seedVal := strings.Repeat("s", 512)
 	sess := store.Session()
-	for i := 0; i < seedKeys; i++ {
-		sess.Set(fmt.Sprintf("p:%06d", i), seedVal)
+	for i := 0; i < 64; i++ {
+		sess.Set(fmt.Sprintf("p:%03d", i), "seed")
 	}
 	sess.Close()
 
 	srv, _ := startServer(t, store, Config{Handles: 2})
 	defer srv.Shutdown()
+	deadline := time.Now().Add(10 * time.Second)
+	poll := func(what string, done func() bool) {
+		t.Helper()
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s (stall episodes=%d)", what, stallEpisodes.Load())
+			}
+			time.Sleep(200 * time.Microsecond) // poll pacing only
+		}
+	}
 
-	// Writer connections churn a small hot set so pinned-down version
-	// chains form quickly. Returns a stop function that waits for the
-	// writer to finish its in-flight batch, so after it returns the
-	// engine has no writers.
+	// A writer connection churns a small hot set so pinned-down version
+	// chains form: each acknowledged batch (counted in batches) gives
+	// every hot key one more version. The returned stop waits for the
+	// in-flight batch, so after it returns the engine has no writers.
 	const hotKeys = 64
+	var batches atomic.Int64
 	startWriter := func() (stopWriter func()) {
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -78,123 +73,93 @@ func TestServerSlowReaderPinning(t *testing.T) {
 			defer nc.Close()
 			br := bufio.NewReaderSize(nc, 64<<10)
 			w := bufio.NewWriterSize(nc, 64<<10)
-			seq := 0
-			for {
+			for seq := 0; ; {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				const depth = 64
-				for d := 0; d < depth; d++ {
-					k := fmt.Sprintf("hot:%03d", seq%hotKeys)
+				for k := 0; k < hotKeys; k++ {
+					WriteCommandStrings(w, "SET", fmt.Sprintf("hot:%03d", k), fmt.Sprintf("v%d", seq))
 					seq++
-					WriteCommandStrings(w, "SET", k, fmt.Sprintf("v%d", seq))
 				}
 				if w.Flush() != nil {
 					return
 				}
-				for d := 0; d < depth; d++ {
+				for k := 0; k < hotKeys; k++ {
 					if _, err := ReadReply(br); err != nil {
 						return
 					}
 				}
+				batches.Add(1)
 			}
 		}()
 		var once sync.Once
 		return func() { once.Do(func() { close(stop) }); wg.Wait() }
 	}
 
-	// attempt runs one full-keyspace SCAN under writer churn. A poller
-	// watches for the stall detector to blame the handle whose last
-	// command is SCAN; the moment it does, the writers are stopped and
-	// chain depth is measured while the scan still holds its snapshot
-	// pin (once released, the watermark advances and versions below it
-	// stop counting).
-	attempt := func() (named bool, maxDuring int) {
-		stopWriter := startWriter()
-		defer stopWriter()
+	// Pin: the session leaves the pool, as it would for a batch, labelled
+	// with the command it stands in for, and goes to the walking
+	// goroutine by the go statement; it comes back over walked.
+	ps := srv.pools[0].get()
+	ps.lastCmd.Store(&commandTable["SCAN"].name)
+	entered, release, walked := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(walked)
+		ps.sess.ForEachPrefix("", func(string, string) bool {
+			close(entered)
+			<-release
+			return false
+		})
+	}()
+	var once sync.Once
+	unpin := func() {
+		once.Do(func() {
+			close(release)
+			<-walked
+			srv.pools[0].put(ps)
+		})
+	}
+	defer unpin()
+	<-entered
 
-		nc, err := net.Dial("tcp", srv.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		br := bufio.NewReaderSize(nc, 1<<20)
-		bw := bufio.NewWriter(nc)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			WriteCommandStrings(bw, "SCAN", "")
-			if err := bw.Flush(); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := ReadReply(br); err != nil {
-				t.Error(err)
-			}
-		}()
-		for {
-			select {
-			case <-done:
-				return false, 0
-			default:
-			}
-			si, ok := store.Stalled()
-			if !ok {
-				time.Sleep(100 * time.Microsecond)
-				continue
-			}
-			for _, ps := range srv.pools[0].all {
-				if ps.threadID == si.ThreadID && ps.inUse.Load() &&
-					*ps.lastCmd.Load() == "SCAN" {
-					// The engine's stall diagnosis and the server's
-					// handle bookkeeping agree on who is pinning.
-					// INFO must say the same, remotely visible.
-					info := srv.infoText(false)
-					if !strings.Contains(info, "stalled:1") ||
-						!strings.Contains(info, fmt.Sprintf("stall_thread_id:%d", si.ThreadID)) {
-						t.Errorf("INFO does not surface the stall:\n%s", info)
-					}
-					stopWriter()
-					_, _, maxDuring = store.ChainMetrics()
-					<-done
-					return true, maxDuring
-				}
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
+	stopWriter := startWriter()
+	defer stopWriter()
+	poll("stall detector never named the pinned session", func() bool {
+		si, stalled := store.Stalled()
+		return stalled && si.ThreadID == ps.threadID && batches.Load() >= 4
+	})
+	// The engine's stall diagnosis and the server's handle bookkeeping
+	// agree on who is pinning; INFO must say the same, remotely visible.
+	info := srv.infoText(false)
+	if !strings.Contains(info, "stalled:1") ||
+		!strings.Contains(info, fmt.Sprintf("stall_thread_id:%d", ps.threadID)) ||
+		!strings.Contains(info, fmt.Sprintf("thread_id=%d,in_use=1,", ps.threadID)) {
+		t.Errorf("INFO does not surface the stall:\n%s", info)
 	}
-
-	named, maxDuring := false, 0
-	for i := 0; i < 5 && !(named && maxDuring >= 2); i++ {
-		named, maxDuring = attempt()
-		t.Logf("attempt %d: stall named scanner=%v, maxChain during pin=%d (episodes=%d)",
-			i, named, maxDuring, stallEpisodes.Load())
-	}
-	if !named {
-		t.Fatalf("stall detector never named the SCAN session (episodes=%d)",
-			stallEpisodes.Load())
-	}
+	stopWriter()
+	_, _, maxDuring := store.ChainMetrics()
 	if maxDuring < 2 {
-		t.Fatalf("pinned scan built no chains (maxChain=%d); writer churn ineffective", maxDuring)
+		t.Fatalf("pinned scan built no chains (maxChain=%d) over %d writer batches", maxDuring, batches.Load())
 	}
 
 	// Release phase: the pin is gone, so fresh churn on the same keys
 	// advances the watermark past the piled-up versions and
 	// capacity-triggered GC writes them back. Chain depth must fall.
+	unpin()
 	maxAfter := maxDuring
-	for round := 0; round < 10 && maxAfter >= maxDuring; round++ {
+	poll(fmt.Sprintf("version chains did not shrink after the pin ended (maxChain %d)", maxDuring), func() bool {
 		stopWriter := startWriter()
-		time.Sleep(30 * time.Millisecond)
+		from := batches.Load()
+		for batches.Load() < from+4 && time.Now().Before(deadline) {
+			time.Sleep(200 * time.Microsecond)
+		}
 		stopWriter()
 		_, _, maxAfter = store.ChainMetrics()
-	}
-	t.Logf("released: maxChain %d -> %d", maxDuring, maxAfter)
-	if maxAfter >= maxDuring {
-		t.Fatalf("version chains did not shrink after the scan ended: %d -> %d",
-			maxDuring, maxAfter)
-	}
+		return maxAfter < maxDuring
+	})
+	t.Logf("maxChain %d while pinned, %d after release (stall episodes=%d)",
+		maxDuring, maxAfter, stallEpisodes.Load())
 }
 
 // TestShardedScanBlastRadius is the sharding payoff test: a long snapshot

@@ -194,15 +194,32 @@ func parseRangeOpts(tail [][]byte) (limit int, rev bool, errmsg string) {
 	return limit, rev, ""
 }
 
-// collectRange walks [lo, hi] ascending inside one snapshot critical
-// section, unbounded — like collectScan, the REV and LIMIT cuts happen at
-// render after the cross-shard merge, so LIMIT n REV means "the n largest
-// keys, descending" on every build and shard count.
-func collectRange(sess kvstore.OrderedSession, lo, hi string) []scanKV {
+// collectRange walks [lo, hi] inside one snapshot critical section, in
+// the reply's direction, and stops after limit pairs (-1 = no limit).
+// Cutting per shard is exact: the n smallest keys overall are among the
+// union of every shard's n smallest (and likewise the largest), so the
+// render's merge and cut over at most shards×limit pairs returns what a
+// merge of the unbounded walks would — LIMIT n REV is "the n largest
+// keys, descending" on every build and shard count. A RANGE therefore
+// costs the pairs it returns, not the keys its window spans.
+func collectRange(sess kvstore.OrderedSession, lo, hi string, limit int, rev bool) []scanKV {
+	if limit == 0 {
+		return nil
+	}
 	var out []scanKV
-	sess.RangeAscend(lo, hi, func(k, v string) bool {
+	if limit > 0 {
+		// Sized once for the common small LIMIT; capped because the
+		// window may hold far fewer pairs than a large one.
+		out = make([]scanKV, 0, min(limit, 64))
+	}
+	keep := func(k, v string) bool {
 		out = append(out, scanKV{k, v})
-		return true
-	})
+		return len(out) != limit
+	}
+	if rev {
+		sess.RangeDescend(lo, hi, keep)
+	} else {
+		sess.RangeAscend(lo, hi, keep)
+	}
 	return out
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mvrlu/internal/kvstore"
@@ -63,6 +64,96 @@ func TestRangeCommand(t *testing.T) {
 				t.Fatalf("RANGE bogus option: %v", r)
 			}
 		})
+	}
+}
+
+// TestRangeLimitBoundsShardWalks pins what a RANGE costs: a LIMIT 16
+// over a 10k-key window hands each shard's walk at most 16 pairs, in
+// both directions and at every shard count, instead of the whole window.
+// The reply itself must still be the 16 smallest (or, REV, largest) keys.
+func TestRangeLimitBoundsShardWalks(t *testing.T) {
+	const keys, limit = 10000, 16
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var widest atomic.Int64
+			parts := make([]kvstore.Store, shards)
+			for i := range parts {
+				st, err := kvstore.New("mvrlu-idx", 0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts[i] = countingIndex{st, &widest}
+			}
+			store := parts[0]
+			if shards > 1 {
+				store = kvstore.NewShardedStore(parts)
+			}
+			defer store.Close()
+			sess := store.Session()
+			for i := 0; i < keys; i++ {
+				sess.Set(fmt.Sprintf("r%05d", i), fmt.Sprintf("v%d", i))
+			}
+			sess.Close()
+			srv, _ := startServer(t, store, Config{Handles: 2})
+			defer srv.Shutdown()
+			c := dialT(t, srv)
+
+			for _, rev := range []bool{false, true} {
+				args := []string{"RANGE", "r00000", "r99999", "LIMIT", fmt.Sprint(limit)}
+				if rev {
+					args = append(args, "REV")
+				}
+				var want []string
+				for i := 0; i < limit; i++ {
+					n := i
+					if rev {
+						n = keys - 1 - i
+					}
+					want = append(want, fmt.Sprintf("r%05d", n), fmt.Sprintf("v%d", n))
+				}
+				what := strings.Join(args, " ")
+				widest.Store(0)
+				checkFlat(t, what, c.cmd(args...), want)
+				if n := widest.Load(); n > limit {
+					t.Fatalf("%s: a shard walk visited %d pairs", what, n)
+				}
+			}
+		})
+	}
+}
+
+// countingIndex wraps an ordered store so a test sees how far its range
+// walks go: widest is the most pairs any one walk has handed its
+// callback.
+type countingIndex struct {
+	kvstore.Store
+	widest *atomic.Int64
+}
+
+func (s countingIndex) Session() kvstore.Session {
+	return countingSession{s.Store.Session().(kvstore.OrderedSession), s.widest}
+}
+
+type countingSession struct {
+	kvstore.OrderedSession
+	widest *atomic.Int64
+}
+
+func (k countingSession) RangeAscend(lo, hi string, fn func(key, value string) bool) {
+	k.count(k.OrderedSession.RangeAscend, lo, hi, fn)
+}
+
+func (k countingSession) RangeDescend(lo, hi string, fn func(key, value string) bool) {
+	k.count(k.OrderedSession.RangeDescend, lo, hi, fn)
+}
+
+func (k countingSession) count(walk func(lo, hi string, fn func(key, value string) bool), lo, hi string, fn func(key, value string) bool) {
+	var n int64
+	walk(lo, hi, func(key, value string) bool {
+		n++
+		return fn(key, value)
+	})
+	for w := k.widest.Load(); n > w && !k.widest.CompareAndSwap(w, n); w = k.widest.Load() {
 	}
 }
 

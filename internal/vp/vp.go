@@ -16,6 +16,7 @@
 package vp
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -23,6 +24,14 @@ import (
 // status values of a transaction descriptor.
 const (
 	txActive uint32 = iota
+	// txCommitting is published BEFORE the commit epoch is drawn. A
+	// reader that meets it waits for the outcome (see settled); one that
+	// meets txActive knows the epoch, drawn later, exceeds its snapshot.
+	// Without it a reader whose snapshot covers the epoch could skip one
+	// object of the write set while still active and see another once
+	// committed — a torn snapshot, and a lost update when the reader then
+	// writes what it read.
+	txCommitting
 	txCommitted
 	txAborted
 )
@@ -31,6 +40,19 @@ const (
 type txDesc struct {
 	status atomic.Uint32
 	epoch  atomic.Uint64 // valid once committed
+}
+
+// settled returns the descriptor's status once it is no longer
+// committing. The wait is bounded by the committer's window between its
+// two stores — one counter increment — plus any descheduling, which is
+// why it yields.
+func (tx *txDesc) settled() uint32 {
+	st := tx.status.Load()
+	for st == txCommitting {
+		runtime.Gosched()
+		st = tx.status.Load()
+	}
+	return st
 }
 
 // VNode is one version of an object.
@@ -132,7 +154,7 @@ func (s *Session[T]) visible(v *VNode[T]) bool {
 	if v.tx == s.tx && s.tx != nil {
 		return true // own pending write
 	}
-	if v.tx.status.Load() != txCommitted {
+	if v.tx.settled() != txCommitted {
 		return false
 	}
 	return v.tx.epoch.Load() <= s.snap.Load()
@@ -184,7 +206,7 @@ func (s *Session[T]) Write(o *Obj[T], val T) bool {
 		}
 		if v != nil && v.tx != s.tx {
 			switch v.tx.status.Load() {
-			case txActive:
+			case txActive, txCommitting:
 				return false // conflicting active writer
 			case txCommitted:
 				// Write-latest rule: a committed version newer than our
@@ -232,6 +254,7 @@ func (s *Session[T]) ReadWrite(o *Obj[T]) (*T, bool) {
 // via the shared descriptor.
 func (s *Session[T]) Commit() {
 	if s.tx != nil {
+		s.tx.status.Store(txCommitting)
 		e := s.d.epoch.Add(1)
 		s.tx.epoch.Store(e)
 		s.tx.status.Store(txCommitted)

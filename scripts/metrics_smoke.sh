@@ -49,7 +49,7 @@ while kill -0 "$load" 2>/dev/null; do
         || fail "/metrics scrape error (iteration $scrapes)"
     grep -q '^# TYPE server_commands_total counter$' "$TMP/scrape" \
         || fail "/metrics missing server_commands_total TYPE line"
-    grep -q '^# TYPE mvrlu_deref_ns histogram$' "$TMP/scrape" \
+    grep -q '^# TYPE mvrlu_cs_ns histogram$' "$TMP/scrape" \
         || fail "/metrics missing engine histogram series"
     cur=$(awk '$1=="server_commands_total"{print $2}' "$TMP/scrape")
     [ -n "$cur" ] || fail "server_commands_total sample missing"
