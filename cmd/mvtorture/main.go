@@ -32,6 +32,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/trace"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,6 +94,25 @@ func guard(injected, deliberate *atomic.Int64, op func()) {
 		}
 	}()
 	op()
+}
+
+// The invariant kinds a run checks. Each is counted on its own so the
+// run's verdict names what failed.
+const (
+	failAudit        = iota // an audit section's total was off
+	failPinned              // the pinned reader's total was off
+	failReread              // one section read one account twice, differently
+	failIdentity            // a slot holds another account after the run
+	failConservation        // the final total was off
+	failChain               // CheckObject rejected a chain
+	failStall               // -stallpin ran but the stall detector never fired
+	failChecker             // the history checker's violations (-check)
+	numFails
+)
+
+var failNames = [numFails]string{
+	"audit", "pinned-snapshot", "reread", "identity",
+	"conservation", "chain", "stall-detector", "checker",
 }
 
 func main() {
@@ -168,15 +188,15 @@ func main() {
 	}
 
 	var (
-		stop       atomic.Bool
-		violations atomic.Int64
-		audits     atomic.Int64
-		transfers  atomic.Int64
-		frees      atomic.Int64
-		reads      atomic.Int64
-		injected   atomic.Int64
-		panicked   atomic.Int64
-		wg         sync.WaitGroup
+		stop      atomic.Bool
+		fails     [numFails]atomic.Int64
+		audits    atomic.Int64
+		transfers atomic.Int64
+		frees     atomic.Int64
+		reads     atomic.Int64
+		injected  atomic.Int64
+		panicked  atomic.Int64
+		wg        sync.WaitGroup
 	)
 	progress := func() int64 {
 		return audits.Load() + transfers.Load() + frees.Load() +
@@ -234,7 +254,7 @@ func main() {
 						sum += h.Deref(h.Deref(holder).Acct).Balance
 					}
 					if sum != total {
-						violations.Add(1)
+						fails[failPinned].Add(1)
 						fmt.Fprintf(os.Stderr, "pinned snapshot broken: total %d, want %d\n", sum, total)
 					}
 					time.Sleep(*stallpin)
@@ -266,7 +286,7 @@ func main() {
 							}
 							h.ReadUnlock()
 							if sum != total {
-								violations.Add(1)
+								fails[failAudit].Add(1)
 							}
 							audits.Add(1)
 						})
@@ -326,7 +346,7 @@ func main() {
 							first := h.Deref(acct).Balance
 							for k := 0; k < 64; k++ {
 								if h.Deref(acct).Balance != first {
-									violations.Add(1)
+									fails[failReread].Add(1)
 								}
 							}
 							h.ReadUnlock()
@@ -358,18 +378,18 @@ func main() {
 			r := h.Deref(acct)
 			sum += r.Balance
 			if r.ID != i {
-				violations.Add(1)
+				fails[failIdentity].Add(1)
 				fmt.Fprintf(os.Stderr, "shard %d: identity corrupted: slot %d holds ID %d\n", s, i, r.ID)
 			}
 		}
 		h.ReadUnlock()
 		if sum != total {
-			violations.Add(1)
+			fails[failConservation].Add(1)
 			fmt.Fprintf(os.Stderr, "shard %d: conservation broken: total %d, want %d\n", s, sum, total)
 		}
 		for _, holder := range registry {
 			if err := dom.CheckObject(holder); err != nil {
-				violations.Add(1)
+				fails[failChain].Add(1)
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}
@@ -385,7 +405,7 @@ func main() {
 		st = st.Add(sts[s])
 	}
 	if *stallpin > 0 && sts[0].StallEvents == 0 {
-		violations.Add(1)
+		fails[failStall].Add(1)
 		fmt.Fprintf(os.Stderr, "stall detector never fired despite -stallpin %v\n", *stallpin)
 	}
 	fmt.Printf("mvtorture config=%s shards=%d threads=%d objects=%d elapsed=%v\n",
@@ -425,19 +445,30 @@ func main() {
 		check.SetEnabled(false)
 		for s, sh := range shs {
 			rep := check.Check(sh.hist, check.Opts{Boundary: sh.dom.Boundary()})
-			if *shards > 1 {
-				fmt.Printf("  shard %d: %s\n", s, rep)
-			} else {
-				fmt.Printf("  %s\n", rep)
-			}
+			// The checker's finding alone, never "OK": the verdict below
+			// also weighs the run's own invariants.
+			finding := "checker: no violations"
 			if !rep.Ok() {
-				violations.Add(int64(rep.Total))
+				finding = rep.String()
+				fails[failChecker].Add(int64(rep.Total))
+			}
+			if *shards > 1 {
+				fmt.Printf("  shard %d: %s\n", s, finding)
+			} else {
+				fmt.Printf("  %s\n", finding)
 			}
 		}
 	}
 	stopTorTrace()
-	if v := violations.Load(); v != 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d invariant violations\n", v)
+	// The last line is the run's one verdict.
+	var failed []string
+	for k := range fails {
+		if n := fails[k].Load(); n != 0 {
+			failed = append(failed, fmt.Sprintf("%s=%d", failNames[k], n))
+		}
+	}
+	if len(failed) != 0 {
+		fmt.Printf("  FAIL: invariant violations: %s\n", strings.Join(failed, " "))
 		os.Exit(1)
 	}
 	fmt.Println("  PASS: all invariants held")

@@ -29,6 +29,74 @@ import (
 // ever returns it.
 const Infinity = ^uint64(0)
 
+// The CommitWord sentinels. All three lie above every timestamp, so a
+// reader's plain `word <= snapshot` test reads each as "not in my
+// snapshot"; a word value below Aborted is a commit timestamp.
+const (
+	Pending    = Infinity     // the write set is still being built
+	Committing = Infinity - 1 // sealed: every version is reachable
+	Aborted    = Infinity - 2 // will never commit (vp keeps such versions)
+)
+
+// CommitWord is a write set's commit word: one atomic word whose store of
+// the commit timestamp makes every version of the set visible at once
+// (§3.2, §3.5). Every versioned engine commits through it.
+//
+// The committer makes every version of the set reachable, calls Seal
+// (Pending → Committing), draws a timestamp and calls Stamp, and uses the
+// timestamp Stamp returns. A reader that loads Committing does not wait:
+// it draws a timestamp from the same clock and calls Stamp itself.
+// Whichever Stamp lands first is the commit time. It is valid whoever
+// drew it, because every version was already in place.
+//
+// Precondition on the clock: every draw is strictly above any clock
+// reading taken before it. In particular, it is above any reading a
+// reader took before the word left Pending.
+//
+// Why no reader sees part of a write set: let final be the timestamp the
+// word ends with. A stored timestamp is final, because Stamp only
+// replaces Committing. A reader that loads Committing resolves it to
+// final with Stamp before it compares. A reader that loads Pending took
+// its snapshot s before the word left Pending, and every draw follows
+// Seal, so final > s by the precondition. So every reader decides every
+// version of the set by the same test, final <= s. A descheduled
+// committer costs a reader at most one clock draw (the reader-stamps rule
+// of Ben-David et al., "Multiversion Concurrency with Bounded Delay").
+//
+// The zero value reads as timestamp 0; call Reset before first use.
+type CommitWord struct{ v atomic.Uint64 }
+
+// Reset readies the word for a new write set. Only the owner may call it,
+// and only once no reader can still reach the word.
+func (w *CommitWord) Reset() { w.v.Store(Pending) }
+
+// Load returns the commit timestamp or a sentinel.
+func (w *CommitWord) Load() uint64 { return w.v.Load() }
+
+// Seal moves the word from Pending to Committing. Call it once every
+// version of the write set is reachable. It never overwrites a stamp.
+func (w *CommitWord) Seal() {
+	if !mutateLatePublish {
+		w.v.CompareAndSwap(Pending, Committing)
+	}
+}
+
+// Stamp installs ts, which must be drawn after the word was seen
+// Committing, unless another stamp won. It returns the winning stamp.
+func (w *CommitWord) Stamp(ts uint64) uint64 {
+	from := Committing
+	if mutateLatePublish {
+		from = Pending
+	}
+	if w.v.CompareAndSwap(from, ts) {
+		return ts
+	}
+	return w.v.Load()
+}
+
+// Abort marks a word that was never sealed as aborted.
+func (w *CommitWord) Abort() { w.v.Store(Aborted) }
+
 // SkewForTesting is a representative ORDO window (in nanoseconds) for
 // tests that inject artificial clock skew. The ORDO paper measured
 // boundaries in the 100ns–2µs range across large NUMA machines.

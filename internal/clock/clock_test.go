@@ -59,6 +59,69 @@ func TestGlobalStrictlyIncreasing(t *testing.T) {
 	}
 }
 
+func TestCommitWordStampsOnce(t *testing.T) {
+	var w CommitWord
+	w.Reset()
+	if got := w.Load(); got != Pending {
+		t.Fatalf("reset word reads %d, want Pending", got)
+	}
+	w.Seal()
+	if got := w.Load(); got != Committing {
+		t.Fatalf("sealed word reads %d, want Committing", got)
+	}
+	if got := w.Stamp(7); got != 7 {
+		t.Fatalf("first stamp returned %d, want 7", got)
+	}
+	if got := w.Stamp(9); got != 7 {
+		t.Fatalf("second stamp returned %d, want the winner 7", got)
+	}
+	w.Seal()
+	if got := w.Load(); got != 7 {
+		t.Fatalf("Seal overwrote the stamp: %d", got)
+	}
+	w.Reset()
+	w.Abort()
+	if got := w.Load(); got != Aborted {
+		t.Fatalf("aborted word reads %d", got)
+	}
+}
+
+// TestLatePublishTearsSnapshot lets a reader enter between a committer's
+// draw and its stamp. The reader meets the sealed word, stamps a draw of
+// its own above its snapshot, and skips the write set; the committer
+// adopts that stamp, so the reader's second look at the same set agrees
+// with its first. Built with -tags mvrlu_mutate the word still reads
+// Pending in that gap, the committer's earlier draw lands inside the
+// reader's snapshot, and the second look sees the set the first skipped.
+func TestLatePublishTearsSnapshot(t *testing.T) {
+	var g Global
+	var w CommitWord
+	w.Reset()
+	visible := func(snap uint64) bool {
+		v := w.Load()
+		if v == Committing {
+			v = w.Stamp(g.Now())
+		}
+		return v <= snap
+	}
+	var snap uint64
+	var first bool
+	draw := func() uint64 {
+		ts := g.Now()
+		snap = g.Peek() // a reader enters after the draw
+		first = visible(snap)
+		return ts
+	}
+	w.Seal() // every version of the write set is reachable
+	cts := w.Stamp(draw())
+	if first {
+		t.Fatalf("a reader at %d saw a commit that had not stamped yet", snap)
+	}
+	if visible(snap) {
+		t.Fatalf("torn read: the reader at %d skipped the write set, then saw it at %d", snap, cts)
+	}
+}
+
 func TestGlobalUniqueUnderConcurrency(t *testing.T) {
 	g := &Global{}
 	const goroutines, draws = 8, 2000

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"mvrlu/internal/clock"
 )
 
 type payload struct {
@@ -270,7 +272,7 @@ func TestAtomicMultiPointerUpdate(t *testing.T) {
 }
 
 // TestReaderStampsCommittingHeader stops a commit between its two halves:
-// both versions in their chains, the header committing, no timestamp
+// both versions in their chains, the header sealed, no timestamp
 // drawn. A reader that enters there stamps the commit itself, later than
 // its own entry, so it sees neither write; the committer then adopts the
 // reader's stamp. Were the header ∞ until the committer's draw landed, a
@@ -292,15 +294,15 @@ func TestReaderStampsCommittingHeader(t *testing.T) {
 		for _, v := range w.wset {
 			v.obj.copy.Store(v)
 		}
-		w.ws.commitTS.Store(committing)
+		w.ws.Seal()
 
 		r := d.Register()
 		r.ReadLock()
 		if gx, gy := r.Deref(x).A, r.Deref(y).A; gx != 1 || gy != -1 {
 			t.Fatalf("mode %v: mid-commit reader saw x=%d y=%d, want 1 -1", mode, gx, gy)
 		}
-		stamped := w.ws.commitTS.Load()
-		if stamped == committing || stamped <= r.SnapshotTS() {
+		stamped := w.ws.Load()
+		if stamped == clock.Committing || stamped <= r.SnapshotTS() {
 			t.Fatalf("mode %v: header %d after a reader at %d met it, want a stamp above the reader", mode, stamped, r.SnapshotTS())
 		}
 		w.finishCommit()

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"mvrlu/internal/check"
+	"mvrlu/internal/clock"
 	"mvrlu/internal/failpoint"
 	"mvrlu/internal/obs"
 )
@@ -73,7 +74,7 @@ type Thread[T any] struct {
 
 	// wset is the current critical section's write set; ws its header.
 	wset    []*version[T]
-	ws      *wsHeader
+	ws      *clock.CommitWord
 	wsStart uint64 // head counter at write-set begin
 
 	// wsPool is the FIFO ring of retired write-set headers awaiting
@@ -83,7 +84,7 @@ type Thread[T any] struct {
 	wsPool     []retiredWS
 	wsPoolHead uint64
 	wsPoolTail uint64
-	wsRetired  *wsHeader
+	wsRetired  *clock.CommitWord
 
 	// Dereference-watermark accounting (owner-only).
 	derefMaster uint64
@@ -137,7 +138,7 @@ type pinState struct {
 
 // retiredWS is a pool entry: a write-set header retired at clock time ts.
 type retiredWS struct {
-	h  *wsHeader
+	h  *clock.CommitWord
 	ts uint64
 }
 
@@ -443,12 +444,12 @@ func (t *Thread[T]) derefWalk(o *Object[T]) (*T, *version[T]) {
 		// version — costs one atomic load with no call or write-set
 		// header chase; only a version caught mid-commit (duplicate
 		// timestamp not yet stored) consults its header, and stamps a
-		// commit that has not drawn its timestamp yet (see committing).
+		// sealed one itself (see clock.CommitWord).
 		cts := v.commitTS.Load()
 		if cts == infinity {
 			if h := v.ws; h != nil {
-				if cts = h.commitTS.Load(); cts == committing {
-					cts = h.stamp(t.d.drawCommitTS())
+				if cts = h.Load(); cts == clock.Committing {
+					cts = h.Stamp(t.d.drawCommitTS())
 				}
 			}
 		}
@@ -661,9 +662,8 @@ func (t *Thread[T]) commit() {
 		// the chain head has not moved since.
 		v.obj.copy.Store(v)
 	}
-	// Every version is in its chain: from here on, any timestamp drawn
-	// is a valid commit time, whoever draws it (see committing).
-	t.ws.commitTS.Store(committing)
+	// Every version is in its chain (see clock.CommitWord).
+	t.ws.Seal()
 	if failpoint.Enabled() {
 		t.injectCommitPublish()
 	}
@@ -673,7 +673,7 @@ func (t *Thread[T]) commit() {
 // injectCommitPublish fires the failpoint between publishing the write
 // set's copies and duplicating the commit timestamp into them. A panic
 // here must not tear the commit: the copies are already reachable from
-// their chains (a reader that meets one stamps the committing header) and
+// their chains (a reader that meets one stamps the sealed header) and
 // the masters are still locked, so abandoning the unwind mid-way would
 // wedge every object in the set. Instead the commit is finished on the
 // unwind — the write set was fully staged and can no longer fail — and
@@ -696,11 +696,11 @@ func (t *Thread[T]) injectCommitPublish() {
 
 // finishCommit is the back half of commit: draw and publish the commit
 // timestamp (the linearization point), duplicate it into the copies,
-// mark superseded predecessors, and unlock the masters. The header
-// already reads committing, and a reader that met it may have stamped it
-// first; its timestamp then stands (see committing).
+// mark superseded predecessors, and unlock the masters. The header is
+// sealed, so a reader may have stamped it first; its timestamp then
+// stands.
 func (t *Thread[T]) finishCommit() {
-	cts := t.ws.stamp(t.d.drawCommitTS())
+	cts := t.ws.Stamp(t.d.drawCommitTS())
 	t.lastCommitTS = cts
 	for _, v := range t.wset {
 		v.commitTS.Store(cts)
@@ -746,11 +746,9 @@ func (t *Thread[T]) finishCommit() {
 	t.endWriteSet(true)
 }
 
-// drawCommitTS draws a commit timestamp for a write set already published
-// into its chains. A reader that loaded a chain before the publish
-// entered before this draw; the +1 makes that strict, because a hardware
-// clock may return the same nanosecond to two cores, and such a reader,
-// having missed one object of the set, must not select another.
+// drawCommitTS draws a commit timestamp. The +1 meets the CommitWord
+// precondition: a hardware clock may return the same nanosecond to two
+// cores, and the draw must be strictly above a reader's entry.
 func (d *Domain[T]) drawCommitTS() uint64 {
 	return d.clk.Now() + d.boundary + 1
 }
@@ -800,10 +798,10 @@ func (t *Thread[T]) endWriteSet(published bool) {
 	t.wset = t.wset[:0]
 }
 
-// getWSHeader returns a write-set header with commitTS = infinity,
-// recycling a retired one when the watermark proves it unobservable.
-// This keeps the steady-state write path allocation-free.
-func (t *Thread[T]) getWSHeader() *wsHeader {
+// getWSHeader returns a write-set header reset to Pending, recycling a
+// retired one when the watermark proves it unobservable. This keeps the
+// steady-state write path allocation-free.
+func (t *Thread[T]) getWSHeader() *clock.CommitWord {
 	if t.wsPoolHead != t.wsPoolTail {
 		e := t.wsPool[t.wsPoolHead%wsPoolCap]
 		// Reuse rule: only once the watermark has passed the header's
@@ -811,7 +809,7 @@ func (t *Thread[T]) getWSHeader() *wsHeader {
 		// through resolveTS's fallback — it loaded some version's
 		// commitTS while it was still infinity, i.e. before commit
 		// duplicated the timestamp into that version, and is about to
-		// read ws.commitTS. Such a reader entered its critical section
+		// read the header. Such a reader entered its critical section
 		// before the duplicates were all stored, hence before the
 		// retire timestamp was drawn, so its local-ts is below
 		// retire-ts + boundary. watermark > retire-ts means every
@@ -821,19 +819,19 @@ func (t *Thread[T]) getWSHeader() *wsHeader {
 		// produced this watermark — it can never observe the reset.
 		if e.ts < t.d.watermark.Load() {
 			t.wsPoolHead++
-			e.h.commitTS.Store(infinity)
+			e.h.Reset()
 			return e.h
 		}
 	}
 	t.stats.wsAllocs++
-	h := &wsHeader{}
-	h.commitTS.Store(infinity)
+	h := new(clock.CommitWord)
+	h.Reset()
 	return h
 }
 
 // poolPush enqueues a retired header with its retire timestamp (0 for
 // never-published headers, which are reusable at once).
-func (t *Thread[T]) poolPush(h *wsHeader, ts uint64) {
+func (t *Thread[T]) poolPush(h *clock.CommitWord, ts uint64) {
 	if t.wsPoolTail-t.wsPoolHead == wsPoolCap {
 		return // pool full: drop to the runtime GC
 	}

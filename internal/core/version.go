@@ -10,56 +10,17 @@ import (
 // write set commits).
 const infinity = clock.Infinity
 
-// committing is the header value a commit stores once every version of
-// its write set is published in its chain, BEFORE any commit timestamp
-// is drawn. Drawing first and storing second would leave a gap in which
-// a reader whose entry timestamp already covers the commit still reads
-// ∞, skips one object's new version, and then selects another's once the
-// timestamp lands: a torn snapshot.
-//
-// The header therefore moves ∞ → committing → timestamp:
-//   - ∞: the write set is still being published. The reader read the
-//     clock before the header, and every later stamp is drawn after the
-//     header leaves ∞, so the commit is not in its snapshot: skip.
-//   - committing: every version is in place, so any timestamp drawn from
-//     now on is a valid commit time. The reader draws one and stamps it
-//     itself (see stamp); being drawn after its own entry, it is not in
-//     its snapshot, and the reader skips the whole write set. Nobody
-//     waits on a committer that has been descheduled.
-//
-// Below ∞, so a comparison that does not stamp treats it as "not yet
-// committed".
-const committing = infinity - 1
-
-// wsHeader is a write-set header (§3.2). All copy objects created in one
-// critical section share a header; publishing its commit timestamp is the
-// linearization point of the commit (§3.5), which makes the whole write
-// set visible atomically even before the per-version timestamps are
-// duplicated into the copy headers.
-type wsHeader struct {
-	commitTS atomic.Uint64
-}
-
-// stamp installs cts as the header's commit timestamp unless the
-// committer or a reader stamped it first, and returns the winner. cts
-// must have been drawn after the header was seen committing.
-func (h *wsHeader) stamp(cts uint64) uint64 {
-	if h.commitTS.CompareAndSwap(committing, cts) {
-		return cts
-	}
-	return h.commitTS.Load()
-}
-
 // version is a copy object. Versions live in per-thread circular logs and
 // their slots are reused once reclamation proves no reader can reach them.
 type version[T any] struct {
 	// commitTS is the version's commit timestamp, infinity until the
-	// owning write set commits. It duplicates ws.commitTS to save a
-	// pointer chase during chain traversal (§3.2).
+	// owning write set commits. It duplicates the ws header's stamp to
+	// save a pointer chase during chain traversal (§3.2).
 	commitTS atomic.Uint64
-	// ws is the write-set header, consulted when commitTS is still
-	// infinity mid-commit.
-	ws *wsHeader
+	// ws is the write-set header (§3.2), shared by every copy of one
+	// critical section and consulted while commitTS is still infinity
+	// mid-commit. Its stamp is the commit's linearization point (§3.5).
+	ws *clock.CommitWord
 	// obj is the master this version belongs to.
 	obj *Object[T]
 	// older links to the previous committed version (newest→oldest
@@ -101,7 +62,7 @@ type version[T any] struct {
 func (v *version[T]) resolveTS() uint64 {
 	ts := v.commitTS.Load()
 	if ts == infinity && v.ws != nil {
-		ts = v.ws.commitTS.Load()
+		ts = v.ws.Load()
 	}
 	return ts
 }

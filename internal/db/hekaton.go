@@ -1,9 +1,10 @@
 package db
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"mvrlu/internal/clock"
 )
 
 // HekatonEngine is a simplified Hekaton-style MVCC scheme (Diaconu et
@@ -31,43 +32,14 @@ type hekRecord struct {
 
 // hekVersion is one row version. begin is the commit timestamp once the
 // owner's commit has been copied into it; while pending, owner is the
-// writing transaction, whose end word decides visibility (Hekaton's
-// "begin field holds a transaction ID" case).
+// writing transaction's commit word (a clock.CommitWord every write of
+// the transaction points at, left Pending if it aborts), which decides
+// visibility: Hekaton's "begin field holds a transaction ID" case.
 type hekVersion struct {
-	begin atomic.Uint64 // commit ts; ^0 while pending
-	owner *hekEnd
+	begin atomic.Uint64 // commit ts; clock.Pending while pending
+	owner *clock.CommitWord
 	older atomic.Pointer[hekVersion]
 	data  Row
-}
-
-// hekEnd is one writing transaction's commit word: hekPending while it
-// runs (and forever if it aborts), hekCommitting while it draws its
-// commit timestamp, then the timestamp. Every write of the transaction
-// points at it, so the whole write set turns visible with one store
-// rather than row by row.
-type hekEnd struct {
-	ts atomic.Uint64
-}
-
-const (
-	hekPending = ^uint64(0)
-	// hekCommitting is published BEFORE the commit timestamp is drawn, so
-	// a reader that meets hekPending knows the draw follows its begin
-	// timestamp. One that meets hekCommitting waits for the timestamp.
-	hekCommitting = hekPending - 1
-)
-
-// settled returns the transaction's commit timestamp, or hekPending, once
-// it is no longer committing. The wait is bounded by one counter
-// increment between the committer's two stores, plus any descheduling,
-// which is why it yields.
-func (w *hekEnd) settled() uint64 {
-	ts := w.ts.Load()
-	for ts == hekCommitting {
-		runtime.Gosched()
-		ts = w.ts.Load()
-	}
-	return ts
 }
 
 // NewHekatonEngine builds a table of records rows.
@@ -123,7 +95,7 @@ type hekTx struct {
 	// end is the running transaction's commit word, made on its first
 	// write: fresh per transaction, so a reader holding a pending
 	// version's owner never sees a later transaction's outcome.
-	end    *hekEnd
+	end    *clock.CommitWord
 	writes []*hekVersion
 	keys   []int
 }
@@ -140,15 +112,17 @@ func (t *hekTx) Begin() {
 }
 
 // visible reports whether v is in t's snapshot. A pending version is
-// resolved through its writer's commit word, so a commit whose timestamp
-// is drawn but not yet copied into every row is seen whole or not at all.
+// resolved through its writer's commit word, which a reader stamps rather
+// than waits for (see clock.CommitWord).
 func (t *hekTx) visible(v *hekVersion) bool {
 	b := v.begin.Load()
-	if b == hekPending {
+	if b == clock.Pending {
 		if v.owner == t.end {
 			return true // own pending write
 		}
-		b = v.owner.settled()
+		if b = v.owner.Load(); b == clock.Committing {
+			b = v.owner.Stamp(t.e.clock.Add(1))
+		}
 	}
 	return b <= t.beginTS.Load()
 }
@@ -167,7 +141,7 @@ func (t *hekTx) Read(key int, out *Row) bool {
 func (t *hekTx) Update(key int, fn func(*Row)) bool {
 	rec := &t.e.rows[key]
 	head := rec.head.Load()
-	if head.begin.Load() == hekPending {
+	if head.begin.Load() == clock.Pending {
 		if head.owner == t.end {
 			fn(&head.data) // second update of the same row
 			return true
@@ -181,12 +155,12 @@ func (t *hekTx) Update(key int, fn func(*Row)) bool {
 		return false
 	}
 	if t.end == nil {
-		t.end = &hekEnd{}
-		t.end.ts.Store(hekPending)
+		t.end = new(clock.CommitWord)
+		t.end.Reset()
 	}
 	nv := &hekVersion{owner: t.end, data: head.data}
 	nv.older.Store(head)
-	nv.begin.Store(hekPending)
+	nv.begin.Store(clock.Pending)
 	if !rec.head.CompareAndSwap(head, nv) {
 		return false
 	}
@@ -198,9 +172,8 @@ func (t *hekTx) Update(key int, fn func(*Row)) bool {
 
 func (t *hekTx) Commit() bool {
 	if len(t.writes) > 0 {
-		t.end.ts.Store(hekCommitting)
-		cts := t.e.clock.Add(1)
-		t.end.ts.Store(cts)
+		t.end.Seal()
+		cts := t.end.Stamp(t.e.clock.Add(1))
 		for _, v := range t.writes {
 			v.begin.Store(cts)
 		}
@@ -250,7 +223,7 @@ func (t *hekTx) minActive() uint64 {
 func pruneHek(rec *hekRecord, min uint64) {
 	for v := rec.head.Load(); v != nil; v = v.older.Load() {
 		b := v.begin.Load()
-		if b != hekPending && b <= min {
+		if b <= min {
 			v.older.Store(nil)
 			return
 		}

@@ -3,6 +3,9 @@ package db
 import (
 	"sync"
 	"testing"
+	"time"
+
+	"mvrlu/internal/clock"
 )
 
 // TestWriteSkewByIsolationLevel distinguishes the engines' isolation
@@ -234,4 +237,50 @@ func TestHekatonChainPruned(t *testing.T) {
 	if n > 8 {
 		t.Fatalf("chain grew unbounded: %d versions", n)
 	}
+}
+
+// TestHekatonReaderStampsSealedCommit stops a two-row commit after its
+// seal, before the commit timestamp is drawn. A reader that meets the
+// sealed end word must not wait for the writer: it stamps a timestamp of
+// its own, above its begin timestamp, and reads both old rows. The writer
+// then commits at the reader's stamp.
+func TestHekatonReaderStampsSealedCommit(t *testing.T) {
+	e := NewHekatonEngine(2)
+	defer e.Close()
+	w, r := e.Session().(*hekTx), e.Session().(*hekTx)
+	w.Begin()
+	for key, val := range []uint64{100, 200} {
+		if !w.Update(key, func(row *Row) { row.Fields[0] = val }) {
+			t.Fatal("update failed")
+		}
+	}
+	w.end.Seal() // Commit's front half, by hand
+
+	read := make(chan [2]uint64, 1)
+	go func() {
+		var a, b Row
+		r.Begin()
+		r.Read(0, &a)
+		r.Read(1, &b)
+		read <- [2]uint64{a.Fields[0], b.Fields[0]}
+	}()
+	select {
+	case got := <-read:
+		if got != [2]uint64{0, 1} {
+			t.Fatalf("reader at a sealed commit saw %v, want the old rows [0 1]", got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("reader waited on a sealed commit")
+	}
+	stamped := w.end.Load()
+	if stamped >= clock.Aborted || stamped <= r.beginTS.Load() {
+		t.Fatalf("end word %d after a reader at %d met it, want a stamp above the reader", stamped, r.beginTS.Load())
+	}
+	w.Commit()
+	for key := range e.rows {
+		if got := e.rows[key].head.Load().begin.Load(); got != stamped {
+			t.Fatalf("row %d committed at %d, want the reader's stamp %d", key, got, stamped)
+		}
+	}
+	r.Commit()
 }

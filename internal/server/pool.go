@@ -31,6 +31,7 @@ type pooledSession struct {
 	idx      int
 	sess     kvstore.Session
 	ordered  kvstore.OrderedSession // sess's range/txn capability; nil on the hash builds
+	tracer   kvstore.TraceCarrier   // sess's trace capability; nil when the build has none
 	threadID int                    // engine registry id; -1 when the build exposes none
 	inUse    atomic.Bool
 	batches  atomic.Uint64
@@ -47,6 +48,7 @@ func newSessionPool(store kvstore.Store, n int) *sessionPool {
 	for i := 0; i < n; i++ {
 		ps := &pooledSession{idx: i, sess: store.Session(), threadID: -1}
 		ps.ordered, _ = ps.sess.(kvstore.OrderedSession)
+		ps.tracer, _ = ps.sess.(kvstore.TraceCarrier)
 		if t, ok := ps.sess.(threadIDer); ok {
 			ps.threadID = t.ThreadID()
 		}

@@ -16,48 +16,17 @@
 package vp
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"mvrlu/internal/clock"
 )
 
-// status values of a transaction descriptor.
-const (
-	txActive uint32 = iota
-	// txCommitting is published BEFORE the commit epoch is drawn. A
-	// reader that meets it waits for the outcome (see settled); one that
-	// meets txActive knows the epoch, drawn later, exceeds its snapshot.
-	// Without it a reader whose snapshot covers the epoch could skip one
-	// object of the write set while still active and see another once
-	// committed — a torn snapshot, and a lost update when the reader then
-	// writes what it read.
-	txCommitting
-	txCommitted
-	txAborted
-)
-
-// txDesc is a transaction descriptor shared by its pending versions.
-type txDesc struct {
-	status atomic.Uint32
-	epoch  atomic.Uint64 // valid once committed
-}
-
-// settled returns the descriptor's status once it is no longer
-// committing. The wait is bounded by the committer's window between its
-// two stores — one counter increment — plus any descheduling, which is
-// why it yields.
-func (tx *txDesc) settled() uint32 {
-	st := tx.status.Load()
-	for st == txCommitting {
-		runtime.Gosched()
-		st = tx.status.Load()
-	}
-	return st
-}
-
-// VNode is one version of an object.
+// VNode is one version of an object. tx is its transaction's descriptor,
+// shared by the transaction's versions: a clock.CommitWord holding the
+// commit epoch, Pending while the transaction runs, or Aborted.
 type VNode[T any] struct {
-	tx    *txDesc
+	tx    *clock.CommitWord
 	older atomic.Pointer[VNode[T]]
 	data  T
 }
@@ -68,13 +37,14 @@ type Obj[T any] struct {
 	head atomic.Pointer[VNode[T]]
 }
 
+// base is the descriptor of every object's initial version: committed at
+// epoch 0, the zero CommitWord.
+var base clock.CommitWord
+
 // NewObj allocates an object with an initial committed version.
 func NewObj[T any](d *Domain[T], val T) *Obj[T] {
 	o := &Obj[T]{}
-	base := &txDesc{}
-	base.status.Store(txCommitted)
-	base.epoch.Store(0)
-	o.head.Store(&VNode[T]{tx: base, data: val})
+	o.head.Store(&VNode[T]{tx: &base, data: val})
 	return o
 }
 
@@ -135,7 +105,7 @@ const idle = ^uint64(0)
 type Session[T any] struct {
 	d    *Domain[T]
 	snap atomic.Uint64 // snapshot epoch; idle when outside a transaction
-	tx   *txDesc
+	tx   *clock.CommitWord
 	wset []*Obj[T]
 }
 
@@ -149,15 +119,17 @@ func (s *Session[T]) Begin() {
 	s.wset = s.wset[:0]
 }
 
-// visible reports whether v belongs to s's snapshot.
+// visible reports whether v belongs to s's snapshot. A sealed
+// descriptor is stamped, not waited for (see clock.CommitWord).
 func (s *Session[T]) visible(v *VNode[T]) bool {
 	if v.tx == s.tx && s.tx != nil {
 		return true // own pending write
 	}
-	if v.tx.settled() != txCommitted {
-		return false
+	e := v.tx.Load()
+	if e == clock.Committing {
+		e = v.tx.Stamp(s.d.epoch.Add(1))
 	}
-	return v.tx.epoch.Load() <= s.snap.Load()
+	return e <= s.snap.Load()
 }
 
 // Read returns the snapshot's version of o. Chains include pending and
@@ -170,7 +142,7 @@ func (s *Session[T]) Read(o *Obj[T]) *T {
 		if s.visible(v) {
 			return &v.data
 		}
-		if v.tx.status.Load() == txCommitted {
+		if v.tx.Load() < clock.Aborted {
 			lastCommitted = v
 		}
 	}
@@ -189,8 +161,8 @@ func (s *Session[T]) Read(o *Obj[T]) *T {
 // transaction.
 func (s *Session[T]) Write(o *Obj[T], val T) bool {
 	if s.tx == nil {
-		s.tx = &txDesc{}
-		s.tx.epoch.Store(idle)
+		s.tx = new(clock.CommitWord)
+		s.tx.Reset()
 	}
 	for {
 		head := o.head.Load()
@@ -201,23 +173,23 @@ func (s *Session[T]) Write(o *Obj[T], val T) bool {
 		// this snapshot never saw (a lost update). The CAS still targets
 		// the literal head so no concurrent append is lost.
 		v := head
-		for v != nil && v.tx.status.Load() == txAborted {
+		for v != nil && v.tx.Load() == clock.Aborted {
 			v = v.older.Load()
 		}
 		if v != nil && v.tx != s.tx {
-			switch v.tx.status.Load() {
-			case txActive, txCommitting:
+			switch e := v.tx.Load(); e {
+			case clock.Pending, clock.Committing:
 				return false // conflicting active writer
-			case txCommitted:
-				// Write-latest rule: a committed version newer than our
-				// snapshot means we would overwrite unseen state.
-				if v.tx.epoch.Load() > s.snap.Load() {
-					return false
-				}
-			default:
+			case clock.Aborted:
 				// v aborted between the walk above and this load;
 				// re-resolve so the check lands on what it now masks.
 				continue
+			default:
+				// Write-latest rule: a committed version newer than our
+				// snapshot means we would overwrite unseen state.
+				if e > s.snap.Load() {
+					return false
+				}
 			}
 		}
 		n := &VNode[T]{tx: s.tx, data: val}
@@ -254,10 +226,8 @@ func (s *Session[T]) ReadWrite(o *Obj[T]) (*T, bool) {
 // via the shared descriptor.
 func (s *Session[T]) Commit() {
 	if s.tx != nil {
-		s.tx.status.Store(txCommitting)
-		e := s.d.epoch.Add(1)
-		s.tx.epoch.Store(e)
-		s.tx.status.Store(txCommitted)
+		s.tx.Seal()
+		s.tx.Stamp(s.d.epoch.Add(1))
 		s.tx = nil
 	}
 	s.snap.Store(idle)
@@ -268,7 +238,7 @@ func (s *Session[T]) Commit() {
 // chains until pruning, as in the original system.
 func (s *Session[T]) Abort() {
 	if s.tx != nil {
-		s.tx.status.Store(txAborted)
+		s.tx.Abort()
 		s.tx = nil
 	}
 	s.snap.Store(idle)
@@ -304,8 +274,7 @@ func (s *Session[T]) prune(o *Obj[T]) {
 	minE := s.d.minActive()
 	var keepFrom *VNode[T]
 	for v := o.head.Load(); v != nil; v = v.older.Load() {
-		st := v.tx.status.Load()
-		if st == txCommitted && v.tx.epoch.Load() <= minE {
+		if v.tx.Load() <= minE {
 			keepFrom = v
 			break
 		}

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mvrlu/internal/clock"
 )
 
 type rec struct {
@@ -51,6 +53,54 @@ func TestSnapshotIgnoresPending(t *testing.T) {
 	r.Begin()
 	if got := r.Read(o).Val; got != 2 {
 		t.Fatalf("committed write invisible: %d", got)
+	}
+	r.Commit()
+}
+
+// TestReaderStampsSealedCommit stops a two-object commit after its seal,
+// before the epoch is drawn. A reader that meets the sealed descriptor
+// must not wait for the writer: it stamps an epoch of its own, above its
+// snapshot, and reads both old values. The writer then commits at the
+// reader's stamp.
+func TestReaderStampsSealedCommit(t *testing.T) {
+	d := NewDomain[rec]()
+	w, r := d.Register(), d.Register()
+	x, y := NewObj(d, rec{Val: 1}), NewObj(d, rec{Val: -1})
+	w.Begin()
+	if !w.Write(x, rec{Val: 2}) || !w.Write(y, rec{Val: -2}) {
+		t.Fatal("write failed")
+	}
+	tx := w.tx
+	tx.Seal() // Commit's front half, by hand
+
+	read := make(chan [2]int, 1)
+	go func() {
+		r.Begin()
+		read <- [2]int{r.Read(x).Val, r.Read(y).Val}
+	}()
+	select {
+	case got := <-read:
+		if got != [2]int{1, -1} {
+			t.Fatalf("reader at a sealed commit saw x=%d y=%d, want 1 -1", got[0], got[1])
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("reader waited on a sealed commit")
+	}
+	stamped := tx.Load()
+	if stamped >= clock.Aborted || stamped <= r.snap.Load() {
+		t.Fatalf("descriptor %d after a reader at %d met it, want a stamp above the reader", stamped, r.snap.Load())
+	}
+	w.Commit()
+	if got := tx.Load(); got != stamped {
+		t.Fatalf("writer committed at %d, want the reader's stamp %d", got, stamped)
+	}
+	if gx, gy := r.Read(x).Val, r.Read(y).Val; gx != 1 || gy != -1 {
+		t.Fatalf("snapshot moved after the commit: x=%d y=%d", gx, gy)
+	}
+	r.Commit()
+	r.Begin()
+	if gx, gy := r.Read(x).Val, r.Read(y).Val; gx != 2 || gy != -2 {
+		t.Fatalf("after the commit x=%d y=%d, want 2 -2", gx, gy)
 	}
 	r.Commit()
 }
