@@ -24,20 +24,11 @@ bench:
 # microbenchmarks.
 bench-range:
 	$(GO) test -bench 'Range|Skiplist|Ordered' -benchmem -run '^$$' ./internal/index
-	$(GO) run ./cmd/kvbench -range 0.95 -rangelen 16 -threads 1,2,4 \
-		-records 20000 -value 64 -duration 200ms \
-		-builds mvrlu-idx,rlu-idx,vanilla-idx
+	$(GO) run ./cmd/mvbench -fig ycsb-e -threads 1,2,4
 
-# Regenerate every paper figure with moderate budgets.
+# Regenerate every paper table and figure with moderate budgets.
 figures:
-	$(GO) run ./cmd/mvbench -fig 1
-	$(GO) run ./cmd/mvbench -fig 4
-	$(GO) run ./cmd/mvbench -fig 5
-	$(GO) run ./cmd/mvbench -fig 6
-	$(GO) run ./cmd/mvbench -fig 7
-	$(GO) run ./cmd/factor
-	$(GO) run ./cmd/dbbench
-	$(GO) run ./cmd/kvbench
+	$(GO) run ./cmd/mvbench -fig all
 
 examples:
 	$(GO) run ./examples/quickstart

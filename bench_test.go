@@ -1,357 +1,37 @@
-// Package main_test holds the testing.B regenerators: one benchmark per
-// table/figure of the paper's evaluation (§6). Each emits the paper's
-// metric as a custom benchmark unit (ops/µs, abort ratio, amplification)
-// so `go test -bench=. -benchmem` reproduces every artifact in one run.
-//
-// Durations are deliberately short so the full sweep finishes in
-// minutes; the cmd/ tools run the same cells with larger budgets and
-// thread ranges.
+// Package main_test holds BenchmarkFigures, the testing.B run of the
+// paper's evaluation (§6): every cell of the internal/figures catalogue
+// as one sub-benchmark, e.g. fig4/list/u20/mvrlu-list, reporting the
+// metric its figure plots as a custom unit (ops/µs, txn/µs, abort-ratio,
+// read-amplification) so `go test -bench=. -benchmem` reproduces every
+// artifact in one run.
 package main_test
 
 import (
-	"fmt"
+	"path"
 	"testing"
 	"time"
 
-	"mvrlu/internal/bench"
-	"mvrlu/internal/core"
-	"mvrlu/internal/db"
-	"mvrlu/internal/ds"
-	"mvrlu/internal/kvstore"
+	"mvrlu/internal/figures"
 )
 
-const (
-	cellDuration = 100 * time.Millisecond
-	benchThreads = 4
-)
-
-// runCell measures one data-structure cell and reports ops/µs and abort
-// ratio as benchmark metrics.
-func runCell(b *testing.B, name string, cfg ds.Config, w bench.Workload) {
-	b.Helper()
-	var last bench.Result
-	for i := 0; i < b.N; i++ {
-		set, err := ds.New(name, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = bench.Run(set, w)
-		set.Close()
-	}
-	b.ReportMetric(last.OpsPerUsec(), "ops/µs")
-	b.ReportMetric(last.AbortRatio, "abort-ratio")
-}
-
-// BenchmarkTable1Amplification reproduces Table 1's measurable columns:
-// read amplification (memory objects inspected per requested read) for
-// the RCU-style mechanisms, plus STM's 2× by construction. The MV-RLU
-// row's 1+1/V read amplification emerges from the chain-step counters.
-func BenchmarkTable1Amplification(b *testing.B) {
-	// measure loads the list outside the measured window and reports the
-	// amplification of the workload phase only (prefill itself walks
-	// fresh chains and would inflate the read-only baseline).
-	measure := func(b *testing.B, update float64) {
-		for i := 0; i < b.N; i++ {
-			set := ds.NewMVRLUList(core.DefaultOptions())
-			s := set.Session()
-			for k := 0; k < 400; k += 2 {
-				s.Insert(k)
-			}
-			before := set.Stats()
-			_ = bench.Run(set, bench.Workload{
-				Threads: benchThreads, UpdateRatio: update,
-				Initial: 0, Range: 400, Duration: cellDuration,
-			})
-			after := set.Stats()
-			derefs := after.Derefs - before.Derefs
-			steps := after.ChainSteps - before.ChainSteps
-			amp := 1.0
-			if derefs > 0 {
-				amp = float64(steps+derefs) / float64(derefs)
-			}
-			b.ReportMetric(amp, "read-amplification")
-			set.Close()
-		}
-	}
-	// MV-RLU under updates: 1 + 1/V from chain traversal.
-	b.Run("mvrlu", func(b *testing.B) { measure(b, 0.2) })
-	// Read-only: chains from the load drain via write-back and every
-	// dereference reads exactly one object — the RCU/RLU row's 1.
-	b.Run("read-only-baseline", func(b *testing.B) { measure(b, 0) })
-}
-
-// BenchmarkTable1Mechanisms runs every list-shaped mechanism of Table 1
-// on one identical workload — the qualitative comparison the table makes
-// (locking via delegation, lock-free, STM, RCU-style, NR) in measured
-// form. ffwd's single-server ceiling and NR's log/combiner serialization
-// appear directly in the ops/µs column.
-func BenchmarkTable1Mechanisms(b *testing.B) {
-	names := []string{"mvrlu-list", "rlu-list", "rcu-list", "harris-list",
-		"hp-harris-list", "stm-list", "vp-list", "ffwd-list", "nr-list", "mvrlu-dlist"}
-	for _, name := range names {
-		b.Run(name, func(b *testing.B) {
-			runCell(b, name, ds.Config{}, bench.Workload{
-				Threads:     benchThreads,
-				UpdateRatio: 0.20,
-				Initial:     200,
-				Duration:    cellDuration,
-			})
-		})
-	}
-}
-
-// BenchmarkFig1HashPareto is Figure 1: hash, 1K items, load factor 1,
-// 80-20 Pareto, 10% updates.
-func BenchmarkFig1HashPareto(b *testing.B) {
-	for _, name := range []string{"mvrlu-hash", "rlu-hash", "rcu-hash", "harris-hash", "hp-harris-hash"} {
-		b.Run(name, func(b *testing.B) {
-			runCell(b, name, ds.Config{Buckets: 1000}, bench.Workload{
-				Threads:     benchThreads,
-				UpdateRatio: 0.10,
-				Initial:     1000,
-				Dist:        bench.DistPareto8020,
-				Duration:    cellDuration,
-			})
-		})
-	}
-}
-
-// BenchmarkFig4 is the 3×3 grid of Figure 4: structure × update ratio,
-// 10K items (1K for lists to keep cells fast at bench scale).
-func BenchmarkFig4(b *testing.B) {
-	type rowCfg struct {
-		structure string
-		sets      []string
-		initial   int
-		buckets   int
-	}
-	rows := []rowCfg{
-		{"list", []string{"mvrlu-list", "rlu-list", "rlu-ordo-list", "rcu-list", "vp-list", "stm-list"}, 1000, 0},
-		{"hash", []string{"mvrlu-hash", "rlu-hash", "rlu-ordo-hash", "rcu-hash", "hp-harris-hash"}, 10000, 1000},
-		{"bst", []string{"mvrlu-bst", "rlu-bst", "rlu-ordo-bst", "rcu-bst", "vp-bst"}, 10000, 0},
-	}
-	for _, row := range rows {
-		for _, u := range []float64{0.02, 0.20, 0.80} {
-			for _, name := range row.sets {
-				b.Run(fmt.Sprintf("%s/u%.0f/%s", row.structure, u*100, name), func(b *testing.B) {
-					runCell(b, name, ds.Config{Buckets: row.buckets}, bench.Workload{
-						Threads:     benchThreads,
-						UpdateRatio: u,
-						Initial:     row.initial,
-						Duration:    cellDuration,
-					})
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig5AbortRatio is Figure 5: abort ratios of MV-RLU, RLU, and
-// STM on list and hash (the abort-ratio metric is the figure's y-axis).
-func BenchmarkFig5AbortRatio(b *testing.B) {
-	for _, structure := range []string{"list", "hash"} {
-		initial := 1000
-		if structure == "hash" {
-			initial = 10000
-		}
-		for _, u := range []float64{0.02, 0.20, 0.80} {
-			for _, mech := range []string{"mvrlu", "rlu", "stm"} {
-				name := mech + "-" + structure
-				b.Run(fmt.Sprintf("%s/u%.0f/%s", structure, u*100, mech), func(b *testing.B) {
-					runCell(b, name, ds.Config{Buckets: 1000}, bench.Workload{
-						Threads:     benchThreads,
-						UpdateRatio: u,
-						Initial:     initial,
-						Duration:    cellDuration,
-					})
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig6DataSetSize is Figure 6: hash table with 1K/10K/50K items
-// (load factors 1/10/10), read-intensive.
-func BenchmarkFig6DataSetSize(b *testing.B) {
-	sizes := []struct{ items, buckets int }{{1000, 1000}, {10000, 1000}, {50000, 5000}}
-	for _, sz := range sizes {
-		for _, name := range []string{"mvrlu-hash", "rlu-hash", "rcu-hash", "hp-harris-hash"} {
-			b.Run(fmt.Sprintf("items%d/%s", sz.items, name), func(b *testing.B) {
-				runCell(b, name, ds.Config{Buckets: sz.buckets}, bench.Workload{
-					Threads:     benchThreads,
-					UpdateRatio: 0.20,
-					Initial:     sz.items,
-					Duration:    cellDuration,
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig7Skew is Figure 7: hash with 10K items under a Zipf theta
-// sweep at a fixed thread count.
-func BenchmarkFig7Skew(b *testing.B) {
-	for _, theta := range []float64{0.2, 0.6, 0.99} {
-		for _, u := range []float64{0.02, 0.20, 0.80} {
-			for _, name := range []string{"mvrlu-hash", "rlu-hash", "rcu-hash", "hp-harris-hash"} {
-				b.Run(fmt.Sprintf("theta%.2f/u%.0f/%s", theta, u*100, name), func(b *testing.B) {
-					runCell(b, name, ds.Config{Buckets: 1000}, bench.Workload{
-						Threads:     benchThreads,
-						UpdateRatio: u,
-						Initial:     10000,
-						Dist:        bench.DistZipf,
-						Theta:       theta,
-						Duration:    cellDuration,
-					})
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig8Factor is Figure 8: the cumulative factor analysis from
-// RLU to full MV-RLU on a linked list.
-func BenchmarkFig8Factor(b *testing.B) {
-	singleGC := core.DefaultOptions()
-	singleGC.GCMode = core.GCSingleCollector
-	singleGC.HighCapacity = 1.0
-	singleGC.LowCapacity = 0
-	singleGC.DerefRatio = 0
-	concGC := core.DefaultOptions()
-	concGC.HighCapacity = 1.0
-	concGC.LowCapacity = 0
-	concGC.DerefRatio = 0
-	capWM := core.DefaultOptions()
-	capWM.DerefRatio = 0
-
-	rungs := []struct {
-		name  string
-		build func() ds.Set
-	}{
-		{"rlu", func() ds.Set { s, _ := ds.New("rlu-list", ds.Config{}); return s }},
-		{"+ordo", func() ds.Set { s, _ := ds.New("rlu-ordo-list", ds.Config{}); return s }},
-		{"+multi-version", func() ds.Set { return ds.NewMVRLUList(singleGC) }},
-		{"+concurrent-gc", func() ds.Set { return ds.NewMVRLUList(concGC) }},
-		{"+capacity-wm", func() ds.Set { return ds.NewMVRLUList(capWM) }},
-		{"+deref-wm", func() ds.Set { return ds.NewMVRLUList(core.DefaultOptions()) }},
-	}
-	for _, u := range []float64{0.02, 0.20, 0.80} {
-		for _, r := range rungs {
-			b.Run(fmt.Sprintf("u%.0f/%s", u*100, r.name), func(b *testing.B) {
-				var last bench.Result
-				for i := 0; i < b.N; i++ {
-					set := r.build()
-					last = bench.Run(set, bench.Workload{
-						Threads:     benchThreads,
-						UpdateRatio: u,
-						Initial:     1000,
-						Duration:    cellDuration,
-					})
-					set.Close()
-				}
-				b.ReportMetric(last.OpsPerUsec(), "ops/µs")
-			})
-		}
-	}
-}
-
-// BenchmarkFig9DBx1000 is Figure 9: YCSB over the four concurrency
-// controls, Zipf 0.7.
-func BenchmarkFig9DBx1000(b *testing.B) {
-	const records = 20000
-	for _, u := range []float64{0.02, 0.20, 0.80} {
-		for _, name := range db.EngineNames() {
-			b.Run(fmt.Sprintf("u%.0f/%s", u*100, name), func(b *testing.B) {
-				var last db.YCSBResult
-				for i := 0; i < b.N; i++ {
-					e, err := db.NewEngine(name, records)
-					if err != nil {
-						b.Fatal(err)
+// BenchmarkFigures runs each cell at 4 goroutines for 100 ms, short
+// enough that the full sweep finishes in minutes; cmd/mvbench runs the
+// same cells over a thread range with larger budgets.
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range figures.All(figures.Params{Threads: []int{4}, Duration: 100 * time.Millisecond}) {
+		for _, t := range f.Tables {
+			for _, c := range t.Cells {
+				b.Run(path.Join(f.ID, t.Name, c.Name), func(b *testing.B) {
+					var s figures.Sample
+					for i := 0; i < b.N; i++ {
+						s = c.Run()
 					}
-					last = db.RunYCSB(e, db.YCSBConfig{
-						Records:     records,
-						Threads:     benchThreads,
-						TxnSize:     16,
-						UpdateRatio: u,
-						Theta:       0.7,
-						Duration:    cellDuration,
-					})
-					e.Close()
-				}
-				b.ReportMetric(last.TxnsPerUsec(), "txn/µs")
-				b.ReportMetric(last.AbortRatio, "abort-ratio")
-			})
-		}
-	}
-}
-
-// BenchmarkFig10KyotoCabinet is Figure 10: the cache DB with the stock
-// global rwlock vs the RLU and MV-RLU ports at 2% and 20% updates.
-func BenchmarkFig10KyotoCabinet(b *testing.B) {
-	for _, u := range []float64{0.02, 0.20} {
-		for _, name := range kvstore.Names() {
-			b.Run(fmt.Sprintf("u%.0f/%s", u*100, name), func(b *testing.B) {
-				var last kvstore.Result
-				for i := 0; i < b.N; i++ {
-					s, err := kvstore.New(name, 16, 1024)
-					if err != nil {
-						b.Fatal(err)
+					b.ReportMetric(t.Metric.Of(s), t.Metric.Unit)
+					if t.AuxTitle != "" {
+						b.ReportMetric(s.AbortRatio, "abort-ratio")
 					}
-					last = kvstore.Run(s, kvstore.Config{
-						Records:     5000,
-						ValueSize:   128,
-						Threads:     benchThreads,
-						UpdateRatio: u,
-						Duration:    cellDuration,
-					})
-					s.Close()
-				}
-				b.ReportMetric(last.OpsPerUsec(), "ops/µs")
-			})
+				})
+			}
 		}
 	}
-}
-
-// BenchmarkCorePrimitives measures the raw MV-RLU primitives: read-only
-// critical sections, dereferences, and single-object updates — the
-// microcosts underlying every figure.
-func BenchmarkCorePrimitives(b *testing.B) {
-	type payload struct{ v int }
-	b.Run("readlock-unlock", func(b *testing.B) {
-		d := core.NewDomain[payload](core.DefaultOptions())
-		defer d.Close()
-		h := d.Register()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.ReadLock()
-			h.ReadUnlock()
-		}
-	})
-	b.Run("deref-master", func(b *testing.B) {
-		d := core.NewDomain[payload](core.DefaultOptions())
-		defer d.Close()
-		h := d.Register()
-		o := core.NewObject(payload{v: 1})
-		h.ReadLock()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = h.Deref(o).v
-		}
-		b.StopTimer()
-		h.ReadUnlock()
-	})
-	b.Run("update-commit", func(b *testing.B) {
-		d := core.NewDomain[payload](core.DefaultOptions())
-		defer d.Close()
-		h := d.Register()
-		o := core.NewObject(payload{})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.ReadLock()
-			if c, ok := h.TryLock(o); ok {
-				c.v = i
-			}
-			h.ReadUnlock()
-		}
-	})
 }

@@ -1,6 +1,6 @@
 // Integration tests: cross-module scenarios that the per-package suites
-// cannot cover — the public facade driving the benchmark harness, figure
-// cells end to end, and engine statistics flowing through the stack.
+// cannot cover — the public facade driving the benchmark harness and
+// engine statistics flowing through the stack.
 package main_test
 
 import (
@@ -10,82 +10,10 @@ import (
 	"time"
 
 	"mvrlu/internal/bench"
-	"mvrlu/internal/core"
-	"mvrlu/internal/db"
 	"mvrlu/internal/ds"
-	"mvrlu/internal/kvstore"
+	"mvrlu/internal/figures"
 	"mvrlu/mvrlu"
 )
-
-// TestEveryFigureCellSmoke runs a miniature version of every figure's
-// cell through the same code paths the cmd tools use, asserting sane
-// output — a regression net for the regenerators.
-func TestEveryFigureCellSmoke(t *testing.T) {
-	short := 20 * time.Millisecond
-
-	// Figures 1/4/5/6/7 share ds+bench.
-	for _, name := range ds.Names() {
-		set, err := ds.New(name, ds.Config{Buckets: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := bench.Run(set, bench.Workload{
-			Threads:     2,
-			UpdateRatio: 0.2,
-			Initial:     100,
-			Dist:        bench.DistPareto8020,
-			Duration:    short,
-		})
-		set.Close()
-		if res.Ops == 0 {
-			t.Fatalf("%s: no ops", name)
-		}
-	}
-
-	// Figure 8's rungs.
-	singleGC := core.DefaultOptions()
-	singleGC.GCMode = core.GCSingleCollector
-	for _, opts := range []core.Options{core.DefaultOptions(), singleGC} {
-		set := ds.NewMVRLUList(opts)
-		res := bench.Run(set, bench.Workload{Threads: 2, UpdateRatio: 0.5, Initial: 50, Duration: short})
-		set.Close()
-		if res.Ops == 0 {
-			t.Fatal("factor rung: no ops")
-		}
-	}
-
-	// Figure 9.
-	for _, name := range db.AllEngineNames() {
-		e, err := db.NewEngine(name, 128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := db.RunYCSB(e, db.YCSBConfig{
-			Records: 128, Threads: 2, TxnSize: 4,
-			UpdateRatio: 0.2, Theta: 0.7, Duration: short,
-		})
-		e.Close()
-		if res.Txns == 0 {
-			t.Fatalf("%s: no txns", name)
-		}
-	}
-
-	// Figure 10.
-	for _, name := range kvstore.Names() {
-		s, err := kvstore.New(name, 2, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := kvstore.Run(s, kvstore.Config{
-			Records: 64, ValueSize: 16, Threads: 2,
-			UpdateRatio: 0.2, Duration: short,
-		})
-		s.Close()
-		if res.Ops == 0 {
-			t.Fatalf("%s: no ops", name)
-		}
-	}
-}
 
 // TestFacadeWithHarness drives a user-defined structure built purely on
 // the public facade through a concurrent workload, and checks engine
@@ -169,6 +97,31 @@ func TestReportPipeline(t *testing.T) {
 	}
 	if !strings.HasPrefix(csv.String(), "# t\nthreads,mvrlu-hash\n2,") {
 		t.Fatalf("csv render broken:\n%s", csv.String())
+	}
+}
+
+// TestEveryFigureCellSmoke measures a miniature of every figure through
+// Table.Measure, the path mvbench prints from, and checks each printed
+// table holds one value per cell and that no throughput is zero.
+func TestEveryFigureCellSmoke(t *testing.T) {
+	for _, f := range figures.All(figures.Params{Threads: []int{2}, Duration: 5 * time.Millisecond, Shrink: 100}) {
+		for _, tab := range f.Tables {
+			for i, out := range tab.Measure() {
+				d := out.Data()
+				filled := 0
+				for _, r := range d.Rows {
+					for col, v := range r.Cells {
+						filled++
+						if i == 0 && tab.Metric.Unit != "abort-ratio" && v <= 0 {
+							t.Errorf("%s %q: %s at %s measured %v", f.ID, d.Title, col, r.X, v)
+						}
+					}
+				}
+				if filled != len(tab.Cells) {
+					t.Errorf("%s %q: %d values printed for %d cells", f.ID, d.Title, filled, len(tab.Cells))
+				}
+			}
+		}
 	}
 }
 

@@ -97,9 +97,6 @@ func TestRunMeasuresThroughput(t *testing.T) {
 	if res.Commits == 0 {
 		t.Fatal("no commits measured on an abort-counting set")
 	}
-	if res.P50 <= 0 || res.P99 < res.P50 {
-		t.Fatalf("latency percentiles implausible: p50=%v p99=%v", res.P50, res.P99)
-	}
 }
 
 func TestPrefillExactCount(t *testing.T) {

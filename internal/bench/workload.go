@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,37 +69,78 @@ func (w Workload) gen() KeyGen {
 
 // Result is one measured cell.
 type Result struct {
-	Set        string
-	Workload   Workload
+	Set      string
+	Workload Workload
+	Measurement
+}
+
+// Measurement is what Drive measured: operations completed by every
+// worker, wall time from opening the start gate to the last worker
+// stopping, and the commit/abort delta over that window.
+type Measurement struct {
 	Ops        uint64
 	Elapsed    time.Duration
 	Commits    uint64
 	Aborts     uint64
 	AbortRatio float64
-	// P50 and P99 are sampled per-operation latencies (every
-	// latencyEvery-th operation is timed).
-	P50, P99 time.Duration
 }
-
-// latencyEvery is the per-operation latency sampling stride; sampling
-// every operation would distort short ops with two clock reads.
-const latencyEvery = 64
-
-// latencyCap bounds per-worker samples.
-const latencyCap = 4096
 
 // OpsPerUsec returns throughput in operations per microsecond, the unit
 // of every throughput figure in the paper.
-func (r Result) OpsPerUsec() float64 {
-	if r.Elapsed <= 0 {
+func (m Measurement) OpsPerUsec() float64 {
+	if m.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Ops) / float64(r.Elapsed.Microseconds())
+	return float64(m.Ops) / float64(m.Elapsed.Microseconds())
 }
 
-func (r Result) String() string {
-	return fmt.Sprintf("%s threads=%d update=%.0f%% ops/µs=%.3f abort=%.4f",
-		r.Set, r.Workload.Threads, r.Workload.UpdateRatio*100, r.OpsPerUsec(), r.AbortRatio)
+// Drive runs threads workers behind one start gate for d and returns
+// what they did. Worker t calls newWorker(t, stop) on its own goroutine
+// before the gate opens, so per-worker setup (sessions, generators)
+// stays out of the measured window, then runs the returned op until
+// stop is set; an op that retries may read stop to give up early.
+// counters, when non-nil, returns cumulative commit and abort counts;
+// the measurement carries their delta.
+func Drive(threads int, d time.Duration, counters func() (commits, aborts uint64),
+	newWorker func(t int, stop *atomic.Bool) func()) Measurement {
+	var beforeC, beforeA uint64
+	if counters != nil {
+		beforeC, beforeA = counters()
+	}
+	var (
+		stop  atomic.Bool
+		total atomic.Uint64
+		wg    sync.WaitGroup
+		start = make(chan struct{})
+	)
+	for t := 0; t < threads; t++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op := newWorker(t, &stop)
+			ops := uint64(0)
+			<-start
+			for !stop.Load() {
+				op()
+				ops++
+			}
+			total.Add(ops)
+		}()
+	}
+	begin := time.Now()
+	close(start)
+	time.Sleep(d)
+	stop.Store(true)
+	wg.Wait()
+	m := Measurement{Ops: total.Load(), Elapsed: time.Since(begin)}
+	if counters != nil {
+		c, a := counters()
+		m.Commits, m.Aborts = c-beforeC, a-beforeA
+		if m.Commits+m.Aborts > 0 {
+			m.AbortRatio = float64(m.Aborts) / float64(m.Commits+m.Aborts)
+		}
+	}
+	return m
 }
 
 // Prefill loads Initial distinct keys, spread deterministically over the
@@ -123,83 +162,33 @@ func Prefill(set ds.Set, w Workload) {
 // before/after delta so repeated runs on one set stay correct.
 func Run(set ds.Set, w Workload) Result {
 	Prefill(set, w)
-
-	var beforeC, beforeA uint64
+	var counters func() (uint64, uint64)
 	if ac, ok := set.(ds.AbortCounter); ok {
-		beforeC, beforeA = ac.AbortStats()
+		counters = ac.AbortStats
 	}
-
-	var (
-		stop     atomic.Bool
-		totalOps atomic.Uint64
-		wg       sync.WaitGroup
-		start    = make(chan struct{})
-		sampleMu sync.Mutex
-		samples  []time.Duration
-	)
 	rangeLen := w.RangeLen
 	if rangeLen <= 0 {
 		rangeLen = 16
 	}
-	for t := 0; t < w.Threads; t++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			s := set.Session()
-			scanner, _ := s.(ds.RangeScanner)
-			rng := rand.New(rand.NewSource(seed))
-			gen := w.gen()
-			ops := uint64(0)
-			local := make([]time.Duration, 0, latencyCap)
-			<-start
-			for !stop.Load() {
-				k := gen.Next(rng)
-				p := rng.Float64()
-				timed := ops%latencyEvery == 0 && len(local) < latencyCap
-				var t0 time.Time
-				if timed {
-					t0 = time.Now()
-				}
-				switch {
-				case p < w.UpdateRatio/2:
-					s.Insert(k)
-				case p < w.UpdateRatio:
-					s.Remove(k)
-				case p < w.UpdateRatio+w.RangeRatio && scanner != nil:
-					scanner.RangeScan(k, rangeLen)
-				default:
-					s.Lookup(k)
-				}
-				if timed {
-					local = append(local, time.Since(t0))
-				}
-				ops++
+	m := Drive(w.Threads, w.Duration, counters, func(t int, _ *atomic.Bool) func() {
+		s := set.Session()
+		scanner, _ := s.(ds.RangeScanner)
+		rng := rand.New(rand.NewSource(int64(t)*7919 + 17))
+		gen := w.gen()
+		return func() {
+			k := gen.Next(rng)
+			p := rng.Float64()
+			switch {
+			case p < w.UpdateRatio/2:
+				s.Insert(k)
+			case p < w.UpdateRatio:
+				s.Remove(k)
+			case p < w.UpdateRatio+w.RangeRatio && scanner != nil:
+				scanner.RangeScan(k, rangeLen)
+			default:
+				s.Lookup(k)
 			}
-			totalOps.Add(ops)
-			sampleMu.Lock()
-			samples = append(samples, local...)
-			sampleMu.Unlock()
-		}(int64(t)*7919 + 17)
-	}
-	begin := time.Now()
-	close(start)
-	time.Sleep(w.Duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(begin)
-
-	res := Result{Set: set.Name(), Workload: w, Ops: totalOps.Load(), Elapsed: elapsed}
-	if len(samples) > 0 {
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		res.P50 = samples[len(samples)/2]
-		res.P99 = samples[len(samples)*99/100]
-	}
-	if ac, ok := set.(ds.AbortCounter); ok {
-		c, a := ac.AbortStats()
-		res.Commits, res.Aborts = c-beforeC, a-beforeA
-		if res.Commits+res.Aborts > 0 {
-			res.AbortRatio = float64(res.Aborts) / float64(res.Commits+res.Aborts)
 		}
-	}
-	return res
+	})
+	return Result{Set: set.Name(), Workload: w, Measurement: m}
 }

@@ -202,10 +202,10 @@ func TestRunYCSBSmoke(t *testing.T) {
 				Theta:       0.7,
 				Duration:    40 * time.Millisecond,
 			})
-			if res.Txns == 0 {
+			if res.Ops == 0 {
 				t.Fatal("no transactions completed")
 			}
-			if res.TxnsPerUsec() <= 0 {
+			if res.OpsPerUsec() <= 0 {
 				t.Fatal("no throughput")
 			}
 		})

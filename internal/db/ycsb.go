@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,28 +23,11 @@ type YCSBConfig struct {
 	Duration    time.Duration
 }
 
-// YCSBResult is one measured cell.
+// YCSBResult is one measured cell; its Ops are committed transactions.
 type YCSBResult struct {
-	Engine     string
-	Config     YCSBConfig
-	Txns       uint64
-	Elapsed    time.Duration
-	Commits    uint64
-	Aborts     uint64
-	AbortRatio float64
-}
-
-// TxnsPerUsec returns committed-transaction throughput.
-func (r YCSBResult) TxnsPerUsec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Txns) / float64(r.Elapsed.Microseconds())
-}
-
-func (r YCSBResult) String() string {
-	return fmt.Sprintf("%s threads=%d update=%.0f%% txn/µs=%.3f abort=%.4f",
-		r.Engine, r.Config.Threads, r.Config.UpdateRatio*100, r.TxnsPerUsec(), r.AbortRatio)
+	Engine string
+	Config YCSBConfig
+	bench.Measurement
 }
 
 // RunYCSB drives cfg against the engine and reports throughput of
@@ -55,79 +37,51 @@ func RunYCSB(e Engine, cfg YCSBConfig) YCSBResult {
 	if cfg.TxnSize <= 0 {
 		cfg.TxnSize = 16
 	}
-	beforeC, beforeA := e.Stats()
-	var (
-		stop  atomic.Bool
-		total atomic.Uint64
-		wg    sync.WaitGroup
-		start = make(chan struct{})
-	)
-	for t := 0; t < cfg.Threads; t++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			tx := e.Session()
-			rng := rand.New(rand.NewSource(seed))
-			zipf := bench.NewZipf(cfg.Records, cfg.Theta)
-			keys := make([]int, cfg.TxnSize)
-			updates := make([]bool, cfg.TxnSize)
-			var row Row
-			txns := uint64(0)
-			<-start
-			for !stop.Load() {
+	m := bench.Drive(cfg.Threads, cfg.Duration, e.Stats, func(t int, stop *atomic.Bool) func() {
+		tx := e.Session()
+		rng := rand.New(rand.NewSource(int64(t)*104729 + 31))
+		zipf := bench.NewZipf(cfg.Records, cfg.Theta)
+		keys := make([]int, cfg.TxnSize)
+		updates := make([]bool, cfg.TxnSize)
+		var row Row
+		return func() {
+			for i := range keys {
+				keys[i] = zipf.Next(rng)
+				updates[i] = rng.Float64() < cfg.UpdateRatio
+			}
+			// Retry the transaction until it commits.
+			for {
+				tx.Begin()
+				ok := true
 				for i := range keys {
-					keys[i] = zipf.Next(rng)
-					updates[i] = rng.Float64() < cfg.UpdateRatio
-				}
-				// Retry the transaction until it commits.
-				for {
-					tx.Begin()
-					ok := true
-					for i := range keys {
-						if updates[i] {
-							ok = tx.Update(keys[i], bumpRow)
-						} else {
-							ok = tx.Read(keys[i], &row)
-						}
-						if !ok {
-							break
-						}
-					}
-					if ok {
-						if tx.Commit() {
-							break
-						}
+					if updates[i] {
+						ok = tx.Update(keys[i], bumpRow)
 					} else {
-						tx.Abort()
+						ok = tx.Read(keys[i], &row)
 					}
-					if stop.Load() {
+					if !ok {
 						break
 					}
-					// Brief backoff before retrying: without it a
-					// restarted transaction spin-hammers the lock
-					// holder's records, which on few cores starves
-					// the holder itself.
-					runtime.Gosched()
 				}
-				txns++
+				if ok {
+					if tx.Commit() {
+						break
+					}
+				} else {
+					tx.Abort()
+				}
+				if stop.Load() {
+					break
+				}
+				// Brief backoff before retrying: without it a
+				// restarted transaction spin-hammers the lock
+				// holder's records, which on few cores starves
+				// the holder itself.
+				runtime.Gosched()
 			}
-			total.Add(txns)
-		}(int64(t)*104729 + 31)
-	}
-	begin := time.Now()
-	close(start)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(begin)
-
-	res := YCSBResult{Engine: e.Name(), Config: cfg, Txns: total.Load(), Elapsed: elapsed}
-	c, a := e.Stats()
-	res.Commits, res.Aborts = c-beforeC, a-beforeA
-	if res.Commits+res.Aborts > 0 {
-		res.AbortRatio = float64(res.Aborts) / float64(res.Commits+res.Aborts)
-	}
-	return res
+		}
+	})
+	return YCSBResult{Engine: e.Name(), Config: cfg, Measurement: m}
 }
 
 func bumpRow(r *Row) {

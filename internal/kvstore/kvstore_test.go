@@ -161,22 +161,4 @@ func TestConcurrentReadersSeeStableValues(t *testing.T) {
 	}
 }
 
-func TestRunSmoke(t *testing.T) {
-	for _, name := range Names() {
-		s, err := New(name, 4, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := Run(s, Config{
-			Records:     200,
-			ValueSize:   32,
-			Threads:     2,
-			UpdateRatio: 0.2,
-			Duration:    30 * time.Millisecond,
-		})
-		s.Close()
-		if res.Ops == 0 {
-			t.Fatalf("%s: no ops measured", name)
-		}
-	}
-}
+func keyName(i int) string { return fmt.Sprintf("key%010d", i) }
