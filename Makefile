@@ -47,10 +47,11 @@ torture:
 
 # WAL fault torture: the group-commit logger crashed at every injection
 # point (torn write, before fsync, after fsync) under concurrent
-# writers, plus the server-level degraded-mode and recovery tests — all
-# under the race detector.
+# writers, the logger's drain points (barrier, backpressure, close,
+# checkpoint), plus the server-level degraded-mode and recovery tests —
+# all under the race detector.
 torture-wal:
-	$(GO) test -race -count 1 -run 'TestCrashTorture|TestRecover|TestReplay|TestEpoch|TestSnapshotCutoff' ./internal/wal
+	$(GO) test -race -count 1 -run 'TestCrashTorture|TestRecover|TestReplay|TestEpoch|TestSnapshotCutoff|TestAppendsWaitForBarrier|TestBlockedAppenderDrains|TestCloseSyncsUnbarrieredRecords|TestCheckpointCoversUnbarrieredRecords' ./internal/wal
 	$(GO) test -race -count 1 -run 'TestWAL' ./internal/server
 
 # kill -9 a WAL-backed daemon mid-burst, restart, and audit that every

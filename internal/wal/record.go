@@ -5,12 +5,16 @@
 // MV-RLU commit timestamps already totally order every write within a
 // shard domain (PAPER.md §4), so the log is just the commit-record
 // stream: sessions enqueue CRC-framed records onto a bounded in-memory
-// queue, a single logger goroutine drains it, batches records per fsync
-// (group commit — the enqueue → batch → fsync → notify shape of
-// SNIPPETS.md Snippet 1), and releases every waiting session once their
-// records are durable. When the log outruns the installer, appenders
-// block on a condvar (the waitForSpace shape of Snippet 2) instead of
-// growing memory without bound.
+// queue, and a single logger goroutine writes it out when a write is
+// demanded — a SyncBarrier waiting on an unsynced record, the queue
+// reaching its drain size, a rotation, or Close. Each demand drains the
+// whole queue as one batch under one fsync (group commit — the enqueue
+// → batch → fsync → notify shape of SNIPPETS.md Snippet 1, writing only
+// when asked as go-journal's Flush does in Snippet 2) and releases every
+// waiting session once their records are durable. When the log outruns
+// the logger or the installer, appenders block on a condvar (the
+// waitForSpace shape of Snippet 2) instead of growing memory without
+// bound.
 //
 // Durability model and replay ordering:
 //

@@ -98,7 +98,7 @@ type Log struct {
 	dir *os.File // held open for directory fsyncs
 
 	mu        sync.Mutex
-	condWork  *sync.Cond // logger waits here for records or a rotation
+	condWork  *sync.Cond // logger waits here for a demand (see demandLocked), a rotation or close
 	condSync  *sync.Cond // appenders wait here for durability / rotation done
 	condSpace *sync.Cond // appenders wait here for queue drain / installer
 	buf       []byte     // encoded frames not yet handed to the logger
@@ -106,7 +106,8 @@ type Log struct {
 	bufRecs   int
 	appendSeq uint64
 	syncedSeq uint64
-	err       error // sticky: first write/sync error, or injected crash
+	wantSeq   uint64 // highest seq a barrier has asked the logger to sync
+	err       error  // sticky: first write/sync error, or injected crash
 	closed    bool
 
 	f         *os.File
@@ -191,61 +192,27 @@ func (l *Log) Err() error {
 	return l.err
 }
 
+// drainBytes caps how much the queue holds before the logger drains it
+// unasked (the drain size is min(drainBytes, MaxQueueBytes)). It keeps
+// a barrier-free burst — a preload, a replay — streaming to disk in
+// bounded batches, and it is the largest buffer the log keeps once its
+// queue runs dry.
+const drainBytes = 64 << 10
+
+func (l *Log) drainAt() int { return int(min(drainBytes, l.opt.MaxQueueBytes)) }
+
 // Append enqueues one commit record, assigning its sequence number. It
 // blocks while the queue is over MaxQueueBytes (the logger is behind on
 // fsync) or — with an installer attached — while the live log is over
-// 4×MaxLiveBytes (the installer is behind on snapshotting). It does NOT
-// wait for durability; pair it with SyncBarrier before acking.
+// 4×MaxLiveBytes (the installer is behind on snapshotting). It neither
+// waits for durability nor wakes the logger below the drain size; pair
+// it with SyncBarrier before acking. It is AppendGroup of one record.
 //
 // Append is safe from any goroutine; store commit hooks call it inside
 // the per-slot commit lock, which is what makes per-key log order equal
 // per-key commit order for the engine-backed builds.
 func (l *Log) Append(rec Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	hardLive := 4 * l.opt.MaxLiveBytes
-	var wait0 int64
-	for l.err == nil && !l.closed &&
-		(int64(len(l.buf)) >= l.opt.MaxQueueBytes ||
-			(l.installerStop != nil && l.liveBytes >= hardLive)) {
-		if wait0 == 0 && obs.Enabled() {
-			wait0 = obs.Now()
-		}
-		l.pokeInstallerLocked()
-		l.condSpace.Wait()
-	}
-	if wait0 != 0 {
-		l.appendWaitHist.Observe(uint64(obs.Now() - wait0))
-	}
-	if l.err != nil {
-		return l.err
-	}
-	if l.closed {
-		return ErrClosed
-	}
-	l.appendSeq++
-	rec.Seq = l.appendSeq
-	n := len(l.buf)
-	l.buf = rec.appendFrame(l.buf)
-	grew := int64(len(l.buf) - n)
-	l.bufRecs++
-	l.liveBytes += grew
-	l.appends++
-	if l.lastTS == nil {
-		l.lastTS = make(map[uint32]uint64)
-	}
-	if rec.TS > l.lastTS[rec.Shard] {
-		l.lastTS[rec.Shard] = rec.TS
-	}
-	l.records.Add(1)
-	l.bytes.Add(uint64(grew))
-	l.queueBytes.Store(int64(len(l.buf)))
-	l.liveGauge.Store(l.liveBytes)
-	if l.liveBytes >= l.opt.MaxLiveBytes {
-		l.pokeInstallerLocked()
-	}
-	l.condWork.Signal()
-	return nil
+	return l.AppendGroup([]Record{rec})
 }
 
 // AppendGroup enqueues one multi-key transaction as an atomic record
@@ -271,6 +238,9 @@ func (l *Log) AppendGroup(recs []Record) error {
 			wait0 = obs.Now()
 		}
 		l.pokeInstallerLocked()
+		// With no barrier pending, nothing else would drain the queue
+		// this appender waits on.
+		l.condWork.Signal()
 		l.condSpace.Wait()
 	}
 	if wait0 != 0 {
@@ -283,11 +253,7 @@ func (l *Log) AppendGroup(recs []Record) error {
 		return ErrClosed
 	}
 	n := len(l.buf)
-	if l.lastTS == nil {
-		l.lastTS = make(map[uint32]uint64)
-	}
-	for i := range recs {
-		rec := recs[i]
+	for i, rec := range recs {
 		rec.TxnCont = i < len(recs)-1
 		l.appendSeq++
 		rec.Seq = l.appendSeq
@@ -307,35 +273,54 @@ func (l *Log) AppendGroup(recs []Record) error {
 	if l.liveBytes >= l.opt.MaxLiveBytes {
 		l.pokeInstallerLocked()
 	}
-	l.condWork.Signal()
+	if len(l.buf) >= l.drainAt() {
+		l.condWork.Signal()
+	}
 	return nil
 }
 
 // SyncBarrier blocks until every record appended before the call is
-// durable (per the sync mode), or returns the sticky error. The server
-// runs it between executing a batch's writes and letting their acks
-// reach the socket.
+// durable (per the sync mode), or returns the sticky error. It is what
+// makes the logger write: it raises wantSeq to the last appended record
+// and wakes the logger if that record is not yet synced. The server runs
+// it between executing a batch's writes and letting their acks reach
+// the socket.
 func (l *Log) SyncBarrier() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	target := l.appendSeq
+	if l.syncedSeq < target && l.wantSeq < target {
+		l.wantSeq = target
+		l.condWork.Signal()
+	}
 	for l.syncedSeq < target && l.err == nil {
 		l.condSync.Wait()
 	}
 	return l.err
 }
 
-// logger is the single goroutine owning the segment file: it drains the
-// queue in batches (everything accumulated while the previous fsync ran
-// — group commit), writes, syncs, publishes syncedSeq, and wakes the
-// waiters. Rotation requests are honored at batch boundaries only, so a
-// snapshot taken after a rotation provably covers every byte of the old
-// segments.
+// demandLocked reports whether a queued record must be written now: a
+// barrier waits on it, or the queue reached the drain size (which every
+// appender blocked on MaxQueueBytes implies).
+func (l *Log) demandLocked() bool {
+	return len(l.buf) > 0 && (l.wantSeq > l.syncedSeq || len(l.buf) >= l.drainAt())
+}
+
+// logger is the single goroutine owning the segment file. It sleeps
+// until a write is demanded — by a barrier, by the drain size, by a
+// rotation or by Close — then drains the whole queue as one batch,
+// writes it, syncs once, publishes syncedSeq, and wakes the waiters.
+// Appends alone never wake it, so every record a server batch enqueues
+// before its barrier shares that barrier's fsync: group commit on
+// demand, the write-up-to-what-Flush-asked-for shape of go-journal's
+// logger (SNIPPETS.md Snippet 2). Rotation requests are honored at
+// batch boundaries only, so a snapshot taken after a rotation provably
+// covers every byte of the old segments.
 func (l *Log) logger() {
 	defer close(l.loggerDone)
 	l.mu.Lock()
 	for {
-		for len(l.buf) == 0 && !l.closed && !l.rotating && l.err == nil {
+		for l.err == nil && !l.closed && !l.rotating && !l.demandLocked() {
 			l.condWork.Wait()
 		}
 		if l.err != nil {
@@ -361,8 +346,18 @@ func (l *Log) logger() {
 		err := l.writeAndSync(batch, nrecs)
 
 		l.mu.Lock()
-		if l.spare == nil {
-			l.spare = batch[:0]
+		l.spare = batch[:0]
+		if len(l.buf) == 0 {
+			// The queue ran dry, so any burst is over: drop buffers it
+			// grew past drainAt rather than keep them for the log's
+			// lifetime. While it lasts they are recycled, so appenders
+			// outpacing the fsync never regrow the queue from empty.
+			if cap(l.buf) > l.drainAt() {
+				l.buf = nil
+			}
+			if cap(l.spare) > l.drainAt() {
+				l.spare = nil
+			}
 		}
 		if err != nil {
 			l.setErrLocked(err)

@@ -2,9 +2,14 @@ package wal
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"mvrlu/internal/failpoint"
+	"mvrlu/internal/obs"
 )
 
 // mapApplier is the reference store for replay tests: last-writer-wins
@@ -154,18 +159,161 @@ func TestQueueBackpressure(t *testing.T) {
 	defer l.Close()
 	// Values near the queue bound force Append to block on the logger's
 	// drain; everything must still land durably.
-	big := make([]byte, 200)
-	for i := range big {
-		big[i] = 'x'
-	}
+	big := strings.Repeat("x", 200)
 	for i := 0; i < 50; i++ {
-		appendT(t, l, uint64(i+1), fmt.Sprintf("k%d", i), string(big))
+		appendT(t, l, uint64(i+1), fmt.Sprintf("k%d", i), big)
 	}
 	if err := l.SyncBarrier(); err != nil {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.Records != 50 {
 		t.Fatalf("records = %d, want 50", st.Records)
+	}
+}
+
+// TestAppendsWaitForBarrier: appends alone never start a write; the
+// barrier after them makes all of them durable under exactly one fsync.
+func TestAppendsWaitForBarrier(t *testing.T) {
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	l, _ := openT(t, t.TempDir())
+	defer l.Close()
+	syncs0 := l.Stats().Syncs
+	const n = 20
+	for i := 0; i < n; i++ {
+		appendT(t, l, uint64(i+1), fmt.Sprintf("k%d", i), "v")
+	}
+	// Room for a logger woken by Append to have synced, were it woken.
+	time.Sleep(20 * time.Millisecond)
+	if st := l.Stats(); st.Syncs != syncs0 || st.SyncedSeq == st.AppendSeq {
+		t.Fatalf("appends without a barrier were synced: %+v", st)
+	}
+	if err := l.SyncBarrier(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Syncs != syncs0+1 || st.SyncedSeq != st.AppendSeq {
+		t.Fatalf("barrier over %d appends: syncs %d → %d, stats %+v", n, syncs0, st.Syncs, st)
+	}
+	if g := l.groupHist.Snapshot(); g.Count() != 1 || g.Sum != n {
+		t.Fatalf("group histogram: %d batches, %d records; want 1 batch of %d", g.Count(), g.Sum, n)
+	}
+}
+
+// TestBlockedAppenderDrains: with no barrier ever issued, an appender
+// blocked on MaxQueueBytes must still get the queue drained.
+func TestBlockedAppenderDrains(t *testing.T) {
+	l, _, err := Open(Options{Dir: t.TempDir(), MaxQueueBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	val := strings.Repeat("x", 200)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 50; i++ {
+			if err := l.Append(Record{TS: uint64(i + 1), Key: fmt.Sprintf("k%d", i), Value: val}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("appenders stuck on backpressure with no barrier: %+v", l.Stats())
+	}
+	if st := l.Stats(); st.Records != 50 || st.Syncs == 0 {
+		t.Fatalf("stats after blocked appends: %+v", st)
+	}
+}
+
+// TestCloseSyncsUnbarrieredRecords: Close is a drain point — records no
+// barrier asked for still reach the segment.
+func TestCloseSyncsUnbarrieredRecords(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir)
+	const n = 30
+	for i := 0; i < n; i++ {
+		appendT(t, l, uint64(i+1), fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i))
+	}
+	appendGroupT(t, l, n+1, "ga", "gb")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := openT(t, dir)
+	defer l2.Close()
+	if rec.Records != n+2 || rec.TornBytes != 0 {
+		t.Fatalf("recovery after Close with no barrier: %+v", rec)
+	}
+	a := newMapApplier()
+	rec.Apply(a)
+	if len(a.m) != n+2 || a.m["k29"] != "v29" || a.m["gb"] != "ggb" {
+		t.Fatalf("recovered %d keys: %v", len(a.m), a.m)
+	}
+}
+
+// TestCheckpointCoversUnbarrieredRecords: a rotation is a drain point,
+// so records no barrier asked for land in the segments the snapshot
+// supersedes, not in the segment after it.
+func TestCheckpointCoversUnbarrieredRecords(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir)
+	a := newMapApplier()
+	const n = 30
+	for i := 0; i < n; i++ {
+		k, v := fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i)
+		a.Set(k, v)
+		appendT(t, l, uint64(i+1), k, v)
+	}
+	if err := l.Checkpoint(a.dump); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.SyncedSeq != st.AppendSeq {
+		t.Fatalf("checkpoint left records unsynced: %+v", st)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := openT(t, dir)
+	defer l2.Close()
+	if rec.SnapshotKeys != n || rec.Records != 0 {
+		t.Fatalf("snapshot keys %d, replay records %d; want %d, 0", rec.SnapshotKeys, rec.Records, n)
+	}
+	b := newMapApplier()
+	rec.Apply(b)
+	if !reflect.DeepEqual(a.m, b.m) {
+		t.Fatalf("recovered %d keys, want %d", len(b.m), len(a.m))
+	}
+}
+
+// TestBurstBuffersReleased: a burst that grows the queue far past the
+// drain size must not pin its buffers for the log's lifetime.
+func TestBurstBuffersReleased(t *testing.T) {
+	defer failpoint.Reset()
+	l, _ := openT(t, t.TempDir())
+	defer l.Close()
+	// Hold every fsync so the queue fills toward MaxQueueBytes (4 MiB)
+	// while the logger is busy with the batch before it.
+	if err := failpoint.Enable(failpoint.WALBeforeFsync.Name()+"=sleep(5ms)", 0); err != nil {
+		t.Fatal(err)
+	}
+	val := strings.Repeat("x", 4<<10)
+	for i := 0; i < 1024; i++ {
+		appendT(t, l, uint64(i+1), fmt.Sprintf("k%d", i), val)
+	}
+	if err := l.SyncBarrier(); err != nil {
+		t.Fatal(err)
+	}
+	failpoint.Reset()
+	l.mu.Lock()
+	held := cap(l.buf) + cap(l.spare)
+	l.mu.Unlock()
+	if held > 2*l.drainAt() {
+		t.Fatalf("after a 4 MiB burst the log retains %d buffer bytes, want ≤ %d", held, 2*l.drainAt())
 	}
 }
 
