@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"mvrlu/internal/check"
+	"mvrlu/internal/core"
 	"mvrlu/internal/kvstore"
 	"mvrlu/internal/rcu"
 	"mvrlu/internal/rlu"
@@ -403,8 +404,8 @@ func runIndex(hist *check.History, build string, seed int64, threads, keys, ops 
 	wg.Wait()
 
 	var boundary uint64
-	if b, ok := st.(interface{ Boundary() uint64 }); ok {
-		boundary = b.Boundary()
+	if e, ok := st.(core.Engine); ok {
+		boundary = e.Boundary()
 	}
 	return check.CheckKV(hist, check.Opts{Boundary: boundary})
 }

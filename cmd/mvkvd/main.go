@@ -8,9 +8,10 @@
 //	go run ./cmd/mvkvd -addr 127.0.0.1:6399 -store mvrlu-kv -handles 4
 //
 // Talk to it with cmd/mvkvload, redis-cli, or plain telnet (inline
-// commands are accepted): GET SET DEL EXISTS MGET MSET SCAN PING INFO
-// METRICS SHUTDOWN. SIGINT/SIGTERM and the SHUTDOWN command trigger the
-// same ordered graceful drain.
+// commands are accepted): PING GET SET DEL EXISTS MGET MSET SCAN INFO
+// METRICS TRACELOG QUIT SHUTDOWN, plus RANGE MULTI EXEC DISCARD on the
+// ordered-index (-idx) builds. SIGINT/SIGTERM and the SHUTDOWN command
+// trigger the same ordered graceful drain.
 //
 // With -metrics-addr the daemon also serves an HTTP observability
 // endpoint: Prometheus text at /metrics, the runtime profiler under

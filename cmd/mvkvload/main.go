@@ -30,8 +30,14 @@ import (
 	"time"
 
 	"mvrlu/internal/kvstore"
-	"mvrlu/internal/obs"
 	"mvrlu/internal/server"
+)
+
+// numKeys and valSize shape the load loop's keyspace: GETs and SETs on
+// key00000000…key00009999 with 64-byte values, preloaded by MSET.
+const (
+	numKeys = 10000
+	valSize = 64
 )
 
 type result struct {
@@ -41,10 +47,6 @@ type result struct {
 	Conns     int     `json:"conns"`
 	Pipeline  int     `json:"pipeline"`
 	ReadPct   int     `json:"readpct"`
-	RangePct  int     `json:"rangepct,omitempty"`
-	RangeLen  int     `json:"rangelen,omitempty"`
-	Keys      int     `json:"keys"`
-	ValueSize int     `json:"value_size"`
 	DurationS float64 `json:"duration_s"`
 	Ops       uint64  `json:"ops"`
 	OpsPerSec float64 `json:"ops_per_sec"`
@@ -53,88 +55,12 @@ type result struct {
 	P95us     float64 `json:"batch_p95_us"`
 	P99us     float64 `json:"batch_p99_us"`
 	Errors    uint64  `json:"errors"`
-	// BatchHist is the full batch round-trip latency distribution in
-	// power-of-two nanosecond buckets — the exact percentiles above
-	// answer "how fast", the histogram answers "what shape": a bimodal
-	// batch time (fast path vs pool-queue wait) is invisible in three
-	// percentiles but obvious in the buckets.
-	BatchHist histJSON `json:"batch_hist"`
 	// ShardOps is the per-shard command count over the measured window
 	// (difference of the server's server_shard_commands_total counters),
 	// present when the server exposes shard counters over METRICS. It is
 	// the routing-balance observable: a skewed distribution here means
 	// the hash is not spreading this workload's keys.
 	ShardOps []uint64 `json:"shard_ops,omitempty"`
-	// WalFsync and WalGroup are the server's WAL fsync-latency and
-	// group-commit batch-size distributions (scraped from METRICS),
-	// present when the server runs with -wal. Together they are the
-	// honest cost accounting of durability: how long each fsync took and
-	// how many commits each one amortized over.
-	WalFsync *histJSON `json:"wal_fsync_ns,omitempty"`
-	WalGroup *histJSON `json:"wal_group_records,omitempty"`
-	// SlowTraces is the server's top-K slowest request traces with their
-	// per-stage breakdowns (fetched via TRACELOG when -slowlog is set and
-	// the server runs with -trace): the latency-attribution artifact — a
-	// high batch p99 here resolves to "the WAL barrier" or "pool wait",
-	// not just a number.
-	SlowTraces []slowTrace `json:"slow_traces,omitempty"`
-}
-
-// slowTrace is one parsed TRACELOG line.
-type slowTrace struct {
-	ID       uint64           `json:"id"`
-	Cmd      string           `json:"cmd"`
-	Cmds     uint64           `json:"cmds"`
-	Shards   uint64           `json:"shards"`
-	TotalNs  uint64           `json:"total_ns"`
-	Stages   map[string]int64 `json:"stages"`
-	Dominant string           `json:"dominant"`
-}
-
-// histJSON is the JSON rendering of an obs.Snapshot: cumulative counts
-// over the occupied power-of-two buckets, same shape as the Prometheus
-// exposition so trajectory tooling can diff either source.
-type histJSON struct {
-	Count   uint64       `json:"count"`
-	SumNs   uint64       `json:"sum_ns"`
-	MeanUs  float64      `json:"mean_us"`
-	Buckets []histBucket `json:"buckets"`
-}
-
-type histBucket struct {
-	LeNs     uint64 `json:"le_ns"` // inclusive bucket upper bound
-	CumCount uint64 `json:"cum_count"`
-}
-
-// histFromLatencies folds per-connection latency samples through an
-// obs.Histogram — the same bucketing the server exposes — and renders
-// the occupied prefix.
-func histFromLatencies(lats [][]int64) histJSON {
-	var h obs.Histogram
-	for _, l := range lats {
-		for _, ns := range l {
-			h.Observe(uint64(ns))
-		}
-	}
-	s := h.Snapshot()
-	out := histJSON{
-		Count:  s.Count(),
-		SumNs:  s.Sum,
-		MeanUs: s.Mean() / 1e3,
-	}
-	lo := 0
-	for lo < obs.NumBuckets && s.Buckets[lo] == 0 {
-		lo++
-	}
-	var cum uint64
-	for i := lo; i <= s.MaxBucket(); i++ {
-		cum += s.Buckets[i]
-		out.Buckets = append(out.Buckets, histBucket{
-			LeNs:     obs.BucketUpper(i),
-			CumCount: cum,
-		})
-	}
-	return out
 }
 
 func main() {
@@ -143,16 +69,9 @@ func main() {
 		conns    = flag.Int("conns", 8, "concurrent connections")
 		pipeline = flag.Int("pipeline", 16, "commands in flight per connection")
 		readpct  = flag.Int("readpct", 90, "percentage of GETs (rest are SETs)")
-		rangepct = flag.Int("range", 0,
-			"percentage of operations that are RANGE scans, taken out of the GET share (needs an -idx store build)")
-		rangelen = flag.Int("rangelen", 16, "LIMIT of each -range scan")
 		duration = flag.Duration("duration", 5*time.Second, "measurement duration")
-		keys     = flag.Int("keys", 10000, "keyspace size")
-		valsize  = flag.Int("valsize", 64, "value payload bytes")
 		preload  = flag.Bool("preload", true, "MSET the keyspace before measuring")
 		jsonOut  = flag.String("json", "", "write the result as JSON to this file")
-		slowlog  = flag.Int("slowlog", 0,
-			"fetch the server's K slowest request traces after the run (TRACELOG K; needs mvkvd -trace) and fold their stage breakdowns into the output; 0 = off")
 		shutdown = flag.Bool("shutdown", false, "send SHUTDOWN to the server when done")
 		oneShot  = flag.String("cmd", "",
 			"send one command (space-separated args), print the reply, exit; skips probe/preload/load")
@@ -206,7 +125,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *preload {
-		if err := doPreload(*addr, *keys, *valsize); err != nil {
+		if err := doPreload(*addr); err != nil {
 			fmt.Fprintf(os.Stderr, "mvkvload: preload: %v\n", err)
 			os.Exit(1)
 		}
@@ -219,7 +138,7 @@ func main() {
 		wg        sync.WaitGroup
 		lats      = make([][]int64, *conns)
 		stop      = time.Now().Add(*duration)
-		val       = strings.Repeat("v", *valsize)
+		val       = strings.Repeat("v", valSize)
 	)
 	start := time.Now()
 	for i := 0; i < *conns; i++ {
@@ -235,20 +154,13 @@ func main() {
 			br := bufio.NewReaderSize(nc, 64<<10)
 			bw := bufio.NewWriterSize(nc, 64<<10)
 			rng := rand.New(rand.NewSource(int64(id)*2654435761 + 1))
-			hiKey := fmt.Sprintf("key%08d", *keys-1)
-			limit := strconv.Itoa(*rangelen)
 			for time.Now().Before(stop) {
 				t0 := time.Now()
 				for j := 0; j < *pipeline; j++ {
-					k := fmt.Sprintf("key%08d", rng.Intn(*keys))
-					switch p := rng.Intn(100); {
-					case p >= *readpct:
+					k := fmt.Sprintf("key%08d", rng.Intn(numKeys))
+					if rng.Intn(100) >= *readpct {
 						server.WriteCommandStrings(bw, "SET", k, val)
-					case p < *rangepct:
-						// Scans come out of the read share: the mix stays
-						// readpct% read-side whatever -range is set to.
-						server.WriteCommandStrings(bw, "RANGE", k, hiKey, "LIMIT", limit)
-					default:
+					} else {
 						server.WriteCommandStrings(bw, "GET", k)
 					}
 				}
@@ -293,69 +205,28 @@ func main() {
 		all = append(all, l...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	var walFsync, walGroup *histJSON
-	if h, ok := scrapeHist(*addr, "wal_fsync_ns"); ok {
-		walFsync = &h
-	}
-	if h, ok := scrapeHist(*addr, "wal_group_records"); ok {
-		walGroup = &h
-	}
-	var slowTraces []slowTrace
-	if *slowlog > 0 {
-		slowTraces, err = scrapeSlowTraces(*addr, *slowlog)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mvkvload: slowlog: %v\n", err)
-		}
-	}
 	res := result{
-		Addr:       *addr,
-		Build:      build,
-		Shards:     shards,
-		Conns:      *conns,
-		Pipeline:   *pipeline,
-		ReadPct:    *readpct,
-		RangePct:   *rangepct,
-		Keys:       *keys,
-		ValueSize:  *valsize,
-		DurationS:  elapsed.Seconds(),
-		Ops:        totalOps.Load(),
-		OpsPerSec:  float64(totalOps.Load()) / elapsed.Seconds(),
-		Batches:    len(all),
-		P50us:      pctile(all, 0.50),
-		P95us:      pctile(all, 0.95),
-		P99us:      pctile(all, 0.99),
-		Errors:     totalErrs.Load(),
-		BatchHist:  histFromLatencies(lats),
-		ShardOps:   shardOps,
-		WalFsync:   walFsync,
-		WalGroup:   walGroup,
-		SlowTraces: slowTraces,
-	}
-	if *rangepct > 0 {
-		res.RangeLen = *rangelen
+		Addr:      *addr,
+		Build:     build,
+		Shards:    shards,
+		Conns:     *conns,
+		Pipeline:  *pipeline,
+		ReadPct:   *readpct,
+		DurationS: elapsed.Seconds(),
+		Ops:       totalOps.Load(),
+		OpsPerSec: float64(totalOps.Load()) / elapsed.Seconds(),
+		Batches:   len(all),
+		P50us:     pctile(all, 0.50),
+		P95us:     pctile(all, 0.95),
+		P99us:     pctile(all, 0.99),
+		Errors:    totalErrs.Load(),
+		ShardOps:  shardOps,
 	}
 	fmt.Printf("%s shards=%d conns=%d pipeline=%d read=%d%%: %.0f ops/s, batch p50=%.0fµs p95=%.0fµs p99=%.0fµs (%d ops, %d errors)\n",
 		res.Build, res.Shards, res.Conns, res.Pipeline, res.ReadPct,
 		res.OpsPerSec, res.P50us, res.P95us, res.P99us, res.Ops, res.Errors)
 	if len(shardOps) > 1 {
 		fmt.Printf("  shard ops: %v\n", shardOps)
-	}
-	if walFsync != nil && walFsync.Count > 0 {
-		groups := float64(0)
-		if walGroup != nil && walGroup.Count > 0 {
-			groups = float64(walGroup.SumNs) / float64(walGroup.Count)
-		}
-		fmt.Printf("  wal: %d fsyncs, mean %.0fµs, mean group %.1f records\n",
-			walFsync.Count, walFsync.MeanUs, groups)
-	}
-	if len(slowTraces) > 0 {
-		byDominant := map[string]int{}
-		for _, st := range slowTraces {
-			byDominant[st.Dominant]++
-		}
-		top := slowTraces[0]
-		fmt.Printf("  slow traces: %d retained, slowest id=%d cmd=%s %.0fµs dominant=%s; dominants %v\n",
-			len(slowTraces), top.ID, top.Cmd, float64(top.TotalNs)/1e3, top.Dominant, byDominant)
 	}
 	if *jsonOut != "" {
 		data, _ := json.MarshalIndent(res, "", "  ")
@@ -507,7 +378,7 @@ func scrapeShardOps(addr string) ([]uint64, error) {
 
 // doPreload MSETs the keyspace in batches so measurement starts against
 // a populated store.
-func doPreload(addr string, keys, valsize int) error {
+func doPreload(addr string) error {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
@@ -515,11 +386,11 @@ func doPreload(addr string, keys, valsize int) error {
 	defer nc.Close()
 	br := bufio.NewReaderSize(nc, 64<<10)
 	bw := bufio.NewWriterSize(nc, 1<<20)
-	val := strings.Repeat("v", valsize)
+	val := strings.Repeat("v", valSize)
 	const batch = 512
-	for i := 0; i < keys; i += batch {
+	for i := 0; i < numKeys; i += batch {
 		args := []string{"MSET"}
-		for j := i; j < i+batch && j < keys; j++ {
+		for j := i; j < i+batch && j < numKeys; j++ {
 			args = append(args, fmt.Sprintf("key%08d", j), val)
 		}
 		server.WriteCommandStrings(bw, args...)
@@ -912,111 +783,6 @@ func runDurVerify(addr, file string) error {
 	}
 	fmt.Printf("durability-verify: all %d acked keys present with current values\n", len(keys))
 	return nil
-}
-
-// scrapeSlowTraces fetches TRACELOG k and parses the key=value trace
-// lines into structured entries, slowest first. Stage fields — any
-// key that is not one of the identity fields — land in Stages keyed by
-// stage name, so the artifact needs no client-side stage enum.
-func scrapeSlowTraces(addr string, k int) ([]slowTrace, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer nc.Close()
-	br, bw := bufio.NewReaderSize(nc, 1<<20), bufio.NewWriter(nc)
-	server.WriteCommandStrings(bw, "TRACELOG", strconv.Itoa(k))
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	rep, err := server.ReadReply(br)
-	if err != nil {
-		return nil, err
-	}
-	if rep.IsError() {
-		return nil, fmt.Errorf("%s", rep.Str)
-	}
-	var out []slowTrace
-	for _, line := range strings.Split(rep.Str, "\n") {
-		if !strings.HasPrefix(line, "id=") {
-			continue // header, blanks
-		}
-		st := slowTrace{Stages: map[string]int64{}}
-		for _, field := range strings.Fields(line) {
-			key, val, ok := strings.Cut(field, "=")
-			if !ok {
-				continue
-			}
-			switch key {
-			case "id":
-				st.ID, _ = strconv.ParseUint(val, 10, 64)
-			case "cmd":
-				st.Cmd = val
-			case "cmds":
-				st.Cmds, _ = strconv.ParseUint(val, 10, 64)
-			case "shards":
-				st.Shards, _ = strconv.ParseUint(val, 10, 64)
-			case "total_ns":
-				st.TotalNs, _ = strconv.ParseUint(val, 10, 64)
-			case "dominant":
-				st.Dominant = val
-			case "dropped_spans":
-				// span overflow marker; totals above are still exact
-			default:
-				if ns, err := strconv.ParseInt(val, 10, 64); err == nil {
-					st.Stages[key] = ns
-				}
-			}
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}
-
-// scrapeHist reads one histogram family from the METRICS exposition
-// (name_bucket{le="..."} / name_sum / name_count lines); ok is false
-// when the family is absent (e.g. the server runs without a WAL).
-func scrapeHist(addr, name string) (h histJSON, ok bool) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return h, false
-	}
-	defer nc.Close()
-	br, bw := bufio.NewReaderSize(nc, 1<<20), bufio.NewWriter(nc)
-	server.WriteCommandStrings(bw, "METRICS")
-	if err := bw.Flush(); err != nil {
-		return h, false
-	}
-	rep, err := server.ReadReply(br)
-	if err != nil || rep.IsError() {
-		return h, false
-	}
-	found := false
-	for _, line := range strings.Split(rep.Str, "\n") {
-		if rest, okc := strings.CutPrefix(line, name+`_bucket{le="`); okc {
-			leStr, valStr, okc := strings.Cut(rest, `"} `)
-			if !okc || leStr == "+Inf" {
-				continue
-			}
-			le, err1 := strconv.ParseUint(leStr, 10, 64)
-			cum, err2 := strconv.ParseUint(strings.TrimSpace(valStr), 10, 64)
-			if err1 != nil || err2 != nil {
-				continue
-			}
-			h.Buckets = append(h.Buckets, histBucket{LeNs: le, CumCount: cum})
-			found = true
-		} else if rest, okc := strings.CutPrefix(line, name+"_sum "); okc {
-			h.SumNs, _ = strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
-			found = true
-		} else if rest, okc := strings.CutPrefix(line, name+"_count "); okc {
-			h.Count, _ = strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
-			found = true
-		}
-	}
-	if h.Count > 0 {
-		h.MeanUs = float64(h.SumNs) / float64(h.Count) / 1e3
-	}
-	return h, found
 }
 
 // sendShutdown issues SHUTDOWN and waits for the server to close the

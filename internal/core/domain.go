@@ -11,6 +11,23 @@ import (
 	"mvrlu/internal/obs"
 )
 
+// Engine is the payload-independent view of a Domain: the read-outs and
+// controls that serving, durability and checking tools need without
+// knowing the domain's object type. A store build backed by a Domain
+// embeds it as an Engine, so one type assertion, st.(core.Engine), is
+// the whole engine-capability probe.
+type Engine interface {
+	Stats() Stats
+	Stalled() (StallInfo, bool)
+	Watermark() uint64
+	Now() uint64
+	Boundary() uint64
+	SetEventTag(tag uint32)
+	RegisterMetrics(reg *obs.Registry, labels string)
+}
+
+var _ Engine = (*Domain[struct{}])(nil)
+
 // Domain is an MV-RLU synchronization domain: a clock, a set of registered
 // threads, a grace-period detector, and the reclamation watermark they
 // share. All objects guarded by the same Domain commit and reclaim

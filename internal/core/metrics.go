@@ -114,15 +114,16 @@ func (d *Domain[T]) HistogramSnapshot(k HistKind) obs.Snapshot {
 }
 
 // RegisterMetrics registers the domain's telemetry — every histogram
-// kind plus the always-safe atomic counters and gauges — under the given
-// name prefix (e.g. "mvrlu_") and Prometheus label set (e.g. `shard="2"`;
+// kind plus the always-safe atomic counters and gauges — under the
+// "mvrlu_" prefix and the given Prometheus label set (e.g. `shard="2"`;
 // empty for unlabeled series). Labels are how a sharded deployment
 // exposes N domains side by side: same family names, one sample per
 // shard. Counters derived from plain owner-written threadStats fields
 // are deliberately absent: those require quiescence (Domain.Stats) and
 // would race a scrape under load. Commit, abort and deref rates are
 // recovered from the histogram _count series instead.
-func (d *Domain[T]) RegisterMetrics(reg *obs.Registry, prefix, labels string) {
+func (d *Domain[T]) RegisterMetrics(reg *obs.Registry, labels string) {
+	const prefix = "mvrlu_"
 	for k := HistKind(0); k < NumHistKinds; k++ {
 		if k == numThreadHists {
 			continue

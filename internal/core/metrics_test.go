@@ -206,7 +206,7 @@ func TestRegisterMetricsScrapeUnderLoad(t *testing.T) {
 	defer obs.SetEnabled(false)
 	d := newTestDomain(t, DefaultOptions())
 	reg := obs.NewRegistry()
-	d.RegisterMetrics(reg, "mvrlu_", "")
+	d.RegisterMetrics(reg, "")
 
 	stop := make(chan struct{})
 	done := make(chan struct{})

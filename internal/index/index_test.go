@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mvrlu/internal/check"
+	"mvrlu/internal/core"
 	"mvrlu/internal/kvstore"
 	"mvrlu/internal/obs"
 )
@@ -429,8 +430,8 @@ func TestKVCheckClean(t *testing.T) {
 			wg.Wait()
 
 			var boundary uint64
-			if b, ok := s.(interface{ Boundary() uint64 }); ok {
-				boundary = b.Boundary()
+			if e, ok := s.(core.Engine); ok {
+				boundary = e.Boundary()
 			}
 			rep := check.CheckKV(h, check.Opts{Boundary: boundary})
 			if !rep.Ok() {

@@ -3,7 +3,6 @@ package index
 import (
 	"mvrlu/internal/core"
 	"mvrlu/internal/kvstore"
-	"mvrlu/internal/obs"
 )
 
 // mvNode is one skiplist node under MV-RLU: key, value, and the tower.
@@ -30,8 +29,12 @@ type mvNode struct {
 // fails the write-latest check and Execute retries at a fresh
 // timestamp. A traversal that reaches TryLock success therefore saw the
 // latest committed version of everything it locks.
+//
+// The domain's read-outs (Stats, Watermark, Stalled, …) are the embedded
+// core.Engine's.
 type MVIndex struct {
 	indexBase
+	core.Engine
 	d    *core.Domain[mvNode]
 	head *core.Object[mvNode] // sentinel, height maxHeight, key unused
 }
@@ -44,9 +47,11 @@ func NewMVIndex() *MVIndex {
 
 // NewMVIndexOpts creates an empty index over a domain with opts.
 func NewMVIndexOpts(opts core.Options) *MVIndex {
+	d := core.NewDomain[mvNode](opts)
 	return &MVIndex{
 		indexBase: newIndexBase(),
-		d:         core.NewDomain[mvNode](opts),
+		Engine:    d,
+		d:         d,
 		head:      core.NewObject(mvNode{h: maxHeight}),
 	}
 }
@@ -57,43 +62,12 @@ func (s *MVIndex) Name() string { return "mvrlu-idx" }
 // Close implements Store.
 func (s *MVIndex) Close() { s.d.Close() }
 
-// Stats exposes domain counters.
-func (s *MVIndex) Stats() core.Stats { return s.d.Stats() }
-
 // Session implements Store.
 func (s *MVIndex) Session() kvstore.Session {
 	k := &mvIdxSession{t: mvTower{head: s.head, h: s.d.Register()}}
 	k.init(&s.indexBase, &k.t)
 	return k
 }
-
-// RegisterMetrics registers the domain's telemetry under the "mvrlu_"
-// prefix, same discovery path as the hash build.
-func (s *MVIndex) RegisterMetrics(reg *obs.Registry) {
-	s.d.RegisterMetrics(reg, "mvrlu_", "")
-}
-
-// RegisterMetricsLabeled is RegisterMetrics under a Prometheus label
-// set (the Sharded composite's per-shard labeling).
-func (s *MVIndex) RegisterMetricsLabeled(reg *obs.Registry, labels string) {
-	s.d.RegisterMetrics(reg, "mvrlu_", labels)
-}
-
-// Boundary exposes the domain's ORDO uncertainty window.
-func (s *MVIndex) Boundary() uint64 { return s.d.Boundary() }
-
-// Stalled exposes the domain's active watermark stall, if any.
-func (s *MVIndex) Stalled() (core.StallInfo, bool) { return s.d.Stalled() }
-
-// Watermark and Now expose the domain clock.
-func (s *MVIndex) Watermark() uint64 { return s.d.Watermark() }
-
-// Now reads the domain clock.
-func (s *MVIndex) Now() uint64 { return s.d.Now() }
-
-// SetEventTag labels the domain's GC/watermark timeline events (the
-// shard index under NewSharded).
-func (s *MVIndex) SetEventTag(tag uint32) { s.d.SetEventTag(tag) }
 
 // mvIdxSession is the shared session plus the one capability only this
 // engine has.

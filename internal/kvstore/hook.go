@@ -1,6 +1,10 @@
 package kvstore
 
-import "time"
+import (
+	"time"
+
+	"mvrlu/internal/core"
+)
 
 // CommitOp is one committed store mutation as seen by a commit hook: the
 // durability layer encodes it into a WAL record, and a future
@@ -76,10 +80,6 @@ func (s *Sharded) SetCommitHook(h CommitHook) {
 // visible to any store read that starts afterwards.
 type walClocker interface{ WALCutoff() uint64 }
 
-// nower is the per-shard clock capability used by WaitVisible (the
-// mvrlu build; see MVRLUStore.Now).
-type nower interface{ Now() uint64 }
-
 // WALCutoffs reads each shard's replay cutoff, keyed by shard index, for
 // a snapshot about to be dumped. Shards without the capability (mvrlu,
 // rlu — their hooks run inside the commit lock, so per-key log order
@@ -109,19 +109,19 @@ func WALCutoffs(st Store) map[uint32]uint64 {
 // waiting for the shard clock to pass the largest logged timestamp
 // closes that window. The Hardware clock advances with real time and the
 // Global clock advances per Now() call, so the wait terminates on both.
-// Builds without a clock capability need no wait (their commits are
-// visible at hook time).
+// Builds without a core.Engine need no wait (their commits are visible
+// at hook time).
 func WaitVisible(st Store, minTS map[uint32]uint64) {
 	forEachShard(st, func(i int, sh Store) {
 		ts, ok := minTS[uint32(i)]
 		if !ok {
 			return
 		}
-		n, ok := sh.(nower)
+		e, ok := sh.(core.Engine)
 		if !ok {
 			return
 		}
-		for n.Now() < ts {
+		for e.Now() < ts {
 			time.Sleep(50 * time.Microsecond)
 		}
 	})

@@ -19,8 +19,10 @@ type kvNode struct {
 // MVRLUStore is the MV-RLU port of CacheDB: the global readers-writer
 // lock is gone (reads are MV-RLU critical sections), and writers keep the
 // per-slot lock for a fair comparison with the RLU port, exactly as §6.4
-// describes.
+// describes. The domain's read-outs (Stats, Watermark, Stalled, …) are
+// the embedded core.Engine's.
 type MVRLUStore struct {
+	core.Engine
 	d        *core.Domain[kvNode]
 	slots    []mvSlot
 	buckets  int
@@ -36,8 +38,10 @@ type mvSlot struct {
 
 // NewMVRLUStore creates an MV-RLU-backed store.
 func NewMVRLUStore(slots, bucketsPerSlot int, opts core.Options) *MVRLUStore {
+	d := core.NewDomain[kvNode](opts)
 	s := &MVRLUStore{
-		d:       core.NewDomain[kvNode](opts),
+		Engine:  d,
+		d:       d,
 		slots:   make([]mvSlot, slots),
 		buckets: bucketsPerSlot,
 	}
@@ -56,9 +60,6 @@ func (s *MVRLUStore) Name() string { return "mvrlu-kv" }
 // Close implements Store.
 func (s *MVRLUStore) Close() { s.d.Close() }
 
-// Stats exposes domain counters.
-func (s *MVRLUStore) Stats() core.Stats { return s.d.Stats() }
-
 // Session implements Store.
 func (s *MVRLUStore) Session() Session {
 	s.sessions.Add(1)
@@ -68,48 +69,11 @@ func (s *MVRLUStore) Session() Session {
 // NumSessions implements Store.
 func (s *MVRLUStore) NumSessions() int { return int(s.sessions.Load()) }
 
-// RegisterMetrics registers the domain's telemetry (histograms plus the
-// always-safe atomic counters and gauges) under the "mvrlu_" prefix —
-// the hook the server's /metrics endpoint and METRICS command discover
-// through a type assertion, so the vanilla and rlu builds expose only
-// the server-level series.
-func (s *MVRLUStore) RegisterMetrics(reg *obs.Registry) {
-	s.d.RegisterMetrics(reg, "mvrlu_", "")
-}
-
-// RegisterMetricsLabeled is RegisterMetrics under a Prometheus label set
-// (e.g. `shard="2"`) — how a Sharded composite exposes N domains as one
-// labeled family per series instead of N renamed ones.
-func (s *MVRLUStore) RegisterMetricsLabeled(reg *obs.Registry, labels string) {
-	s.d.RegisterMetrics(reg, "mvrlu_", labels)
-}
-
-// Boundary exposes the domain's ORDO uncertainty window — the checker
-// needs it (check.Opts.Boundary) to validate a recorded history, and a
-// sharded run checks each shard's history against its own boundary.
-func (s *MVRLUStore) Boundary() uint64 { return s.d.Boundary() }
-
-// Stalled exposes the domain's active watermark stall, if any: the
-// engine-level diagnosis (which thread pins reclamation, since when)
-// that the server layer surfaces over INFO.
-func (s *MVRLUStore) Stalled() (core.StallInfo, bool) { return s.d.Stalled() }
-
-// Watermark and Now expose the domain clock so callers can report the
-// watermark's age (now − watermark, in clock units) remotely.
-func (s *MVRLUStore) Watermark() uint64 { return s.d.Watermark() }
-
-// Now reads the domain clock.
-func (s *MVRLUStore) Now() uint64 { return s.d.Now() }
-
 // SetCommitHook implements commitHooker. The hook runs inside the
 // per-slot lock right after Execute commits, with the write set's real
 // MV-RLU commit timestamp — so for any key, hook order equals commit
 // order, and the WAL's per-key log order needs no correction.
 func (s *MVRLUStore) SetCommitHook(h CommitHook) { s.hook = h }
-
-// SetEventTag implements eventTagger: the domain's GC/watermark timeline
-// events carry this tag (the shard index under NewSharded).
-func (s *MVRLUStore) SetEventTag(tag uint32) { s.d.SetEventTag(tag) }
 
 // ChainMetrics walks every tree at quiescence (no concurrent writers, no
 // single-collector detector) and reports the number of records, the total

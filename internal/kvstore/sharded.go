@@ -1,8 +1,7 @@
 package kvstore
 
 import (
-	"fmt"
-
+	"mvrlu/internal/core"
 	"mvrlu/internal/obs"
 )
 
@@ -39,15 +38,15 @@ func NewShardedStore(stores []Store) *Sharded {
 	// Tag each shard's engine domain with its index so GC/watermark
 	// timeline events (TRACELOG GC) attribute to the right shard.
 	for i, st := range stores {
-		if tg, ok := st.(eventTagger); ok {
-			tg.SetEventTag(uint32(i))
+		if e, ok := st.(core.Engine); ok {
+			e.SetEventTag(uint32(i))
 		}
 	}
 	return &Sharded{name: stores[0].Name(), shards: stores}
 }
 
 // Name implements Store: the underlying build name, unchanged, so
-// tooling that keys on build (mvkvload's probe, bench scripts) keeps
+// tooling that keys on build (INFO's build line, mvkvload's probe) keeps
 // working; the shard count is surfaced separately (NumShards, INFO).
 func (s *Sharded) Name() string { return s.name }
 
@@ -105,25 +104,6 @@ func (s *Sharded) Session() Session {
 		return &orderedShardedSession{shardedSession: base, osubs: osubs}
 	}
 	return &base
-}
-
-// labeledMetricser is the per-shard metrics capability: a build that can
-// register its engine series under a Prometheus label set (the mvrlu
-// build; see MVRLUStore.RegisterMetricsLabeled).
-type labeledMetricser interface {
-	RegisterMetricsLabeled(*obs.Registry, string)
-}
-
-// RegisterMetrics registers each shard's engine telemetry under a
-// shard="i" label, so one scrape shows all N watermarks, GC passes, and
-// stall gauges side by side. Shards without engine metrics (vanilla,
-// rlu) contribute nothing, exactly as before sharding.
-func (s *Sharded) RegisterMetrics(reg *obs.Registry) {
-	for i, sh := range s.shards {
-		if m, ok := sh.(labeledMetricser); ok {
-			m.RegisterMetricsLabeled(reg, fmt.Sprintf(`shard="%d"`, i))
-		}
-	}
 }
 
 type shardedSession struct {

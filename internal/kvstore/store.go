@@ -70,14 +70,6 @@ type TraceCarrier interface {
 	SetTrace(tr *obs.Trace)
 }
 
-// eventTagger is the optional store capability for labeling engine
-// timeline events: NewSharded tags each shard's domain with its index so
-// GC/watermark events attribute to the right shard in a TRACELOG GC
-// dump.
-type eventTagger interface {
-	SetEventTag(tag uint32)
-}
-
 // Store is a cache database build.
 type Store interface {
 	// Name identifies the build ("vanilla", "rlu-kv", "mvrlu-kv").

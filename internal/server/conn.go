@@ -89,7 +89,7 @@ func (g *walGate) Write(p []byte) (int, error) {
 func newConn(s *Server, nc net.Conn) *conn {
 	c := &conn{
 		srv: s, nc: nc, br: bufio.NewReaderSize(nc, 16<<10), tr: &obs.Trace{},
-		queues: make([][]shardOp, len(s.shards)),
+		queues: make([][]shardOp, len(s.pools)),
 	}
 	var w io.Writer = nc
 	if s.cfg.WAL != nil {

@@ -6,21 +6,6 @@ import (
 	"time"
 
 	"mvrlu/internal/core"
-	"mvrlu/internal/kvstore"
-)
-
-// Optional store capabilities INFO surfaces when the build provides
-// them (the mvrlu build does; vanilla and rlu report only the server
-// and handle sections). Over a sharded store each shard is probed
-// independently — the capabilities live on the per-shard stores, and
-// each shard gets its own sections.
-type (
-	statser  interface{ Stats() core.Stats }
-	staller  interface{ Stalled() (core.StallInfo, bool) }
-	clockser interface {
-		Watermark() uint64
-		Now() uint64
-	}
 )
 
 // quiesceBudget bounds how long INFO ALL waits to check out a pool's
@@ -53,7 +38,7 @@ func (s *Server) infoText(full bool) string {
 	fmt.Fprintf(&b, "# server\n")
 	fmt.Fprintf(&b, "build:%s\n", s.store.Name())
 	fmt.Fprintf(&b, "uptime_ms:%d\n", time.Since(s.start).Milliseconds())
-	fmt.Fprintf(&b, "shards:%d\n", len(s.shards))
+	fmt.Fprintf(&b, "shards:%d\n", len(s.pools))
 	fmt.Fprintf(&b, "handles:%d\n", nHandles)
 	fmt.Fprintf(&b, "sessions:%d\n", s.store.NumSessions())
 	fmt.Fprintf(&b, "conns:%d\n", s.numConns())
@@ -62,9 +47,9 @@ func (s *Server) infoText(full bool) string {
 	fmt.Fprintf(&b, "commands:%d\n", s.commands.Load())
 	fmt.Fprintf(&b, "panics:%d\n", s.panics.Load())
 	fmt.Fprintf(&b, "shutting:%d\n", boolInt(s.shutting.Load()))
-	sharded := len(s.shards) > 1
+	sharded := len(s.pools) > 1
 	if sharded {
-		for i := range s.shards {
+		for i := range s.pools {
 			fmt.Fprintf(&b, "shard_%d_commands:%d\n", i, s.shardCmds[i].n.Load())
 		}
 	}
@@ -83,13 +68,20 @@ func (s *Server) infoText(full bool) string {
 		fmt.Fprintf(&b, "wal_degraded:%d\n", boolInt(w.Err() != nil))
 	}
 
-	for i, st := range s.shards {
-		s.writeWatermarkSection(&b, i, st)
+	// The engine sections exist for the builds with a core.Engine (the
+	// mvrlu ones); rlu and vanilla report only the server and handle
+	// sections.
+	for i, e := range s.engines {
+		if e != nil {
+			s.writeWatermarkSection(&b, i, e)
+		}
 	}
 
 	if full {
-		for i, st := range s.shards {
-			s.writeEngineSection(&b, i, st)
+		for i, e := range s.engines {
+			if e != nil {
+				s.writeEngineSection(&b, i, e)
+			}
 		}
 	}
 
@@ -108,53 +100,42 @@ func (s *Server) infoText(full bool) string {
 	return b.String()
 }
 
-// shardLabel suffixes a per-shard INFO section name. The one-shard
-// server keeps the exact historical unlabelled names so existing scrapers
-// (and mvkvload's INFO probe) parse unchanged; with more shards the
-// sections carry the shard index.
-func (s *Server) shardLabel(i int) string {
-	if len(s.shards) == 1 {
+// shardLabel renders shard i's label through format — ` shard=%d` on an
+// INFO section name, `shard="%d"` on a metric series — and is empty on a
+// one-shard server, which keeps the unlabelled names and series.
+func (s *Server) shardLabel(i int, format string) string {
+	if len(s.pools) == 1 {
 		return ""
 	}
-	return fmt.Sprintf(" shard=%d", i)
+	return fmt.Sprintf(format, i)
 }
 
 // writeWatermarkSection emits one shard's watermark/stall section.
-func (s *Server) writeWatermarkSection(b *strings.Builder, i int, st kvstore.Store) {
-	cl, ok := st.(clockser)
-	if !ok {
-		return
-	}
-	now, w := cl.Now(), cl.Watermark()
-	fmt.Fprintf(b, "\n# watermark%s\n", s.shardLabel(i))
+func (s *Server) writeWatermarkSection(b *strings.Builder, i int, e core.Engine) {
+	now, w := e.Now(), e.Watermark()
+	fmt.Fprintf(b, "\n# watermark%s\n", s.shardLabel(i, " shard=%d"))
 	fmt.Fprintf(b, "clock_now:%d\n", now)
 	fmt.Fprintf(b, "watermark:%d\n", w)
 	fmt.Fprintf(b, "watermark_age:%d\n", now-w)
-	if sl, ok := st.(staller); ok {
-		if info, ok := sl.Stalled(); ok {
-			fmt.Fprintf(b, "stalled:1\n")
-			fmt.Fprintf(b, "stall_thread_id:%d\n", info.ThreadID)
-			fmt.Fprintf(b, "stall_entry_ts:%d\n", info.EntryTS)
-			fmt.Fprintf(b, "stall_watermark:%d\n", info.Watermark)
-			fmt.Fprintf(b, "stalled_for_us:%d\n",
-				time.Since(info.Since).Microseconds())
-		} else {
-			fmt.Fprintf(b, "stalled:0\n")
-		}
+	if info, ok := e.Stalled(); ok {
+		fmt.Fprintf(b, "stalled:1\n")
+		fmt.Fprintf(b, "stall_thread_id:%d\n", info.ThreadID)
+		fmt.Fprintf(b, "stall_entry_ts:%d\n", info.EntryTS)
+		fmt.Fprintf(b, "stall_watermark:%d\n", info.Watermark)
+		fmt.Fprintf(b, "stalled_for_us:%d\n",
+			time.Since(info.Since).Microseconds())
+	} else {
+		fmt.Fprintf(b, "stalled:0\n")
 	}
 }
 
 // writeEngineSection emits one shard's quiescent engine Stats (INFO ALL
 // only).
-func (s *Server) writeEngineSection(b *strings.Builder, i int, st kvstore.Store) {
-	stat, ok := st.(statser)
-	if !ok {
-		return
-	}
+func (s *Server) writeEngineSection(b *strings.Builder, i int, e core.Engine) {
 	held, all := s.quiescePool(s.pools[i], quiesceBudget)
-	fmt.Fprintf(b, "\n# engine%s\n", s.shardLabel(i))
+	fmt.Fprintf(b, "\n# engine%s\n", s.shardLabel(i, " shard=%d"))
 	if all {
-		stats := stat.Stats()
+		stats := e.Stats()
 		fmt.Fprintf(b, "commits:%d\n", stats.Commits)
 		fmt.Fprintf(b, "aborts:%d\n", stats.Aborts)
 		fmt.Fprintf(b, "abort_ratio:%.4f\n", stats.AbortRatio())

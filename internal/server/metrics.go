@@ -7,16 +7,13 @@ import (
 	"mvrlu/internal/obs"
 )
 
-// metricser is the optional store capability the server's metrics
-// registry discovers: the mvrlu build contributes the engine's
-// histograms and counters; vanilla and rlu expose server series only.
-type metricser interface{ RegisterMetrics(*obs.Registry) }
-
 // registerMetrics builds the server's metric registry at New time:
-// server-level series first, then whatever the store contributes. Every
-// callback reads atomics only — the same always-safe discipline as the
-// default INFO sections — so the registry may be scraped (over HTTP or
-// the METRICS command) at any moment under full load.
+// server-level series first, then each shard engine's series (none for
+// rlu and vanilla), labelled shard="i" only when there is more than one
+// shard. Every callback reads atomics only — the same always-safe
+// discipline as the default INFO sections — so the registry may be
+// scraped (over HTTP or the METRICS command) at any moment under full
+// load.
 func (s *Server) registerMetrics() {
 	s.reg = obs.NewRegistry()
 	s.reg.Gauge("server_uptime_seconds",
@@ -52,7 +49,7 @@ func (s *Server) registerMetrics() {
 		obs.EventsTotal)
 	s.reg.Gauge("server_shards",
 		"independent store shards behind the router (1 = unsharded)",
-		func() float64 { return float64(len(s.shards)) })
+		func() float64 { return float64(len(s.pools)) })
 	for i := range s.shardCmds {
 		n := &s.shardCmds[i].n
 		s.reg.CounterWith("server_shard_commands_total",
@@ -60,8 +57,10 @@ func (s *Server) registerMetrics() {
 			"commands executed per shard (multi-key commands count once per shard touched)",
 			n.Load)
 	}
-	if m, ok := s.store.(metricser); ok {
-		m.RegisterMetrics(s.reg)
+	for i, e := range s.engines {
+		if e != nil {
+			e.RegisterMetrics(s.reg, s.shardLabel(i, `shard="%d"`))
+		}
 	}
 	if s.cfg.WAL != nil {
 		s.cfg.WAL.RegisterMetrics(s.reg)

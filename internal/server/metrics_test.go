@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mvrlu/internal/kvstore"
 	"mvrlu/internal/obs"
 )
 
@@ -69,6 +70,90 @@ func TestMetricsCommand(t *testing.T) {
 	// histogram must be populated.
 	if !strings.Contains(r.Str, "mvrlu_commit_ns_count") {
 		t.Error("engine commit histogram absent")
+	}
+}
+
+// TestEngineExposition: every build with a core.Engine shows its
+// watermark section in INFO, its engine section in INFO ALL and its
+// mvrlu_* series in METRICS, and its handles name their engine threads;
+// the rlu and vanilla builds show none of these. Labels follow the shard
+// count alone, so a one-shard *kvstore.Sharded is served exactly like
+// the plain store it wraps.
+func TestEngineExposition(t *testing.T) {
+	type shape struct {
+		name   string
+		shards int
+		store  func(t *testing.T, build string) kvstore.Store
+	}
+	shapes := []shape{
+		{"shards=1", 1, func(t *testing.T, build string) kvstore.Store { return newStore(t, build, 1) }},
+		{"sharded-of-1", 1, func(t *testing.T, build string) kvstore.Store {
+			return kvstore.NewShardedStore([]kvstore.Store{newStore(t, build, 1)})
+		}},
+		{"shards=4", 4, func(t *testing.T, build string) kvstore.Store { return newStore(t, build, 4) }},
+	}
+	for _, build := range []string{"mvrlu-kv", "mvrlu-idx", "rlu-kv", "vanilla"} {
+		engine := strings.HasPrefix(build, "mvrlu")
+		for _, sh := range shapes {
+			t.Run(build+"/"+sh.name, func(t *testing.T) {
+				store := sh.store(t, build)
+				defer store.Close()
+				srv, _ := startServer(t, store, Config{Handles: 2 * sh.shards})
+				defer srv.Shutdown()
+				c := dialT(t, srv)
+				info, all, metrics := c.cmd("INFO").Str, c.cmd("INFO", "ALL").Str, c.cmd("METRICS").Str
+
+				var sections, series []string
+				if sh.shards == 1 {
+					sections = []string{"\n# watermark\n", "\n# engine\n"}
+					series = []string{"\nmvrlu_watermark "}
+				} else {
+					for i := 0; i < sh.shards; i++ {
+						sections = append(sections,
+							fmt.Sprintf("\n# watermark shard=%d\n", i), fmt.Sprintf("\n# engine shard=%d\n", i))
+						series = append(series, fmt.Sprintf("\nmvrlu_watermark{shard=\"%d\"} ", i))
+					}
+				}
+				for _, want := range sections {
+					if got := strings.Contains(all, want); got != engine {
+						t.Errorf("INFO ALL has %q: %v, want %v", strings.TrimSpace(want), got, engine)
+					}
+				}
+				if got := strings.Contains(info, "# watermark"); got != engine {
+					t.Errorf("INFO has a watermark section: %v, want %v", got, engine)
+				}
+				for _, want := range series {
+					if got := strings.Contains(metrics, want); got != engine {
+						t.Errorf("METRICS has %q: %v, want %v", strings.TrimSpace(want), got, engine)
+					}
+				}
+				if strings.Contains(metrics, "\nmvrlu_") != engine {
+					t.Errorf("METRICS mvrlu_* series present: %v, want %v", !engine, engine)
+				}
+				for _, line := range strings.Split(metrics, "\n") {
+					if sh.shards == 1 && strings.HasPrefix(line, "mvrlu_") && strings.Contains(line, "shard=") {
+						t.Fatalf("one-shard METRICS labels an engine series: %s", line)
+					}
+				}
+
+				handles := 0
+				for _, line := range strings.Split(info, "\n") {
+					_, rest, ok := strings.Cut(line, ":thread_id=")
+					if !ok {
+						continue
+					}
+					handles++
+					var id int
+					fmt.Sscanf(rest, "%d", &id)
+					if (id >= 0) != engine {
+						t.Errorf("handle %q: thread_id %d on build %s", line, id, build)
+					}
+				}
+				if handles != len(srv.pools)*len(srv.pools[0].all) {
+					t.Errorf("INFO lists %d handles", handles)
+				}
+			})
+		}
 	}
 }
 

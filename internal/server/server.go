@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mvrlu/internal/core"
 	"mvrlu/internal/kvstore"
 	"mvrlu/internal/obs"
 	"mvrlu/internal/wal"
@@ -101,12 +102,13 @@ func (c *Config) sanitize() {
 type Server struct {
 	cfg   Config
 	store kvstore.Store
-	// shards are the routing targets and pools their per-shard session
-	// pools (parallel slices); shardFor maps a key to its index. An
-	// unsharded store is the one-shard case: shards[0] == store and
-	// shardFor is constantly 0.
-	shards   []kvstore.Store
+	// pools are the per-shard session pools and engines the shards'
+	// engine views, both indexed by shard; an engines entry is nil for a
+	// build without one (rlu, vanilla). shardFor maps a key to its shard.
+	// An unsharded store is the one-shard case: one pool over store and
+	// shardFor constantly 0.
 	pools    []*sessionPool
+	engines  []core.Engine
 	shardFor func(string) int
 	// ordered reports whether the build's sessions carry the
 	// ordered-index capability (RANGE, MULTI/EXEC) — probed once at
@@ -131,8 +133,8 @@ type Server struct {
 
 	// shardCmds counts commands executed per shard (multi-key commands
 	// count once per shard touched) — the routing-balance observable
-	// mvkvload folds into its bench artifacts. Padded: every batch
-	// increments one per touched shard from whatever P runs it.
+	// mvkvload reports as shard_ops. Padded: every batch increments one
+	// per touched shard from whatever P runs it.
 	shardCmds []shardCounter
 
 	// reg is the metric registry (see metrics.go); batchHist records
@@ -153,51 +155,43 @@ type shardCounter struct {
 	_ [56]byte
 }
 
-// sharder is the optional store capability that gives the server more
-// than one shard: a store partitioned into independently reclaimed
-// shards (see kvstore.Sharded). A store without it is served as one
-// shard.
-type sharder interface {
-	NumShards() int
-	Shard(i int) kvstore.Store
-	ShardFor(key string) int
-}
-
 // New creates a server over store. The session pools register their
 // handles immediately, so engine registration cost is paid once at
-// startup, not per connection. A sharded store gets one pool per shard
-// (Handles split across them, minimum 2 each); anything else is one
-// shard with one pool of Handles sessions.
+// startup, not per connection. A *kvstore.Sharded store is served shard
+// by shard, whatever its shard count: one pool per shard (Handles split
+// across them, minimum 2 each when there are several) over the shard's
+// own store, and each shard's core.Engine probed once here. Any other
+// store is one shard with one pool of Handles sessions.
 func New(store kvstore.Store, cfg Config) *Server {
 	cfg.sanitize()
 	s := &Server{
-		cfg:     cfg,
-		store:   store,
-		sem:     make(chan struct{}, cfg.MaxConns),
-		conns:   make(map[*conn]struct{}),
-		drained: make(chan struct{}),
-		start:   time.Now(),
-		flight:  obs.NewRecorder(cfg.TraceSlowest, cfg.TraceRecent),
+		cfg:      cfg,
+		store:    store,
+		shardFor: func(string) int { return 0 },
+		sem:      make(chan struct{}, cfg.MaxConns),
+		conns:    make(map[*conn]struct{}),
+		drained:  make(chan struct{}),
+		start:    time.Now(),
+		flight:   obs.NewRecorder(cfg.TraceSlowest, cfg.TraceRecent),
 	}
-	if sh, ok := store.(sharder); ok && sh.NumShards() > 1 {
+	shards, per := []kvstore.Store{store}, cfg.Handles
+	if sh, ok := store.(*kvstore.Sharded); ok {
 		n := sh.NumShards()
-		per := (cfg.Handles + n - 1) / n
-		if per < 2 {
-			per = 2
+		shards = make([]kvstore.Store, n)
+		for i := range shards {
+			shards[i] = sh.Shard(i)
 		}
-		s.shards = make([]kvstore.Store, n)
-		s.pools = make([]*sessionPool, n)
-		for i := 0; i < n; i++ {
-			s.shards[i] = sh.Shard(i)
-			s.pools[i] = newSessionPool(s.shards[i], per)
+		if n > 1 {
+			per = max((cfg.Handles+n-1)/n, 2)
+			s.shardFor = sh.ShardFor
 		}
-		s.shardFor = sh.ShardFor
-	} else {
-		s.shards = []kvstore.Store{store}
-		s.pools = []*sessionPool{newSessionPool(store, cfg.Handles)}
-		s.shardFor = func(string) int { return 0 }
 	}
-	s.shardCmds = make([]shardCounter, len(s.shards))
+	for _, st := range shards {
+		s.pools = append(s.pools, newSessionPool(st, per))
+		e, _ := st.(core.Engine)
+		s.engines = append(s.engines, e)
+	}
+	s.shardCmds = make([]shardCounter, len(shards))
 	if len(s.pools[0].all) > 0 {
 		s.ordered = s.pools[0].all[0].ordered != nil
 	}

@@ -321,7 +321,7 @@ func TestMultiErrors(t *testing.T) {
 func TestMultiCrossShard(t *testing.T) {
 	store := newStore(t, "mvrlu-idx", 4)
 	defer store.Close()
-	sh := store.(sharder)
+	sh := store.(*kvstore.Sharded)
 	srv, _ := startServer(t, store, Config{Handles: 4})
 	defer srv.Shutdown()
 	c := dialT(t, srv)
@@ -400,7 +400,7 @@ func TestMultiPipelined(t *testing.T) {
 // sameShardKeys returns n distinct keys with the given prefix that all
 // hash to one shard (trivially true for an unsharded store).
 func sameShardKeys(store kvstore.Store, prefix string, n int) []string {
-	sh, ok := store.(sharder)
+	sh, ok := store.(*kvstore.Sharded)
 	if !ok {
 		keys := make([]string, n)
 		for i := range keys {
