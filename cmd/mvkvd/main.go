@@ -57,7 +57,7 @@ func main() {
 			"independent store shards, each its own engine domain with its own watermark and GC (0 = GOMAXPROCS, 1 = unsharded)")
 		handles  = flag.Int("handles", 0, "total session-pool size, split across shards (0 = GOMAXPROCS)")
 		maxConns = flag.Int("max-conns", 1024, "max concurrent connections (accept backpressure past it)")
-		readTO   = flag.Duration("read-timeout", 5*time.Second, "per-command read timeout inside a batch")
+		readTO   = flag.Duration("read-timeout", 5*time.Second, "read timeout for the rest of a pipelined batch after its first command")
 		writeTO  = flag.Duration("write-timeout", 5*time.Second, "reply flush timeout")
 		idleTO   = flag.Duration("idle-timeout", 5*time.Minute, "idle connection timeout")
 		drainTO  = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain budget")

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,6 +97,31 @@ func TestRunMeasuresThroughput(t *testing.T) {
 	}
 	if res.Commits == 0 {
 		t.Fatal("no commits measured on an abort-counting set")
+	}
+}
+
+// TestDriveWaitsForSlowSetup: a worker whose setup outlasts the whole
+// window still measures, because the clock starts only once every worker
+// is ready and every worker counts at least the op in flight at stop.
+func TestDriveWaitsForSlowSetup(t *testing.T) {
+	const setup, d = 20 * time.Millisecond, 5 * time.Millisecond
+	var ops [2]atomic.Uint64
+	m := Drive(len(ops), d, nil, func(w int, _ *atomic.Bool) func() {
+		if w == 0 {
+			time.Sleep(setup)
+		}
+		return func() { ops[w].Add(1) }
+	})
+	for w := range ops {
+		if ops[w].Load() == 0 {
+			t.Errorf("worker %d ran no op in the window", w)
+		}
+	}
+	if m.Ops != ops[0].Load()+ops[1].Load() {
+		t.Errorf("measured %d ops, workers ran %d", m.Ops, ops[0].Load()+ops[1].Load())
+	}
+	if m.Elapsed < d {
+		t.Errorf("window %v shorter than d = %v", m.Elapsed, d)
 	}
 }
 

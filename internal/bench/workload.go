@@ -75,8 +75,9 @@ type Result struct {
 }
 
 // Measurement is what Drive measured: operations completed by every
-// worker, wall time from opening the start gate to the last worker
-// stopping, and the commit/abort delta over that window.
+// worker, wall time from opening the start gate (once every worker is
+// ready) to the last worker stopping, and the commit/abort delta over
+// that window.
 type Measurement struct {
 	Ops        uint64
 	Elapsed    time.Duration
@@ -95,12 +96,16 @@ func (m Measurement) OpsPerUsec() float64 {
 }
 
 // Drive runs threads workers behind one start gate for d and returns
-// what they did. Worker t calls newWorker(t, stop) on its own goroutine
-// before the gate opens, so per-worker setup (sessions, generators)
-// stays out of the measured window, then runs the returned op until
-// stop is set; an op that retries may read stop to give up early.
-// counters, when non-nil, returns cumulative commit and abort counts;
-// the measurement carries their delta.
+// what they did. Worker t calls newWorker(t, stop) on its own goroutine,
+// and the gate opens — and the clock starts — only once every worker has
+// returned from it, so per-worker setup (sessions, generators) stays out
+// of the measured window however long it takes. Each worker then runs
+// the returned op at least once and until stop is set; the op in flight
+// when stop lands finishes and is counted, so no window measures nothing
+// even if a worker is not scheduled until d has passed. An op that
+// retries may read stop to give up early. counters, when non-nil,
+// returns cumulative commit and abort counts; the measurement carries
+// their delta.
 func Drive(threads int, d time.Duration, counters func() (commits, aborts uint64),
 	newWorker func(t int, stop *atomic.Bool) func()) Measurement {
 	var beforeC, beforeA uint64
@@ -110,23 +115,30 @@ func Drive(threads int, d time.Duration, counters func() (commits, aborts uint64
 	var (
 		stop  atomic.Bool
 		total atomic.Uint64
+		ready sync.WaitGroup
 		wg    sync.WaitGroup
 		start = make(chan struct{})
 	)
+	ready.Add(threads)
 	for t := 0; t < threads; t++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			op := newWorker(t, &stop)
+			ready.Done()
 			ops := uint64(0)
 			<-start
-			for !stop.Load() {
+			for {
 				op()
 				ops++
+				if stop.Load() {
+					break
+				}
 			}
 			total.Add(ops)
 		}()
 	}
+	ready.Wait()
 	begin := time.Now()
 	close(start)
 	time.Sleep(d)

@@ -16,9 +16,11 @@ import (
 // conn is one client connection: a goroutine, two buffers, and no store
 // session of its own — sessions are checked out per batch.
 type conn struct {
-	srv  *Server
-	nc   net.Conn
-	br   *bufio.Reader
+	srv *Server
+	nc  net.Conn
+	// in parses commands from the socket's read buffer into the batch's
+	// argument arena; resetBatch releases the arguments after render.
+	in   cmdReader
 	bw   *bufio.Writer
 	gate *walGate // nil when the server runs without a WAL
 	// tr is the connection's reusable request trace: armed per batch
@@ -88,7 +90,7 @@ func (g *walGate) Write(p []byte) (int, error) {
 
 func newConn(s *Server, nc net.Conn) *conn {
 	c := &conn{
-		srv: s, nc: nc, br: bufio.NewReaderSize(nc, 16<<10), tr: &obs.Trace{},
+		srv: s, nc: nc, in: cmdReader{br: bufio.NewReaderSize(nc, 16<<10)}, tr: &obs.Trace{},
 		queues: make([][]shardOp, len(s.pools)),
 	}
 	var w io.Writer = nc
@@ -152,7 +154,7 @@ func (c *conn) serve() {
 	}()
 	for !c.srv.shutting.Load() {
 		c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.IdleTimeout))
-		args, err := ReadCommand(c.br)
+		args, err := c.in.read()
 		if err != nil {
 			c.reportReadError(err)
 			return

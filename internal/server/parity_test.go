@@ -125,6 +125,21 @@ func parityScript(co []string) [][]string {
 	add("MULTI")
 	add("EXEC")
 
+	// Arguments live in the connection's arena only until their batch
+	// renders. A MULTI body outlives that: replayed one round trip at a
+	// time, this MULTI, its SET and its EXEC are three batches, and the
+	// SET's arguments are overwritten before EXEC commits them.
+	add("MULTI")
+	add("SET", co[0], "queued-across-batches")
+	add("EXEC")
+	add("GET", co[0])
+	// A bulk larger than the server's 16 KiB read buffer (and the 64 KiB
+	// an arena keeps), then — in the same write when pipelined — a PING
+	// whose payload is read into the arena behind it.
+	add("SET", "big", strings.Repeat("b", 80<<10))
+	add("PING", "payload-after-big")
+	add("GET", "big")
+
 	add("TRACELOG", "bogus")
 	add("TRACELOG", "GC", "1", "2")
 	add("QUIT")

@@ -16,6 +16,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -31,6 +32,14 @@ const (
 	MaxBulk = 8 << 20
 	// maxInline bounds an inline (non-array) command line.
 	maxInline = 1 << 16
+	// maxIntLine bounds the digits of a `*N` / `$N` / `:N` line.
+	maxIntLine = 32
+	// maxArena is the most argument memory a connection keeps between
+	// batches; a batch that needed more leaves its arena to the GC.
+	maxArena = 64 << 10
+	// maxKeptArgs is the longest argument header a connection keeps
+	// between batches (24 KiB of slice headers).
+	maxKeptArgs = 1 << 10
 )
 
 // errProtocol wraps malformed-input errors; the connection replies with
@@ -46,8 +55,31 @@ func protoErrf(format string, args ...any) error {
 // not '*' — an inline command (a plain line of space-separated words,
 // the telnet-debugging form real Redis also accepts). It returns the
 // argument list; args[0] is the command name. An empty inline line
-// returns a zero-length slice (the caller skips it).
+// returns a zero-length slice (the caller skips it). The arguments are
+// the caller's to keep. r's buffer must hold at least 34 bytes, the
+// longest integer line, as bufio's default size does.
 func ReadCommand(r *bufio.Reader) ([][]byte, error) {
+	cr := cmdReader{br: r}
+	return cr.read()
+}
+
+// cmdReader is a connection's command parser. It reads integer lines in
+// place from br's buffer and copies every bulk argument into one arena
+// that the whole batch shares, and it reuses one argument header across
+// commands. So what read returns is valid only until the next read (the
+// header) and until reset (the bytes): the batch pipeline plans each
+// command before reading the next and resets after the batch renders,
+// and anything that must outlive the batch — a MULTI body, a stored key
+// or value — is copied out at plan time.
+type cmdReader struct {
+	br    *bufio.Reader
+	args  [][]byte
+	arena []byte
+}
+
+// read parses one command, as ReadCommand.
+func (cr *cmdReader) read() ([][]byte, error) {
+	r := cr.br
 	b, err := r.ReadByte()
 	if err != nil {
 		return nil, err
@@ -56,7 +88,8 @@ func ReadCommand(r *bufio.Reader) ([][]byte, error) {
 		if err := r.UnreadByte(); err != nil {
 			return nil, err
 		}
-		return readInline(r)
+		cr.args, err = readInline(r, cr.args[:0])
+		return cr.args, err
 	}
 	n, err := readInt(r)
 	if err != nil {
@@ -65,7 +98,10 @@ func ReadCommand(r *bufio.Reader) ([][]byte, error) {
 	if n < 0 || n > MaxArgs {
 		return nil, protoErrf("array length %d out of range", n)
 	}
-	args := make([][]byte, 0, n)
+	if int64(cap(cr.args)) < n {
+		cr.args = make([][]byte, 0, n)
+	}
+	args := cr.args[:0]
 	for i := int64(0); i < n; i++ {
 		b, err := r.ReadByte()
 		if err != nil {
@@ -81,25 +117,56 @@ func ReadCommand(r *bufio.Reader) ([][]byte, error) {
 		if ln < 0 || ln > MaxBulk {
 			return nil, protoErrf("bulk length %d out of range", ln)
 		}
-		buf := make([]byte, ln+2)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		arg, err := cr.bulk(int(ln))
+		if err != nil {
 			return nil, err
 		}
-		if buf[ln] != '\r' || buf[ln+1] != '\n' {
-			return nil, protoErrf("bulk string missing CRLF terminator")
-		}
-		args = append(args, buf[:ln])
+		args = append(args, arg)
 	}
 	return args, nil
 }
 
-// readInline parses a whitespace-separated command line.
-func readInline(r *bufio.Reader) ([][]byte, error) {
+// bulk reads one ln-byte bulk string and its CRLF into the free tail of
+// the arena. Earlier arguments sit below that tail and are never
+// overwritten; when the tail is too short a new arena replaces the old
+// one, which the earlier arguments keep alive, so nothing is copied.
+func (cr *cmdReader) bulk(ln int) ([]byte, error) {
+	need := ln + 2
+	if cap(cr.arena)-len(cr.arena) < need {
+		cr.arena = make([]byte, 0, max(2*cap(cr.arena), need))
+	}
+	start := len(cr.arena)
+	buf := cr.arena[start : start+need]
+	if _, err := io.ReadFull(cr.br, buf); err != nil {
+		return nil, err
+	}
+	if buf[ln] != '\r' || buf[ln+1] != '\n' {
+		return nil, protoErrf("bulk string missing CRLF terminator")
+	}
+	cr.arena = cr.arena[:start+ln]
+	return buf[:ln:ln], nil
+}
+
+// reset ends a batch: every argument read since the last reset is dead.
+// The arena and header are kept for the next batch unless this one grew
+// them past maxArena bytes or maxKeptArgs entries.
+func (cr *cmdReader) reset() {
+	if cap(cr.arena) > maxArena {
+		cr.arena = nil
+	}
+	cr.arena = cr.arena[:0]
+	if cap(cr.args) > maxKeptArgs {
+		cr.args = nil
+	}
+}
+
+// readInline parses a whitespace-separated command line, appending the
+// words to args. The words are slices of a line allocated for them.
+func readInline(r *bufio.Reader, args [][]byte) ([][]byte, error) {
 	line, err := readLine(r, maxInline)
 	if err != nil {
 		return nil, err
 	}
-	var args [][]byte
 	start := -1
 	for i := 0; i <= len(line); i++ {
 		if i < len(line) && !inlineSep(line[i]) {
@@ -128,17 +195,68 @@ func inlineSep(b byte) bool {
 	return false
 }
 
-// readInt parses the decimal integer after a type prefix, up to CRLF.
+// readInt parses the decimal integer after a type prefix, up to CRLF (or
+// a bare LF), with readLine's cap of maxIntLine content bytes. The line is
+// parsed where it sits in r's buffer and then discarded, so nothing is
+// allocated. It looks for the LF only within the cap's window and reads
+// one more byte from the socket only while the window is still open, so
+// an over-long line fails as soon as the cap is passed rather than once
+// its LF arrives.
 func readInt(r *bufio.Reader) (int64, error) {
-	line, err := readLine(r, 32)
-	if err != nil {
-		return 0, err
+	const window = maxIntLine + 2 // content, CR, LF
+	for {
+		buf, _ := r.Peek(min(r.Buffered(), window))
+		if i := bytes.IndexByte(buf, '\n'); i >= 0 {
+			line := buf[:i]
+			if i > 0 && line[i-1] == '\r' {
+				line = line[:i-1]
+			}
+			if len(line) > maxIntLine {
+				return 0, protoErrf("line exceeds %d bytes", maxIntLine)
+			}
+			n, ok := parseInt(line)
+			if !ok {
+				return 0, protoErrf("bad integer %q", line)
+			}
+			r.Discard(i + 1)
+			return n, nil
+		}
+		if len(buf) > maxIntLine+1 || (len(buf) == maxIntLine+1 && buf[maxIntLine] != '\r') {
+			return 0, protoErrf("line exceeds %d bytes", maxIntLine)
+		}
+		if _, err := r.Peek(len(buf) + 1); err != nil {
+			return 0, err
+		}
 	}
-	n, err := strconv.ParseInt(string(line), 10, 64)
-	if err != nil {
-		return 0, protoErrf("bad integer %q", line)
+}
+
+// parseInt is strconv.ParseInt(string(b), 10, 64) without the string: an
+// optional sign, then one or more decimal digits, within int64.
+func parseInt(b []byte) (int64, bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		neg = b[0] == '-'
+		b = b[1:]
 	}
-	return n, nil
+	if len(b) == 0 {
+		return 0, false
+	}
+	const limit = 1 << 63 // the magnitude of math.MinInt64
+	var n uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 || n > (limit-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	if neg {
+		return -int64(n), true
+	}
+	if n == limit {
+		return 0, false
+	}
+	return int64(n), true
 }
 
 // readLine reads up to CRLF (bare LF tolerated for inline commands),

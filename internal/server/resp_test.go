@@ -205,24 +205,31 @@ func TestReadLineCapBoundary(t *testing.T) {
 	}
 }
 
+// respSeeds seed both codec fuzzers, in FuzzRESPDecode's seed#N order.
+var respSeeds = []string{
+	"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n",
+	"*1\r\n$4\r\nPING\r\n",
+	"GET foo\r\n",
+	"*0\r\n",
+	"*2\r\n$0\r\n\r\n$5\r\nab\r\nc\r\n",
+	"*1\r\n$-1\r\n",
+	"GET\tfoo\rbar\v\fbaz\n",
+	"*-1\r\n",
+	"$-1\r\n",
+	strings.Repeat("a", maxInline) + "\r\n",
+	"*2\r\n$8\r\nTRACELOG\r\n$2\r\n10\r\n",
+	"*2\r\n$8\r\nTRACELOG\r\n$5\r\nRESET\r\n",
+	"*3\r\n$8\r\nTRACELOG\r\n$2\r\nGC\r\n$3\r\n100\r\n",
+	"TRACELOG RECENT 5\r\n",
+}
+
 // FuzzRESPDecode round-trips the codec: any byte stream the decoder
 // accepts must re-encode (as a canonical array of bulk strings) to a
 // form the decoder parses back to the identical argument list.
 func FuzzRESPDecode(f *testing.F) {
-	f.Add([]byte("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n"))
-	f.Add([]byte("*1\r\n$4\r\nPING\r\n"))
-	f.Add([]byte("GET foo\r\n"))
-	f.Add([]byte("*0\r\n"))
-	f.Add([]byte("*2\r\n$0\r\n\r\n$5\r\nab\r\nc\r\n"))
-	f.Add([]byte("*1\r\n$-1\r\n"))
-	f.Add([]byte("GET\tfoo\rbar\v\fbaz\n"))
-	f.Add([]byte("*-1\r\n"))
-	f.Add([]byte("$-1\r\n"))
-	f.Add([]byte(strings.Repeat("a", maxInline) + "\r\n"))
-	f.Add([]byte("*2\r\n$8\r\nTRACELOG\r\n$2\r\n10\r\n"))
-	f.Add([]byte("*2\r\n$8\r\nTRACELOG\r\n$5\r\nRESET\r\n"))
-	f.Add([]byte("*3\r\n$8\r\nTRACELOG\r\n$2\r\nGC\r\n$3\r\n100\r\n"))
-	f.Add([]byte("TRACELOG RECENT 5\r\n"))
+	for _, s := range respSeeds {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		args, err := ReadCommand(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {

@@ -40,7 +40,7 @@ import (
 // different shards may interleave arbitrarily — indistinguishable to the
 // client, which only observes the ordered replies.
 
-// maxBatch bounds how many commands one batch collects. ReadCommand
+// maxBatch bounds how many commands one batch collects. Reading a command
 // refills the read buffer from the socket, so without a bound a client
 // that writes without ever reading would grow the batch forever and
 // never be answered; with it the batch is served and flushed — and the
@@ -180,16 +180,20 @@ func (c *conn) runBatch(first [][]byte) bool {
 // collectBatch reads the in-flight batch (the command already read plus
 // what is buffered, up to maxBatch) and plans each command into the
 // connection's slots and queues. Collection also stops at QUIT/SHUTDOWN
-// or at a read error, returned for reporting after render.
+// or at a read error, returned for reporting after render. ReadTimeout is
+// armed once, before the second command: it bounds reading the rest of
+// the batch, not each command.
 func (c *conn) collectBatch(tr *obs.Trace, first [][]byte) error {
 	c.planSlot(tr, first)
-	for c.nslots < maxBatch && !c.closing && c.br.Buffered() > 0 && !c.srv.shutting.Load() {
+	if c.in.br.Buffered() > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
+	}
+	for c.nslots < maxBatch && !c.closing && c.in.br.Buffered() > 0 && !c.srv.shutting.Load() {
 		var t0 int64
 		if tr != nil {
 			t0 = obs.Now()
 		}
-		args, err := ReadCommand(c.br)
+		args, err := c.in.read()
 		if tr != nil {
 			tr.EndStage(obs.StageParse, t0)
 		}
@@ -373,7 +377,8 @@ func (c *conn) renderSlot(sl *slot) bool {
 
 // resetBatch zeroes what the batch used, dropping every reference the
 // slots and ops held (values, scan results, arguments), and keeps the
-// memory for the next batch.
+// memory for the next batch. The argument arena is reused from here on,
+// so nothing planned may still point into it.
 func (c *conn) resetBatch() {
 	for _, sl := range c.slots[:c.nslots] {
 		*sl = slot{}
@@ -383,4 +388,5 @@ func (c *conn) resetBatch() {
 		clear(q)
 		c.queues[shard] = q[:0]
 	}
+	c.in.reset()
 }

@@ -38,10 +38,12 @@ func TestInfoAllQuiesce(t *testing.T) {
 
 // memConn is an in-memory net.Conn: reads drain a prepared request
 // stream — all of it available at once, as from a client that writes
-// without ever reading — and writes collect the reply stream.
+// without ever reading — and writes collect the reply stream. It counts
+// the read deadlines it is given.
 type memConn struct {
-	r io.Reader
-	w bytes.Buffer
+	r             io.Reader
+	w             bytes.Buffer
+	readDeadlines int
 }
 
 func (m *memConn) Read(p []byte) (int, error)       { return m.r.Read(p) }
@@ -50,7 +52,7 @@ func (m *memConn) Close() error                     { return nil }
 func (m *memConn) LocalAddr() net.Addr              { return nil }
 func (m *memConn) RemoteAddr() net.Addr             { return nil }
 func (m *memConn) SetDeadline(time.Time) error      { return nil }
-func (m *memConn) SetReadDeadline(time.Time) error  { return nil }
+func (m *memConn) SetReadDeadline(time.Time) error  { m.readDeadlines++; return nil }
 func (m *memConn) SetWriteDeadline(time.Time) error { return nil }
 
 // requestStream encodes commands as one RESP byte stream.
@@ -113,7 +115,7 @@ func TestBatchCap(t *testing.T) {
 
 		// One collect takes exactly the cap, however much more is waiting.
 		c := newConn(srv, requestStream(gets))
-		first, err := ReadCommand(c.br)
+		first, err := c.in.read()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,4 +163,97 @@ func TestBatchCap(t *testing.T) {
 			t.Fatalf("straddling transaction not committed whole: %v", mg.Elems)
 		}
 	})
+}
+
+// TestBatchAllocs is the codec's allocation gate. A batch of 16
+// pipelined GETs goes through a connection's real path — read, collect,
+// plan, execute, render, flush — on an unsharded mvrlu-kv. Parsing reuses
+// the connection's arena and argument header and the batch reuses its
+// slots and queues, so the only allocations left are the key strings the
+// session API takes: at most one per GET, plus one spare. The collect
+// loop arms the read deadline once for the whole batch.
+func TestBatchAllocs(t *testing.T) {
+	const gets = 16
+	store := newKVStore(t, 1)
+	defer store.Close()
+	srv := New(store, Config{Handles: 1})
+	defer srv.Shutdown()
+
+	var req bytes.Buffer
+	bw := bufio.NewWriter(&req)
+	sess := store.Session()
+	for i := 0; i < gets; i++ {
+		k := fmt.Sprintf("key:%02d", i)
+		sess.Set(k, "v")
+		WriteCommandStrings(bw, "GET", k)
+	}
+	sess.Close()
+	bw.Flush()
+
+	rd := bytes.NewReader(req.Bytes())
+	mc := &memConn{r: rd}
+	c := newConn(srv, mc)
+	batch := func() {
+		rd.Reset(req.Bytes())
+		mc.w.Reset()
+		mc.readDeadlines = 0
+		first, err := c.in.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.runBatch(first) || !c.flush() {
+			t.Fatal("connection closed")
+		}
+	}
+	batch()
+	if want := strings.Repeat("$1\r\nv\r\n", gets); mc.w.String() != want {
+		t.Fatalf("replies %q, want %q", mc.w.String(), want)
+	}
+	if mc.readDeadlines != 1 {
+		t.Fatalf("collecting %d commands set %d read deadlines, want 1", gets, mc.readDeadlines)
+	}
+	n := testing.AllocsPerRun(50, batch)
+	t.Logf("%v allocations per %d-GET batch", n, gets)
+	if n > gets+1 {
+		t.Fatalf("%v allocations per %d-GET batch, want at most %d", n, gets, gets+1)
+	}
+}
+
+// TestReadTimeoutBoundsBatch: ReadTimeout bounds reading the rest of a
+// batch after its first command. A client that sends one whole command
+// and half of the next, then stalls, is answered and closed once the
+// timeout has run out: not before it, and long before the idle timeout.
+// net.Pipe hands the server the whole write in one read, so the half
+// command is part of the first command's batch.
+func TestReadTimeoutBoundsBatch(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	store := newKVStore(t, 1)
+	defer store.Close()
+	srv := New(store, Config{Handles: 1, ReadTimeout: timeout})
+	defer srv.Shutdown()
+
+	client, server := net.Pipe()
+	defer client.Close()
+	c := newConn(srv, server)
+	srv.sem <- struct{}{}
+	if !srv.addConn(c) {
+		t.Fatal("server refused the connection")
+	}
+	go c.serve()
+
+	start := time.Now()
+	if _, err := client.Write([]byte("*1\r\n$4\r\nPING\r\n*2\r\n$3\r\nGET\r\n$3\r\nke")); err != nil {
+		t.Fatal(err)
+	}
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(client)
+	if rep, err := ReadReply(br); err != nil || rep.Str != "PONG" {
+		t.Fatalf("first reply %v, %v; want PONG", rep, err)
+	}
+	if _, err := ReadReply(br); err != io.EOF {
+		t.Fatalf("after the stall: %v, want the connection closed", err)
+	}
+	if d := time.Since(start); d < timeout || d > 2*time.Second {
+		t.Fatalf("closed after %v, want between %v and 2s", d, timeout)
+	}
 }

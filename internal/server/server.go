@@ -34,8 +34,10 @@ type Config struct {
 	// At the cap the server stops accepting — backpressure through the
 	// kernel accept backlog — instead of accepting and failing.
 	MaxConns int
-	// ReadTimeout bounds reading one command once its first bytes
-	// arrived, i.e. mid-batch reads (default 5s).
+	// ReadTimeout bounds reading the rest of a batch once its first
+	// command has been read: it is armed once per batch, not per command,
+	// so it caps the time for up to maxBatch-1 further commands together
+	// (default 5s). A client that stalls mid-command past it is closed.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds flushing a batch's replies (default 5s).
 	WriteTimeout time.Duration
