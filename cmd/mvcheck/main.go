@@ -74,10 +74,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The recording gate is global, so it is toggled here — once, around
-	// every run — rather than inside the run functions, where concurrent
-	// shard runs would race each other's enable/disable.
-	check.SetEnabled(true)
 	if *shards > 1 {
 		// N independent domains, each with its own history, validated
 		// against its own ORDO boundary — the same per-shard attachment
@@ -96,7 +92,6 @@ func main() {
 			}(s)
 		}
 		wg.Wait()
-		check.SetEnabled(false)
 		bad := false
 		for s, rep := range reps {
 			if rep.Ok() && !*verbose {
@@ -130,7 +125,6 @@ func main() {
 			"unknown engine %q (mvrlu, rlu, rcu, mvrlu-idx, rlu-idx, vanilla-idx)\n", *engine)
 		os.Exit(2)
 	}
-	check.SetEnabled(false)
 
 	if rep.Ok() && !*verbose {
 		fmt.Printf("mvcheck engine=%s seed=%d: %s\n", *engine, *seed, rep)

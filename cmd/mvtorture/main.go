@@ -151,11 +151,6 @@ func main() {
 		*shards = 1
 	}
 	startTorTrace(*traceOut)
-	if *checkHist {
-		// Recording must cover every commit from the first one, or later
-		// observations would look like unknown versions to the checker.
-		check.SetEnabled(true)
-	}
 
 	// Each shard is a fully independent engine domain with its own
 	// registry of accounts, its own invariant total, and (with -check)
@@ -436,13 +431,11 @@ func main() {
 		// the run, so retire it first.
 		stopWatchdog()
 		// All workers have joined and the final audits are done, so the
-		// domains are quiescent; close them to stop the detectors before
-		// disabling recording, then check each shard's full history
-		// against its own boundary.
+		// domains are quiescent; close them to stop the detectors, then
+		// check each shard's full history against its own boundary.
 		for _, sh := range shs {
 			sh.dom.Close()
 		}
-		check.SetEnabled(false)
 		for s, sh := range shs {
 			rep := check.Check(sh.hist, check.Opts{Boundary: sh.dom.Boundary()})
 			// The checker's finding alone, never "OK": the verdict below

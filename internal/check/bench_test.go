@@ -7,10 +7,10 @@ import (
 )
 
 // gateThread reproduces the shape of an engine record site: a thread
-// struct carrying a nil recorder pointer, guarded by the same
-// owner-local nil check plus one atomic load of the package enable
-// flag. This is exactly what core/rlu/rcu pay on every Deref, commit,
-// and section boundary while recording is off.
+// struct carrying a recorder pointer, guarded by the owner-local nil
+// check that is the only gate. This is exactly what core/rlu/rcu and
+// the index builds pay on every Deref, commit, and section boundary
+// when no History is attached.
 type gateThread struct {
 	crec *ThreadRec
 	ts   uint64
@@ -18,16 +18,15 @@ type gateThread struct {
 
 //go:noinline
 func (t *gateThread) step() {
-	if t.crec != nil && Enabled() {
+	if t.crec != nil {
 		t.crec.Begin(t.ts)
 	}
 	t.ts++
 }
 
-// BenchmarkRecordSiteDisabled measures the disabled record-site gate.
+// BenchmarkRecordSiteDisabled measures a record site with no recorder.
 // Budget: ≤ 5 ns/op, zero allocations — same bar as internal/obs.
 func BenchmarkRecordSiteDisabled(b *testing.B) {
-	SetEnabled(false)
 	t := &gateThread{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -57,15 +56,12 @@ func TestDisabledRecordSiteCost(t *testing.T) {
 	}
 }
 
-// BenchmarkRecordEnabled tracks the enabled-path cost (one ticket +
+// BenchmarkRecordEnabled tracks the recording-path cost (one ticket +
 // one append under an uncontended mutex) so regressions show up in
 // -bench sweeps.
 func BenchmarkRecordEnabled(b *testing.B) {
 	h := NewHistory(b.N + 1)
-	r := h.ThreadRec()
-	SetEnabled(true)
-	defer SetEnabled(false)
-	t := &gateThread{crec: r}
+	t := &gateThread{crec: h.ThreadRec()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

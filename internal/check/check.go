@@ -16,12 +16,12 @@
 //     timestamp could legally observe it, cross-checked against the
 //     watermark broadcasts the reclamation was justified by.
 //
-// Cost model, mirroring internal/obs and internal/failpoint: recording is
-// gated on one package-level atomic.Bool plus a per-thread recorder
-// pointer that is nil unless a History was attached at registration.
-// A disabled record site is a plain-pointer nil check (the pointer lives
-// on the thread's hot cache line) and, only when non-nil, one atomic
-// load — see BenchmarkRecordSiteDisabled. Enabled sites append to
+// Cost model: recording follows attachment. A thread records exactly
+// when its recorder pointer is non-nil, which it is iff a History was
+// attached before the thread registered; there is no global switch. A
+// site with no recorder costs a plain-pointer nil check (the pointer
+// lives on the thread's hot cache line) — see
+// BenchmarkRecordSiteDisabled. Recording sites append to
 // per-thread event streams owned by their recording goroutine (no locks,
 // no sharing); only the low-frequency GC/watermark events (reclaims,
 // write-backs, broadcasts) go through a mutex because reclamation may run
@@ -38,20 +38,6 @@
 package check
 
 import "sync/atomic"
-
-// enabled gates every record site. Recording is off by default; harnesses
-// (mvtorture -check, cmd/mvcheck, tests) opt in around their workload.
-var enabled atomic.Bool
-
-// Enabled reports whether history recording is on. Record sites test
-// their recorder pointer first, so this load is only paid when a History
-// is attached.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled turns history recording on or off. Toggling while record
-// sites execute is safe: a site that began before the toggle finishes or
-// skips its append; streams only ever grow.
-func SetEnabled(on bool) { enabled.Store(on) }
 
 // seq is the global event sequence counter. Tickets start at 1 so that 0
 // can mean "no event".

@@ -68,12 +68,6 @@ func runCheckedWorkload(t *testing.T, opts Options, h *check.History, dur time.D
 		accounts[i] = NewObject(payload{A: 1000, B: i})
 	}
 
-	// Recording must be on before the first commit: commits the history
-	// never saw would make later observations look like unknown
-	// versions.
-	check.SetEnabled(true)
-	defer check.SetEnabled(false)
-
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < threads; g++ {
@@ -231,9 +225,6 @@ func TestConstLockChainAndFree(t *testing.T) {
 	defer d.Close()
 	th := d.Register()
 	defer th.Unregister()
-
-	check.SetEnabled(true)
-	defer check.SetEnabled(false)
 
 	obj := NewObject(payload{A: 1})
 	other := NewObject(payload{A: 10})

@@ -355,7 +355,7 @@ func (d *Domain[T]) refreshWatermark() uint64 {
 			minTS = 0
 		}
 	}
-	if d.chk != nil && check.Enabled() {
+	if d.chk != nil {
 		// Recorded before the publish CAS: any collector that loads
 		// the published value is then guaranteed to find this
 		// broadcast ticketed before its own reclaim events.

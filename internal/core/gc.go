@@ -240,9 +240,6 @@ func (t *Thread[T]) collectPass() uint64 {
 	head := t.pin.head.Load()
 	tail := t.pin.tail.Load()
 	chk := t.d.chk
-	if chk != nil && !check.Enabled() {
-		chk = nil
-	}
 	n := uint64(0)
 	for tail+n < head {
 		v := &t.log[(tail+n)%capU]
@@ -373,7 +370,7 @@ func (t *Thread[T]) writeback(v *version[T]) {
 		pts := t.d.clk.Now() + t.d.boundary
 		v.prunedTS.Store(pts)
 		t.stats.writebacks++
-		if chk := t.d.chk; chk != nil && check.Enabled() {
+		if chk := t.d.chk; chk != nil {
 			chk.Writeback(check.ObjID(&o.oid), v.commitTS.Load(), pts)
 		}
 	}

@@ -99,11 +99,10 @@ type Options struct {
 	// to the domain: every thread registered afterwards records its
 	// critical sections, dereferences, and commits into a per-thread
 	// stream, and GC reclamation / write-backs / watermark broadcasts
-	// into the history's global stream — but only while
-	// check.SetEnabled(true) is in effect. With recording disabled (the
-	// default) each record site costs a nil test on an owner-local
-	// pointer; with Check nil it costs the same and can never enable.
-	// Hand the history to check.Check for the verdict.
+	// into the history's global stream, from NewDomain on. There is no
+	// other switch: with Check nil (the default) each record site costs
+	// a nil test on an owner-local pointer. Hand the history to
+	// check.Check, after the domain quiesces, for the verdict.
 	Check *check.History
 
 	// OnStall, when non-nil, is invoked once per stall episode by the

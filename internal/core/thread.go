@@ -209,7 +209,7 @@ func (t *Thread[T]) ReadLock() {
 	t.ts = ts
 	t.pin.localTS.Store(ts)
 	t.inCS = true
-	if t.crec != nil && check.Enabled() {
+	if t.crec != nil {
 		// Stamped after the pin and entry timestamp are published, so
 		// the recorded order never claims a pin earlier than the scan
 		// machinery could have seen it.
@@ -284,7 +284,7 @@ func (t *Thread[T]) ReadUnlock() {
 		}
 	}
 	t.inCS = false
-	if t.crec != nil && check.Enabled() {
+	if t.crec != nil {
 		// Stamped while the pin is still held: an exit ticket drawn
 		// after a watermark broadcast's then proves the scan had to
 		// count this section.
@@ -306,7 +306,7 @@ func (t *Thread[T]) Abort() {
 	}
 	t.rollback()
 	t.inCS = false
-	if t.crec != nil && check.Enabled() {
+	if t.crec != nil {
 		t.crec.Abort() // before the pin release, like ReadUnlock's End
 	}
 	t.pin.localTS.Store(0)
@@ -354,7 +354,7 @@ func (t *Thread[T]) protectedApply(fn func(*Thread[T]) bool) (done bool) {
 			if t.inCS {
 				t.rollback()
 				t.inCS = false
-				if t.crec != nil && check.Enabled() {
+				if t.crec != nil {
 					t.crec.Abort()
 				}
 				t.pin.localTS.Store(0)
@@ -378,7 +378,7 @@ func (t *Thread[T]) protectedApply(fn func(*Thread[T]) bool) (done bool) {
 // read-only (use TryLock to write). Deref(nil) returns nil so pointer
 // chains terminate naturally.
 func (t *Thread[T]) Deref(o *Object[T]) *T {
-	if t.crec != nil && check.Enabled() {
+	if t.crec != nil {
 		return t.derefChecked(o)
 	}
 	if obs.Enabled() || obs.TraceEnabled() {
@@ -683,7 +683,7 @@ func (t *Thread[T]) injectCommitPublish() {
 		if r := recover(); r != nil {
 			t.finishCommit()
 			t.inCS = false
-			if t.crec != nil && check.Enabled() {
+			if t.crec != nil {
 				t.crec.End() // the commit went through: a clean exit
 			}
 			t.pin.localTS.Store(0)
@@ -721,7 +721,7 @@ func (t *Thread[T]) finishCommit() {
 		}
 		v.obj.pending.Store(nil)
 	}
-	if t.crec != nil && check.Enabled() {
+	if t.crec != nil {
 		// One event per write-set entry, after the set is fully
 		// published (the records are bookkeeping, not part of the
 		// commit protocol) and before endWriteSet clears it.

@@ -152,7 +152,7 @@ func TestApplyTxnSemantics(t *testing.T) {
 			sess := ordered(t, s)
 			sess.Set("a", "1")
 
-			removed, err := sess.ApplyTxn([]kvstore.TxnOp{
+			removed := sess.ApplyTxn([]kvstore.TxnOp{
 				{Key: "a", Del: true},  // exists
 				{Key: "b", Del: true},  // missing
 				{Key: "c", Value: "x"}, // insert
@@ -162,9 +162,6 @@ func TestApplyTxnSemantics(t *testing.T) {
 				{Key: "e", Del: true},  // missing...
 				{Key: "e", Value: "z"}, // ...then set: plain insert
 			})
-			if err != nil {
-				t.Fatalf("ApplyTxn: %v", err)
-			}
 			wantRemoved := []bool{true, false, false, false, false, false, false, false}
 			// d's delete is the kept op for d; it removes the pre-txn
 			// absence — d never existed before the txn, so removed=false.
@@ -177,8 +174,8 @@ func TestApplyTxnSemantics(t *testing.T) {
 				t.Fatalf("post-txn state %v want %v", got, want)
 			}
 
-			if rm, err := sess.ApplyTxn(nil); err != nil || len(rm) != 0 {
-				t.Fatalf("empty txn: %v %v", rm, err)
+			if rm := sess.ApplyTxn(nil); len(rm) != 0 {
+				t.Fatalf("empty txn: %v", rm)
 			}
 		})
 	}
@@ -228,10 +225,7 @@ func TestApplyTxnAtomicVisibility(t *testing.T) {
 				for i, k := range keys {
 					ops[i] = kvstore.TxnOp{Key: k, Value: fmt.Sprintf("g%04d", gen)}
 				}
-				if _, err := w.ApplyTxn(ops); err != nil {
-					t.Errorf("ApplyTxn: %v", err)
-					break
-				}
+				w.ApplyTxn(ops)
 			}
 			stop.Store(true)
 			wg.Wait()
@@ -298,87 +292,6 @@ func TestConcurrentTorture(t *testing.T) {
 	}
 }
 
-// TestShardedRangeParity loads identical data at shards=1 and shards=4
-// and asserts byte-identical range results, any direction or cut — the
-// global-merge discipline the server's RANGE relies on.
-func TestShardedRangeParity(t *testing.T) {
-	for _, build := range builds {
-		t.Run(build, func(t *testing.T) {
-			s1, err := kvstore.NewSharded(build, 1, 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s1.Close()
-			s4, err := kvstore.NewSharded(build, 4, 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s4.Close()
-			a, b := ordered(t, s1), ordered(t, s4)
-			for i := 0; i < 200; i++ {
-				k := fmt.Sprintf("p%04d", i*7%200)
-				v := fmt.Sprintf("v%d", i)
-				a.Set(k, v)
-				b.Set(k, v)
-			}
-			cases := [][2]string{{"", "\xff"}, {"p0100", "p0150"}, {"p0000", "p0001"}}
-			for _, c := range cases {
-				for _, lim := range []int{0, 1, 7} {
-					if g1, g4 := collectAsc(a, c[0], c[1], lim), collectAsc(b, c[0], c[1], lim); !reflect.DeepEqual(g1, g4) {
-						t.Fatalf("asc [%s,%s] lim %d: shards=1 %v shards=4 %v", c[0], c[1], lim, g1, g4)
-					}
-					if g1, g4 := collectDesc(a, c[0], c[1], lim), collectDesc(b, c[0], c[1], lim); !reflect.DeepEqual(g1, g4) {
-						t.Fatalf("desc [%s,%s] lim %d: shards=1 %v shards=4 %v", c[0], c[1], lim, g1, g4)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestShardedTxnRouting: single-shard transactions succeed through the
-// composite; cross-shard transactions are rejected with ErrCrossShard.
-func TestShardedTxnRouting(t *testing.T) {
-	s, err := kvstore.NewSharded("mvrlu-idx", 4, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	sh := s.(*kvstore.Sharded)
-	sess := ordered(t, s)
-
-	// Gather two keys on the same shard and one elsewhere.
-	var same []string
-	var other string
-	want := sh.ShardFor("x0000")
-	for i := 0; len(same) < 2 || other == ""; i++ {
-		k := fmt.Sprintf("x%04d", i)
-		if sh.ShardFor(k) == want {
-			if len(same) < 2 {
-				same = append(same, k)
-			}
-		} else if other == "" {
-			other = k
-		}
-	}
-	if _, err := sess.ApplyTxn([]kvstore.TxnOp{
-		{Key: same[0], Value: "1"}, {Key: same[1], Value: "2"},
-	}); err != nil {
-		t.Fatalf("same-shard txn: %v", err)
-	}
-	if v, ok := sess.Get(same[1]); !ok || v != "2" {
-		t.Fatalf("txn write lost: %q %v", v, ok)
-	}
-	if _, err := sess.ApplyTxn([]kvstore.TxnOp{
-		{Key: same[0], Value: "x"}, {Key: other, Value: "y"},
-	}); err != kvstore.ErrCrossShard {
-		t.Fatalf("cross-shard txn: err = %v", err)
-	}
-	if v, _ := sess.Get(same[0]); v != "1" {
-		t.Fatalf("rejected txn mutated state: %q", v)
-	}
-}
-
 // TestKVCheckClean runs a concurrent load with KV-history recording on
 // every build and asserts CheckKV passes — the positive control for the
 // planted-mutation gate.
@@ -389,8 +302,6 @@ func TestKVCheckClean(t *testing.T) {
 			h := check.NewHistory(0)
 			type historied interface{ AttachKVHistory(*check.History) }
 			s.(historied).AttachKVHistory(h)
-			check.SetEnabled(true)
-			defer check.SetEnabled(false)
 
 			var seq atomic.Uint64
 			var live atomic.Int32
@@ -458,8 +369,6 @@ func TestKVCheckCatchesUnpin(t *testing.T) {
 	s := newStore(t, "mvrlu-idx").(*MVIndex)
 	h := check.NewHistory(0)
 	s.AttachKVHistory(h)
-	check.SetEnabled(true)
-	defer check.SetEnabled(false)
 	reader, writer := ordered(t, s), ordered(t, s)
 	const keys = 64
 	for i := 0; i < keys; i++ {

@@ -127,12 +127,12 @@ func (k *session) Remove(key string) bool {
 // one commit timestamp across all of them — so readers observe all of
 // the transaction or none of it. removed[i] is per original op;
 // superseded ops (compressTxn) report false.
-func (k *session) ApplyTxn(ops []kvstore.TxnOp) ([]bool, error) {
+func (k *session) ApplyTxn(ops []kvstore.TxnOp) []bool {
 	removed := make([]bool, len(ops))
 	if len(ops) > 0 {
 		k.commit(ops, removed, true)
 	}
-	return removed, nil
+	return removed
 }
 
 // commit is the one write path: Set and Remove are the one-op case
@@ -196,7 +196,7 @@ func (k *session) commit(ops []kvstore.TxnOp, removed []bool, group bool) {
 // ticket order equals commit order — the ordering CheckKV's
 // stale/absence rules assume.
 func recordWrites(crec *check.ThreadRec, hist *check.History, eff []kvstore.CommitOp, txn uint64) {
-	if crec == nil || !check.Enabled() {
+	if crec == nil {
 		return
 	}
 	for _, op := range eff {
@@ -234,7 +234,7 @@ func deliver(hook kvstore.CommitHook, txnHook kvstore.TxnHook, eff []kvstore.Com
 func (k *session) scan(lo, hi string, bounded, desc bool, fn func(key, value string) bool) {
 	k.tw.readLock()
 	defer k.tw.readUnlock()
-	rec := bounded && k.crec != nil && check.Enabled()
+	rec := bounded && k.crec != nil
 	visit := fn
 	if rec {
 		k.crec.KVRangeBegin(k.tw.snapshotTS(), k.b.hist.KeyID(lo), k.b.hist.KeyID(hi), desc)

@@ -134,12 +134,12 @@ func (k *vanIdxSession) Remove(key string) bool {
 
 // ApplyTxn implements OrderedSession: one write-lock hold, one clock
 // tick shared by every op — atomic by construction.
-func (k *vanIdxSession) ApplyTxn(ops []kvstore.TxnOp) ([]bool, error) {
+func (k *vanIdxSession) ApplyTxn(ops []kvstore.TxnOp) []bool {
 	removed := make([]bool, len(ops))
 	if len(ops) > 0 {
 		k.commit(ops, removed, compressTxn(ops), true)
 	}
-	return removed, nil
+	return removed
 }
 
 // commit is the one write path (Set and Remove are the one-op case):
@@ -202,7 +202,7 @@ func (k *vanIdxSession) scan(lo, hi string, desc bool, fn func(key, value string
 	v := k.v
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	rec := k.crec != nil && check.Enabled()
+	rec := k.crec != nil
 	if rec {
 		k.crec.KVRangeBegin(v.verClock.Load(), v.hist.KeyID(lo), v.hist.KeyID(hi), desc)
 	}

@@ -1,9 +1,6 @@
 package kvstore
 
-import (
-	"mvrlu/internal/core"
-	"mvrlu/internal/obs"
-)
+import "mvrlu/internal/core"
 
 // Sharded composes N independent Store builds into one keyspace, each
 // shard owning the hash slice shardOf(hash(key), N). Because every shard
@@ -81,29 +78,16 @@ func (s *Sharded) NumSessions() int {
 
 // Session implements Store with a routing session holding one
 // sub-session per shard. The composite Session obeys the usual contract
-// (one goroutine at a time); it is the convenience path for embedders
-// and benchmarks — the server bypasses it and pools per-shard sessions
-// itself so a batch only touches the shards it needs.
+// (one goroutine at a time) and offers the plain Session surface only,
+// never ranges or transactions; it is the path for embedders, the
+// benchmark preload and WAL replay. The server bypasses it and pools
+// per-shard sessions itself so a batch only touches the shards it needs.
 func (s *Sharded) Session() Session {
 	subs := make([]Session, len(s.shards))
-	osubs := make([]OrderedSession, len(s.shards))
-	ordered := true
 	for i, sh := range s.shards {
 		subs[i] = sh.Session()
-		if os, ok := subs[i].(OrderedSession); ok {
-			osubs[i] = os
-		} else {
-			ordered = false
-		}
 	}
-	base := shardedSession{s: s, subs: subs}
-	if ordered {
-		// Every shard is an ordered index: upgrade the composite so
-		// range/transaction capabilities survive sharding (see
-		// ordered.go for the merge and single-shard-txn rules).
-		return &orderedShardedSession{shardedSession: base, osubs: osubs}
-	}
-	return &base
+	return &shardedSession{s: s, subs: subs}
 }
 
 type shardedSession struct {
@@ -152,17 +136,6 @@ func (k *shardedSession) ForEachPrefix(prefix string, fn func(key, value string)
 		})
 		if stopped {
 			return
-		}
-	}
-}
-
-// SetTrace implements TraceCarrier by forwarding to every sub-session
-// that carries traces — the embedder convenience path; the server sets
-// traces on the per-shard pool sessions it checks out directly.
-func (k *shardedSession) SetTrace(tr *obs.Trace) {
-	for _, sub := range k.subs {
-		if tc, ok := sub.(TraceCarrier); ok {
-			tc.SetTrace(tr)
 		}
 	}
 }

@@ -24,9 +24,6 @@ func TestCheckerLiveRCU(t *testing.T) {
 	var cur atomic.Pointer[box]
 	cur.Store(&box{})
 
-	check.SetEnabled(true)
-	defer check.SetEnabled(false)
-
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

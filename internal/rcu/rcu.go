@@ -75,7 +75,7 @@ type Thread struct {
 // ReadLock enters a read-side critical section. Sections may not nest.
 func (t *Thread) ReadLock() {
 	t.runCnt.Add(1)
-	if t.crec != nil && check.Enabled() {
+	if t.crec != nil {
 		// Ticketed after the counter goes odd: a begin ticket before a
 		// synchronize's start ticket proves the scan saw this section.
 		t.crec.RCUBegin()
@@ -84,7 +84,7 @@ func (t *Thread) ReadLock() {
 
 // ReadUnlock leaves the read-side critical section.
 func (t *Thread) ReadUnlock() {
-	if t.crec != nil && check.Enabled() {
+	if t.crec != nil {
 		// Ticketed before the counter goes even: an end ticket after a
 		// synchronize's end ticket proves the scan returned while this
 		// section was still active.
@@ -103,7 +103,7 @@ func (t *Thread) Synchronize() {
 	if t.InCS() {
 		panic("rcu: Synchronize inside read-side critical section")
 	}
-	rec := t.crec != nil && check.Enabled()
+	rec := t.crec != nil
 	if rec {
 		t.crec.RCUSyncStart() // ticketed before the scan begins
 	}

@@ -34,9 +34,6 @@ func TestCheckerLiveRLU(t *testing.T) {
 				accounts[i] = NewObject(item{Val: 1000})
 			}
 
-			check.SetEnabled(true)
-			defer check.SetEnabled(false)
-
 			var stop atomic.Bool
 			var wg sync.WaitGroup
 			for g := 0; g < threads; g++ {

@@ -51,7 +51,7 @@ func (t *Thread[T]) flush() {
 	w.Seal() // every copy is reachable since its TryLock
 	wc := w.Stamp(t.d.writeClock())
 	t.lastWC = wc
-	rec := t.crec != nil && check.Enabled()
+	rec := t.crec != nil
 	if rec {
 		// Every RLU commit copies from the master (TryLock has no
 		// chain to base on) and carries the flush's write clock.

@@ -246,7 +246,7 @@ func (t *Thread[T]) ReadLock() {
 	t.runCnt.Add(1) // odd: active
 	lc := t.d.readClock()
 	t.localC.Store(lc)
-	if t.crec != nil && check.Enabled() {
+	if t.crec != nil {
 		t.crec.Begin(lc)
 	}
 }
@@ -259,7 +259,7 @@ func (t *Thread[T]) Deref(o *Object[T]) *T {
 		return nil
 	}
 	var tk uint64
-	rec := t.crec != nil && check.Enabled()
+	rec := t.crec != nil
 	if rec {
 		tk = t.crec.DerefTicket() // before the first load; see DerefTicket
 	}
@@ -354,7 +354,7 @@ func (t *Thread[T]) ReadUnlock() {
 		t.commit()
 	}
 	t.inCS = false
-	if t.crec != nil && check.Enabled() {
+	if t.crec != nil {
 		t.crec.End() // before the quiescent transition, like core's End
 	}
 	t.runCnt.Add(1) // even: quiescent
@@ -377,7 +377,7 @@ func (t *Thread[T]) Abort() {
 	}
 	t.wlog = t.wlog[:t.wsStart]
 	t.inCS = false
-	if t.crec != nil && check.Enabled() {
+	if t.crec != nil {
 		t.crec.Abort()
 	}
 	t.runCnt.Add(1)

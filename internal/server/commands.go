@@ -257,17 +257,9 @@ var commands = []command{
 	{name: "EXEC", arity: atLeast(1), write: true, multi: true,
 		plan: planExec,
 		exec: func(op *shardOp, ps *pooledSession) {
-			removed, err := ps.ordered.ApplyTxn(op.ops)
-			if err != nil {
-				op.sl.txnErr = "ERR " + err.Error()
-				return
-			}
-			op.sl.removed = removed
+			op.sl.removed = ps.ordered.ApplyTxn(op.ops)
 		},
 		render: func(c *conn, sl *slot) bool {
-			if sl.txnErr != "" {
-				return writeErrorReply(c.bw, sl.txnErr) == nil
-			}
 			return renderExec(c.bw, sl.txnCmds, sl.removed)
 		}},
 

@@ -80,11 +80,15 @@ func parityScript(co []string) [][]string {
 
 	add("RANGE", "", "\xff")
 	add("RANGE", "p:10", "p:30")
+	add("RANGE", "p:10", "p:30", "LIMIT", "1")
+	add("RANGE", "p:10", "p:30", "LIMIT", "1", "REV")
 	add("RANGE", "p:10", "p:30", "LIMIT", "7")
 	add("RANGE", "p:10", "p:30", "REV")
 	add("RANGE", "p:10", "p:30", "LIMIT", "3", "REV")
 	add("RANGE", "p:10", "p:30", "rev", "limit", "3")
 	add("RANGE", "p:30", "p:10")
+	add("RANGE", "p:20", "p:20")
+	add("RANGE", "p:20", "p:20", "REV")
 	add("RANGE", "p:00", "p:99", "LIMIT", "0")
 	add("RANGE", "a")
 	add("RANGE", "a", "b", "LIMIT")
@@ -234,10 +238,12 @@ func parityStream(t *testing.T, build string, shards int, pipelined bool) []byte
 // table, replayed at 1, 2 and 4 shards, pipelined and not, must produce
 // byte-identical reply streams — one shard is the same server as
 // several, and collect-unbounded / merge-globally / cut-after makes
-// every walk independent of how the keyspace is partitioned. On the
-// plain hash build RANGE and EXEC answer "no ordered index", identically.
+// every walk independent of how the keyspace is partitioned. Every
+// ordered build runs it, since the router's range merge and MULTI path
+// are the only ones over a sharded index. On the plain hash build RANGE
+// and EXEC answer "no ordered index", identically.
 func TestShardParityBytes(t *testing.T) {
-	for _, build := range []string{"mvrlu-idx", "mvrlu-kv"} {
+	for _, build := range []string{"mvrlu-idx", "rlu-idx", "vanilla-idx", "mvrlu-kv"} {
 		t.Run(build, func(t *testing.T) {
 			want := parityStream(t, build, 1, false)
 			script := parityScript(parityKeys(3))

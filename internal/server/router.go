@@ -82,12 +82,11 @@ type slot struct {
 	vals []mgetVal    // MGET, indexed by key position
 	scan [][]scanKV   // SCAN / RANGE, indexed by shard
 
-	// EXEC: the queued commands (for the reply shape), the engine's
-	// per-op removed flags, and the exec-side error text ("" = committed).
-	// One shard op writes removed/txnErr; render reads them after the join.
+	// EXEC: the queued commands (for the reply shape) and the engine's
+	// per-op removed flags. One shard op writes removed; render reads it
+	// after the join.
 	txnCmds []txnCmd
 	removed []bool
-	txnErr  string
 
 	// panicked holds the recovered panic text if any shard op of this
 	// slot panicked; render turns it into an error reply and closes the

@@ -26,8 +26,6 @@ func TestShardedPerShardChecker(t *testing.T) {
 		opts.Check = hists[i]
 		shards[i] = kvstore.NewMVRLUStore(2, 64, opts)
 	}
-	check.SetEnabled(true)
-	defer check.SetEnabled(false)
 	store := kvstore.NewShardedStore(shards)
 	defer store.Close()
 

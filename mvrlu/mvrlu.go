@@ -80,12 +80,11 @@ func NewObject[T any](data T) *Object[T] { return core.NewObject(data) }
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // Execution checking (see DESIGN.md §9 and internal/check): attach a
-// History via Options.Check, enable recording before the first commit
-// with SetCheckEnabled, and run CheckHistory over the quiesced domain's
-// record to verify snapshot isolation, lost-update freedom, write-skew
-// prevention, and GC safety offline. Without these aliases the
-// Options.Check field would name a type external importers cannot
-// reach.
+// History via Options.Check, which records from NewDomain on, and run
+// CheckHistory over the quiesced domain's record to verify snapshot
+// isolation, lost-update freedom, write-skew prevention, and GC safety
+// offline. Without these aliases the Options.Check field would name a
+// type external importers cannot reach.
 
 // History records an execution for offline checking. See check.History.
 type History = check.History
@@ -99,11 +98,6 @@ type CheckReport = check.Report
 // NewHistory allocates a recording buffer; maxEvents bounds each event
 // stream (0 means the package default).
 func NewHistory(maxEvents int) *History { return check.NewHistory(maxEvents) }
-
-// SetCheckEnabled toggles the global record gate. Enable it before the
-// domain's first commit and disable only while quiescent; a partially
-// recorded history is reported as violations by design.
-func SetCheckEnabled(on bool) { check.SetEnabled(on) }
 
 // CheckHistory runs the offline checker. Pass the domain's Boundary()
 // as CheckOpts.Boundary so ORDO-ambiguous observations are not
