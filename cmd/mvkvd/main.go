@@ -138,23 +138,19 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if !kvstore.SetStoreCommitHook(st, func(op kvstore.CommitOp) {
+		st.SetCommitHook(func(op kvstore.CommitOp) {
 			// The error is sticky on the log; the server's degraded-mode
 			// check and the ack gate surface it, so drop it here.
 			_ = wlog.Append(wal.Record{
 				TS: op.TS, Shard: op.Shard, Del: op.Del,
 				Key: op.Key, Value: op.Value,
 			})
-		}) {
-			fmt.Fprintf(os.Stderr, "mvkvd: store %s does not support commit hooks; cannot run with -wal\n", st.Name())
-			os.Exit(1)
-		}
-		// Ordered builds commit MULTI bodies atomically; log each one as a
+		})
+		// Every build commits a MULTI body atomically; log each one as a
 		// single record group so recovery replays it all-or-nothing (a
 		// transaction's ops would otherwise be independent records a torn
-		// tail could split). No-op capability probe on plain KV builds,
-		// which reject MULTI at the server anyway.
-		kvstore.SetStoreTxnCommitHook(st, func(ops []kvstore.CommitOp) {
+		// tail could split).
+		st.SetTxnCommitHook(func(ops []kvstore.CommitOp) {
 			recs := make([]wal.Record, len(ops))
 			for i, op := range ops {
 				recs[i] = wal.Record{

@@ -313,6 +313,12 @@ func TestFailpointWriteback(t *testing.T) {
 	d := newTestDomain(t, opts)
 	o := NewObject(payload{A: 1})
 	h := d.Register()
+	// Armed before the commit: the detector may write the copy back
+	// within one GPInterval of it, and a fault armed after that would
+	// never fire.
+	if err := failpoint.Enable("writeback=panic/1", 1); err != nil {
+		t.Fatal(err)
+	}
 	h.Execute(func(th *Thread[payload]) bool {
 		c, ok := th.TryLock(o)
 		if !ok {
@@ -321,23 +327,20 @@ func TestFailpointWriteback(t *testing.T) {
 		c.A = 9
 		return true
 	})
-
-	if err := failpoint.Enable("writeback=panic/1", 1); err != nil {
-		t.Fatal(err)
-	}
 	eventually(t, 5*time.Second, func() bool {
 		return d.Stats().DetectorRecoveries >= 1
 	}, "detector never hit the write-back fault")
-	if o.pending.Load() != nil {
-		t.Fatal("write-back fault left the sentinel installed")
-	}
 	failpoint.Reset()
 
 	// Fault cleared: the detector finishes the write-back (chain pruned
-	// to the master) and the value survives intact.
+	// to the master) and the value survives intact. A sentinel leaked by
+	// the faulted attempt would fail every later write-back's CAS, so
+	// completion is the check that the unwind released it; reading the
+	// pending word while still armed would race the detector's next
+	// (briefly sentinel-holding) attempt.
 	eventually(t, 5*time.Second, func() bool {
-		return o.copy.Load() == nil
-	}, "write-back never completed after fault cleared")
+		return o.copy.Load() == nil && o.pending.Load() == nil
+	}, "write-back never completed after fault cleared (sentinel leaked?)")
 	if o.master.A != 9 {
 		t.Fatalf("master = %d after write-back, want 9", o.master.A)
 	}

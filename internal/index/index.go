@@ -1,7 +1,6 @@
 // Package index provides the ordered-index builds of the kvstore: the
-// same Store/Session surface as the hash builds, plus the
-// kvstore.OrderedSession capability (snapshot range scans and atomic
-// multi-key transactions).
+// same Store/TxnSession surface as the hash builds, plus the
+// kvstore.OrderedSession capability (snapshot range scans).
 //
 // The data structure is a skiplist with versioned towers (DESIGN.md
 // §12 justifies the choice over a balanced tree): every node is one
@@ -21,19 +20,17 @@
 //	rlu-idx     single-version RLU engine (internal/rlu)
 //	vanilla-idx RWMutex + sorted slice baseline
 //
-// The two engine builds are one implementation split along the
-// unexported tower interface (session.go): session is the whole
-// OrderedSession surface — the writer mutex, the one commit routine
-// behind Set/Remove/ApplyTxn, hook delivery, KV-history recording,
-// trace spans, the one scan behind every multi-key read — and a tower
-// (mvrlu.go, rlu.go) is an engine's node type plus the loops that Deref:
-// findPreds, the splices, apply (one Execute), get, and the ascending
-// and descending walks.
-// The seam is crossed a bounded number of times per operation, never per
-// node, so each engine's walk stays monomorphic. A new engine-backed
-// ordered build is a node type and a tower. vanilla-idx stays a separate
-// reference build (its hooks fire after unlock by design) and shares
-// only the recording and hook-delivery helpers.
+// Each is a kvstore.Tower behind the shared kvstore.TowerSession, which
+// owns the one commit routine behind Set/Remove/ApplyTxn, hook delivery,
+// write recording and trace spans. This package adds only what ordered
+// builds have (session.go): the range walks with their KV-history
+// bracketing, and the skiplists' writer half — the index mutex and the
+// tower heights drawn under it. A tower (mvrlu.go, rlu.go, vanilla.go)
+// is a node type plus the loops that Deref: findPreds, the splices,
+// Apply (one Execute), Get, and the ascending and descending walks. The
+// seam is crossed a bounded number of times per operation, never per
+// node, so each engine's walk stays monomorphic. A new ordered build is
+// a node type and a tower.
 //
 // Importers pull them in with a blank import:
 //
@@ -73,25 +70,4 @@ func randHeight(rng *rand.Rand) int {
 		h++
 	}
 	return h
-}
-
-// compressTxn reduces a transaction to its effective ops: the last op
-// per key wins (a Set overwritten later in the same transaction, or a
-// Del followed by a Set, never becomes a version — the transaction
-// commits as if only its final op per key ran). Returned indices are in
-// original op order. This keeps every key touched at most once inside
-// the single Execute body, so the engine never sees an
-// insert-then-free of the same unpublished node.
-func compressTxn(ops []kvstore.TxnOp) []int {
-	last := make(map[string]int, len(ops))
-	for i, op := range ops {
-		last[op.Key] = i
-	}
-	keep := make([]int, 0, len(last))
-	for i, op := range ops {
-		if last[op.Key] == i {
-			keep = append(keep, i)
-		}
-	}
-	return keep
 }

@@ -29,6 +29,16 @@ func newStore(t *testing.T, build string) kvstore.Store {
 	return s
 }
 
+func txnSession(t *testing.T, s kvstore.Store) kvstore.TxnSession {
+	t.Helper()
+	sess, ok := s.Session().(kvstore.TxnSession)
+	if !ok {
+		t.Fatalf("%s session has no ApplyTxn", s.Name())
+	}
+	t.Cleanup(sess.Close)
+	return sess
+}
+
 func ordered(t *testing.T, s kvstore.Store) kvstore.OrderedSession {
 	t.Helper()
 	sess, ok := s.Session().(kvstore.OrderedSession)
@@ -146,10 +156,10 @@ func TestOrderedConformance(t *testing.T) {
 // TestApplyTxnSemantics exercises removed[] reporting and the
 // last-op-per-key compression on every build.
 func TestApplyTxnSemantics(t *testing.T) {
-	for _, build := range builds {
+	for _, build := range append(builds, "mvrlu-kv", "rlu-kv", "vanilla") {
 		t.Run(build, func(t *testing.T) {
 			s := newStore(t, build)
-			sess := ordered(t, s)
+			sess := txnSession(t, s)
 			sess.Set("a", "1")
 
 			removed := sess.ApplyTxn([]kvstore.TxnOp{
@@ -168,7 +178,16 @@ func TestApplyTxnSemantics(t *testing.T) {
 			if !reflect.DeepEqual(removed, wantRemoved) {
 				t.Fatalf("removed = %v want %v", removed, wantRemoved)
 			}
-			got := collectAsc(sess, "", "\xff", 0)
+			var got []string
+			if osess, ok := sess.(kvstore.OrderedSession); ok {
+				got = collectAsc(osess, "", "\xff", 0)
+			} else {
+				sess.ForEach(func(k, v string) bool {
+					got = append(got, k+"="+v)
+					return true
+				})
+				sort.Strings(got) // the hash builds walk in no key order
+			}
 			want := []string{"c=y", "e=z"}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("post-txn state %v want %v", got, want)
@@ -452,12 +471,12 @@ func TestRangeWalkOracle(t *testing.T) {
 
 			// Even keys k010..k200; every 20th (k100 and the last key
 			// among them) on a max-height tower in the engine builds.
-			var base *indexBase
+			var base *skiplist
 			switch st := s.(type) {
 			case *MVIndex:
-				base = &st.indexBase
+				base = &st.skiplist
 			case *RLUIndex:
-				base = &st.indexBase
+				base = &st.skiplist
 			}
 			for i := 10; i <= 200; i += 2 {
 				k := fmt.Sprintf("k%03d", i)
@@ -529,9 +548,12 @@ func lastCommitTS(t *testing.T, sess kvstore.Session) uint64 {
 	case *mvIdxSession:
 		return k.t.h.LastCommitTS()
 	case *session:
-		return k.tw.(*rluTower).h.LastCommitTS()
-	case *vanIdxSession:
-		return k.v.verClock.Load()
+		switch tw := k.tw.(type) {
+		case *rluTower:
+			return tw.h.LastCommitTS()
+		case vanIdxTower:
+			return tw.v.verClock.Load()
+		}
 	}
 	t.Fatalf("unknown session type %T", sess)
 	return 0
@@ -677,14 +699,14 @@ func TestHookOrderIsCommitOrder(t *testing.T) {
 	}
 }
 
-// TestEngineSessionsCarryTraces: both engine builds get request tracing
+// TestEngineSessionsCarryTraces: all four engine builds get request tracing
 // from the shared session — one lock_wait and one commit span per write,
 // plus wal_append once a hook is installed.
 func TestEngineSessionsCarryTraces(t *testing.T) {
-	for _, build := range []string{"mvrlu-idx", "rlu-idx"} {
+	for _, build := range []string{"mvrlu-idx", "rlu-idx", "mvrlu-kv", "rlu-kv"} {
 		t.Run(build, func(t *testing.T) {
 			s := newStore(t, build)
-			sess := ordered(t, s)
+			sess := txnSession(t, s)
 			tc, ok := sess.(kvstore.TraceCarrier)
 			if !ok {
 				t.Fatalf("%s session is not a kvstore.TraceCarrier", build)

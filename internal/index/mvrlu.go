@@ -33,7 +33,7 @@ type mvNode struct {
 // The domain's read-outs (Stats, Watermark, Stalled, …) are the embedded
 // core.Engine's.
 type MVIndex struct {
-	indexBase
+	skiplist
 	core.Engine
 	d    *core.Domain[mvNode]
 	head *core.Object[mvNode] // sentinel, height maxHeight, key unused
@@ -49,10 +49,10 @@ func NewMVIndex() *MVIndex {
 func NewMVIndexOpts(opts core.Options) *MVIndex {
 	d := core.NewDomain[mvNode](opts)
 	return &MVIndex{
-		indexBase: newIndexBase(),
-		Engine:    d,
-		d:         d,
-		head:      core.NewObject(mvNode{h: maxHeight}),
+		skiplist: newSkiplist(),
+		Engine:   d,
+		d:        d,
+		head:     core.NewObject(mvNode{h: maxHeight}),
 	}
 }
 
@@ -64,8 +64,8 @@ func (s *MVIndex) Close() { s.d.Close() }
 
 // Session implements Store.
 func (s *MVIndex) Session() kvstore.Session {
-	k := &mvIdxSession{t: mvTower{head: s.head, h: s.d.Register()}}
-	k.init(&s.indexBase, &k.t)
+	k := &mvIdxSession{t: mvTower{head: s.head, h: s.d.Register(), writer: writer{sl: &s.skiplist}}}
+	k.init(&s.StoreBase, s.hist, &k.t)
 	return k
 }
 
@@ -83,12 +83,13 @@ func (k *mvIdxSession) ThreadID() int { return k.t.h.ID() }
 type mvTower struct {
 	head *core.Object[mvNode]
 	h    *core.Thread[mvNode]
+	writer
 }
 
-func (t *mvTower) readLock()          { t.h.ReadLock() }
-func (t *mvTower) readUnlock()        { t.h.ReadUnlock() }
+func (t *mvTower) ReadLock()          { t.h.ReadLock() }
+func (t *mvTower) ReadUnlock()        { t.h.ReadUnlock() }
 func (t *mvTower) snapshotTS() uint64 { return t.h.SnapshotTS() }
-func (t *mvTower) close()             { t.h.Unregister() }
+func (t *mvTower) Close()             { t.h.Unregister() }
 
 // findPreds descends the skiplist to key, filling preds[l] with the
 // rightmost node at level l whose key is < key (the head sentinel
@@ -186,12 +187,12 @@ func (t *mvTower) del(key string) (removed, ok bool) {
 	return true, true
 }
 
-func (t *mvTower) apply(ops []kvstore.TxnOp, keep, hgts []int, removed []bool) uint64 {
+func (t *mvTower) Apply(ops []kvstore.TxnOp, keep []int, removed []bool) uint64 {
 	t.h.Execute(func(*core.Thread[mvNode]) bool {
 		for j, i := range keep {
 			op := ops[i]
 			if !op.Del {
-				if !t.set(op.Key, op.Value, hgts[j]) {
+				if !t.set(op.Key, op.Value, t.hgts[j]) {
 					return false
 				}
 				continue
@@ -207,7 +208,7 @@ func (t *mvTower) apply(ops []kvstore.TxnOp, keep, hgts []int, removed []bool) u
 	return t.h.LastCommitTS()
 }
 
-func (t *mvTower) get(key string) (string, bool) {
+func (t *mvTower) Get(key string) (string, bool) {
 	t.h.ReadLock()
 	defer t.h.ReadUnlock()
 	var preds [maxHeight]*core.Object[mvNode]
@@ -216,6 +217,10 @@ func (t *mvTower) get(key string) (string, bool) {
 		return "", false
 	}
 	return d.val, true
+}
+
+func (t *mvTower) Walk(prefix string, fn func(key, value string) bool) {
+	t.walk(prefix, "", false, prefixed(prefix, fn))
 }
 
 // The mutateRangeUnpin re-pin is the planted checker tooth (see

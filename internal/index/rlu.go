@@ -21,7 +21,7 @@ type rNode struct {
 // at the read clock they sampled at entry; that clock is the recorded
 // snapshot timestamp (boundary 0 for CheckKV).
 type RLUIndex struct {
-	indexBase
+	skiplist
 	d    *rlu.Domain[rNode]
 	head *rlu.Object[rNode]
 }
@@ -30,9 +30,9 @@ type RLUIndex struct {
 // vanilla RLU of the paper's comparison).
 func NewRLUIndex() *RLUIndex {
 	return &RLUIndex{
-		indexBase: newIndexBase(),
-		d:         rlu.NewDomain[rNode](rlu.ClockGlobal),
-		head:      rlu.NewObject(rNode{h: maxHeight}),
+		skiplist: newSkiplist(),
+		d:        rlu.NewDomain[rNode](rlu.ClockGlobal),
+		head:     rlu.NewObject(rNode{h: maxHeight}),
 	}
 }
 
@@ -48,7 +48,7 @@ func (s *RLUIndex) Stats() rlu.Stats { return s.d.Stats() }
 // Session implements Store.
 func (s *RLUIndex) Session() kvstore.Session {
 	k := &session{}
-	k.init(&s.indexBase, &rluTower{head: s.head, h: s.d.Register()})
+	k.init(&s.StoreBase, s.hist, &rluTower{head: s.head, h: s.d.Register(), writer: writer{sl: &s.skiplist}})
 	return k
 }
 
@@ -57,12 +57,13 @@ func (s *RLUIndex) Session() kvstore.Session {
 type rluTower struct {
 	head *rlu.Object[rNode]
 	h    *rlu.Thread[rNode]
+	writer
 }
 
-func (t *rluTower) readLock()          { t.h.ReadLock() }
-func (t *rluTower) readUnlock()        { t.h.ReadUnlock() }
+func (t *rluTower) ReadLock()          { t.h.ReadLock() }
+func (t *rluTower) ReadUnlock()        { t.h.ReadUnlock() }
 func (t *rluTower) snapshotTS() uint64 { return t.h.SnapshotTS() }
-func (t *rluTower) close()             {}
+func (t *rluTower) Close()             {}
 
 func (t *rluTower) findPreds(key string, preds *[maxHeight]*rlu.Object[rNode]) (*rlu.Object[rNode], *rNode) {
 	return t.seek(key, t.head, maxHeight, preds)
@@ -145,12 +146,12 @@ func (t *rluTower) del(key string) (removed, ok bool) {
 	return true, true
 }
 
-func (t *rluTower) apply(ops []kvstore.TxnOp, keep, hgts []int, removed []bool) uint64 {
+func (t *rluTower) Apply(ops []kvstore.TxnOp, keep []int, removed []bool) uint64 {
 	t.h.Execute(func(*rlu.Thread[rNode]) bool {
 		for j, i := range keep {
 			op := ops[i]
 			if !op.Del {
-				if !t.set(op.Key, op.Value, hgts[j]) {
+				if !t.set(op.Key, op.Value, t.hgts[j]) {
 					return false
 				}
 				continue
@@ -166,7 +167,7 @@ func (t *rluTower) apply(ops []kvstore.TxnOp, keep, hgts []int, removed []bool) 
 	return t.h.LastCommitTS()
 }
 
-func (t *rluTower) get(key string) (string, bool) {
+func (t *rluTower) Get(key string) (string, bool) {
 	t.h.ReadLock()
 	defer t.h.ReadUnlock()
 	var preds [maxHeight]*rlu.Object[rNode]
@@ -175,6 +176,10 @@ func (t *rluTower) get(key string) (string, bool) {
 		return "", false
 	}
 	return d.val, true
+}
+
+func (t *rluTower) Walk(prefix string, fn func(key, value string) bool) {
+	t.walk(prefix, "", false, prefixed(prefix, fn))
 }
 
 func (t *rluTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) bool {

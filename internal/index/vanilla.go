@@ -2,7 +2,6 @@ package index
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -17,24 +16,24 @@ import (
 // bottleneck the engine builds exist to remove. The version clock
 // stamps every commit under the write lock so WAL ordering and the KV
 // checker get the same commit-order timestamps the engine builds
-// provide.
+// provide. Its sessions are the shared session over a vanIdxTower, with
+// HooksAfterUnlock set like the vanilla hash build.
 type VanillaIndex struct {
+	kvstore.StoreBase
 	mu   sync.RWMutex
 	keys []string
 	vals map[string]string
 
-	txnSeq uint64 // guarded by mu (exclusive)
-
 	verClock atomic.Uint64
-	sessions atomic.Int64
-	hook     kvstore.CommitHook
-	txnHook  kvstore.TxnHook
 	hist     *check.History
 }
 
 // NewVanillaIndex creates an empty baseline ordered index.
 func NewVanillaIndex() *VanillaIndex {
-	return &VanillaIndex{vals: map[string]string{}}
+	return &VanillaIndex{
+		StoreBase: kvstore.StoreBase{HooksAfterUnlock: true},
+		vals:      map[string]string{},
+	}
 }
 
 // Name implements Store.
@@ -45,25 +44,10 @@ func (v *VanillaIndex) Close() {}
 
 // Session implements Store.
 func (v *VanillaIndex) Session() kvstore.Session {
-	v.sessions.Add(1)
-	k := &vanIdxSession{v: v}
-	if v.hist != nil {
-		k.crec = v.hist.ThreadRec()
-	}
+	k := &session{}
+	k.init(&v.StoreBase, v.hist, vanIdxTower{v})
 	return k
 }
-
-// NumSessions implements Store.
-func (v *VanillaIndex) NumSessions() int { return int(v.sessions.Load()) }
-
-// SetCommitHook implements commitHooker. Like the vanilla hash build,
-// the hook fires after the write lock is released (a blocking hook
-// under the exclusive lock would deadlock against a snapshot dump), so
-// hook order can invert timestamp order — WALCutoff compensates.
-func (v *VanillaIndex) SetCommitHook(h kvstore.CommitHook) { v.hook = h }
-
-// SetTxnCommitHook implements txnHooker; same after-unlock caveat.
-func (v *VanillaIndex) SetTxnCommitHook(h kvstore.TxnHook) { v.txnHook = h }
 
 // AttachKVHistory makes sessions created afterwards record KV events.
 func (v *VanillaIndex) AttachKVHistory(h *check.History) { v.hist = h }
@@ -106,108 +90,66 @@ func (v *VanillaIndex) delLocked(key string) bool {
 	return true
 }
 
-type vanIdxSession struct {
-	v    *VanillaIndex
-	crec *check.ThreadRec
-}
-
-// Close implements Session.
-func (k *vanIdxSession) Close() { k.v.sessions.Add(-1) }
-
-func (k *vanIdxSession) Get(key string) (string, bool) {
-	k.v.mu.RLock()
-	defer k.v.mu.RUnlock()
-	val, ok := k.v.vals[key]
-	return val, ok
-}
-
-func (k *vanIdxSession) Set(key, value string) {
-	var rm [1]bool
-	k.commit([]kvstore.TxnOp{{Key: key, Value: value}}, rm[:], keepOnly, false)
-}
-
-func (k *vanIdxSession) Remove(key string) bool {
-	var rm [1]bool
-	k.commit([]kvstore.TxnOp{{Del: true, Key: key}}, rm[:], keepOnly, false)
-	return rm[0]
-}
-
-// ApplyTxn implements OrderedSession: one write-lock hold, one clock
-// tick shared by every op — atomic by construction.
-func (k *vanIdxSession) ApplyTxn(ops []kvstore.TxnOp) []bool {
-	removed := make([]bool, len(ops))
-	if len(ops) > 0 {
-		k.commit(ops, removed, compressTxn(ops), true)
-	}
-	return removed
-}
-
-// commit is the one write path (Set and Remove are the one-op case):
-// one write-lock hold, one clock tick, history recorded under the lock,
-// hooks delivered after it is released (see SetCommitHook).
-func (k *vanIdxSession) commit(ops []kvstore.TxnOp, removed []bool, keep []int, group bool) {
-	v := k.v
-	eff := make([]kvstore.CommitOp, 0, len(keep))
-	v.mu.Lock()
-	ts := v.verClock.Add(1)
-	for _, i := range keep {
-		op := ops[i]
-		if op.Del {
-			removed[i] = v.delLocked(op.Key)
-			if !removed[i] {
-				continue
-			}
-		} else {
-			v.setLocked(op.Key, op.Value)
-		}
-		eff = append(eff, kvstore.CommitOp{TS: ts, Del: op.Del, Key: op.Key, Value: op.Value})
-	}
-	var txn uint64
-	if len(eff) > 1 {
-		v.txnSeq++
-		txn = v.txnSeq
-	}
-	recordWrites(k.crec, v.hist, eff, txn)
-	v.mu.Unlock()
-	if len(eff) > 0 {
-		deliver(v.hook, v.txnHook, eff, group)
-	}
-}
-
-// rangeBounds returns the slice window [i, j) of keys with
-// lo <= key <= hi. Caller holds the read lock.
-func (v *VanillaIndex) rangeBounds(lo, hi string) (int, int) {
-	i := sort.SearchStrings(v.keys, lo)
-	j := sort.Search(len(v.keys), func(n int) bool { return v.keys[n] > hi })
-	if j < i {
-		j = i
+// window returns the slice window [i, j) of keys with key >= lo (and
+// <= hi when bounded). Caller holds the read lock.
+func (v *VanillaIndex) window(lo, hi string, bounded bool) (int, int) {
+	i, j := sort.SearchStrings(v.keys, lo), len(v.keys)
+	if bounded {
+		j = max(i, sort.Search(len(v.keys), func(n int) bool { return v.keys[n] > hi }))
 	}
 	return i, j
 }
 
-// RangeAscend implements OrderedSession.
-func (k *vanIdxSession) RangeAscend(lo, hi string, fn func(key, value string) bool) {
-	k.scan(lo, hi, false, fn)
+// vanIdxTower implements tower for the baseline: the writer lock is the
+// write lock, held across the whole body, and a snapshot is the read
+// lock.
+type vanIdxTower struct{ v *VanillaIndex }
+
+func (t vanIdxTower) Lock([]kvstore.TxnOp, []int) { t.v.mu.Lock() }
+func (t vanIdxTower) Unlock()                     { t.v.mu.Unlock() }
+func (t vanIdxTower) ReadLock()                   { t.v.mu.RLock() }
+func (t vanIdxTower) ReadUnlock()                 { t.v.mu.RUnlock() }
+func (t vanIdxTower) Close()                      {}
+func (t vanIdxTower) snapshotTS() uint64          { return t.v.verClock.Load() }
+
+func (t vanIdxTower) Get(key string) (string, bool) {
+	t.v.mu.RLock()
+	defer t.v.mu.RUnlock()
+	val, ok := t.v.vals[key]
+	return val, ok
 }
 
-// RangeDescend implements OrderedSession.
-func (k *vanIdxSession) RangeDescend(lo, hi string, fn func(key, value string) bool) {
-	k.scan(lo, hi, true, fn)
-}
-
-// scan walks the window [lo, hi] from either end: the read lock held
-// across the walk is the snapshot. The mutateRangeUnpin tooth drops and
-// retakes the lock mid-walk (re-seeking by key), tearing that guarantee.
-func (k *vanIdxSession) scan(lo, hi string, desc bool, fn func(key, value string) bool) {
-	v := k.v
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	rec := k.crec != nil
-	if rec {
-		k.crec.KVRangeBegin(v.verClock.Load(), v.hist.KeyID(lo), v.hist.KeyID(hi), desc)
+// Apply runs the body and stamps one version-clock tick for all of it:
+// atomic by construction.
+func (t vanIdxTower) Apply(ops []kvstore.TxnOp, keep []int, removed []bool) uint64 {
+	for _, i := range keep {
+		if op := ops[i]; op.Del {
+			removed[i] = t.v.delLocked(op.Key)
+		} else {
+			t.v.setLocked(op.Key, op.Value)
+		}
 	}
-	complete := true
-	i, j := v.rangeBounds(lo, hi)
+	return t.v.verClock.Add(1)
+}
+
+func (t vanIdxTower) Walk(prefix string, fn func(key, value string) bool) {
+	t.scan(prefix, "", false, false, prefixed(prefix, fn))
+}
+
+func (t vanIdxTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) bool {
+	return t.scan(lo, hi, bounded, false, fn)
+}
+
+func (t vanIdxTower) walkDesc(lo, hi string, fn func(key, value string) bool) bool {
+	return t.scan(lo, hi, true, true, fn)
+}
+
+// scan walks the window from either end inside the caller's read lock.
+// The mutateRangeUnpin tooth drops and retakes the lock mid-walk
+// (re-seeking by key), tearing the snapshot.
+func (t vanIdxTower) scan(lo, hi string, bounded, desc bool, fn func(key, value string) bool) bool {
+	v := t.v
+	i, j := v.window(lo, hi, bounded)
 	for n := 0; i < j; n++ {
 		if mutateRangeUnpin && n > 0 && n%4 == 0 {
 			// Planted bug: release the snapshot guard mid-walk and
@@ -219,7 +161,7 @@ func (k *vanIdxSession) scan(lo, hi string, desc bool, fn func(key, value string
 			}
 			v.mu.RUnlock()
 			v.mu.RLock()
-			i, j = v.rangeBounds(from, to)
+			i, j = v.window(from, to, bounded)
 			if i == j {
 				break
 			}
@@ -228,13 +170,8 @@ func (k *vanIdxSession) scan(lo, hi string, desc bool, fn func(key, value string
 		if desc {
 			p = j - 1
 		}
-		key := v.keys[p]
-		if rec {
-			k.crec.KVRangeObs(v.hist.KeyID(key), check.ValueHash(v.vals[key]))
-		}
-		if !fn(key, v.vals[key]) {
-			complete = false
-			break
+		if key := v.keys[p]; !fn(key, v.vals[key]) {
+			return false
 		}
 		if desc {
 			j--
@@ -242,34 +179,5 @@ func (k *vanIdxSession) scan(lo, hi string, desc bool, fn func(key, value string
 			i++
 		}
 	}
-	if rec {
-		k.crec.KVRangeEnd(!complete)
-	}
-}
-
-// ForEach implements Session.
-func (k *vanIdxSession) ForEach(fn func(key, value string) bool) {
-	k.v.mu.RLock()
-	defer k.v.mu.RUnlock()
-	for _, key := range k.v.keys {
-		if !fn(key, k.v.vals[key]) {
-			return
-		}
-	}
-}
-
-// ForEachPrefix implements Session: seek + bounded walk over the
-// sorted keys.
-func (k *vanIdxSession) ForEachPrefix(prefix string, fn func(key, value string) bool) {
-	k.v.mu.RLock()
-	defer k.v.mu.RUnlock()
-	for i := sort.SearchStrings(k.v.keys, prefix); i < len(k.v.keys); i++ {
-		key := k.v.keys[i]
-		if !strings.HasPrefix(key, prefix) {
-			return
-		}
-		if !fn(key, k.v.vals[key]) {
-			return
-		}
-	}
+	return true
 }

@@ -10,10 +10,11 @@ import (
 // durability layer encodes it into a WAL record, and a future
 // replication layer will stream it to followers.
 type CommitOp struct {
-	// TS is the shard-local commit timestamp: the MV-RLU engine's real
-	// commit timestamp for the mvrlu build, a per-store logical counter
-	// for the rlu and vanilla builds. Within one shard, TS totally
-	// orders the commits to any single key.
+	// TS is the shard-local commit timestamp: the engine's commit
+	// timestamp for the mvrlu and rlu builds (MV-RLU's commit clock,
+	// RLU's write clock), a per-store logical counter for the vanilla
+	// builds. Within one shard, TS totally orders the commits to any
+	// single key.
 	TS uint64
 	// Shard is the owning shard index (0 on unsharded stores; stamped
 	// by the Sharded composite).
@@ -30,15 +31,17 @@ type CommitOp struct {
 //     actually removed a key (a Remove of a missing key commits nothing
 //     and is not observed).
 //   - For the engine-backed builds (mvrlu, rlu) the hook runs inside the
-//     per-slot commit lock, immediately after the commit: for any single
+//     commit's writer locks (the slots of the written keys, or the
+//     index writer mutex), immediately after the commit: for any single
 //     key, hook-call order equals commit order, so a log appended to in
 //     hook order is per-key ordered without any sorting.
-//   - The vanilla build calls the hook after releasing its global write
-//     lock (calling out under an exclusive store-wide lock would let a
-//     blocking hook — WAL backpressure — deadlock against a snapshot
-//     dump that needs the read lock). Two racing writers may therefore
-//     invoke hooks out of timestamp order; WALCutoffs exists to make
-//     snapshot/replay interplay safe anyway.
+//   - The vanilla builds call the hook after releasing their global
+//     write lock (StoreBase.HooksAfterUnlock): calling out under an
+//     exclusive store-wide lock would let a blocking hook — WAL
+//     backpressure — deadlock against a snapshot dump that needs the
+//     read lock. Two racing writers may therefore invoke hooks out of
+//     timestamp order; WALCutoffs exists to make snapshot/replay
+//     interplay safe anyway.
 //   - The hook must not call back into the store.
 //
 // SetCommitHook must be called before the store serves traffic (the
@@ -46,31 +49,19 @@ type CommitOp struct {
 // the serving goroutines), and hooks cannot be removed.
 type CommitHook func(CommitOp)
 
-// commitHooker is the capability every build implements; the Sharded
-// composite fans a hook out to its shards with the shard index stamped.
-type commitHooker interface{ SetCommitHook(CommitHook) }
+// SetStoreCommitHook installs h on st; every build supports hooks, so it
+// reports true.
+func SetStoreCommitHook(st Store, h CommitHook) bool { st.SetCommitHook(h); return true }
 
-// SetStoreCommitHook installs h on any store build, reporting whether
-// the store supports hooks (all in-tree builds do).
-func SetStoreCommitHook(st Store, h CommitHook) bool {
-	c, ok := st.(commitHooker)
-	if ok {
-		c.SetCommitHook(h)
-	}
-	return ok
-}
-
-// SetCommitHook implements commitHooker for the Sharded composite: each
-// shard's own hook stamps its shard index into the op before forwarding.
+// SetCommitHook implements Store for the Sharded composite: each shard's
+// own hook stamps its shard index into the op before forwarding.
 func (s *Sharded) SetCommitHook(h CommitHook) {
 	for i, sh := range s.shards {
-		if c, ok := sh.(commitHooker); ok {
-			idx := uint32(i)
-			c.SetCommitHook(func(op CommitOp) {
-				op.Shard = idx
-				h(op)
-			})
-		}
+		idx := uint32(i)
+		sh.SetCommitHook(func(op CommitOp) {
+			op.Shard = idx
+			h(op)
+		})
 	}
 }
 

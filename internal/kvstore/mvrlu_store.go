@@ -2,11 +2,8 @@ package kvstore
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"mvrlu/internal/core"
-	"mvrlu/internal/obs"
 )
 
 // kvNode is a record tree node under MV-RLU.
@@ -19,21 +16,16 @@ type kvNode struct {
 // MVRLUStore is the MV-RLU port of CacheDB: the global readers-writer
 // lock is gone (reads are MV-RLU critical sections), and writers keep the
 // per-slot lock for a fair comparison with the RLU port, exactly as §6.4
-// describes. The domain's read-outs (Stats, Watermark, Stalled, …) are
-// the embedded core.Engine's.
+// describes. Its sessions are the shared TowerSession over an mvTable
+// tower. The domain's read-outs (Stats, Watermark, Stalled, …) are the
+// embedded core.Engine's.
 type MVRLUStore struct {
+	StoreBase
 	core.Engine
-	d        *core.Domain[kvNode]
-	slots    []mvSlot
-	buckets  int
-	sessions atomic.Int64
-	hook     CommitHook
-}
-
-type mvSlot struct {
-	mu    sync.Mutex
-	roots []*core.Object[kvNode] // sentinel headers; trees hang off left
-	_     [40]byte
+	d       *core.Domain[kvNode]
+	locks   slotLocks
+	roots   []*core.Object[kvNode] // sentinel headers, slot-major; trees hang off left
+	buckets int
 }
 
 // NewMVRLUStore creates an MV-RLU-backed store.
@@ -42,14 +34,12 @@ func NewMVRLUStore(slots, bucketsPerSlot int, opts core.Options) *MVRLUStore {
 	s := &MVRLUStore{
 		Engine:  d,
 		d:       d,
-		slots:   make([]mvSlot, slots),
+		locks:   make(slotLocks, slots),
+		roots:   make([]*core.Object[kvNode], slots*bucketsPerSlot),
 		buckets: bucketsPerSlot,
 	}
-	for i := range s.slots {
-		s.slots[i].roots = make([]*core.Object[kvNode], bucketsPerSlot)
-		for b := range s.slots[i].roots {
-			s.slots[i].roots[b] = core.NewObject(kvNode{})
-		}
+	for i := range s.roots {
+		s.roots[i] = core.NewObject(kvNode{})
 	}
 	return s
 }
@@ -62,18 +52,22 @@ func (s *MVRLUStore) Close() { s.d.Close() }
 
 // Session implements Store.
 func (s *MVRLUStore) Session() Session {
-	s.sessions.Add(1)
-	return &mvrluKVSession{s: s, h: s.d.Register()}
+	k := &mvSession{t: mvTable{s: s, h: s.d.Register(), slotWriter: slotWriter{locks: s.locks}}}
+	k.Init(&s.StoreBase, &k.t, nil, nil)
+	return k
 }
 
-// NumSessions implements Store.
-func (s *MVRLUStore) NumSessions() int { return int(s.sessions.Load()) }
+// mvSession is the shared session plus the one capability only the
+// MV-RLU builds have.
+type mvSession struct {
+	TowerSession
+	t mvTable
+}
 
-// SetCommitHook implements commitHooker. The hook runs inside the
-// per-slot lock right after Execute commits, with the write set's real
-// MV-RLU commit timestamp — so for any key, hook order equals commit
-// order, and the WAL's per-key log order needs no correction.
-func (s *MVRLUStore) SetCommitHook(h CommitHook) { s.hook = h }
+// ThreadID exposes the engine registry id backing this session — the id
+// the stall detector reports when this session's snapshot pins the
+// watermark.
+func (k *mvSession) ThreadID() int { return k.t.h.ID() }
 
 // ChainMetrics walks every tree at quiescence (no concurrent writers, no
 // single-collector detector) and reports the number of records, the total
@@ -85,16 +79,14 @@ func (s *MVRLUStore) SetCommitHook(h CommitHook) { s.hook = h }
 // while the pin is still held — once the watermark advances, versions
 // below it no longer count (their slots may already be reused).
 func (s *MVRLUStore) ChainMetrics() (records, versions, maxChain int) {
-	sess := s.Session().(*mvrluKVSession)
-	defer sess.Close()
+	h := s.d.Register()
+	defer h.Unregister()
 	var objs []*core.Object[kvNode]
-	sess.h.ReadLock()
-	for si := range s.slots {
-		for _, root := range s.slots[si].roots {
-			objs = collectObjs(sess.h, sess.h.Deref(root).left, objs)
-		}
+	h.ReadLock()
+	for _, root := range s.roots {
+		objs = collectObjs(h, h.Deref(root).left, objs)
 	}
-	sess.h.ReadUnlock()
+	h.ReadUnlock()
 	for _, o := range objs {
 		n := s.d.ChainLen(o)
 		records++
@@ -116,36 +108,25 @@ func collectObjs(h *core.Thread[kvNode], o *core.Object[kvNode], out []*core.Obj
 	return collectObjs(h, d.right, out)
 }
 
-type mvrluKVSession struct {
+// mvTable implements Tower over one registered engine thread: the
+// writer locks are the slots of a body's keys, and each key's bucket
+// tree is updated inside the body's one Execute.
+type mvTable struct {
 	s *MVRLUStore
 	h *core.Thread[kvNode]
-	// tr is the active request trace, set per batch through the
-	// TraceCarrier capability; nil (the common case) costs writers one
-	// pointer test per operation.
-	tr *obs.Trace
+	slotWriter
 }
 
-// SetTrace implements TraceCarrier: write paths stamp lock-wait and
-// engine-commit spans into tr until it is cleared.
-func (k *mvrluKVSession) SetTrace(tr *obs.Trace) { k.tr = tr }
+func (t *mvTable) ReadLock()   { t.h.ReadLock() }
+func (t *mvTable) ReadUnlock() { t.h.ReadUnlock() }
 
-// Close implements Session: the engine thread is unregistered, removing
-// it from the watermark scan so a retired pool handle cannot hold
-// reclamation back.
-func (k *mvrluKVSession) Close() {
-	k.h.Unregister()
-	k.s.sessions.Add(-1)
-}
+// Close unregisters the engine thread, removing it from the watermark
+// scan so a retired pool handle cannot hold reclamation back.
+func (t *mvTable) Close() { t.h.Unregister() }
 
-// ThreadID exposes the engine registry id backing this session — the id
-// the stall detector reports when this session's snapshot pins the
-// watermark.
-func (k *mvrluKVSession) ThreadID() int { return k.h.ID() }
-
-func (k *mvrluKVSession) locate(key string) (*mvSlot, *core.Object[kvNode]) {
-	h := hashString(key)
-	sl := &k.s.slots[slotOf(h, len(k.s.slots))]
-	return sl, sl.roots[bucketOf(h, k.s.buckets)]
+// root is the bucket tree of a key hashing to h.
+func (t *mvTable) root(h uint64) *core.Object[kvNode] {
+	return t.s.roots[rootOf(h, len(t.locks), t.s.buckets)]
 }
 
 // findKV descends to key. left reports which child of parent holds node.
@@ -167,182 +148,140 @@ func findKV(h *core.Thread[kvNode], root *core.Object[kvNode], key string) (pare
 	return parent, nil, left
 }
 
-func (k *mvrluKVSession) Get(key string) (string, bool) {
-	k.h.ReadLock()
-	_, node, _ := findKV(k.h, k.locateRoot(key), key)
+func (t *mvTable) Get(key string) (string, bool) {
+	t.h.ReadLock()
+	_, node, _ := findKV(t.h, t.root(hashString(key)), key)
 	var val string
 	if node != nil {
-		val = k.h.Deref(node).value
+		val = t.h.Deref(node).value
 	}
-	k.h.ReadUnlock()
+	t.h.ReadUnlock()
 	return val, node != nil
 }
 
-func (k *mvrluKVSession) locateRoot(key string) *core.Object[kvNode] {
-	_, root := k.locate(key)
-	return root
-}
-
-func (k *mvrluKVSession) Set(key, value string) {
-	sl, root := k.locate(key)
-	tr, t0 := k.tr, int64(0)
-	if tr != nil {
-		t0 = obs.Now()
-	}
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if tr != nil {
-		tr.EndStage(obs.StageLockWait, t0)
-		t0 = obs.Now()
-	}
-	k.h.Execute(func(h *core.Thread[kvNode]) bool {
-		parent, node, left := findKV(h, root, key)
-		if node != nil {
-			c, ok := h.TryLock(node)
+func (t *mvTable) Apply(ops []TxnOp, keep []int, removed []bool) uint64 {
+	t.h.Execute(func(*core.Thread[kvNode]) bool {
+		for j, i := range keep {
+			op, root := ops[i], t.root(t.hashes[j])
+			if !op.Del {
+				if !t.set(root, op.Key, op.Value) {
+					return false
+				}
+				continue
+			}
+			rm, ok := t.del(root, op.Key)
 			if !ok {
 				return false
 			}
-			c.value = value
-			return true
+			removed[i] = rm
 		}
-		c, ok := h.TryLock(parent)
+		return true
+	})
+	return t.h.LastCommitTS()
+}
+
+// set is one Set inside an open Execute body: update in place if key
+// exists, else link a fresh leaf. false asks Execute to retry.
+func (t *mvTable) set(root *core.Object[kvNode], key, value string) bool {
+	h := t.h
+	parent, node, left := findKV(h, root, key)
+	if node != nil {
+		c, ok := h.TryLock(node)
 		if !ok {
 			return false
 		}
-		n := core.NewObject(kvNode{key: key, value: value})
+		c.value = value
+		return true
+	}
+	c, ok := h.TryLock(parent)
+	if !ok {
+		return false
+	}
+	n := core.NewObject(kvNode{key: key, value: value})
+	if left {
+		c.left = n
+	} else {
+		c.right = n
+	}
+	return true
+}
+
+// del is one Delete inside an open Execute body. ok=false asks for a
+// retry; removed reports whether the key existed.
+func (t *mvTable) del(root *core.Object[kvNode], key string) (removed, ok bool) {
+	h := t.h
+	parent, node, left := findKV(h, root, key)
+	if node == nil {
+		return false, true
+	}
+	nd := h.Deref(node)
+	if nd.left == nil || nd.right == nil {
+		cp, ok := h.TryLock(parent)
+		if !ok {
+			return false, false
+		}
+		cn, ok := h.TryLock(node)
+		if !ok {
+			return false, false
+		}
+		child := cn.left
+		if child == nil {
+			child = cn.right
+		}
 		if left {
-			c.left = n
+			cp.left = child
 		} else {
-			c.right = n
+			cp.right = child
 		}
-		return true
-	})
-	if tr != nil {
-		tr.EndStage(obs.StageCommit, t0)
-		t0 = obs.Now()
+		h.Free(node)
+		return true, true
 	}
-	if h := k.s.hook; h != nil {
-		h(CommitOp{TS: k.h.LastCommitTS(), Key: key, Value: value})
-		if tr != nil {
-			tr.EndStage(obs.StageWALAppend, t0)
+	sparent, succ := node, nd.right
+	for {
+		sd := h.Deref(succ)
+		if sd.left == nil {
+			break
+		}
+		sparent, succ = succ, sd.left
+	}
+	cn, ok := h.TryLock(node)
+	if !ok {
+		return false, false
+	}
+	cs, ok := h.TryLock(succ)
+	if !ok {
+		return false, false
+	}
+	cn.key, cn.value = cs.key, cs.value
+	if sparent == node {
+		cn.right = cs.right
+	} else {
+		csp, ok := h.TryLock(sparent)
+		if !ok {
+			return false, false
+		}
+		csp.left = cs.right
+	}
+	h.Free(succ)
+	return true, true
+}
+
+// Walk visits every tree in slot-major order, filtering on prefix: the
+// hashed layout has no prefix to seek.
+func (t *mvTable) Walk(prefix string, fn func(key, value string) bool) {
+	for _, root := range t.s.roots {
+		if !t.walk(t.h.Deref(root).left, prefix, fn) {
+			return
 		}
 	}
 }
 
-func (k *mvrluKVSession) Remove(key string) (removed bool) {
-	sl, root := k.locate(key)
-	tr, t0 := k.tr, int64(0)
-	if tr != nil {
-		t0 = obs.Now()
-	}
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if tr != nil {
-		tr.EndStage(obs.StageLockWait, t0)
-		t0 = obs.Now()
-	}
-	k.h.Execute(func(h *core.Thread[kvNode]) bool {
-		parent, node, left := findKV(h, root, key)
-		if node == nil {
-			removed = false
-			return true
-		}
-		nd := h.Deref(node)
-		if nd.left == nil || nd.right == nil {
-			cp, ok := h.TryLock(parent)
-			if !ok {
-				return false
-			}
-			cn, ok := h.TryLock(node)
-			if !ok {
-				return false
-			}
-			child := cn.left
-			if child == nil {
-				child = cn.right
-			}
-			if left {
-				cp.left = child
-			} else {
-				cp.right = child
-			}
-			h.Free(node)
-		} else {
-			sparent, succ := node, nd.right
-			for {
-				sd := h.Deref(succ)
-				if sd.left == nil {
-					break
-				}
-				sparent, succ = succ, sd.left
-			}
-			cn, ok := h.TryLock(node)
-			if !ok {
-				return false
-			}
-			cs, ok := h.TryLock(succ)
-			if !ok {
-				return false
-			}
-			cn.key, cn.value = cs.key, cs.value
-			if sparent == node {
-				cn.right = cs.right
-			} else {
-				csp, ok := h.TryLock(sparent)
-				if !ok {
-					return false
-				}
-				csp.left = cs.right
-			}
-			h.Free(succ)
-		}
-		removed = true
-		return true
-	})
-	if tr != nil {
-		tr.EndStage(obs.StageCommit, t0)
-		t0 = obs.Now()
-	}
-	if removed {
-		if h := k.s.hook; h != nil {
-			h(CommitOp{TS: k.h.LastCommitTS(), Del: true, Key: key})
-			if tr != nil {
-				tr.EndStage(obs.StageWALAppend, t0)
-			}
-		}
-	}
-	return removed
-}
-
-// ForEach implements Session: one MV-RLU critical section yields a
-// consistent snapshot of every tree without blocking writers.
-func (k *mvrluKVSession) ForEach(fn func(key, value string) bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
-	for si := range k.s.slots {
-		for _, root := range k.s.slots[si].roots {
-			if !k.walk(k.h.Deref(root).left, fn) {
-				return
-			}
-		}
-	}
-}
-
-// ForEachPrefix implements Session: a filtered snapshot scan in one
-// MV-RLU critical section, concurrent with writers.
-func (k *mvrluKVSession) ForEachPrefix(prefix string, fn func(key, value string) bool) {
-	k.ForEach(func(key, value string) bool {
-		if !strings.HasPrefix(key, prefix) {
-			return true
-		}
-		return fn(key, value)
-	})
-}
-
-func (k *mvrluKVSession) walk(o *core.Object[kvNode], fn func(key, value string) bool) bool {
+func (t *mvTable) walk(o *core.Object[kvNode], prefix string, fn func(key, value string) bool) bool {
 	if o == nil {
 		return true
 	}
-	d := k.h.Deref(o)
-	return k.walk(d.left, fn) && fn(d.key, d.value) && k.walk(d.right, fn)
+	d := t.h.Deref(o)
+	return t.walk(d.left, prefix, fn) &&
+		(!strings.HasPrefix(d.key, prefix) || fn(d.key, d.value)) &&
+		t.walk(d.right, prefix, fn)
 }

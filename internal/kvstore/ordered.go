@@ -1,11 +1,11 @@
 package kvstore
 
-// This file is the ordered-index capability surface: the interfaces the
-// server (RANGE, MULTI/EXEC) and the WAL's transaction logging discover
-// by type assertion, implemented by the internal/index builds. The index
-// package imports kvstore (for Session, CommitOp, these types) and
+// This file is the transaction and ordered-index surface: the
+// interfaces behind the server's MULTI/EXEC (every build) and RANGE (the
+// internal/index builds), and the WAL's transaction hook. The index
+// package imports kvstore (for Session, TowerSession, these types) and
 // registers its builds through RegisterBuild, so kvstore itself never
-// imports index — the same direction every other capability here uses.
+// imports index.
 
 // TxnOp is one mutation of a multi-key transaction.
 type TxnOp struct {
@@ -15,13 +15,27 @@ type TxnOp struct {
 	Value string
 }
 
-// OrderedSession is the capability an ordered-index build's sessions
-// add on top of Session. The same one-goroutine contract applies. A
-// Sharded composite's session does not have it: the server reaches each
-// shard's sessions directly, merges ranges across shards itself, and
-// keeps every transaction on one shard.
-type OrderedSession interface {
+// TxnSession is the session surface every single-domain build offers:
+// Session plus atomic multi-key transactions (the server's MULTI/EXEC).
+// The same one-goroutine contract applies. A Sharded composite's session
+// does not have it: the server reaches each shard's sessions directly
+// and keeps every transaction on one shard.
+type TxnSession interface {
 	Session
+	// ApplyTxn applies ops atomically and reports, for a Del op, whether
+	// the key existed. The engine builds run every effective op inside
+	// one Execute body — every touched key locked via TryLock, one
+	// commit timestamp across all ops — under the writer locks of every
+	// touched key; the vanilla builds hold their write lock across the
+	// body. When a transaction hook is installed the body is delivered
+	// as one WAL record group.
+	ApplyTxn(ops []TxnOp) (removed []bool)
+}
+
+// OrderedSession is the capability an ordered-index build's sessions
+// add on top of TxnSession: snapshot range walks (the server's RANGE).
+type OrderedSession interface {
+	TxnSession
 	// RangeAscend visits every pair with lo <= key <= hi in ascending
 	// key order, inside ONE snapshot critical section, stopping early
 	// when fn returns false.
@@ -31,11 +45,6 @@ type OrderedSession interface {
 	// walk either direction without collecting the window first, so a
 	// walk that stops after n pairs costs O(n) steps past its seek.
 	RangeDescend(lo, hi string, fn func(key, value string) bool)
-	// ApplyTxn applies ops atomically: one Execute body, every touched
-	// key locked via TryLock, one commit timestamp across all ops, and
-	// — when a transaction hook is installed — one WAL record group.
-	// removed[i] reports, for a Del op, whether the key existed.
-	ApplyTxn(ops []TxnOp) (removed []bool)
 }
 
 // TxnHook observes one committed multi-key transaction as an atomic
@@ -47,33 +56,22 @@ type OrderedSession interface {
 // CommitHook when a TxnHook is installed.
 type TxnHook func(ops []CommitOp)
 
-// txnHooker is the store capability behind SetStoreTxnCommitHook.
-type txnHooker interface{ SetTxnCommitHook(TxnHook) }
+// SetStoreTxnCommitHook installs h on st; every build supports
+// transactions, so it reports true.
+func SetStoreTxnCommitHook(st Store, h TxnHook) bool { st.SetTxnCommitHook(h); return true }
 
-// SetStoreTxnCommitHook installs h on an ordered build, reporting
-// whether the store supports transactions.
-func SetStoreTxnCommitHook(st Store, h TxnHook) bool {
-	c, ok := st.(txnHooker)
-	if ok {
-		c.SetTxnCommitHook(h)
-	}
-	return ok
-}
-
-// SetTxnCommitHook implements txnHooker for the Sharded composite: a
+// SetTxnCommitHook implements Store for the Sharded composite: a
 // transaction executes on exactly one shard (the server's EXEC rejects
 // a body whose keys cross shards), and that shard's hook stamps its
 // index into every op of the group.
 func (s *Sharded) SetTxnCommitHook(h TxnHook) {
 	for i, sh := range s.shards {
-		if c, ok := sh.(txnHooker); ok {
-			idx := uint32(i)
-			c.SetTxnCommitHook(func(ops []CommitOp) {
-				for j := range ops {
-					ops[j].Shard = idx
-				}
-				h(ops)
-			})
-		}
+		idx := uint32(i)
+		sh.SetTxnCommitHook(func(ops []CommitOp) {
+			for j := range ops {
+				ops[j].Shard = idx
+			}
+			h(ops)
+		})
 	}
 }

@@ -2,8 +2,6 @@ package kvstore
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"mvrlu/internal/rlu"
 )
@@ -17,37 +15,28 @@ type rkvNode struct {
 
 // RLUStore is the RLU port of CacheDB that the RLU paper describes and
 // §6.4 reuses: no global readers-writer lock, per-slot locks for writers.
-// MVRLUStore is its drop-in replacement.
+// MVRLUStore is its drop-in replacement: the same TowerSession over the
+// same slot/bucket layout. Commit hooks are stamped with the RLU write
+// clock of the commit (Thread.LastCommitTS), drawn inside the slot
+// locks, so per-key hook order is commit order.
 type RLUStore struct {
-	d        *rlu.Domain[rkvNode]
-	slots    []rluSlot
-	buckets  int
-	sessions atomic.Int64
-	hook     CommitHook
-	// walClock orders commit records for the WAL. RLU's own global clock
-	// is not exposed per write set, so hooks stamp this counter instead —
-	// incremented inside the slot lock, so per-key order is commit order.
-	walClock atomic.Uint64
-}
-
-type rluSlot struct {
-	mu    sync.Mutex
-	roots []*rlu.Object[rkvNode]
-	_     [40]byte
+	StoreBase
+	d       *rlu.Domain[rkvNode]
+	locks   slotLocks
+	roots   []*rlu.Object[rkvNode]
+	buckets int
 }
 
 // NewRLUStore creates an RLU-backed store.
 func NewRLUStore(slots, bucketsPerSlot int) *RLUStore {
 	s := &RLUStore{
 		d:       rlu.NewDomain[rkvNode](rlu.ClockGlobal),
-		slots:   make([]rluSlot, slots),
+		locks:   make(slotLocks, slots),
+		roots:   make([]*rlu.Object[rkvNode], slots*bucketsPerSlot),
 		buckets: bucketsPerSlot,
 	}
-	for i := range s.slots {
-		s.slots[i].roots = make([]*rlu.Object[rkvNode], bucketsPerSlot)
-		for b := range s.slots[i].roots {
-			s.slots[i].roots[b] = rlu.NewObject(rkvNode{})
-		}
+	for i := range s.roots {
+		s.roots[i] = rlu.NewObject(rkvNode{})
 	}
 	return s
 }
@@ -63,31 +52,30 @@ func (s *RLUStore) Stats() rlu.Stats { return s.d.Stats() }
 
 // Session implements Store.
 func (s *RLUStore) Session() Session {
-	s.sessions.Add(1)
-	return &rluKVSession{s: s, h: s.d.Register()}
+	t := &rluTable{s: s, h: s.d.Register(), slotWriter: slotWriter{locks: s.locks}}
+	k := &TowerSession{}
+	k.Init(&s.StoreBase, t, nil, nil)
+	return k
 }
 
-// NumSessions implements Store.
-func (s *RLUStore) NumSessions() int { return int(s.sessions.Load()) }
-
-// SetCommitHook implements commitHooker; see RLUStore.walClock for the
-// timestamp source.
-func (s *RLUStore) SetCommitHook(h CommitHook) { s.hook = h }
-
-type rluKVSession struct {
+// rluTable implements Tower over one RLU thread; every loop mirrors
+// mvTable's (see the comments there).
+type rluTable struct {
 	s *RLUStore
 	h *rlu.Thread[rkvNode]
+	slotWriter
 }
 
-// Close implements Session. The RLU registry has no thread removal (the
-// RLU design assumes a fixed thread set), so the handle merely stops
-// being used; only the session count is released.
-func (k *rluKVSession) Close() { k.s.sessions.Add(-1) }
+func (t *rluTable) ReadLock()   { t.h.ReadLock() }
+func (t *rluTable) ReadUnlock() { t.h.ReadUnlock() }
 
-func (k *rluKVSession) locate(key string) (*rluSlot, *rlu.Object[rkvNode]) {
-	h := hashString(key)
-	sl := &k.s.slots[slotOf(h, len(k.s.slots))]
-	return sl, sl.roots[bucketOf(h, k.s.buckets)]
+// Close is a no-op: the RLU registry has no thread removal (the RLU
+// design assumes a fixed thread set), so the handle merely stops being
+// used.
+func (t *rluTable) Close() {}
+
+func (t *rluTable) root(h uint64) *rlu.Object[rkvNode] {
+	return t.s.roots[rootOf(h, len(t.locks), t.s.buckets)]
 }
 
 func rluFindKV(h *rlu.Thread[rkvNode], root *rlu.Object[rkvNode], key string) (parent, node *rlu.Object[rkvNode], left bool) {
@@ -108,148 +96,134 @@ func rluFindKV(h *rlu.Thread[rkvNode], root *rlu.Object[rkvNode], key string) (p
 	return parent, nil, left
 }
 
-func (k *rluKVSession) Get(key string) (string, bool) {
-	_, root := k.locate(key)
-	k.h.ReadLock()
-	_, node, _ := rluFindKV(k.h, root, key)
+func (t *rluTable) Get(key string) (string, bool) {
+	t.h.ReadLock()
+	_, node, _ := rluFindKV(t.h, t.root(hashString(key)), key)
 	var val string
 	if node != nil {
-		val = k.h.Deref(node).value
+		val = t.h.Deref(node).value
 	}
-	k.h.ReadUnlock()
+	t.h.ReadUnlock()
 	return val, node != nil
 }
 
-func (k *rluKVSession) Set(key, value string) {
-	sl, root := k.locate(key)
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	k.h.Execute(func(h *rlu.Thread[rkvNode]) bool {
-		parent, node, left := rluFindKV(h, root, key)
-		if node != nil {
-			c, ok := h.TryLock(node)
+func (t *rluTable) Apply(ops []TxnOp, keep []int, removed []bool) uint64 {
+	t.h.Execute(func(*rlu.Thread[rkvNode]) bool {
+		for j, i := range keep {
+			op, root := ops[i], t.root(t.hashes[j])
+			if !op.Del {
+				if !t.set(root, op.Key, op.Value) {
+					return false
+				}
+				continue
+			}
+			rm, ok := t.del(root, op.Key)
 			if !ok {
 				return false
 			}
-			c.value = value
-			return true
+			removed[i] = rm
 		}
-		c, ok := h.TryLock(parent)
+		return true
+	})
+	return t.h.LastCommitTS()
+}
+
+func (t *rluTable) set(root *rlu.Object[rkvNode], key, value string) bool {
+	h := t.h
+	parent, node, left := rluFindKV(h, root, key)
+	if node != nil {
+		c, ok := h.TryLock(node)
 		if !ok {
 			return false
 		}
-		n := rlu.NewObject(rkvNode{key: key, value: value})
+		c.value = value
+		return true
+	}
+	c, ok := h.TryLock(parent)
+	if !ok {
+		return false
+	}
+	n := rlu.NewObject(rkvNode{key: key, value: value})
+	if left {
+		c.left = n
+	} else {
+		c.right = n
+	}
+	return true
+}
+
+func (t *rluTable) del(root *rlu.Object[rkvNode], key string) (removed, ok bool) {
+	h := t.h
+	parent, node, left := rluFindKV(h, root, key)
+	if node == nil {
+		return false, true
+	}
+	nd := h.Deref(node)
+	if nd.left == nil || nd.right == nil {
+		cp, ok := h.TryLock(parent)
+		if !ok {
+			return false, false
+		}
+		cn, ok := h.TryLock(node)
+		if !ok {
+			return false, false
+		}
+		child := cn.left
+		if child == nil {
+			child = cn.right
+		}
 		if left {
-			c.left = n
+			cp.left = child
 		} else {
-			c.right = n
+			cp.right = child
 		}
-		return true
-	})
-	if h := k.s.hook; h != nil {
-		h(CommitOp{TS: k.s.walClock.Add(1), Key: key, Value: value})
+		h.Free(node)
+		return true, true
 	}
+	sparent, succ := node, nd.right
+	for {
+		sd := h.Deref(succ)
+		if sd.left == nil {
+			break
+		}
+		sparent, succ = succ, sd.left
+	}
+	cn, ok := h.TryLock(node)
+	if !ok {
+		return false, false
+	}
+	cs, ok := h.TryLock(succ)
+	if !ok {
+		return false, false
+	}
+	cn.key, cn.value = cs.key, cs.value
+	if sparent == node {
+		cn.right = cs.right
+	} else {
+		csp, ok := h.TryLock(sparent)
+		if !ok {
+			return false, false
+		}
+		csp.left = cs.right
+	}
+	h.Free(succ)
+	return true, true
 }
 
-func (k *rluKVSession) Remove(key string) (removed bool) {
-	sl, root := k.locate(key)
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	k.h.Execute(func(h *rlu.Thread[rkvNode]) bool {
-		parent, node, left := rluFindKV(h, root, key)
-		if node == nil {
-			removed = false
-			return true
-		}
-		nd := h.Deref(node)
-		if nd.left == nil || nd.right == nil {
-			cp, ok := h.TryLock(parent)
-			if !ok {
-				return false
-			}
-			cn, ok := h.TryLock(node)
-			if !ok {
-				return false
-			}
-			child := cn.left
-			if child == nil {
-				child = cn.right
-			}
-			if left {
-				cp.left = child
-			} else {
-				cp.right = child
-			}
-			h.Free(node)
-		} else {
-			sparent, succ := node, nd.right
-			for {
-				sd := h.Deref(succ)
-				if sd.left == nil {
-					break
-				}
-				sparent, succ = succ, sd.left
-			}
-			cn, ok := h.TryLock(node)
-			if !ok {
-				return false
-			}
-			cs, ok := h.TryLock(succ)
-			if !ok {
-				return false
-			}
-			cn.key, cn.value = cs.key, cs.value
-			if sparent == node {
-				cn.right = cs.right
-			} else {
-				csp, ok := h.TryLock(sparent)
-				if !ok {
-					return false
-				}
-				csp.left = cs.right
-			}
-			h.Free(succ)
-		}
-		removed = true
-		return true
-	})
-	if removed {
-		if h := k.s.hook; h != nil {
-			h(CommitOp{TS: k.s.walClock.Add(1), Del: true, Key: key})
-		}
-	}
-	return removed
-}
-
-// ForEach implements Session: one RLU critical section yields a
-// consistent snapshot of every tree without blocking writers.
-func (k *rluKVSession) ForEach(fn func(key, value string) bool) {
-	k.h.ReadLock()
-	defer k.h.ReadUnlock()
-	for si := range k.s.slots {
-		for _, root := range k.s.slots[si].roots {
-			if !k.walk(k.h.Deref(root).left, fn) {
-				return
-			}
+func (t *rluTable) Walk(prefix string, fn func(key, value string) bool) {
+	for _, root := range t.s.roots {
+		if !t.walk(t.h.Deref(root).left, prefix, fn) {
+			return
 		}
 	}
 }
 
-// ForEachPrefix implements Session: a filtered snapshot scan in one RLU
-// critical section.
-func (k *rluKVSession) ForEachPrefix(prefix string, fn func(key, value string) bool) {
-	k.ForEach(func(key, value string) bool {
-		if !strings.HasPrefix(key, prefix) {
-			return true
-		}
-		return fn(key, value)
-	})
-}
-
-func (k *rluKVSession) walk(o *rlu.Object[rkvNode], fn func(key, value string) bool) bool {
+func (t *rluTable) walk(o *rlu.Object[rkvNode], prefix string, fn func(key, value string) bool) bool {
 	if o == nil {
 		return true
 	}
-	d := k.h.Deref(o)
-	return k.walk(d.left, fn) && fn(d.key, d.value) && k.walk(d.right, fn)
+	d := t.h.Deref(o)
+	return t.walk(d.left, prefix, fn) &&
+		(!strings.HasPrefix(d.key, prefix) || fn(d.key, d.value)) &&
+		t.walk(d.right, prefix, fn)
 }

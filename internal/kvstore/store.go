@@ -10,9 +10,25 @@
 //     still serialized per slot (the paper keeps per-slot locks for a
 //     fair comparison, and notes they become the next bottleneck);
 //   - mvrlu: the same port over MV-RLU, a drop-in replacement for RLU.
+//
+// Every build, these three and the internal/index ordered builds, serves
+// its sessions through one TowerSession (session.go): the one commit
+// routine behind Set, Remove and ApplyTxn — take the writer locks,
+// apply the body in one commit, record it, deliver it to the hooks —
+// plus trace spans and the snapshot scan behind ForEach. What differs
+// per build is a Tower: its node type, its writer locks and the loops
+// that read and write its structure. The two engine hash towers lock the
+// distinct slots of a body's keys in ascending slot order and apply the
+// body in one Execute, so a multi-key transaction (the server's
+// MULTI/EXEC) is atomic on every build.
 package kvstore
 
-import "mvrlu/internal/obs"
+import (
+	"slices"
+	"sync"
+
+	"mvrlu/internal/obs"
+)
 
 // Session is a handle to the store.
 //
@@ -81,6 +97,10 @@ type Store interface {
 	// audit handle lifecycles with it; builds whose sessions hold no
 	// engine handle still count so the builds agree.
 	NumSessions() int
+	// SetCommitHook installs the per-op commit hook (see CommitHook).
+	SetCommitHook(h CommitHook)
+	// SetTxnCommitHook installs the transaction hook (see TxnHook).
+	SetTxnCommitHook(h TxnHook)
 	// Close stops background machinery.
 	Close()
 }
@@ -111,6 +131,53 @@ const (
 
 func slotOf(h uint64, slots int) int     { return int(h % uint64(slots)) }
 func bucketOf(h uint64, buckets int) int { return int((h >> 32) % uint64(buckets)) }
+
+// rootOf is the index of h's bucket tree in a slot-major root array.
+func rootOf(h uint64, slots, buckets int) int {
+	return slotOf(h, slots)*buckets + bucketOf(h, buckets)
+}
+
+// slotLocks are a hash build's writer locks, one per slot, each on its
+// own cache line.
+type slotLocks []struct {
+	sync.Mutex
+	_ [56]byte
+}
+
+// slotWriter is a hash tower's writer half: Lock takes the distinct
+// slots of the body's keys in ascending order — the one order every
+// writer uses, so bodies whose slot sets overlap cannot deadlock — and
+// a one-key write locks one slot and allocates nothing. Each key is
+// hashed once per commit: Apply finds its bucket from hashes.
+type slotWriter struct {
+	locks  slotLocks
+	held   []int    // slots taken by Lock, ascending
+	hashes []uint64 // per kept op
+	one    [1]int
+	hash1  [1]uint64
+}
+
+func (w *slotWriter) Lock(ops []TxnOp, keep []int) {
+	held, hashes := w.one[:0], w.hash1[:0]
+	for _, i := range keep {
+		h := hashString(ops[i].Key)
+		hashes = append(hashes, h)
+		sl := slotOf(h, len(w.locks))
+		if j, found := slices.BinarySearch(held, sl); !found {
+			held = slices.Insert(held, j, sl)
+		}
+	}
+	for _, sl := range held {
+		w.locks[sl].Lock()
+	}
+	w.held, w.hashes = held, hashes
+}
+
+func (w *slotWriter) Unlock() {
+	for _, sl := range w.held {
+		w.locks[sl].Unlock()
+	}
+}
 
 // shardOf maps a key hash to one of n shards. The hash is re-mixed with
 // the splitmix64 finalizer first so the shard choice is decorrelated

@@ -16,16 +16,16 @@ type vNode struct {
 // Vanilla is the stock CacheDB design: a global readers-writer lock
 // serializing the database against structural races, plus per-slot
 // mutexes for writers — the configuration whose global rwlock the paper
-// identifies as the known scalability bottleneck.
+// identifies as the known scalability bottleneck. Its sessions are the
+// shared TowerSession over a vanillaTower, with HooksAfterUnlock set.
 type Vanilla struct {
-	global   sync.RWMutex
-	slots    []vanillaSlot
-	buckets  int
-	sessions atomic.Int64
-	hook     CommitHook
+	StoreBase
+	global  sync.RWMutex
+	slots   []vanillaSlot
+	buckets int
 	// walClock orders commit records for the WAL. It is stamped while the
-	// global write lock is held, but the hook itself runs after unlock
-	// (a blocking hook under the exclusive lock would deadlock against a
+	// global write lock is held, but the hooks run after unlock (a
+	// blocking hook under the exclusive lock would deadlock against a
 	// snapshot dump waiting for the read lock), so hook order can invert
 	// timestamp order across racing writers — WALCutoff compensates.
 	walClock atomic.Uint64
@@ -39,7 +39,11 @@ type vanillaSlot struct {
 
 // NewVanilla creates a stock store.
 func NewVanilla(slots, bucketsPerSlot int) *Vanilla {
-	s := &Vanilla{slots: make([]vanillaSlot, slots), buckets: bucketsPerSlot}
+	s := &Vanilla{
+		StoreBase: StoreBase{HooksAfterUnlock: true},
+		slots:     make([]vanillaSlot, slots),
+		buckets:   bucketsPerSlot,
+	}
 	for i := range s.slots {
 		s.slots[i].trees = make([]*vNode, bucketsPerSlot)
 	}
@@ -54,16 +58,10 @@ func (v *Vanilla) Close() {}
 
 // Session implements Store.
 func (v *Vanilla) Session() Session {
-	v.sessions.Add(1)
-	return vanillaSession{v}
+	k := &TowerSession{}
+	k.Init(&v.StoreBase, vanillaTower{v}, nil, nil)
+	return k
 }
-
-// NumSessions implements Store.
-func (v *Vanilla) NumSessions() int { return int(v.sessions.Load()) }
-
-// SetCommitHook implements commitHooker; see Vanilla.walClock for the
-// ordering caveat.
-func (v *Vanilla) SetCommitHook(h CommitHook) { v.hook = h }
 
 // WALCutoff implements walClocker: every commit with ts ≤ the returned
 // value stamped its timestamp while holding the global write lock, and
@@ -77,21 +75,27 @@ func (v *Vanilla) WALCutoff() uint64 {
 	return v.walClock.Load()
 }
 
-type vanillaSession struct{ v *Vanilla }
+// vanillaTower implements Tower for the stock build: the writer lock is
+// the global write lock, held across the whole body, a snapshot is the
+// global read lock, and there is no per-session state.
+type vanillaTower struct{ v *Vanilla }
 
-// Close implements Session. The stock build holds no per-session state.
-func (s vanillaSession) Close() { s.v.sessions.Add(-1) }
+func (t vanillaTower) Lock([]TxnOp, []int) { t.v.global.Lock() }
+func (t vanillaTower) Unlock()             { t.v.global.Unlock() }
+func (t vanillaTower) ReadLock()           { t.v.global.RLock() }
+func (t vanillaTower) ReadUnlock()         { t.v.global.RUnlock() }
+func (t vanillaTower) Close()              {}
 
-func (s vanillaSession) locate(key string) (*vanillaSlot, int) {
+func (t vanillaTower) locate(key string) (*vanillaSlot, int) {
 	h := hashString(key)
-	sl := &s.v.slots[slotOf(h, len(s.v.slots))]
-	return sl, bucketOf(h, s.v.buckets)
+	sl := &t.v.slots[slotOf(h, len(t.v.slots))]
+	return sl, bucketOf(h, t.v.buckets)
 }
 
-func (s vanillaSession) Get(key string) (string, bool) {
-	s.v.global.RLock()
-	defer s.v.global.RUnlock()
-	sl, b := s.locate(key)
+func (t vanillaTower) Get(key string) (string, bool) {
+	t.v.global.RLock()
+	defer t.v.global.RUnlock()
+	sl, b := t.locate(key)
 	n := sl.trees[b]
 	for n != nil {
 		switch {
@@ -106,29 +110,30 @@ func (s vanillaSession) Get(key string) (string, bool) {
 	return "", false
 }
 
-func (s vanillaSession) Set(key, value string) {
-	ts := s.setLocked(key, value)
-	if h := s.v.hook; h != nil {
-		h(CommitOp{TS: ts, Key: key, Value: value})
+// Apply runs the body and stamps one walClock tick for all of it.
+func (t vanillaTower) Apply(ops []TxnOp, keep []int, removed []bool) uint64 {
+	for _, i := range keep {
+		if op := ops[i]; op.Del {
+			removed[i] = t.del(op.Key)
+		} else {
+			t.set(op.Key, op.Value)
+		}
 	}
+	return t.v.walClock.Add(1)
 }
 
-// setLocked applies the write and stamps its WAL timestamp, all under
-// the global write lock; the hook fires after this returns.
-func (s vanillaSession) setLocked(key, value string) uint64 {
-	s.v.global.Lock()
-	defer s.v.global.Unlock()
-	sl, b := s.locate(key)
+// set inserts or updates key under its slot lock.
+func (t vanillaTower) set(key, value string) {
+	sl, b := t.locate(key)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	ts := s.v.walClock.Add(1)
 	link := &sl.trees[b]
 	for *link != nil {
 		n := *link
 		switch {
 		case key == n.key:
 			n.value = value
-			return ts
+			return
 		case key < n.key:
 			link = &n.left
 		default:
@@ -136,71 +141,47 @@ func (s vanillaSession) setLocked(key, value string) uint64 {
 		}
 	}
 	*link = &vNode{key: key, value: value}
-	return ts
 }
 
-func (s vanillaSession) Remove(key string) bool {
-	ts, removed := s.removeLocked(key)
-	if removed {
-		if h := s.v.hook; h != nil {
-			h(CommitOp{TS: ts, Del: true, Key: key})
-		}
-	}
-	return removed
-}
-
-func (s vanillaSession) removeLocked(key string) (uint64, bool) {
-	s.v.global.Lock()
-	defer s.v.global.Unlock()
-	sl, b := s.locate(key)
+// del removes key under its slot lock, reporting whether it existed.
+func (t vanillaTower) del(key string) bool {
+	sl, b := t.locate(key)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	ts := s.v.walClock.Add(1)
 	link := &sl.trees[b]
 	for *link != nil {
 		n := *link
 		switch {
 		case key == n.key:
 			*link = deleteRoot(n)
-			return ts, true
+			return true
 		case key < n.key:
 			link = &n.left
 		default:
 			link = &n.right
 		}
 	}
-	return ts, false
+	return false
 }
 
-// ForEach implements Session: a scan under the global read lock.
-func (s vanillaSession) ForEach(fn func(key, value string) bool) {
-	s.v.global.RLock()
-	defer s.v.global.RUnlock()
-	for si := range s.v.slots {
-		for _, root := range s.v.slots[si].trees {
-			if !walkVanilla(root, fn) {
+// Walk visits every tree, filtering on prefix.
+func (t vanillaTower) Walk(prefix string, fn func(key, value string) bool) {
+	for si := range t.v.slots {
+		for _, root := range t.v.slots[si].trees {
+			if !walkVanilla(root, prefix, fn) {
 				return
 			}
 		}
 	}
 }
 
-// ForEachPrefix implements Session: a filtered scan under the global
-// read lock.
-func (s vanillaSession) ForEachPrefix(prefix string, fn func(key, value string) bool) {
-	s.ForEach(func(key, value string) bool {
-		if !strings.HasPrefix(key, prefix) {
-			return true
-		}
-		return fn(key, value)
-	})
-}
-
-func walkVanilla(n *vNode, fn func(key, value string) bool) bool {
+func walkVanilla(n *vNode, prefix string, fn func(key, value string) bool) bool {
 	if n == nil {
 		return true
 	}
-	return walkVanilla(n.left, fn) && fn(n.key, n.value) && walkVanilla(n.right, fn)
+	return walkVanilla(n.left, prefix, fn) &&
+		(!strings.HasPrefix(n.key, prefix) || fn(n.key, n.value)) &&
+		walkVanilla(n.right, prefix, fn)
 }
 
 // deleteRoot removes n from its subtree, returning the new root.

@@ -257,7 +257,7 @@ var commands = []command{
 	{name: "EXEC", arity: atLeast(1), write: true, multi: true,
 		plan: planExec,
 		exec: func(op *shardOp, ps *pooledSession) {
-			op.sl.removed = ps.ordered.ApplyTxn(op.ops)
+			op.sl.removed = ps.sess.ApplyTxn(op.ops)
 		},
 		render: func(c *conn, sl *slot) bool {
 			return renderExec(c.bw, sl.txnCmds, sl.removed)

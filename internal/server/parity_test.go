@@ -239,9 +239,10 @@ func parityStream(t *testing.T, build string, shards int, pipelined bool) []byte
 // byte-identical reply streams — one shard is the same server as
 // several, and collect-unbounded / merge-globally / cut-after makes
 // every walk independent of how the keyspace is partitioned. Every
-// ordered build runs it, since the router's range merge and MULTI path
-// are the only ones over a sharded index. On the plain hash build RANGE
-// and EXEC answer "no ordered index", identically.
+// ordered build runs it, since the router's range merge is the only one
+// over a sharded index. On the plain hash build RANGE answers "no
+// ordered index", identically, and the MULTI bodies commit through the
+// same shared session as on the ordered builds.
 func TestShardParityBytes(t *testing.T) {
 	for _, build := range []string{"mvrlu-idx", "rlu-idx", "vanilla-idx", "mvrlu-kv"} {
 		t.Run(build, func(t *testing.T) {

@@ -29,8 +29,8 @@ type sessionPool struct {
 // what it is doing.
 type pooledSession struct {
 	idx      int
-	sess     kvstore.Session
-	ordered  kvstore.OrderedSession // sess's range/txn capability; nil on the hash builds
+	sess     kvstore.TxnSession     // every single-domain build applies MULTI bodies
+	ordered  kvstore.OrderedSession // sess's range capability; nil on the hash builds
 	tracer   kvstore.TraceCarrier   // sess's trace capability; nil when the build has none
 	threadID int                    // engine registry id; -1 when the build exposes none
 	inUse    atomic.Bool
@@ -46,7 +46,7 @@ type threadIDer interface{ ThreadID() int }
 func newSessionPool(store kvstore.Store, n int) *sessionPool {
 	p := &sessionPool{free: make(chan *pooledSession, n)}
 	for i := 0; i < n; i++ {
-		ps := &pooledSession{idx: i, sess: store.Session(), threadID: -1}
+		ps := &pooledSession{idx: i, sess: store.Session().(kvstore.TxnSession), threadID: -1}
 		ps.ordered, _ = ps.sess.(kvstore.OrderedSession)
 		ps.tracer, _ = ps.sess.(kvstore.TraceCarrier)
 		if t, ok := ps.sess.(threadIDer); ok {

@@ -113,9 +113,9 @@ type Server struct {
 	engines  []core.Engine
 	shardFor func(string) int
 	// ordered reports whether the build's sessions carry the
-	// ordered-index capability (RANGE, MULTI/EXEC) — probed once at
-	// startup from a pooled session, so the planner can reject range/txn
-	// commands before queueing shard work.
+	// ordered-index capability (RANGE) — probed once at startup from a
+	// pooled session, so the planner can reject RANGE before queueing
+	// shard work.
 	ordered bool
 	ln      net.Listener
 	sem     chan struct{} // MaxConns slots, acquired before Accept

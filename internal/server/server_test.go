@@ -598,15 +598,17 @@ func TestServerAcceptBackpressure(t *testing.T) {
 // trigger key, standing in for an engine bug escaping a batch.
 type panicStore struct{ kvstore.Store }
 
-type panicSession struct{ kvstore.Session }
+type panicSession struct{ kvstore.TxnSession }
 
-func (p *panicStore) Session() kvstore.Session { return panicSession{p.Store.Session()} }
+func (p *panicStore) Session() kvstore.Session {
+	return panicSession{p.Store.Session().(kvstore.TxnSession)}
+}
 
 func (s panicSession) Get(key string) (string, bool) {
 	if key == "boom" {
 		panic("injected store panic")
 	}
-	return s.Session.Get(key)
+	return s.TxnSession.Get(key)
 }
 
 // TestServerPanicIsolation: a store panic inside one command must be

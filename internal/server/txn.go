@@ -8,9 +8,10 @@ import (
 	"mvrlu/internal/kvstore"
 )
 
-// This file is the wire surface over the ordered-index capability
-// (kvstore.OrderedSession): the helpers behind the RANGE table entry and
-// the MULTI/EXEC/DISCARD transaction state machine.
+// This file is the wire surface over the transaction and ordered-index
+// capabilities: the MULTI/EXEC/DISCARD transaction state machine
+// (kvstore.TxnSession, every build) and the helpers behind the RANGE
+// table entry (kvstore.OrderedSession, the -idx builds).
 //
 // The transaction contract mirrors the store's: every queued mutation of
 // one MULTI body executes inside ONE engine commit — one Execute body,
@@ -99,9 +100,6 @@ func planExec(c *conn, sl *slot, _ [][]byte) {
 	switch {
 	case aborted:
 		sl.errmsg = msgExecAbort
-		return
-	case !c.srv.ordered:
-		sl.errmsg = msgNotOrdered
 		return
 	case len(cmds) == 0:
 		return // renders the empty array

@@ -169,8 +169,9 @@ func checkFlat(t *testing.T, what string, r Reply, want []string) {
 	}
 }
 
-// TestRangeNotOrdered: the plain KV builds reject RANGE and EXEC with a
-// clear error instead of a panic or a silent wrong answer.
+// TestRangeNotOrdered: the plain KV builds reject RANGE with a clear
+// error instead of a panic or a silent wrong answer, while MULTI/EXEC,
+// which every build supports, applies.
 func TestRangeNotOrdered(t *testing.T) {
 	store := newMVStore(t)
 	defer store.Close()
@@ -187,78 +188,90 @@ func TestRangeNotOrdered(t *testing.T) {
 	if r := c.cmd("SET", "a", "1"); r.Str != "QUEUED" {
 		t.Fatalf("queue: %v", r)
 	}
-	if r := c.cmd("EXEC"); !r.IsError() || !strings.Contains(r.Str, "ordered index") {
+	if r := c.cmd("EXEC"); r.Kind != ArrayReply || len(r.Elems) != 1 || r.Elems[0].Str != "OK" {
 		t.Fatalf("EXEC on plain build: %v", r)
+	}
+	if r := c.cmd("GET", "a"); r.Str != "1" {
+		t.Fatalf("EXEC body not applied: %v", r)
 	}
 }
 
+// TestMultiExec runs one MULTI body on the ordered build and on the
+// default hash build, whose slot-locked commit is the same shared
+// session.
 func TestMultiExec(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			store := newStore(t, "mvrlu-idx", shards)
-			defer store.Close()
-			srv, _ := startServer(t, store, Config{Handles: 2})
-			defer srv.Shutdown()
-			c := dialT(t, srv)
-
-			// Keys of one transaction must stay on one shard; the t:* keys
-			// here hash wherever, so pick a body from keys sharing a shard.
-			keys := sameShardKeys(store, "t:", 3)
-			if r := c.cmd("SET", keys[2], "stale"); r.Str != "OK" {
-				t.Fatalf("seed SET: %v", r)
-			}
-
-			if r := c.cmd("MULTI"); r.Str != "OK" {
-				t.Fatalf("MULTI: %v", r)
-			}
-			if r := c.cmd("SET", keys[0], "x"); r.Str != "QUEUED" {
-				t.Fatalf("queue SET: %v", r)
-			}
-			if r := c.cmd("SET", keys[1], "y"); r.Str != "QUEUED" {
-				t.Fatalf("queue SET: %v", r)
-			}
-			if r := c.cmd("DEL", keys[2], keys[0]); r.Str != "QUEUED" {
-				t.Fatalf("queue DEL: %v", r)
-			}
-			r := c.cmd("EXEC")
-			// Replies: +OK, +OK, :1 — keys[2] existed; keys[0] was written
-			// by this same transaction, and the last op per key wins, so
-			// the DEL of keys[0] reports not-removed (it deletes the
-			// version this txn itself queued — see index.compressTxn).
-			if r.Kind != ArrayReply || len(r.Elems) != 3 {
-				t.Fatalf("EXEC: %v", r)
-			}
-			if r.Elems[0].Str != "OK" || r.Elems[1].Str != "OK" {
-				t.Fatalf("EXEC SET replies: %v", r.Elems)
-			}
-			if r.Elems[2].Int != 1 {
-				t.Fatalf("EXEC DEL reply: %v", r.Elems[2])
-			}
-			if r := c.cmd("GET", keys[1]); r.Str != "y" {
-				t.Fatalf("committed key: %v", r)
-			}
-			if r := c.cmd("GET", keys[0]); r.Kind != NullReply {
-				t.Fatalf("deleted key: %v", r)
-			}
-
-			// Empty transaction.
-			if r := c.cmd("MULTI"); r.Str != "OK" {
-				t.Fatalf("MULTI: %v", r)
-			}
-			if r := c.cmd("EXEC"); r.Kind != ArrayReply || len(r.Elems) != 0 {
-				t.Fatalf("empty EXEC: %v", r)
-			}
-
-			// DISCARD drops the queue.
-			c.cmd("MULTI")
-			c.cmd("SET", keys[0], "never")
-			if r := c.cmd("DISCARD"); r.Str != "OK" {
-				t.Fatalf("DISCARD: %v", r)
-			}
-			if r := c.cmd("GET", keys[0]); r.Kind != NullReply {
-				t.Fatalf("discarded write applied: %v", r)
+			for _, build := range []string{"mvrlu-idx", "mvrlu-kv"} {
+				t.Run(build, func(t *testing.T) { testMultiExec(t, build, shards) })
 			}
 		})
+	}
+}
+
+func testMultiExec(t *testing.T, build string, shards int) {
+	store := newStore(t, build, shards)
+	defer store.Close()
+	srv, _ := startServer(t, store, Config{Handles: 2})
+	defer srv.Shutdown()
+	c := dialT(t, srv)
+
+	// Keys of one transaction must stay on one shard; the t:* keys
+	// here hash wherever, so pick a body from keys sharing a shard.
+	keys := sameShardKeys(store, "t:", 3)
+	if r := c.cmd("SET", keys[2], "stale"); r.Str != "OK" {
+		t.Fatalf("seed SET: %v", r)
+	}
+
+	if r := c.cmd("MULTI"); r.Str != "OK" {
+		t.Fatalf("MULTI: %v", r)
+	}
+	if r := c.cmd("SET", keys[0], "x"); r.Str != "QUEUED" {
+		t.Fatalf("queue SET: %v", r)
+	}
+	if r := c.cmd("SET", keys[1], "y"); r.Str != "QUEUED" {
+		t.Fatalf("queue SET: %v", r)
+	}
+	if r := c.cmd("DEL", keys[2], keys[0]); r.Str != "QUEUED" {
+		t.Fatalf("queue DEL: %v", r)
+	}
+	r := c.cmd("EXEC")
+	// Replies: +OK, +OK, :1 — keys[2] existed; keys[0] was written
+	// by this same transaction, and the last op per key wins, so
+	// the DEL of keys[0] reports not-removed (it deletes the
+	// version this txn itself queued — see kvstore.CompressTxn).
+	if r.Kind != ArrayReply || len(r.Elems) != 3 {
+		t.Fatalf("EXEC: %v", r)
+	}
+	if r.Elems[0].Str != "OK" || r.Elems[1].Str != "OK" {
+		t.Fatalf("EXEC SET replies: %v", r.Elems)
+	}
+	if r.Elems[2].Int != 1 {
+		t.Fatalf("EXEC DEL reply: %v", r.Elems[2])
+	}
+	if r := c.cmd("GET", keys[1]); r.Str != "y" {
+		t.Fatalf("committed key: %v", r)
+	}
+	if r := c.cmd("GET", keys[0]); r.Kind != NullReply {
+		t.Fatalf("deleted key: %v", r)
+	}
+
+	// Empty transaction.
+	if r := c.cmd("MULTI"); r.Str != "OK" {
+		t.Fatalf("MULTI: %v", r)
+	}
+	if r := c.cmd("EXEC"); r.Kind != ArrayReply || len(r.Elems) != 0 {
+		t.Fatalf("empty EXEC: %v", r)
+	}
+
+	// DISCARD drops the queue.
+	c.cmd("MULTI")
+	c.cmd("SET", keys[0], "never")
+	if r := c.cmd("DISCARD"); r.Str != "OK" {
+		t.Fatalf("DISCARD: %v", r)
+	}
+	if r := c.cmd("GET", keys[0]); r.Kind != NullReply {
+		t.Fatalf("discarded write applied: %v", r)
 	}
 }
 

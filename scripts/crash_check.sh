@@ -78,23 +78,25 @@ for shards in 1 4; do
     daemon=""
 done
 
-# Second phase: multi-key transactions on the ordered-index build. Each
-# connection bursts MULTI/EXEC bodies writing a same-shard key group to
-# one sequence value; the WAL logs each body as an atomic record group,
-# so after the kill the restarted store must show every group uniform —
-# a group with mixed values is a transaction torn by recovery.
+# Second phase: multi-key transactions, on the ordered-index build and on
+# the default hash build (every build commits a MULTI body atomically).
+# Each connection bursts MULTI/EXEC bodies writing a same-shard key group
+# to one sequence value; the WAL logs each body as an atomic record
+# group, so after the kill the restarted store must show every group
+# uniform — a group with mixed values is a transaction torn by recovery.
+for build in mvrlu-idx mvrlu-kv; do
 for shards in 1 4; do
-    echo "=== crash check (MULTI): shards=$shards ==="
-    WALDIR="$TMP/wal-txn-$shards"
-    ACKED="$TMP/acked-txn-$shards.json"
+    echo "=== crash check (MULTI): store=$build shards=$shards ==="
+    WALDIR="$TMP/wal-txn-$build-$shards"
+    ACKED="$TMP/acked-txn-$build-$shards.json"
 
-    GORACE=halt_on_error=1 "$TMP/mvkvd" -addr "$ADDR" -store mvrlu-idx -shards "$shards" \
-        -wal "$WALDIR" -snapshot-interval 2s >"$TMP/d1-txn-$shards.log" 2>&1 &
+    GORACE=halt_on_error=1 "$TMP/mvkvd" -addr "$ADDR" -store "$build" -shards "$shards" \
+        -wal "$WALDIR" -snapshot-interval 2s >"$TMP/d1-txn-$build-$shards.log" 2>&1 &
     daemon=$!
     wait_ready "$ADDR"
 
     "$TMP/mvkvload" -addr "$ADDR" -durability-check "$ACKED" -multi -txn-keys 4 \
-        -conns 8 -pipeline 8 -duration "$BURST" >"$TMP/burst-txn-$shards.log" 2>&1 &
+        -conns 8 -pipeline 8 -duration "$BURST" >"$TMP/burst-txn-$build-$shards.log" 2>&1 &
     load=$!
     sleep "$KILL_AFTER"
 
@@ -103,20 +105,21 @@ for shards in 1 4; do
     wait "$daemon" 2>/dev/null || true
     daemon=""
     wait "$load" || fail "MULTI durability-check burst failed (not a conn drop)"
-    cat "$TMP/burst-txn-$shards.log"
+    cat "$TMP/burst-txn-$build-$shards.log"
 
-    GORACE=halt_on_error=1 "$TMP/mvkvd" -addr "$ADDR" -store mvrlu-idx -shards "$shards" \
-        -wal "$WALDIR" -snapshot-interval 2s >"$TMP/d2-txn-$shards.log" 2>&1 &
+    GORACE=halt_on_error=1 "$TMP/mvkvd" -addr "$ADDR" -store "$build" -shards "$shards" \
+        -wal "$WALDIR" -snapshot-interval 2s >"$TMP/d2-txn-$build-$shards.log" 2>&1 &
     daemon=$!
     wait_ready "$ADDR"
-    grep "wal recovery" "$TMP/d2-txn-$shards.log" || true
+    grep "wal recovery" "$TMP/d2-txn-$build-$shards.log" || true
 
     "$TMP/mvkvload" -addr "$ADDR" -durability-verify "$ACKED" -multi ||
-        fail "MULTI transaction torn or lost after kill -9 (shards=$shards)"
+        fail "MULTI transaction torn or lost after kill -9 (store=$build shards=$shards)"
 
     "$TMP/mvkvload" -addr "$ADDR" -cmd shutdown >/dev/null 2>&1 || true
     wait "$daemon" 2>/dev/null || true
     daemon=""
 done
+done
 
-echo "PASS: zero acknowledged writes lost and zero torn transactions across kill -9 (shards=1 and shards=4)"
+echo "PASS: zero acknowledged writes lost and zero torn transactions across kill -9 (shards=1 and shards=4; MULTI on mvrlu-idx and mvrlu-kv)"
