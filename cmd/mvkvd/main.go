@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/mvkvd -addr 127.0.0.1:6399 -store mvrlu-kv -handles 4
+//	go run ./cmd/mvkvd -addr 127.0.0.1:6399 -store mvrlu-kv -shards 4
 //
 // Talk to it with cmd/mvkvload, redis-cli, or plain telnet (inline
 // commands are accepted): PING GET SET DEL EXISTS MGET MSET SCAN INFO
@@ -51,11 +51,8 @@ func main() {
 		addr  = flag.String("addr", "127.0.0.1:6399", "TCP listen address")
 		store = flag.String("store", "mvrlu-kv",
 			"store build: "+strings.Join(kvstore.Names(), ", "))
-		slots   = flag.Int("slots", kvstore.DefaultSlots, "slot count")
-		buckets = flag.Int("buckets", kvstore.DefaultBucketsPerSlot, "buckets per slot")
-		shards  = flag.Int("shards", 0,
+		shards = flag.Int("shards", 0,
 			"independent store shards, each its own engine domain with its own watermark and GC (0 = GOMAXPROCS, 1 = unsharded)")
-		handles  = flag.Int("handles", 0, "total session-pool size, split across shards (0 = GOMAXPROCS)")
 		maxConns = flag.Int("max-conns", 1024, "max concurrent connections (accept backpressure past it)")
 		readTO   = flag.Duration("read-timeout", 5*time.Second, "read timeout for the rest of a pipelined batch after its first command")
 		writeTO  = flag.Duration("write-timeout", 5*time.Second, "reply flush timeout")
@@ -67,14 +64,9 @@ func main() {
 			"record latency histograms on the engine and server hot paths")
 		trace = flag.Bool("trace", false,
 			"record per-request stage traces into the flight recorder (TRACELOG, /debug/traces) and the engine GC/watermark timeline (TRACELOG GC)")
-		traceSlowest = flag.Int("trace-slowest", 0,
-			"slowest traces the flight recorder retains (0 = default)")
-		traceRecent = flag.Int("trace-recent", 0,
-			"recent traces the flight recorder retains (0 = default)")
 		failpoints = flag.String("failpoints", "",
 			"failpoint spec, e.g. 'wal-before-fsync=sleep(8ms)' (fault-injection harness; empty = disabled)")
-		failpointSeed = flag.Int64("failpoint-seed", 1, "failpoint phase seed")
-		walDir        = flag.String("wal", "",
+		walDir = flag.String("wal", "",
 			"write-ahead log directory: writes are acknowledged only once durable, and the store is recovered from this directory at startup; empty = no WAL (acknowledged implies committed only)")
 		walSync = flag.String("wal-sync", "always",
 			"WAL durability policy: always (fsync per group-committed batch) or none (page cache only; benchmarking)")
@@ -87,17 +79,17 @@ func main() {
 	obs.SetEnabled(*telemetry)
 	obs.SetTraceEnabled(*trace)
 	if *failpoints != "" {
-		if err := failpoint.Enable(*failpoints, *failpointSeed); err != nil {
+		if err := failpoint.Enable(*failpoints, 1); err != nil {
 			fmt.Fprintln(os.Stderr, "mvkvd: failpoints:", err)
 			os.Exit(1)
 		}
-		log.Printf("mvkvd: failpoints armed: %s (seed %d)", *failpoints, *failpointSeed)
+		log.Printf("mvkvd: failpoints armed: %s", *failpoints)
 	}
 
 	if *shards <= 0 {
 		*shards = runtime.GOMAXPROCS(0)
 	}
-	st, err := kvstore.NewSharded(*store, *shards, *slots, *buckets)
+	st, err := kvstore.NewSharded(*store, *shards, kvstore.DefaultSlots, kvstore.DefaultBucketsPerSlot)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -168,14 +160,11 @@ func main() {
 
 	srv := server.New(st, server.Config{
 		Addr:         *addr,
-		Handles:      *handles,
 		MaxConns:     *maxConns,
 		ReadTimeout:  *readTO,
 		WriteTimeout: *writeTO,
 		IdleTimeout:  *idleTO,
 		DrainTimeout: *drainTO,
-		TraceSlowest: *traceSlowest,
-		TraceRecent:  *traceRecent,
 		// With a WAL the daemon sequences the teardown itself after the
 		// drain: installer stopped and log closed BEFORE the store, so a
 		// late snapshot tick can never dump a closed store.

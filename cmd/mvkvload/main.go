@@ -12,6 +12,15 @@
 // It drives a daemon by hand; the repository's measured numbers come
 // from benchmark/ (go run ./benchmark) and their trajectory is
 // benchmark/history.jsonl.
+//
+// It also holds the crash audit behind "acknowledged implies durable"
+// (scripts/crash_check.sh). -durability-check bursts writes over key
+// groups and records each group's last acknowledged sequence; the
+// daemon is killed mid-burst and restarted; -durability-verify then
+// fails any group that recovery lost, tore or left stale. A group is
+// either one key written by SET (plain mode, 1000 per connection) or,
+// with -multi, four same-shard keys written by one MULTI/EXEC body (one
+// per connection). Verify reads the shapes from the file.
 package main
 
 import (
@@ -76,12 +85,11 @@ func main() {
 		oneShot  = flag.String("cmd", "",
 			"send one command (space-separated args), print the reply, exit; skips probe/preload/load")
 		durCheck = flag.String("durability-check", "",
-			"run a write burst and record every acknowledged write to this JSON file (survives the server being SIGKILLed mid-burst); verify after restart with -durability-verify")
+			"run a write burst and record every acknowledged key group to this JSON file (survives the server being SIGKILLed mid-burst); verify after restart with -durability-verify")
 		durVerify = flag.String("durability-verify", "",
-			"read a -durability-check file and assert every acknowledged write is present on the (restarted) server; exits 1 on any lost write")
+			"read a -durability-check file and assert every acknowledged group is present, uniform and current on the (restarted) server; exits 1 on any lost, torn or stale group")
 		durMulti = flag.Bool("multi", false,
-			"with -durability-check/-durability-verify: burst MULTI/EXEC transactions (same-shard key groups, one value per group) and audit them all-or-nothing — a torn group after restart is a failure")
-		txnKeys = flag.Int("txn-keys", 4, "keys per MULTI transaction group in -multi mode")
+			"with -durability-check: write one same-shard group of 4 keys per connection with MULTI/EXEC bodies instead of 1000 one-key groups with SETs")
 	)
 	flag.Parse()
 
@@ -93,26 +101,14 @@ func main() {
 		return
 	}
 	if *durVerify != "" {
-		var err error
-		if *durMulti {
-			err = runDurVerifyMulti(*addr, *durVerify)
-		} else {
-			err = runDurVerify(*addr, *durVerify)
-		}
-		if err != nil {
+		if err := runDurVerify(*addr, *durVerify); err != nil {
 			fmt.Fprintf(os.Stderr, "mvkvload: durability-verify: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *durCheck != "" {
-		var err error
-		if *durMulti {
-			err = runDurCheckMulti(*addr, *durCheck, *conns, *pipeline, *txnKeys, *duration)
-		} else {
-			err = runDurCheck(*addr, *durCheck, *conns, *pipeline, *duration)
-		}
-		if err != nil {
+		if err := runDurCheck(*addr, *durCheck, *conns, *pipeline, *durMulti, *duration); err != nil {
 			fmt.Fprintf(os.Stderr, "mvkvload: durability-check: %v\n", err)
 			os.Exit(1)
 		}
@@ -409,121 +405,54 @@ func doPreload(addr string) error {
 }
 
 // durFile is the artifact -durability-check writes and
-// -durability-verify reads: every write the server acknowledged, as
-// key → the last acknowledged sequence value for that key. Keys are
-// disjoint per connection (dur<conn>:<slot>), so the merged map needs no
-// cross-connection ordering.
+// -durability-verify reads: every key group the server acknowledged,
+// as group name → the group's keys and its last acknowledged sequence
+// value. One command writes every key of a group to the same value (a
+// SET for a one-key group, a MULTI/EXEC body otherwise), so after
+// recovery a group must be uniform — all keys present and equal — and
+// at least its acked sequence. Groups are disjoint per connection, so
+// the merged map needs no cross-connection ordering.
 type durFile struct {
-	Acked map[string]uint64 `json:"acked"`
-	// Txns is the -multi mode artifact: group name → the group's key
-	// set and the last acknowledged transaction sequence. Every key of
-	// one group is written with the same sequence value inside one
-	// MULTI/EXEC body, so after recovery the group must be uniform —
-	// all keys present, all equal, all >= the acked sequence. A mixed
-	// group is a torn transaction replay.
-	Txns map[string]txnGroup `json:"txns,omitempty"`
+	Groups map[string]durGroup `json:"groups"`
 }
 
-type txnGroup struct {
+type durGroup struct {
 	Keys []string `json:"keys"`
 	Seq  uint64   `json:"seq"`
 }
 
-// durKeysPerConn bounds each connection's keyspace slice so keys are
-// rewritten many times during a burst — re-acks of the same key must
-// monotonically raise its recorded sequence, which is what makes the
-// verify's ">= recorded" assertion meaningful under overwrites.
-const durKeysPerConn = 1000
+const (
+	// durKeysPerConn is each connection's count of one-key groups in
+	// plain mode: keys are rewritten many times during a burst, and
+	// re-acks of the same key must raise its recorded sequence, which is
+	// what makes the verify's ">= acked" assertion meaningful under
+	// overwrites.
+	durKeysPerConn = 1000
+	// durTxnKeys is the size of each connection's one group in -multi
+	// mode.
+	durTxnKeys = 4
+)
 
-// runDurCheck drives a write-only burst and records, client-side, every
-// write the server acknowledged: key → sequence value, updated only when
-// the OK for that exact SET has been read back. The server being killed
-// mid-burst is the expected outcome — the dead connection just stops,
-// keeping everything acknowledged so far — so connection errors are
-// reported but do not fail the run. The file is the ground truth a
-// restarted server is audited against with -durability-verify.
-func runDurCheck(addr, file string, conns, pipeline int, duration time.Duration) error {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		acked = map[string]uint64{}
-		dead  atomic.Uint64
-		nacks atomic.Uint64
-		stop  = time.Now().Add(duration)
-	)
-	for i := 0; i < conns; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			local := map[string]uint64{}
-			defer func() {
-				mu.Lock()
-				for k, v := range local {
-					acked[k] = v
-				}
-				mu.Unlock()
-			}()
-			nc, err := net.Dial("tcp", addr)
-			if err != nil {
-				dead.Add(1)
-				return
-			}
-			defer nc.Close()
-			br := bufio.NewReaderSize(nc, 64<<10)
-			bw := bufio.NewWriterSize(nc, 64<<10)
-			seq := uint64(0)
-			type pend struct {
-				key string
-				seq uint64
-			}
-			pending := make([]pend, 0, pipeline)
-			for time.Now().Before(stop) {
-				pending = pending[:0]
-				for j := 0; j < pipeline; j++ {
-					seq++
-					key := fmt.Sprintf("dur%03d:%06d", id, seq%durKeysPerConn)
-					server.WriteCommandStrings(bw, "SET", key, strconv.FormatUint(seq, 10))
-					pending = append(pending, pend{key, seq})
-				}
-				if err := bw.Flush(); err != nil {
-					dead.Add(1)
-					return
-				}
-				for j := 0; j < pipeline; j++ {
-					rep, err := server.ReadReply(br)
-					if err != nil {
-						// The server died mid-burst: replies j.. were never
-						// received, so those writes stay unrecorded — they may
-						// or may not be durable, and the verify only demands
-						// what was acknowledged.
-						dead.Add(1)
-						return
-					}
-					if rep.IsError() {
-						nacks.Add(1)
-						continue
-					}
-					local[pending[j].key] = pending[j].seq
-				}
-			}
-		}(i)
+// durGroups returns connection id's groups. Plain mode: durKeysPerConn
+// one-key groups named after their key, dur<conn>:<n>. -multi mode: one
+// group txn<conn> of durTxnKeys keys that all live on one shard of an
+// nshards store, because a MULTI body must not cross shards.
+func durGroups(id int, multi bool, nshards int) (names []string, groups []durGroup) {
+	if multi {
+		name := fmt.Sprintf("txn%03d", id)
+		return []string{name}, []durGroup{{Keys: sameShardTxnKeys(name, durTxnKeys, nshards)}}
 	}
-	wg.Wait()
-	data, err := json.MarshalIndent(durFile{Acked: acked}, "", " ")
-	if err != nil {
-		return err
+	for n := 0; n < durKeysPerConn; n++ {
+		key := fmt.Sprintf("dur%03d:%06d", id, n)
+		names = append(names, key)
+		groups = append(groups, durGroup{Keys: []string{key}})
 	}
-	if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("durability-check: %d acked keys recorded to %s (%d dead conns, %d refused writes)\n",
-		len(acked), file, dead.Load(), nacks.Load())
-	return nil
+	return names, groups
 }
 
 // sameShardTxnKeys picks k keys named <prefix>:<n> that all hash to one
-// shard of an nshards store — MULTI bodies must not cross shards, and
-// the client-side placement (kvstore.ShardOf) is exactly the router's.
+// shard of an nshards store; the client-side placement (kvstore.ShardOf)
+// is exactly the router's.
 func sameShardTxnKeys(prefix string, k, nshards int) []string {
 	keys := []string{prefix + ":0"}
 	want := kvstore.ShardOf(keys[0], nshards)
@@ -536,20 +465,27 @@ func sameShardTxnKeys(prefix string, k, nshards int) []string {
 	return keys
 }
 
-// runDurCheckMulti is runDurCheck for transactions: each connection owns
-// one same-shard key group and bursts MULTI bodies writing the whole
-// group to a single sequence value, recording the sequence only once the
-// EXEC reply — the atomic commit's ack — has been read back. The file is
-// audited after a kill -9 restart with -durability-verify -multi.
-func runDurCheckMulti(addr, file string, conns, pipeline, txnKeys int, duration time.Duration) error {
-	_, shards, err := probeServer(addr)
-	if err != nil {
-		return err
+// runDurCheck drives a write-only burst over each connection's groups
+// and records, client-side, every group write the server acknowledged:
+// a group's sequence is raised only once the whole reply for that write
+// has been read back without an error — one reply for a SET, k+2 for a
+// MULTI body of k SETs. The server being killed mid-burst is the
+// expected outcome — the dead connection just stops, keeping everything
+// acknowledged so far — so connection errors are reported but do not
+// fail the run. The file is the ground truth a restarted server is
+// audited against with -durability-verify.
+func runDurCheck(addr, file string, conns, pipeline int, multi bool, duration time.Duration) error {
+	shards := 1
+	if multi {
+		var err error
+		if _, shards, err = probeServer(addr); err != nil {
+			return err
+		}
 	}
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
-		txns  = map[string]txnGroup{}
+		acked = map[string]durGroup{}
 		dead  atomic.Uint64
 		nacks atomic.Uint64
 		stop  = time.Now().Add(duration)
@@ -558,15 +494,15 @@ func runDurCheckMulti(addr, file string, conns, pipeline, txnKeys int, duration 
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			group := fmt.Sprintf("txn%03d", id)
-			keys := sameShardTxnKeys(group, txnKeys, shards)
-			acked := uint64(0)
+			names, groups := durGroups(id, multi, shards)
 			defer func() {
-				if acked > 0 {
-					mu.Lock()
-					txns[group] = txnGroup{Keys: keys, Seq: acked}
-					mu.Unlock()
+				mu.Lock()
+				for j, g := range groups {
+					if g.Seq > 0 {
+						acked[names[j]] = g
+					}
 				}
+				mu.Unlock()
 			}()
 			nc, err := net.Dial("tcp", addr)
 			if err != nil {
@@ -581,34 +517,42 @@ func runDurCheckMulti(addr, file string, conns, pipeline, txnKeys int, duration 
 				first := seq + 1
 				for j := 0; j < pipeline; j++ {
 					seq++
-					val := strconv.FormatUint(seq, 10)
-					server.WriteCommandStrings(bw, "MULTI")
-					for _, k := range keys {
-						server.WriteCommandStrings(bw, "SET", k, val)
+					keys, val := groups[seq%uint64(len(groups))].Keys, strconv.FormatUint(seq, 10)
+					if len(keys) == 1 {
+						server.WriteCommandStrings(bw, "SET", keys[0], val)
+					} else {
+						server.WriteCommandStrings(bw, "MULTI")
+						for _, k := range keys {
+							server.WriteCommandStrings(bw, "SET", k, val)
+						}
+						server.WriteCommandStrings(bw, "EXEC")
 					}
-					server.WriteCommandStrings(bw, "EXEC")
 				}
 				if err := bw.Flush(); err != nil {
 					dead.Add(1)
 					return
 				}
-				for j := 0; j < pipeline; j++ {
+				for s := first; s <= seq; s++ {
+					g := &groups[s%uint64(len(groups))]
+					replies := 1
+					if len(g.Keys) > 1 {
+						replies = len(g.Keys) + 2 // +OK, +QUEUED per SET, the EXEC array
+					}
 					ok := true
-					// +OK for MULTI, +QUEUED per SET, then the EXEC array.
-					for r := 0; r < len(keys)+2; r++ {
+					for r := 0; r < replies; r++ {
 						rep, err := server.ReadReply(br)
 						if err != nil {
-							// Server died mid-burst: this transaction's ack
-							// never arrived, so it stays unrecorded.
+							// The server died mid-burst: this write's ack and
+							// the rest never arrived, so they stay unrecorded —
+							// they may or may not be durable, and the verify
+							// only demands what was acknowledged.
 							dead.Add(1)
 							return
 						}
-						if rep.IsError() {
-							ok = false
-						}
+						ok = ok && !rep.IsError()
 					}
 					if ok {
-						acked = first + uint64(j)
+						g.Seq = s
 					} else {
 						nacks.Add(1)
 					}
@@ -617,108 +561,29 @@ func runDurCheckMulti(addr, file string, conns, pipeline, txnKeys int, duration 
 		}(i)
 	}
 	wg.Wait()
-	data, err := json.MarshalIndent(durFile{Txns: txns}, "", " ")
+	data, err := json.MarshalIndent(durFile{Groups: acked}, "", " ")
 	if err != nil {
 		return err
 	}
 	if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("durability-check(multi): %d groups × %d keys recorded to %s (%d dead conns, %d refused txns)\n",
-		len(txns), txnKeys, file, dead.Load(), nacks.Load())
-	return nil
-}
-
-// runDurVerifyMulti audits transaction groups after recovery: every key
-// of a group must be present, hold the SAME sequence value, and that
-// value must be >= the acknowledged sequence. A group whose keys differ
-// was torn in half by recovery — the all-or-nothing guarantee failed.
-func runDurVerifyMulti(addr, file string) error {
-	data, err := os.ReadFile(file)
-	if err != nil {
-		return err
-	}
-	var df durFile
-	if err := json.Unmarshal(data, &df); err != nil {
-		return err
-	}
-	groups := make([]string, 0, len(df.Txns))
-	for g := range df.Txns {
-		groups = append(groups, g)
-	}
-	sort.Strings(groups)
-
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer nc.Close()
-	br := bufio.NewReaderSize(nc, 1<<20)
-	bw := bufio.NewWriterSize(nc, 1<<20)
-
-	torn, lost, stale := 0, 0, 0
-	for _, g := range groups {
-		tg := df.Txns[g]
-		for _, k := range tg.Keys {
-			server.WriteCommandStrings(bw, "GET", k)
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		vals := make([]uint64, 0, len(tg.Keys))
-		missing := false
-		for range tg.Keys {
-			rep, err := server.ReadReply(br)
-			if err != nil {
-				return err
-			}
-			if rep.Kind == server.NullReply {
-				missing = true
-				continue
-			}
-			v, perr := strconv.ParseUint(rep.Str, 10, 64)
-			if perr != nil {
-				missing = true
-				continue
-			}
-			vals = append(vals, v)
-		}
-		uniform := !missing
-		for _, v := range vals {
-			if v != vals[0] {
-				uniform = false
-			}
-		}
-		switch {
-		case missing && len(vals) == 0:
-			lost++
-			if lost <= 10 {
-				fmt.Printf("LOST %s: acked seq %d, whole group absent\n", g, tg.Seq)
-			}
-		case !uniform:
-			torn++
-			if torn <= 10 {
-				fmt.Printf("TORN %s: acked seq %d, group values %v (missing=%v)\n", g, tg.Seq, vals, missing)
-			}
-		case vals[0] < tg.Seq:
-			stale++
-			if stale <= 10 {
-				fmt.Printf("STALE %s: acked seq %d, group holds %d\n", g, tg.Seq, vals[0])
-			}
-		}
-	}
-	if torn > 0 || lost > 0 || stale > 0 {
-		return fmt.Errorf("%d torn, %d lost, %d stale of %d transaction groups", torn, lost, stale, len(groups))
-	}
-	fmt.Printf("durability-verify(multi): all %d transaction groups uniform and current\n", len(groups))
+	fmt.Printf("durability-check: %d acked groups recorded to %s (%d dead conns, %d refused writes)\n",
+		len(acked), file, dead.Load(), nacks.Load())
 	return nil
 }
 
 // runDurVerify audits a restarted server against a -durability-check
-// file: every acknowledged key must be present with a sequence value at
-// least the recorded one (a later write to the same key may have become
-// durable without its ack being received — that is allowed; absence or
-// an older value is a lost acknowledged write).
+// file. It GETs every group's keys in pipelined batches and fails a
+// group that is
+//
+//   - LOST: every key absent;
+//   - TORN: some keys absent, or the keys disagree — recovery split one
+//     all-or-nothing write;
+//   - STALE: uniform, but below the acked sequence.
+//
+// A value above the acked sequence is allowed: a later write may have
+// become durable without its ack being received.
 func runDurVerify(addr, file string) error {
 	data, err := os.ReadFile(file)
 	if err != nil {
@@ -728,11 +593,11 @@ func runDurVerify(addr, file string) error {
 	if err := json.Unmarshal(data, &df); err != nil {
 		return err
 	}
-	keys := make([]string, 0, len(df.Acked))
-	for k := range df.Acked {
-		keys = append(keys, k)
+	names := make([]string, 0, len(df.Groups))
+	for g := range df.Groups {
+		names = append(names, g)
 	}
-	sort.Strings(keys)
+	sort.Strings(names)
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -742,47 +607,82 @@ func runDurVerify(addr, file string) error {
 	br := bufio.NewReaderSize(nc, 1<<20)
 	bw := bufio.NewWriterSize(nc, 1<<20)
 
-	lost, stale := 0, 0
-	const batch = 256
-	for i := 0; i < len(keys); i += batch {
-		end := i + batch
-		if end > len(keys) {
-			end = len(keys)
-		}
-		for _, k := range keys[i:end] {
-			server.WriteCommandStrings(bw, "GET", k)
+	const batchKeys = 256
+	counts := map[string]int{}
+	var reps []server.Reply
+	for i := 0; i < len(names); {
+		end := i
+		for nkeys := 0; end < len(names) && nkeys < batchKeys; end++ {
+			for _, k := range df.Groups[names[end]].Keys {
+				server.WriteCommandStrings(bw, "GET", k)
+			}
+			nkeys += len(df.Groups[names[end]].Keys)
 		}
 		if err := bw.Flush(); err != nil {
 			return err
 		}
-		for _, k := range keys[i:end] {
-			rep, err := server.ReadReply(br)
-			if err != nil {
-				return err
-			}
-			want := df.Acked[k]
-			switch {
-			case rep.Kind == server.NullReply:
-				lost++
-				if lost <= 10 {
-					fmt.Printf("LOST %s: acked seq %d, key absent\n", k, want)
+		for _, name := range names[i:end] {
+			g := df.Groups[name]
+			reps = reps[:0]
+			for range g.Keys {
+				rep, err := server.ReadReply(br)
+				if err != nil {
+					return err
 				}
-			default:
-				got, perr := strconv.ParseUint(rep.Str, 10, 64)
-				if perr != nil || got < want {
-					stale++
-					if stale <= 10 {
-						fmt.Printf("STALE %s: acked seq %d, found %q\n", k, want, rep.Str)
-					}
+				reps = append(reps, rep)
+			}
+			if fault := auditGroup(reps, g.Seq); fault != "" {
+				if counts[fault]++; counts[fault] <= 10 {
+					fmt.Printf("%s %s: acked seq %d, group holds %s\n", fault, name, g.Seq, replyValues(reps))
 				}
 			}
 		}
+		i = end
 	}
-	if lost > 0 || stale > 0 {
-		return fmt.Errorf("%d acked keys lost, %d stale of %d checked", lost, stale, len(keys))
+	if len(counts) > 0 {
+		return fmt.Errorf("%d lost, %d torn, %d stale of %d groups",
+			counts["LOST"], counts["TORN"], counts["STALE"], len(names))
 	}
-	fmt.Printf("durability-verify: all %d acked keys present with current values\n", len(keys))
+	fmt.Printf("durability-verify: all %d acked groups uniform and current\n", len(names))
 	return nil
+}
+
+// auditGroup classifies one group's GET replies against its acked
+// sequence: "" when the group holds, else LOST, TORN or STALE.
+func auditGroup(reps []server.Reply, seq uint64) string {
+	absent := 0
+	for _, r := range reps {
+		if r.Kind == server.NullReply {
+			absent++
+		}
+	}
+	switch {
+	case absent == len(reps):
+		return "LOST"
+	case absent > 0:
+		return "TORN"
+	}
+	for _, r := range reps[1:] {
+		if r.Str != reps[0].Str {
+			return "TORN"
+		}
+	}
+	if v, err := strconv.ParseUint(reps[0].Str, 10, 64); err != nil || v < seq {
+		return "STALE"
+	}
+	return ""
+}
+
+// replyValues renders GET replies for a failure line, (nil) for absent.
+func replyValues(reps []server.Reply) string {
+	vals := make([]string, len(reps))
+	for i, r := range reps {
+		vals[i] = r.Str
+		if r.Kind == server.NullReply {
+			vals[i] = "(nil)"
+		}
+	}
+	return "[" + strings.Join(vals, " ") + "]"
 }
 
 // sendShutdown issues SHUTDOWN and waits for the server to close the

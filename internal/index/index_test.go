@@ -544,11 +544,10 @@ func (l *hookLog) take() (perOp []kvstore.CommitOp, groups [][]kvstore.CommitOp)
 // below the hook plumbing.
 func lastCommitTS(t *testing.T, sess kvstore.Session) uint64 {
 	t.Helper()
-	switch k := sess.(type) {
-	case *mvIdxSession:
-		return k.t.h.LastCommitTS()
-	case *session:
+	if k, ok := sess.(*session); ok {
 		switch tw := k.tw.(type) {
+		case *mvTower:
+			return tw.h.LastCommitTS()
 		case *rluTower:
 			return tw.h.LastCommitTS()
 		case vanIdxTower:
@@ -707,13 +706,9 @@ func TestEngineSessionsCarryTraces(t *testing.T) {
 		t.Run(build, func(t *testing.T) {
 			s := newStore(t, build)
 			sess := txnSession(t, s)
-			tc, ok := sess.(kvstore.TraceCarrier)
-			if !ok {
-				t.Fatalf("%s session is not a kvstore.TraceCarrier", build)
-			}
 			var tr obs.Trace
-			tc.SetTrace(&tr)
-			defer tc.SetTrace(nil)
+			sess.SetTrace(&tr)
+			defer sess.SetTrace(nil)
 			spans := func(op func()) map[obs.Stage]int {
 				tr.Begin()
 				op()

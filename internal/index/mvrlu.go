@@ -64,20 +64,10 @@ func (s *MVIndex) Close() { s.d.Close() }
 
 // Session implements Store.
 func (s *MVIndex) Session() kvstore.Session {
-	k := &mvIdxSession{t: mvTower{head: s.head, h: s.d.Register(), writer: writer{sl: &s.skiplist}}}
-	k.init(&s.StoreBase, s.hist, &k.t)
+	k := &session{}
+	k.init(&s.StoreBase, s.hist, &mvTower{head: s.head, h: s.d.Register(), writer: writer{sl: &s.skiplist}})
 	return k
 }
-
-// mvIdxSession is the shared session plus the one capability only this
-// engine has.
-type mvIdxSession struct {
-	session
-	t mvTower
-}
-
-// ThreadID exposes the engine registry id backing this session.
-func (k *mvIdxSession) ThreadID() int { return k.t.h.ID() }
 
 // mvTower implements tower over one registered engine thread.
 type mvTower struct {
@@ -90,6 +80,7 @@ func (t *mvTower) ReadLock()          { t.h.ReadLock() }
 func (t *mvTower) ReadUnlock()        { t.h.ReadUnlock() }
 func (t *mvTower) snapshotTS() uint64 { return t.h.SnapshotTS() }
 func (t *mvTower) Close()             { t.h.Unregister() }
+func (t *mvTower) ThreadID() int      { return t.h.ID() }
 
 // findPreds descends the skiplist to key, filling preds[l] with the
 // rightmost node at level l whose key is < key (the head sentinel

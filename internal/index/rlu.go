@@ -64,6 +64,7 @@ func (t *rluTower) ReadLock()          { t.h.ReadLock() }
 func (t *rluTower) ReadUnlock()        { t.h.ReadUnlock() }
 func (t *rluTower) snapshotTS() uint64 { return t.h.SnapshotTS() }
 func (t *rluTower) Close()             {}
+func (t *rluTower) ThreadID() int      { return -1 }
 
 func (t *rluTower) findPreds(key string, preds *[maxHeight]*rlu.Object[rNode]) (*rlu.Object[rNode], *rNode) {
 	return t.seek(key, t.head, maxHeight, preds)

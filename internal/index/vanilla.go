@@ -110,6 +110,7 @@ func (t vanIdxTower) Unlock()                     { t.v.mu.Unlock() }
 func (t vanIdxTower) ReadLock()                   { t.v.mu.RLock() }
 func (t vanIdxTower) ReadUnlock()                 { t.v.mu.RUnlock() }
 func (t vanIdxTower) Close()                      {}
+func (t vanIdxTower) ThreadID() int               { return -1 }
 func (t vanIdxTower) snapshotTS() uint64          { return t.v.verClock.Load() }
 
 func (t vanIdxTower) Get(key string) (string, bool) {

@@ -52,22 +52,11 @@ func (s *MVRLUStore) Close() { s.d.Close() }
 
 // Session implements Store.
 func (s *MVRLUStore) Session() Session {
-	k := &mvSession{t: mvTable{s: s, h: s.d.Register(), slotWriter: slotWriter{locks: s.locks}}}
-	k.Init(&s.StoreBase, &k.t, nil, nil)
+	t := &mvTable{s: s, h: s.d.Register(), slotWriter: slotWriter{locks: s.locks}}
+	k := &TowerSession{}
+	k.Init(&s.StoreBase, t, nil, nil)
 	return k
 }
-
-// mvSession is the shared session plus the one capability only the
-// MV-RLU builds have.
-type mvSession struct {
-	TowerSession
-	t mvTable
-}
-
-// ThreadID exposes the engine registry id backing this session — the id
-// the stall detector reports when this session's snapshot pins the
-// watermark.
-func (k *mvSession) ThreadID() int { return k.t.h.ID() }
 
 // ChainMetrics walks every tree at quiescence (no concurrent writers, no
 // single-collector detector) and reports the number of records, the total
@@ -117,8 +106,9 @@ type mvTable struct {
 	slotWriter
 }
 
-func (t *mvTable) ReadLock()   { t.h.ReadLock() }
-func (t *mvTable) ReadUnlock() { t.h.ReadUnlock() }
+func (t *mvTable) ReadLock()     { t.h.ReadLock() }
+func (t *mvTable) ReadUnlock()   { t.h.ReadUnlock() }
+func (t *mvTable) ThreadID() int { return t.h.ID() }
 
 // Close unregisters the engine thread, removing it from the watermark
 // scan so a retired pool handle cannot hold reclamation back.

@@ -7,6 +7,8 @@ package kvstore
 // registers its builds through RegisterBuild, so kvstore itself never
 // imports index.
 
+import "mvrlu/internal/obs"
+
 // TxnOp is one mutation of a multi-key transaction.
 type TxnOp struct {
 	// Del marks a delete; Value is ignored then.
@@ -30,6 +32,15 @@ type TxnSession interface {
 	// body. When a transaction hook is installed the body is delivered
 	// as one WAL record group.
 	ApplyTxn(ops []TxnOp) (removed []bool)
+	// SetTrace sets the request trace that write paths stamp engine-side
+	// spans into — lock wait, commit critical section, WAL append —
+	// until it is cleared with SetTrace(nil). The server sets it around a
+	// traced batch on a checked-out session.
+	SetTrace(tr *obs.Trace)
+	// ThreadID is the engine registry id backing the session — the id
+	// the stall detector reports when its snapshot pins the watermark —
+	// or -1 on the builds without that detector (rlu, vanilla).
+	ThreadID() int
 }
 
 // OrderedSession is the capability an ordered-index build's sessions

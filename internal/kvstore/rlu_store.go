@@ -66,8 +66,9 @@ type rluTable struct {
 	slotWriter
 }
 
-func (t *rluTable) ReadLock()   { t.h.ReadLock() }
-func (t *rluTable) ReadUnlock() { t.h.ReadUnlock() }
+func (t *rluTable) ReadLock()     { t.h.ReadLock() }
+func (t *rluTable) ReadUnlock()   { t.h.ReadUnlock() }
+func (t *rluTable) ThreadID() int { return -1 }
 
 // Close is a no-op: the RLU registry has no thread removal (the RLU
 // design assumes a fixed thread set), so the handle merely stops being

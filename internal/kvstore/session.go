@@ -41,6 +41,10 @@ type Tower interface {
 	Walk(prefix string, fn func(key, value string) bool)
 	ReadLock()
 	ReadUnlock()
+	// ThreadID is the engine registry id of the tower's thread handle —
+	// the id the stall detector names when its snapshot pins the
+	// watermark — or -1 on a build without that detector.
+	ThreadID() int
 	// Close releases the engine thread handle, if any.
 	Close()
 }
@@ -76,8 +80,8 @@ func (b *StoreBase) SetCommitHook(h CommitHook) { b.hook = h }
 // delivered here as one call (and not to the per-op hook) when set.
 func (b *StoreBase) SetTxnCommitHook(h TxnHook) { b.txnHook = h }
 
-// TowerSession is the whole TxnSession + TraceCarrier surface of every
-// single-domain build: the one commit routine behind Set, Remove and
+// TowerSession is the whole TxnSession surface of every single-domain
+// build: the one commit routine behind Set, Remove and
 // ApplyTxn (lock, apply, record, deliver), trace spans, and the one
 // snapshot scan behind ForEach and ForEachPrefix. Everything
 // build-specific is behind the Tower. A build embeds it next to its
@@ -108,10 +112,13 @@ func (k *TowerSession) Init(b *StoreBase, tw Tower, crec *check.ThreadRec, hist 
 	k.b, k.tw, k.crec, k.hist = b, tw, crec, hist
 }
 
-// SetTrace implements TraceCarrier: write paths stamp lock-wait (the
+// SetTrace implements TxnSession: write paths stamp lock-wait (the
 // tower's writer locks), commit and WAL-append spans into tr until
 // cleared.
 func (k *TowerSession) SetTrace(tr *obs.Trace) { k.tr = tr }
+
+// ThreadID implements TxnSession.
+func (k *TowerSession) ThreadID() int { return k.tw.ThreadID() }
 
 // Close implements Session.
 func (k *TowerSession) Close() {

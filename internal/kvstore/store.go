@@ -26,8 +26,6 @@ package kvstore
 import (
 	"slices"
 	"sync"
-
-	"mvrlu/internal/obs"
 )
 
 // Session is a handle to the store.
@@ -72,18 +70,6 @@ type Session interface {
 	// by the engine's leak guard (Stats.HandleLeaks) instead of
 	// corrupting reclamation.
 	Close()
-}
-
-// TraceCarrier is the optional session capability behind request
-// tracing: the server sets the active batch's trace before running
-// operations on a checked-out session and clears it (SetTrace(nil))
-// when the batch ends. Sessions that implement it stamp engine-side
-// spans — lock wait, commit critical section, WAL append — into the
-// trace; sessions that don't simply leave those stages empty. The same
-// single-goroutine contract as Session applies: SetTrace is called by
-// whichever goroutine currently owns the session.
-type TraceCarrier interface {
-	SetTrace(tr *obs.Trace)
 }
 
 // Store is a cache database build.

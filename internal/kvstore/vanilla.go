@@ -85,6 +85,7 @@ func (t vanillaTower) Unlock()             { t.v.global.Unlock() }
 func (t vanillaTower) ReadLock()           { t.v.global.RLock() }
 func (t vanillaTower) ReadUnlock()         { t.v.global.RUnlock() }
 func (t vanillaTower) Close()              {}
+func (t vanillaTower) ThreadID() int       { return -1 }
 
 func (t vanillaTower) locate(key string) (*vanillaSlot, int) {
 	h := hashString(key)

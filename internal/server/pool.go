@@ -31,27 +31,19 @@ type pooledSession struct {
 	idx      int
 	sess     kvstore.TxnSession     // every single-domain build applies MULTI bodies
 	ordered  kvstore.OrderedSession // sess's range capability; nil on the hash builds
-	tracer   kvstore.TraceCarrier   // sess's trace capability; nil when the build has none
-	threadID int                    // engine registry id; -1 when the build exposes none
+	threadID int                    // sess.ThreadID(), read once
 	inUse    atomic.Bool
 	batches  atomic.Uint64
 	commands atomic.Uint64
 	lastCmd  atomic.Pointer[string]
 }
 
-// threadIDer is implemented by sessions backed by an engine thread
-// handle (the mvrlu build).
-type threadIDer interface{ ThreadID() int }
-
 func newSessionPool(store kvstore.Store, n int) *sessionPool {
 	p := &sessionPool{free: make(chan *pooledSession, n)}
 	for i := 0; i < n; i++ {
-		ps := &pooledSession{idx: i, sess: store.Session().(kvstore.TxnSession), threadID: -1}
-		ps.ordered, _ = ps.sess.(kvstore.OrderedSession)
-		ps.tracer, _ = ps.sess.(kvstore.TraceCarrier)
-		if t, ok := ps.sess.(threadIDer); ok {
-			ps.threadID = t.ThreadID()
-		}
+		sess := store.Session().(kvstore.TxnSession)
+		ps := &pooledSession{idx: i, sess: sess, threadID: sess.ThreadID()}
+		ps.ordered, _ = sess.(kvstore.OrderedSession)
 		none := ""
 		ps.lastCmd.Store(&none)
 		p.all = append(p.all, ps)

@@ -322,10 +322,8 @@ func (s *Server) runShardOps(shard int, ops []shardOp, tr *obs.Trace) {
 		// the engine span closes and the session's trace clears before
 		// the session returns to the pool.
 		tr.EndStage(obs.StageSessionWait, t0)
-		if ps.tracer != nil {
-			ps.tracer.SetTrace(tr)
-			defer ps.tracer.SetTrace(nil)
-		}
+		ps.sess.SetTrace(tr)
+		defer ps.sess.SetTrace(nil)
 		t0 = obs.Now()
 		defer func() { tr.EndStage(obs.StageEngine, t0) }()
 	}

@@ -39,15 +39,16 @@ func TestInfoAllQuiesce(t *testing.T) {
 // memConn is an in-memory net.Conn: reads drain a prepared request
 // stream — all of it available at once, as from a client that writes
 // without ever reading — and writes collect the reply stream. It counts
-// the read deadlines it is given.
+// the read deadlines it is given and the writes that reach it.
 type memConn struct {
 	r             io.Reader
 	w             bytes.Buffer
 	readDeadlines int
+	writes        int
 }
 
 func (m *memConn) Read(p []byte) (int, error)       { return m.r.Read(p) }
-func (m *memConn) Write(p []byte) (int, error)      { return m.w.Write(p) }
+func (m *memConn) Write(p []byte) (int, error)      { m.writes++; return m.w.Write(p) }
 func (m *memConn) Close() error                     { return nil }
 func (m *memConn) LocalAddr() net.Addr              { return nil }
 func (m *memConn) RemoteAddr() net.Addr             { return nil }
@@ -171,7 +172,8 @@ func TestBatchCap(t *testing.T) {
 // the connection's arena and argument header and the batch reuses its
 // slots and queues, so the only allocations left are the key strings the
 // session API takes: at most one per GET, plus one spare. The collect
-// loop arms the read deadline once for the whole batch.
+// loop arms the read deadline once for the whole batch, and the replies
+// reach the socket in one write.
 func TestBatchAllocs(t *testing.T) {
 	const gets = 16
 	store := newKVStore(t, 1)
@@ -196,7 +198,7 @@ func TestBatchAllocs(t *testing.T) {
 	batch := func() {
 		rd.Reset(req.Bytes())
 		mc.w.Reset()
-		mc.readDeadlines = 0
+		mc.readDeadlines, mc.writes = 0, 0
 		first, err := c.in.read()
 		if err != nil {
 			t.Fatal(err)
@@ -211,6 +213,9 @@ func TestBatchAllocs(t *testing.T) {
 	}
 	if mc.readDeadlines != 1 {
 		t.Fatalf("collecting %d commands set %d read deadlines, want 1", gets, mc.readDeadlines)
+	}
+	if mc.writes != 1 {
+		t.Fatalf("the %d replies reached the socket in %d writes, want 1", gets, mc.writes)
 	}
 	n := testing.AllocsPerRun(50, batch)
 	t.Logf("%v allocations per %d-GET batch", n, gets)

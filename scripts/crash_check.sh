@@ -1,12 +1,14 @@
 #!/bin/sh
 # Crash-recovery check: "acknowledged implies durable", verified the
 # hard way. A race-built daemon runs with a WAL; mvkvload hammers it
-# with a write burst while recording every acknowledged write to a local
-# file; the daemon is SIGKILLed mid-burst; a fresh daemon recovers from
-# the same WAL directory; mvkvload then audits that every single
-# acknowledged write is present with its acknowledged (or a later acked)
-# value. Runs the whole cycle at 1 shard and at 4. Any lost write fails
-# the script.
+# with a write burst while recording every acknowledged key group to a
+# local file; the daemon is SIGKILLed mid-burst; a fresh daemon recovers
+# from the same WAL directory; mvkvload then audits that every
+# acknowledged group is present, uniform and at its acknowledged (or a
+# later acked) value. Three phases, each at 1 shard and at 4: plain
+# one-key SETs on mvrlu-kv (the per-op commit hook), and MULTI/EXEC
+# bodies over 4-key same-shard groups (one WAL record group each) on
+# mvrlu-idx and mvrlu-kv. Any lost, torn or stale group fails the script.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,20 +41,26 @@ wait_ready() {
     done
 }
 
+for phase in plain:mvrlu-kv multi:mvrlu-idx multi:mvrlu-kv; do
 for shards in 1 4; do
-    echo "=== crash check: shards=$shards ==="
-    WALDIR="$TMP/wal-$shards"
-    ACKED="$TMP/acked-$shards.json"
+    mode=${phase%%:*}
+    build=${phase#*:}
+    multi=""
+    [ "$mode" = multi ] && multi=-multi
+    run="$mode-$build-$shards"
+    echo "=== crash check: $mode writes, store=$build shards=$shards ==="
+    WALDIR="$TMP/wal-$run"
+    ACKED="$TMP/acked-$run.json"
 
     # Short snapshot interval so the kill usually lands with a snapshot
     # AND a live log tail in play — the recovery path that matters.
-    GORACE=halt_on_error=1 "$TMP/mvkvd" -addr "$ADDR" -shards "$shards" \
-        -wal "$WALDIR" -snapshot-interval 2s >"$TMP/d1-$shards.log" 2>&1 &
+    GORACE=halt_on_error=1 "$TMP/mvkvd" -addr "$ADDR" -store "$build" -shards "$shards" \
+        -wal "$WALDIR" -snapshot-interval 2s >"$TMP/d1-$run.log" 2>&1 &
     daemon=$!
     wait_ready "$ADDR"
 
-    "$TMP/mvkvload" -addr "$ADDR" -durability-check "$ACKED" \
-        -conns 8 -pipeline 8 -duration "$BURST" >"$TMP/burst-$shards.log" 2>&1 &
+    "$TMP/mvkvload" -addr "$ADDR" -durability-check "$ACKED" $multi \
+        -conns 8 -pipeline 8 -duration "$BURST" >"$TMP/burst-$run.log" 2>&1 &
     load=$!
     sleep "$KILL_AFTER"
 
@@ -61,60 +69,17 @@ for shards in 1 4; do
     wait "$daemon" 2>/dev/null || true
     daemon=""
     wait "$load" || fail "durability-check burst failed (not a conn drop)"
-    cat "$TMP/burst-$shards.log"
+    cat "$TMP/burst-$run.log"
 
-    # Restart over the same WAL directory and audit every acked write.
-    GORACE=halt_on_error=1 "$TMP/mvkvd" -addr "$ADDR" -shards "$shards" \
-        -wal "$WALDIR" -snapshot-interval 2s >"$TMP/d2-$shards.log" 2>&1 &
+    # Restart over the same WAL directory and audit every acked group.
+    GORACE=halt_on_error=1 "$TMP/mvkvd" -addr "$ADDR" -store "$build" -shards "$shards" \
+        -wal "$WALDIR" -snapshot-interval 2s >"$TMP/d2-$run.log" 2>&1 &
     daemon=$!
     wait_ready "$ADDR"
-    grep "wal recovery" "$TMP/d2-$shards.log" || true
+    grep "wal recovery" "$TMP/d2-$run.log" || true
 
     "$TMP/mvkvload" -addr "$ADDR" -durability-verify "$ACKED" ||
-        fail "acked writes lost after kill -9 (shards=$shards)"
-
-    "$TMP/mvkvload" -addr "$ADDR" -cmd shutdown >/dev/null 2>&1 || true
-    wait "$daemon" 2>/dev/null || true
-    daemon=""
-done
-
-# Second phase: multi-key transactions, on the ordered-index build and on
-# the default hash build (every build commits a MULTI body atomically).
-# Each connection bursts MULTI/EXEC bodies writing a same-shard key group
-# to one sequence value; the WAL logs each body as an atomic record
-# group, so after the kill the restarted store must show every group
-# uniform — a group with mixed values is a transaction torn by recovery.
-for build in mvrlu-idx mvrlu-kv; do
-for shards in 1 4; do
-    echo "=== crash check (MULTI): store=$build shards=$shards ==="
-    WALDIR="$TMP/wal-txn-$build-$shards"
-    ACKED="$TMP/acked-txn-$build-$shards.json"
-
-    GORACE=halt_on_error=1 "$TMP/mvkvd" -addr "$ADDR" -store "$build" -shards "$shards" \
-        -wal "$WALDIR" -snapshot-interval 2s >"$TMP/d1-txn-$build-$shards.log" 2>&1 &
-    daemon=$!
-    wait_ready "$ADDR"
-
-    "$TMP/mvkvload" -addr "$ADDR" -durability-check "$ACKED" -multi -txn-keys 4 \
-        -conns 8 -pipeline 8 -duration "$BURST" >"$TMP/burst-txn-$build-$shards.log" 2>&1 &
-    load=$!
-    sleep "$KILL_AFTER"
-
-    echo "SIGKILL daemon (pid $daemon) mid-burst"
-    kill -9 "$daemon" 2>/dev/null || true
-    wait "$daemon" 2>/dev/null || true
-    daemon=""
-    wait "$load" || fail "MULTI durability-check burst failed (not a conn drop)"
-    cat "$TMP/burst-txn-$build-$shards.log"
-
-    GORACE=halt_on_error=1 "$TMP/mvkvd" -addr "$ADDR" -store "$build" -shards "$shards" \
-        -wal "$WALDIR" -snapshot-interval 2s >"$TMP/d2-txn-$build-$shards.log" 2>&1 &
-    daemon=$!
-    wait_ready "$ADDR"
-    grep "wal recovery" "$TMP/d2-txn-$build-$shards.log" || true
-
-    "$TMP/mvkvload" -addr "$ADDR" -durability-verify "$ACKED" -multi ||
-        fail "MULTI transaction torn or lost after kill -9 (store=$build shards=$shards)"
+        fail "acked writes lost, torn or stale after kill -9 ($mode, store=$build shards=$shards)"
 
     "$TMP/mvkvload" -addr "$ADDR" -cmd shutdown >/dev/null 2>&1 || true
     wait "$daemon" 2>/dev/null || true
