@@ -136,8 +136,8 @@ func main() {
 	}
 }
 
-// runMVRLU drives scans, transfers, const validations, frees with
-// replacement, and aborted readers on the core engine.
+// runMVRLU drives scans, transfers, const validations and aborted
+// readers on the core engine.
 func runMVRLU(hist *check.History, seed int64, threads, objects, ops int, skew time.Duration) *check.Report {
 	opts := mvrlu.DefaultOptions()
 	opts.LogSlots = 256 // small enough to keep GC and write-backs busy

@@ -15,9 +15,9 @@
 //
 // With -metrics-addr the daemon also serves an HTTP observability
 // endpoint: Prometheus text at /metrics, the runtime profiler under
-// /debug/pprof/, and expvar at /debug/vars. Telemetry recording itself
-// is governed by -telemetry (on by default; the disabled record sites
-// cost under a nanosecond, see internal/obs).
+// /debug/pprof/, and expvar (runtime memstats) at /debug/vars. Telemetry
+// recording itself is governed by -telemetry (on by default; the
+// disabled record sites cost under a nanosecond, see internal/obs).
 package main
 
 import (
@@ -219,13 +219,12 @@ func main() {
 }
 
 // storeDump adapts the store to the WAL installer's DumpFunc: wait out
-// each shard's ORDO visibility window, read the vanilla build's replay
-// cutoffs before the walk, then emit one consistent snapshot of the
-// whole keyspace.
+// each shard's ORDO visibility window, then emit one consistent snapshot
+// of the whole keyspace. It reports no replay cutoffs: every build logs
+// each key in commit order (see kvstore.CommitHook).
 func storeDump(st kvstore.Store) wal.DumpFunc {
 	return func(minTS map[uint32]uint64, emit func(key, value string) error) (map[uint32]uint64, error) {
 		kvstore.WaitVisible(st, minTS)
-		cutoffs := kvstore.WALCutoffs(st)
 		sess := st.Session()
 		defer sess.Close()
 		var eerr error
@@ -236,7 +235,7 @@ func storeDump(st kvstore.Store) wal.DumpFunc {
 			}
 			return true
 		})
-		return cutoffs, eerr
+		return nil, eerr
 	}
 }
 
@@ -253,13 +252,5 @@ func metricsServer(srv *server.Server) *http.Server {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	expvar.Publish("mvkvd", expvar.Func(func() any {
-		accepted, commands, panics := srv.Counters()
-		return map[string]uint64{
-			"accepted": accepted,
-			"commands": commands,
-			"panics":   panics,
-		}
-	}))
 	return &http.Server{Handler: mux}
 }

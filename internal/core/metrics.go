@@ -70,9 +70,6 @@ var histMeta = [NumHistKinds]struct{ name, help string }{
 // MetricName returns the unprefixed exposition name of a histogram kind.
 func (k HistKind) MetricName() string { return histMeta[k].name }
 
-// MetricHelp returns the help text of a histogram kind.
-func (k HistKind) MetricHelp() string { return histMeta[k].help }
-
 // threadHists is the per-thread histogram block. Like threadStats it is
 // a separate allocation shared between the Thread and its registry entry
 // so a departed handle's distributions survive into the domain

@@ -551,7 +551,7 @@ func lastCommitTS(t *testing.T, sess kvstore.Session) uint64 {
 		case *rluTower:
 			return tw.h.LastCommitTS()
 		case vanIdxTower:
-			return tw.v.verClock.Load()
+			return tw.v.verClock
 		}
 	}
 	t.Fatalf("unknown session type %T", sess)
@@ -623,12 +623,12 @@ func TestHookRouting(t *testing.T) {
 	}
 }
 
-// TestHookOrderIsCommitOrder: on the engine builds hooks run under the
-// writer mutex, so for every key the hook-call order is the commit
-// order — timestamps never go backwards and the last delivery is the
-// stored value.
+// TestHookOrderIsCommitOrder: on every build hooks run under the writer
+// mutex, so for every key the hook-call order is the commit order —
+// timestamps never go backwards and the last delivery is the stored
+// value.
 func TestHookOrderIsCommitOrder(t *testing.T) {
-	for _, build := range []string{"mvrlu-idx", "rlu-idx"} {
+	for _, build := range builds {
 		t.Run(build, func(t *testing.T) {
 			s := newStore(t, build)
 			var log hookLog

@@ -3,7 +3,6 @@ package index
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"mvrlu/internal/check"
 	"mvrlu/internal/kvstore"
@@ -13,27 +12,27 @@ import (
 // value map behind one RWMutex. Readers (and ranges) hold the read
 // lock for their whole walk — that IS the snapshot: nothing can commit
 // while any reader is inside, which is exactly the global-rwlock
-// bottleneck the engine builds exist to remove. The version clock
-// stamps every commit under the write lock so WAL ordering and the KV
-// checker get the same commit-order timestamps the engine builds
-// provide. Its sessions are the shared session over a vanIdxTower, with
-// HooksAfterUnlock set like the vanilla hash build.
+// bottleneck the engine builds exist to remove. Writers serialize on
+// wmu, the counterpart of the skiplists' writer mutex, and take mu for
+// writing only inside Apply, around the body; the commit hooks run
+// under wmu alone. The version clock stamps every commit under the
+// write lock so WAL ordering and the KV checker get the same
+// commit-order timestamps the engine builds provide. Its sessions are
+// the shared session over a vanIdxTower.
 type VanillaIndex struct {
 	kvstore.StoreBase
+	wmu  sync.Mutex // writer lock, held from Lock to Unlock
 	mu   sync.RWMutex
 	keys []string
 	vals map[string]string
 
-	verClock atomic.Uint64
+	verClock uint64 // guarded by mu
 	hist     *check.History
 }
 
 // NewVanillaIndex creates an empty baseline ordered index.
 func NewVanillaIndex() *VanillaIndex {
-	return &VanillaIndex{
-		StoreBase: kvstore.StoreBase{HooksAfterUnlock: true},
-		vals:      map[string]string{},
-	}
+	return &VanillaIndex{vals: map[string]string{}}
 }
 
 // Name implements Store.
@@ -51,15 +50,6 @@ func (v *VanillaIndex) Session() kvstore.Session {
 
 // AttachKVHistory makes sessions created afterwards record KV events.
 func (v *VanillaIndex) AttachKVHistory(h *check.History) { v.hist = h }
-
-// WALCutoff implements walClocker, same argument as Vanilla.WALCutoff:
-// commits at or below the returned clock released the write lock before
-// this RLock was granted.
-func (v *VanillaIndex) WALCutoff() uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.verClock.Load()
-}
 
 // search returns the sorted position of key and whether it is present.
 // Caller holds mu (either mode).
@@ -100,18 +90,18 @@ func (v *VanillaIndex) window(lo, hi string, bounded bool) (int, int) {
 	return i, j
 }
 
-// vanIdxTower implements tower for the baseline: the writer lock is the
-// write lock, held across the whole body, and a snapshot is the read
-// lock.
+// vanIdxTower implements tower for the baseline: the writer lock is
+// wmu, Apply is the body under the write lock, and a snapshot is the
+// read lock.
 type vanIdxTower struct{ v *VanillaIndex }
 
-func (t vanIdxTower) Lock([]kvstore.TxnOp, []int) { t.v.mu.Lock() }
-func (t vanIdxTower) Unlock()                     { t.v.mu.Unlock() }
+func (t vanIdxTower) Lock([]kvstore.TxnOp, []int) { t.v.wmu.Lock() }
+func (t vanIdxTower) Unlock()                     { t.v.wmu.Unlock() }
 func (t vanIdxTower) ReadLock()                   { t.v.mu.RLock() }
 func (t vanIdxTower) ReadUnlock()                 { t.v.mu.RUnlock() }
 func (t vanIdxTower) Close()                      {}
 func (t vanIdxTower) ThreadID() int               { return -1 }
-func (t vanIdxTower) snapshotTS() uint64          { return t.v.verClock.Load() }
+func (t vanIdxTower) snapshotTS() uint64          { return t.v.verClock }
 
 func (t vanIdxTower) Get(key string) (string, bool) {
 	t.v.mu.RLock()
@@ -120,9 +110,11 @@ func (t vanIdxTower) Get(key string) (string, bool) {
 	return val, ok
 }
 
-// Apply runs the body and stamps one version-clock tick for all of it:
-// atomic by construction.
+// Apply runs the body under the write lock and stamps one version-clock
+// tick for all of it: atomic by construction.
 func (t vanIdxTower) Apply(ops []kvstore.TxnOp, keep []int, removed []bool) uint64 {
+	t.v.mu.Lock()
+	defer t.v.mu.Unlock()
 	for _, i := range keep {
 		if op := ops[i]; op.Del {
 			removed[i] = t.v.delLocked(op.Key)
@@ -130,7 +122,8 @@ func (t vanIdxTower) Apply(ops []kvstore.TxnOp, keep []int, removed []bool) uint
 			t.v.setLocked(op.Key, op.Value)
 		}
 	}
-	return t.v.verClock.Add(1)
+	t.v.verClock++
+	return t.v.verClock
 }
 
 func (t vanIdxTower) Walk(prefix string, fn func(key, value string) bool) {

@@ -30,18 +30,15 @@ type CommitOp struct {
 //   - It is called once per committed Set, and once per Remove that
 //     actually removed a key (a Remove of a missing key commits nothing
 //     and is not observed).
-//   - For the engine-backed builds (mvrlu, rlu) the hook runs inside the
-//     commit's writer locks (the slots of the written keys, or the
-//     index writer mutex), immediately after the commit: for any single
-//     key, hook-call order equals commit order, so a log appended to in
-//     hook order is per-key ordered without any sorting.
-//   - The vanilla builds call the hook after releasing their global
-//     write lock (StoreBase.HooksAfterUnlock): calling out under an
-//     exclusive store-wide lock would let a blocking hook — WAL
-//     backpressure — deadlock against a snapshot dump that needs the
-//     read lock. Two racing writers may therefore invoke hooks out of
-//     timestamp order; WALCutoffs exists to make snapshot/replay
-//     interplay safe anyway.
+//   - On every build the hook runs inside the commit's writer locks (the
+//     slots of the written keys, or the index writer mutex), immediately
+//     after the commit: for any single key, hook-call order equals
+//     commit order, so a log appended to in hook order is per-key
+//     ordered without any sorting.
+//   - It may block (WAL backpressure waiting on the snapshot installer):
+//     the writer locks it runs under are never taken by readers, and the
+//     vanilla builds hold their global write lock only inside the commit
+//     body, so a snapshot dump can always proceed.
 //   - The hook must not call back into the store.
 //
 // SetCommitHook must be called before the store serves traffic (the
@@ -65,33 +62,13 @@ func (s *Sharded) SetCommitHook(h CommitHook) {
 	}
 }
 
-// walClocker is the per-shard capability behind WALCutoffs: a build
-// whose commit hooks can run out of timestamp order (vanilla) exposes a
-// stable cutoff — every commit with ts ≤ the cutoff is fully applied and
-// visible to any store read that starts afterwards.
-type walClocker interface{ WALCutoff() uint64 }
-
-// WALCutoffs reads each shard's replay cutoff, keyed by shard index, for
-// a snapshot about to be dumped. Shards without the capability (mvrlu,
-// rlu — their hooks run inside the commit lock, so per-key log order
-// equals commit order and no cutoff is needed) are omitted, which the
-// WAL treats as "skip nothing".
-//
-// Read the cutoffs BEFORE the dump's walk: any commit stamped before
-// this read either already released its locks or still holds the write
-// lock the walk's read lock must wait out — either way the walk sees it.
-func WALCutoffs(st Store) map[uint32]uint64 {
-	cut := map[uint32]uint64{}
-	forEachShard(st, func(i int, sh Store) {
-		if c, ok := sh.(walClocker); ok {
-			cut[uint32(i)] = c.WALCutoff()
-		}
-	})
-	if len(cut) == 0 {
-		return nil
-	}
-	return cut
-}
+// WALCutoffs returns nil — "skip nothing" — for every store: replay
+// needs no cutoff. Every build delivers its hooks under the commit's
+// writer locks, so per-key log order is commit order, and a write is
+// visible before its record is enqueued, so no record pruned by a
+// snapshot can be newer than a replayed record for the same key. The
+// WAL still honours cutoffs read from snapshots that carry them.
+func WALCutoffs(Store) map[uint32]uint64 { return nil }
 
 // WaitVisible blocks until every commit with timestamp ≤ minTS[shard] is
 // visible to a store read starting afterwards. The MV-RLU build commits

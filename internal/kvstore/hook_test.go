@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // hookRecorder collects CommitOps; hooks may fire concurrently from
@@ -56,8 +57,7 @@ func TestCommitHookAllBuilds(t *testing.T) {
 				t.Fatalf("hook fired %d times, want 4: %+v", len(ops), ops)
 			}
 			// Per-key hook order equals commit order with strictly
-			// increasing timestamps (single-threaded here, so this holds
-			// for every build including vanilla).
+			// increasing timestamps.
 			lastTS := map[string]uint64{}
 			for _, op := range ops {
 				if op.Shard != 0 {
@@ -80,11 +80,9 @@ func TestCommitHookAllBuilds(t *testing.T) {
 }
 
 func TestCommitHookConcurrentPerKeyOrder(t *testing.T) {
-	// Engine builds run the hook inside the per-slot commit lock, so even
-	// under contention per-key hook order equals commit order. (Vanilla
-	// is exempt: its hook runs after the global unlock — that is what
-	// WALCutoffs exists for.)
-	for _, name := range []string{"rlu-kv", "mvrlu-kv"} {
+	// Every build runs the hook inside the commit's writer locks, so even
+	// under contention per-key hook order equals commit order.
+	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			s, err := New(name, 4, 64)
 			if err != nil {
@@ -158,31 +156,53 @@ func TestShardedHookStampsShard(t *testing.T) {
 	}
 }
 
-func TestWALCutoffs(t *testing.T) {
-	// Vanilla exposes a cutoff (its hook runs outside the lock); the
-	// engine builds do not need one and are omitted.
-	v, _ := New("vanilla", 4, 64)
-	defer v.Close()
-	SetStoreCommitHook(v, func(CommitOp) {})
-	sess := v.Session()
-	sess.Set("a", "1")
-	sess.Set("b", "2")
-	sess.Close()
-	cut := WALCutoffs(v)
-	if len(cut) != 1 || cut[0] < 2 {
-		t.Fatalf("vanilla cutoffs = %v, want shard 0 at ≥2", cut)
-	}
-
-	m, _ := New("mvrlu-kv", 4, 64)
-	defer m.Close()
-	if cut := WALCutoffs(m); cut != nil {
-		t.Fatalf("mvrlu cutoffs = %v, want nil (hook order is commit order)", cut)
-	}
-
-	sv, _ := NewSharded("vanilla", 3, 6, 64)
-	defer sv.Close()
-	if cut := WALCutoffs(sv); len(cut) != 3 {
-		t.Fatalf("sharded vanilla cutoffs = %v, want 3 entries", cut)
+// TestHookBeforeNextCommit pins the rule behind per-key log order on
+// every build: a writer's hook returns before the next commit to the
+// same key. Writer A's hook waits for writer B's hook of the same key,
+// and B starts only once A is inside its hook. B cannot commit until A's
+// hook returns, so A's wait always expires; the 50 ms is real time
+// because there is nothing to wait on but the absence of B's hook. A
+// build whose hooks ran after its writer locks would let B commit and
+// log first.
+func TestHookBeforeNextCommit(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(name, 4, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			aIn, bLogged := make(chan struct{}), make(chan struct{})
+			rec := &hookRecorder{}
+			SetStoreCommitHook(s, func(op CommitOp) {
+				if op.Value == "a" {
+					close(aIn)
+					select {
+					case <-bLogged:
+					case <-time.After(50 * time.Millisecond):
+					}
+					rec.hook(op)
+					return
+				}
+				rec.hook(op)
+				close(bLogged)
+			})
+			sa, sb := s.Session(), s.Session()
+			defer sa.Close()
+			defer sb.Close()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				<-aIn
+				sb.Set("k", "b")
+			}()
+			sa.Set("k", "a")
+			<-done
+			ops := rec.snapshot()
+			if len(ops) != 2 || ops[0].Value != "a" || ops[1].Value != "b" || ops[0].TS >= ops[1].TS {
+				t.Fatalf("hooks saw %+v, want k=a then k=b with a rising ts", ops)
+			}
+		})
 	}
 }
 

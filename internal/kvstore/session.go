@@ -14,7 +14,8 @@ import (
 // engine, measured +14% on Get; DESIGN.md §12). The six towers are the
 // engine builds' slot/bucket trees (mvrlu-kv, rlu-kv) and skiplists
 // (mvrlu-idx, rlu-idx, in internal/index), and the two vanilla
-// baselines, whose writer lock is their global write lock.
+// baselines, whose writer locks are separate from the global lock their
+// Apply and readers take.
 //
 // A Tower belongs to one session (the engine towers hold its thread
 // handle and scratch) and is used by one goroutine at a time under the
@@ -52,14 +53,6 @@ type Tower interface {
 // StoreBase is the store half every single-domain build embeds: the
 // session count, the commit hooks and the transaction sequence.
 type StoreBase struct {
-	// HooksAfterUnlock delivers commits to the hooks after the tower's
-	// writer locks are released instead of under them. The vanilla
-	// builds set it: their readers hold the global read lock, so a hook
-	// blocked under the write lock (WAL backpressure) would deadlock
-	// against a snapshot dump. Two racing writers may then invoke hooks
-	// out of timestamp order; WALCutoffs makes replay safe anyway.
-	HooksAfterUnlock bool
-
 	sessions atomic.Int64
 	// txnSeq numbers multi-op commits in the KV history. Atomic: writers
 	// on disjoint slots commit concurrently.
@@ -71,9 +64,8 @@ type StoreBase struct {
 // NumSessions implements Store.
 func (b *StoreBase) NumSessions() int { return int(b.sessions.Load()) }
 
-// SetCommitHook implements Store. Unless HooksAfterUnlock is set it runs
-// under the commit's writer locks, so for any key hook order equals
-// commit order.
+// SetCommitHook implements Store. The hook runs under the commit's
+// writer locks, so for any key hook order equals commit order.
 func (b *StoreBase) SetCommitHook(h CommitHook) { b.hook = h }
 
 // SetTxnCommitHook implements Store: committed ApplyTxn groups are
@@ -158,23 +150,15 @@ func (k *TowerSession) ApplyTxn(ops []TxnOp) []bool {
 // commit is the one write path: Set and Remove are the one-op case
 // (group false: session scratch, per-op hook), ApplyTxn the general one
 // (group true: delivered to the TxnHook as one call when installed).
+// Everything after Apply runs under the tower's writer locks, so for any
+// key history tickets and hook calls are in commit order.
 func (k *TowerSession) commit(ops []TxnOp, removed []bool, group bool) {
+	b, tw, tr := k.b, k.tw, k.tr
 	keep, eff := keepOnly, k.eff1[:0]
 	if group {
 		keep = compressTxn(ops)
 		eff = make([]CommitOp, 0, len(keep))
 	}
-	if eff = k.locked(ops, removed, keep, eff, group); len(eff) > 0 && k.b.HooksAfterUnlock {
-		k.deliver(eff, group)
-	}
-}
-
-// locked runs the body under the tower's writer locks and returns the
-// committed ops. Everything after Apply runs under those locks, so for
-// any key history tickets (and, unless HooksAfterUnlock, hook calls) are
-// in commit order.
-func (k *TowerSession) locked(ops []TxnOp, removed []bool, keep []int, eff []CommitOp, group bool) []CommitOp {
-	b, tw, tr := k.b, k.tw, k.tr
 	var t0 int64
 	if tr != nil {
 		t0 = obs.Now()
@@ -197,7 +181,7 @@ func (k *TowerSession) locked(ops []TxnOp, removed []bool, keep []int, eff []Com
 		eff = append(eff, CommitOp{TS: cts, Del: op.Del, Key: op.Key, Value: op.Value})
 	}
 	if len(eff) == 0 {
-		return eff
+		return
 	}
 	if k.crec != nil {
 		var txn uint64
@@ -206,10 +190,7 @@ func (k *TowerSession) locked(ops []TxnOp, removed []bool, keep []int, eff []Com
 		}
 		recordWrites(k.crec, k.hist, eff, txn)
 	}
-	if !b.HooksAfterUnlock {
-		k.deliver(eff, group)
-	}
-	return eff
+	k.deliver(eff, group)
 }
 
 // deliver hands committed ops to the hooks: transaction groups go to the

@@ -17,10 +17,12 @@
 // apply the body in one commit, record it, deliver it to the hooks —
 // plus trace spans and the snapshot scan behind ForEach. What differs
 // per build is a Tower: its node type, its writer locks and the loops
-// that read and write its structure. The two engine hash towers lock the
+// that read and write its structure. The three hash towers lock the
 // distinct slots of a body's keys in ascending slot order and apply the
-// body in one Execute, so a multi-key transaction (the server's
-// MULTI/EXEC) is atomic on every build.
+// body in one commit — one Execute on the engine builds, one hold of the
+// global write lock on vanilla — so a multi-key transaction (the
+// server's MULTI/EXEC) is atomic on every build, and the hooks run under
+// the writer locks on every build.
 package kvstore
 
 import (

@@ -3,7 +3,6 @@ package kvstore
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // vNode is a plain BST node (stock build).
@@ -17,37 +16,27 @@ type vNode struct {
 // serializing the database against structural races, plus per-slot
 // mutexes for writers — the configuration whose global rwlock the paper
 // identifies as the known scalability bottleneck. Its sessions are the
-// shared TowerSession over a vanillaTower, with HooksAfterUnlock set.
+// shared TowerSession over a vanillaTower: a writer holds its slot locks
+// from Lock to Unlock, as the engine builds do, and the global write
+// lock only inside Apply, so its commit hooks run under the slot locks
+// and never under a lock a reader needs.
 type Vanilla struct {
 	StoreBase
 	global  sync.RWMutex
-	slots   []vanillaSlot
+	locks   slotLocks
+	roots   []*vNode // bucket trees, slot-major (rootOf)
 	buckets int
-	// walClock orders commit records for the WAL. It is stamped while the
-	// global write lock is held, but the hooks run after unlock (a
-	// blocking hook under the exclusive lock would deadlock against a
-	// snapshot dump waiting for the read lock), so hook order can invert
-	// timestamp order across racing writers — WALCutoff compensates.
-	walClock atomic.Uint64
-}
-
-type vanillaSlot struct {
-	mu    sync.Mutex
-	trees []*vNode
-	_     [40]byte
+	// clock stamps commits; ticked under the global write lock.
+	clock uint64
 }
 
 // NewVanilla creates a stock store.
 func NewVanilla(slots, bucketsPerSlot int) *Vanilla {
-	s := &Vanilla{
-		StoreBase: StoreBase{HooksAfterUnlock: true},
-		slots:     make([]vanillaSlot, slots),
-		buckets:   bucketsPerSlot,
+	return &Vanilla{
+		locks:   make(slotLocks, slots),
+		roots:   make([]*vNode, slots*bucketsPerSlot),
+		buckets: bucketsPerSlot,
 	}
-	for i := range s.slots {
-		s.slots[i].trees = make([]*vNode, bucketsPerSlot)
-	}
-	return s
 }
 
 // Name implements Store.
@@ -59,45 +48,32 @@ func (v *Vanilla) Close() {}
 // Session implements Store.
 func (v *Vanilla) Session() Session {
 	k := &TowerSession{}
-	k.Init(&v.StoreBase, vanillaTower{v}, nil, nil)
+	k.Init(&v.StoreBase, &vanillaTower{v: v, slotWriter: slotWriter{locks: v.locks}}, nil, nil)
 	return k
 }
 
-// WALCutoff implements walClocker: every commit with ts ≤ the returned
-// value stamped its timestamp while holding the global write lock, and
-// that lock was released before this RLock could be acquired — so any
-// store walk starting after this call observes all such commits. The WAL
-// snapshot reads the cutoff before its dump walk and replay skips
-// records at or below it.
-func (v *Vanilla) WALCutoff() uint64 {
-	v.global.RLock()
-	defer v.global.RUnlock()
-	return v.walClock.Load()
+// vanillaTower implements Tower for the stock build: the writer locks
+// are the slots of a body's keys, Apply is the body under the global
+// write lock, and a snapshot is the global read lock.
+type vanillaTower struct {
+	v *Vanilla
+	slotWriter
 }
 
-// vanillaTower implements Tower for the stock build: the writer lock is
-// the global write lock, held across the whole body, a snapshot is the
-// global read lock, and there is no per-session state.
-type vanillaTower struct{ v *Vanilla }
+func (t *vanillaTower) ReadLock()     { t.v.global.RLock() }
+func (t *vanillaTower) ReadUnlock()   { t.v.global.RUnlock() }
+func (t *vanillaTower) Close()        {}
+func (t *vanillaTower) ThreadID() int { return -1 }
 
-func (t vanillaTower) Lock([]TxnOp, []int) { t.v.global.Lock() }
-func (t vanillaTower) Unlock()             { t.v.global.Unlock() }
-func (t vanillaTower) ReadLock()           { t.v.global.RLock() }
-func (t vanillaTower) ReadUnlock()         { t.v.global.RUnlock() }
-func (t vanillaTower) Close()              {}
-func (t vanillaTower) ThreadID() int       { return -1 }
-
-func (t vanillaTower) locate(key string) (*vanillaSlot, int) {
-	h := hashString(key)
-	sl := &t.v.slots[slotOf(h, len(t.v.slots))]
-	return sl, bucketOf(h, t.v.buckets)
+// root is the link to the bucket tree of a key hashing to h.
+func (t *vanillaTower) root(h uint64) **vNode {
+	return &t.v.roots[rootOf(h, len(t.locks), t.v.buckets)]
 }
 
-func (t vanillaTower) Get(key string) (string, bool) {
+func (t *vanillaTower) Get(key string) (string, bool) {
 	t.v.global.RLock()
 	defer t.v.global.RUnlock()
-	sl, b := t.locate(key)
-	n := sl.trees[b]
+	n := *t.root(hashString(key))
 	for n != nil {
 		switch {
 		case key == n.key:
@@ -111,24 +87,27 @@ func (t vanillaTower) Get(key string) (string, bool) {
 	return "", false
 }
 
-// Apply runs the body and stamps one walClock tick for all of it.
-func (t vanillaTower) Apply(ops []TxnOp, keep []int, removed []bool) uint64 {
-	for _, i := range keep {
+// Apply runs the body under the global write lock — the baseline's
+// counterpart of an engine Execute — and ticks the clock once for all
+// of it.
+func (t *vanillaTower) Apply(ops []TxnOp, keep []int, removed []bool) uint64 {
+	v := t.v
+	v.global.Lock()
+	defer v.global.Unlock()
+	for j, i := range keep {
+		link := t.root(t.hashes[j])
 		if op := ops[i]; op.Del {
-			removed[i] = t.del(op.Key)
+			removed[i] = vanillaDel(link, op.Key)
 		} else {
-			t.set(op.Key, op.Value)
+			vanillaSet(link, op.Key, op.Value)
 		}
 	}
-	return t.v.walClock.Add(1)
+	v.clock++
+	return v.clock
 }
 
-// set inserts or updates key under its slot lock.
-func (t vanillaTower) set(key, value string) {
-	sl, b := t.locate(key)
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	link := &sl.trees[b]
+// vanillaSet inserts or updates key in the tree at link.
+func vanillaSet(link **vNode, key, value string) {
 	for *link != nil {
 		n := *link
 		switch {
@@ -144,12 +123,9 @@ func (t vanillaTower) set(key, value string) {
 	*link = &vNode{key: key, value: value}
 }
 
-// del removes key under its slot lock, reporting whether it existed.
-func (t vanillaTower) del(key string) bool {
-	sl, b := t.locate(key)
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	link := &sl.trees[b]
+// vanillaDel removes key from the tree at link, reporting whether it
+// existed.
+func vanillaDel(link **vNode, key string) bool {
 	for *link != nil {
 		n := *link
 		switch {
@@ -166,12 +142,10 @@ func (t vanillaTower) del(key string) bool {
 }
 
 // Walk visits every tree, filtering on prefix.
-func (t vanillaTower) Walk(prefix string, fn func(key, value string) bool) {
-	for si := range t.v.slots {
-		for _, root := range t.v.slots[si].trees {
-			if !walkVanilla(root, prefix, fn) {
-				return
-			}
+func (t *vanillaTower) Walk(prefix string, fn func(key, value string) bool) {
+	for _, root := range t.v.roots {
+		if !walkVanilla(root, prefix, fn) {
+			return
 		}
 	}
 }

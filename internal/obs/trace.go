@@ -172,9 +172,6 @@ func (t *Trace) AddStage(s Stage, dur int64) {
 	}
 }
 
-// StageNs returns the accumulated time in stage s so far.
-func (t *Trace) StageNs(s Stage) int64 { return t.stages[s].Load() }
-
 // Finish disarms the trace and snapshots it into a plain TraceData. The
 // caller (the owning connection goroutine) must have joined every worker
 // that could stamp this trace first — the batch WaitGroup provides that

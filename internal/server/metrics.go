@@ -70,10 +70,3 @@ func (s *Server) registerMetrics() {
 // Metrics returns the server's metric registry — the daemon mounts its
 // Handler at /metrics.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// Counters returns the server's wire counters (accepted connections,
-// dispatched commands, isolated panics); the daemon publishes them over
-// expvar next to the Prometheus endpoint.
-func (s *Server) Counters() (accepted, commands, panics uint64) {
-	return s.accepted.Load(), s.commands.Load(), s.panics.Load()
-}

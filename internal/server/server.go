@@ -53,13 +53,11 @@ type Config struct {
 	// Embedders that inspect the store after a drain leave it false and
 	// close the store themselves.
 	OwnsStore bool
-	// TraceSlowest and TraceRecent bound the request-trace flight
-	// recorder: how many slowest traces and how many recent traces it
-	// retains (defaults obs.DefaultSlowTraces / obs.DefaultRecentTraces).
-	// The recorder always exists; it only fills while tracing is enabled
-	// (obs.SetTraceEnabled, mvkvd -trace).
-	TraceSlowest int
-	TraceRecent  int
+	// TraceRecent bounds how many recent traces the request-trace flight
+	// recorder retains (default obs.DefaultRecentTraces); it keeps the
+	// obs.DefaultSlowTraces slowest. The recorder always exists; it only
+	// fills while tracing is enabled (obs.SetTraceEnabled, mvkvd -trace).
+	TraceRecent int
 	// WAL, when non-nil, upgrades the ack contract to "acknowledged
 	// implies durable": the owner (the daemon) has installed a store
 	// commit hook that appends every committed write to this log, and the
@@ -174,7 +172,7 @@ func New(store kvstore.Store, cfg Config) *Server {
 		conns:    make(map[*conn]struct{}),
 		drained:  make(chan struct{}),
 		start:    time.Now(),
-		flight:   obs.NewRecorder(cfg.TraceSlowest, cfg.TraceRecent),
+		flight:   obs.NewRecorder(0, cfg.TraceRecent),
 	}
 	shards, per := []kvstore.Store{store}, cfg.Handles
 	if sh, ok := store.(*kvstore.Sharded); ok {
@@ -251,14 +249,6 @@ func (s *Server) Serve() error {
 		}
 		go c.serve()
 	}
-}
-
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe() error {
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
 }
 
 // addConn registers c and claims its WaitGroup slot. The Add happens

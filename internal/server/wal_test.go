@@ -3,8 +3,12 @@ package server
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"mvrlu/internal/failpoint"
 	"mvrlu/internal/kvstore"
@@ -33,6 +37,31 @@ func openWAL(t *testing.T, dir string, st kvstore.Store) *wal.Log {
 		t.Fatalf("store %s does not support commit hooks", st.Name())
 	}
 	return wlog
+}
+
+// storeDump is the installer's dump the way cmd/mvkvd builds it: wait
+// out the visibility window, then walk one snapshot of the store.
+func storeDump(st kvstore.Store) wal.DumpFunc {
+	return func(minTS map[uint32]uint64, emit func(key, value string) error) (map[uint32]uint64, error) {
+		kvstore.WaitVisible(st, minTS)
+		sess := st.Session()
+		defer sess.Close()
+		var eerr error
+		sess.ForEach(func(k, v string) bool {
+			eerr = emit(k, v)
+			return eerr == nil
+		})
+		return nil, eerr
+	}
+}
+
+// contents is every pair in st, read in one snapshot.
+func contents(st kvstore.Store) map[string]string {
+	sess := st.Session()
+	defer sess.Close()
+	m := map[string]string{}
+	sess.ForEach(func(k, v string) bool { m[k] = v; return true })
+	return m
 }
 
 // recoverInto replays a WAL directory into a fresh store build.
@@ -167,4 +196,64 @@ func TestWALDegradedMode(t *testing.T) {
 			t.Fatal("INFO does not report wal_degraded:1")
 		}
 	})
+}
+
+// TestCheckpointRacesWriters: a commit hook blocked on WAL backpressure
+// must hold no lock the installer's dump needs. A 2 KiB live budget
+// parks appenders on the installer's hard-live block over and over while
+// the installer checkpoints every millisecond; on every build the
+// writers must finish, and the log must recover to the live store.
+func TestCheckpointRacesWriters(t *testing.T) {
+	for _, name := range kvstore.Names() {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := newStore(t, name, 1)
+			wlog, _, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNone, MaxLiveBytes: 2 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kvstore.SetStoreCommitHook(st, func(op kvstore.CommitOp) {
+				_ = wlog.Append(wal.Record{TS: op.TS, Shard: op.Shard, Del: op.Del, Key: op.Key, Value: op.Value})
+			})
+			wlog.StartInstaller(time.Millisecond, storeDump(st), func(err error) { t.Error(err) })
+
+			const writers, per = 4, 3000
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					sess := st.Session()
+					defer sess.Close()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for i := 0; i < per; i++ {
+						k := fmt.Sprintf("k%02d", rng.Intn(16))
+						if rng.Intn(4) == 0 {
+							sess.Remove(k)
+						} else {
+							sess.Set(k, fmt.Sprintf("w%d-%d", w, i))
+						}
+					}
+				}(w)
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				// Closing the log or the store would block on the wedge too.
+				t.Fatal("writers wedged against the snapshot installer")
+			}
+			if err := wlog.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fresh := newStore(t, name, 1)
+			defer fresh.Close()
+			recoverInto(t, dir, fresh)
+			if got, want := contents(fresh), contents(st); !maps.Equal(got, want) {
+				t.Fatalf("recovered %v, live store %v", got, want)
+			}
+			st.Close()
+		})
+	}
 }

@@ -27,10 +27,12 @@
 //     restarting with the process (a small post-restart timestamp must
 //     beat a large pre-restart one).
 //   - A snapshot ("installer" output) bounds replay: segments below the
-//     snapshot's base are pruned once the snapshot is durable. Per-shard
-//     cutoffs in the snapshot header let builds whose hook runs outside
-//     the commit lock (the vanilla build) skip records the snapshot
-//     already reflects, so replay can never regress a key.
+//     snapshot's base are pruned once the snapshot is durable. Every
+//     store build logs each key in commit order and makes a write
+//     visible before logging it, so no pruned record is newer than a
+//     replayed one for the same key. Snapshots written by earlier
+//     binaries may carry per-shard cutoffs in their header; replay still
+//     skips same-epoch records at or below them.
 //
 // Torn tails vs corruption: a frame truncated mid-write at the end of the
 // last segment is the expected crash artifact — recovery truncates it

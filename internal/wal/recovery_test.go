@@ -431,10 +431,11 @@ func TestGroupRefusesMidLogUnterminated(t *testing.T) {
 func TestSnapshotCutoffSkipsCoveredRecords(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir)
-	// The vanilla build's hook runs after its global unlock, so a record
-	// can be enqueued AFTER a snapshot dump already walked its mutation.
-	// The dump reports per-shard cutoffs; replay must skip same-epoch
-	// records at or below them and keep everything above.
+	// Snapshots written by earlier binaries carry per-shard cutoffs
+	// (their vanilla builds logged after unlocking, so a record could be
+	// enqueued after a dump already walked its mutation). Replay must
+	// still skip same-epoch records at or below them and keep everything
+	// above.
 	dump := func(minTS map[uint32]uint64, emit func(k, v string) error) (map[uint32]uint64, error) {
 		if err := emit("k", "snapval"); err != nil {
 			return nil, err

@@ -85,10 +85,11 @@ var ErrClosed = errors.New("wal: closed")
 // a timestamp ≤ minTS[shard] is visible to its walk (the MV-RLU build
 // waits out the ORDO boundary: a just-committed record carries a
 // timestamp up to `boundary` in the future of the clock). It returns
-// per-shard replay cutoffs: replay skips same-epoch records with
-// ts ≤ cutoff[shard], for builds whose hook ordering cannot otherwise
-// guarantee the snapshot never trails the log (see kvstore.WALCutoffs).
-// A nil/absent cutoff means "skip nothing".
+// per-shard replay cutoffs, written into the snapshot's meta frame:
+// replay skips same-epoch records with ts ≤ cutoff[shard]. The store
+// builds return nil — "skip nothing" — because each logs every key in
+// commit order (see kvstore.WALCutoffs); replay keeps honouring the
+// cutoffs that snapshots written by earlier binaries carry.
 type DumpFunc func(minTS map[uint32]uint64, emit func(key, value string) error) (cutoffs map[uint32]uint64, err error)
 
 // Log is the group-committed write-ahead log. One logger goroutine owns
@@ -209,8 +210,8 @@ func (l *Log) drainAt() int { return int(min(drainBytes, l.opt.MaxQueueBytes)) }
 // it with SyncBarrier before acking. It is AppendGroup of one record.
 //
 // Append is safe from any goroutine; store commit hooks call it inside
-// the per-slot commit lock, which is what makes per-key log order equal
-// per-key commit order for the engine-backed builds.
+// the commit's writer locks, which is what makes per-key log order equal
+// per-key commit order on every store build.
 func (l *Log) Append(rec Record) error {
 	return l.AppendGroup([]Record{rec})
 }
