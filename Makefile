@@ -109,6 +109,9 @@ check-si:
 	$(GO) run -race ./cmd/mvcheck -engine mvrlu-idx -objects 64 -ops 2000
 	$(GO) run -race ./cmd/mvcheck -engine rlu-idx -objects 64 -ops 2000
 	$(GO) run -race ./cmd/mvcheck -engine vanilla-idx -objects 64 -ops 2000
+	$(GO) run -race ./cmd/mvcheck -engine mvrlu-kv -objects 64 -ops 2000
+	$(GO) run -race ./cmd/mvcheck -engine rlu-kv -objects 64 -ops 2000
+	$(GO) run -race ./cmd/mvcheck -engine vanilla -objects 64 -ops 2000
 	$(GO) run -race ./cmd/mvtorture -duration 5s -config tiny-log -check
 	@echo "mutation run (must FAIL):"
 	@if $(GO) run -tags mvrlu_mutate ./cmd/mvcheck -engine mvrlu -ops 5000 -skew 20us >/dev/null 2>&1; then \
@@ -124,6 +127,15 @@ check-si:
 	fi
 	@echo "descending-only index mutation run (the test asserts the checker flags it):"
 	$(GO) test -tags mvrlu_mutate -count=1 -run 'TestKVCheckCatchesUnpin' ./internal/index
+	@echo "split-body mutation runs (each must FAIL with a kv-range-snapshot or kv-torn-txn report):"
+	@$(GO) test -count=1 -cpu 1,2 -run '^TestKVCheckCatchesSplitBody$$' ./internal/kvstore >/dev/null || { echo "FAIL: TestKVCheckCatchesSplitBody fails unmutated"; exit 1; }
+	@for cpu in 1 2; do \
+		if out=$$($(GO) test -tags mvrlu_mutate -count=1 -cpu $$cpu -run '^TestKVCheckCatchesSplitBody$$' ./internal/kvstore 2>&1); then \
+			echo "FAIL: TestKVCheckCatchesSplitBody passed with split bodies planted (-cpu $$cpu)"; exit 1; \
+		fi; \
+		echo "$$out" | grep -qE 'kv-range-snapshot|kv-torn-txn' || { echo "$$out"; echo "FAIL: no torn-body report (-cpu $$cpu)"; exit 1; }; \
+		echo "ok: CheckKV caught the split body (-cpu $$cpu)"; \
+	done
 	@echo "late-publish mutation runs (each must FAIL: the word-level test and every engine's no-wait test):"
 	@for pt in clock:TestLatePublishTearsSnapshot core:TestReaderStampsCommittingHeader \
 		rlu:TestReaderStampsSealedFlush vp:TestReaderStampsSealedCommit db:TestHekatonReaderStampsSealedCommit; do \

@@ -13,11 +13,16 @@
 //	go run ./cmd/mvcheck -engine rlu -ops 50000
 //	go run ./cmd/mvcheck -engine rcu -ops 50000
 //	go run ./cmd/mvcheck -engine mvrlu-idx -ops 5000
+//	go run ./cmd/mvcheck -engine mvrlu-kv -objects 64 -ops 2000
 //
-// The *-idx engines (mvrlu-idx, rlu-idx, vanilla-idx) drive the ordered
-// index builds with the KV history recorder attached and validate the
-// range-snapshot rules (CheckKV): every range walk observes one
-// timestamp, multi-key transactions are never torn across a reader.
+// The kvstore builds — the hash builds mvrlu-kv, rlu-kv and vanilla,
+// and the ordered ones mvrlu-idx, rlu-idx and vanilla-idx — are driven
+// with the KV history recorder attached, and the snapshot rules
+// (CheckKV) are validated: every walk observes one timestamp, multi-key
+// transactions are never torn across a reader. Readers on the ordered
+// builds walk ranges both ways; on the hash builds they walk a prefix
+// and the whole store. The hash builds use 4 slots × 64 buckets, so a
+// walk stays short and a two-key body still crosses slot locks.
 //
 // Exit status: 0 on a clean verdict, 1 on checker violations, 2 on bad
 // usage. A binary built with -tags mvrlu_mutate (which plants known
@@ -33,6 +38,8 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,7 +63,7 @@ type account struct {
 func main() {
 	var (
 		engine = flag.String("engine", "mvrlu",
-			"engine to check: mvrlu, rlu, rcu, mvrlu-idx, rlu-idx, vanilla-idx")
+			"engine to check: mvrlu, rlu, rcu, or a store build (mvrlu-kv, rlu-kv, vanilla, mvrlu-idx, rlu-idx, vanilla-idx)")
 		seed   = flag.Int64("seed", 1, "base RNG seed; the whole workload derives from it")
 		shards = flag.Int("shards", 1,
 			"independent mvrlu domains checked concurrently, one history each (mvrlu engine only)")
@@ -118,12 +125,13 @@ func main() {
 		rep = runRLU(hist, *seed, *threads, *objects, *ops)
 	case "rcu":
 		rep = runRCU(hist, *seed, *threads, *ops)
-	case "mvrlu-idx", "rlu-idx", "vanilla-idx":
-		rep = runIndex(hist, *engine, *seed, *threads, *objects, *ops)
 	default:
-		fmt.Fprintf(os.Stderr,
-			"unknown engine %q (mvrlu, rlu, rcu, mvrlu-idx, rlu-idx, vanilla-idx)\n", *engine)
-		os.Exit(2)
+		if !slices.Contains(kvstore.Names(), *engine) {
+			fmt.Fprintf(os.Stderr, "unknown engine %q (mvrlu, rlu, rcu, %s)\n",
+				*engine, strings.Join(kvstore.Names(), ", "))
+			os.Exit(2)
+		}
+		rep = runKV(hist, *engine, *seed, *threads, *objects, *ops)
 	}
 
 	if rep.Ok() && !*verbose {
@@ -296,24 +304,19 @@ func runRLU(hist *check.History, seed int64, threads, objects, ops int) *check.R
 	return rep
 }
 
-// runIndex drives one of the ordered-index builds through the kvstore
-// capability surface — Set/Remove, multi-key ApplyTxn bodies, and range
-// walks racing the writers — with the KV history recorder attached,
-// then validates the range-snapshot rules: every walk observes exactly
-// one timestamp, and no multi-key commit is torn across a reader.
-func runIndex(hist *check.History, build string, seed int64, threads, keys, ops int) *check.Report {
-	st, err := kvstore.New(build, kvstore.DefaultSlots, kvstore.DefaultBucketsPerSlot)
+// runKV drives one kvstore build through its session surface —
+// Set/Remove, multi-key ApplyTxn bodies, and snapshot walks racing the
+// writers — with the KV history recorder attached, then validates the
+// snapshot rules: every walk observes exactly one timestamp, and no
+// multi-key commit is torn across a reader.
+func runKV(hist *check.History, build string, seed int64, threads, keys, ops int) *check.Report {
+	st, err := kvstore.New(build, 4, 64) // the ordered builds ignore the layout
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	type historied interface{ AttachKVHistory(*check.History) }
-	hst, ok := st.(historied)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "store %s records no KV history\n", build)
-		os.Exit(2)
-	}
-	hst.AttachKVHistory(hist) // before any session, so every session records
+	// Before any session, so every session records.
+	st.(interface{ AttachKVHistory(*check.History) }).AttachKVHistory(hist)
 	defer st.Close()
 
 	var seq atomic.Uint64
@@ -325,7 +328,7 @@ func runIndex(hist *check.History, build string, seed int64, threads, keys, ops 
 		go func(id int) {
 			defer wg.Done()
 			defer live.Add(-1)
-			sess := st.Session().(kvstore.OrderedSession)
+			sess := st.Session().(kvstore.TxnSession)
 			defer sess.Close()
 			rng := rand.New(rand.NewSource(seed + int64(id)*6151))
 			for n := 0; n < ops; n++ {
@@ -363,7 +366,7 @@ func runIndex(hist *check.History, build string, seed int64, threads, keys, ops 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sess := st.Session().(kvstore.OrderedSession)
+		sess := st.Session()
 		defer sess.Close()
 		var paced int64
 		for n := 0; !stopChurn.Load(); n++ {
@@ -384,12 +387,21 @@ func runIndex(hist *check.History, build string, seed int64, threads, keys, ops 
 	// writer has swept the range at least four times *while scans were
 	// running* — on a loaded host the reader could otherwise burn its
 	// whole scan budget before the churn goroutine is first scheduled.
-	reader := st.Session().(kvstore.OrderedSession)
+	reader := st.Session()
+	ord, isOrdered := reader.(kvstore.OrderedSession)
 	lo, hi := fmt.Sprintf("k%04d", keys/8), fmt.Sprintf("k%04d", keys-1-keys/8)
+	all := func(k, v string) bool { return true }
 	for i := 0; live.Load() > 0 || i < 256 || churned.Load() < int64(4*keys); i++ {
-		reader.RangeAscend(lo, hi, func(k, v string) bool { return true })
-		if i%3 == 0 {
-			reader.RangeDescend("k0000", hi, func(k, v string) bool { return true })
+		if isOrdered {
+			ord.RangeAscend(lo, hi, all)
+			if i%3 == 0 {
+				ord.RangeDescend("k0000", hi, all)
+			}
+		} else {
+			reader.ForEachPrefix("k", all)
+			if i%3 == 0 {
+				reader.ForEach(all)
+			}
 		}
 		scans.Add(1)
 	}

@@ -70,7 +70,7 @@ const (
 	EvRCUSyncStart
 	EvRCUSyncEnd
 
-	// KV-index events (internal/index ordered stores; validated by
+	// KV-store events (every kvstore single-domain build; validated by
 	// CheckKV). A KV history is recorded separately from the engine-level
 	// history: Check rejects these kinds and CheckKV rejects the ones
 	// above, so the two layers can never be conflated.
@@ -79,13 +79,15 @@ const (
 	// (History.KeyID), TS = the commit timestamp, Aux = ValueHash of the
 	// written value (0 for a delete, which also sets FlagFree), Aux2 =
 	// transaction id (0 for a single-key commit; every write of one
-	// multi-key transaction shares one id and one TS). Recorded under
-	// the index writer mutex immediately after the commit, so ticket
-	// order equals commit order.
+	// multi-key transaction shares one id and one TS). Recorded after
+	// the commit publishes and under its body's writer locks, so per
+	// key ticket order equals commit order.
 	EvKVWrite
-	// EvKVRangeBegin: a range walk pinned its snapshot. TS = the
-	// section's snapshot timestamp, Obj/Aux = interned lo/hi key ids
-	// (inclusive bounds), FlagRev for a descending walk. Recorded
+	// EvKVRangeBegin: a walk pinned its snapshot. TS = the section's
+	// snapshot timestamp, Obj/Aux = interned lo/hi key ids (inclusive
+	// bounds), FlagRev for a descending walk. With FlagPrefix it is a
+	// prefix walk: Obj = the prefix, Aux unused, and the pairs come in
+	// no key order (a hash tower walks in bucket order). Recorded
 	// before the walk's first load, so a write ticketed earlier was
 	// fully published before the walk began — the edge the stale and
 	// missing-key rules stand on.
@@ -146,6 +148,8 @@ const (
 	FlagPartial
 	// FlagRev marks a descending EvKVRangeBegin.
 	FlagRev
+	// FlagPrefix marks an EvKVRangeBegin of an unordered prefix walk.
+	FlagPrefix
 )
 
 // Event is one record in a history. Field meaning depends on Kind; see

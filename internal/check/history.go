@@ -8,11 +8,12 @@ import "sync"
 const DefaultMaxEvents = 1 << 20
 
 // History collects one execution's events. Create with NewHistory,
-// attach to an engine (core.Options.Check, rlu/rcu AttachHistory, index
-// AttachKVHistory) before its first thread or session, run the workload,
-// quiesce it, then hand the History to Check/CheckRCU/CheckKV. Recording
-// starts at attachment: a history that missed the engine's early commits
-// would report their later observations as violations.
+// attach to an engine (core.Options.Check, rlu/rcu AttachHistory, a
+// kvstore build's AttachKVHistory) before its first thread or session,
+// run the workload, quiesce it, then hand the History to
+// Check/CheckRCU/CheckKV. Recording starts at attachment: a history that
+// missed the engine's early commits would report their later
+// observations as violations.
 //
 // Threads record into private streams handed out by ThreadRec; only the
 // GC/watermark events share the mutex-guarded global stream. A stream

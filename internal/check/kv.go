@@ -3,30 +3,44 @@ package check
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // This file is the KV layer of the checker: recording and validation for
-// the ordered-index stores (internal/index). Where checker.go proves the
-// ENGINE's snapshot rules over object ids and version chains, CheckKV
-// proves the INDEX's contract over keys and values:
+// the kvstore builds (the hash builds and the internal/index ordered
+// ones, all recorded by kvstore.TowerSession). Where checker.go proves
+// the ENGINE's snapshot rules over object ids and version chains,
+// CheckKV proves the STORE's contract over keys and values, for range
+// walks and prefix walks alike:
 //
-//   - range-snapshot: a range walk observes exactly one timestamp — no
-//     value it yields was committed after the walk's pinned snapshot;
+//   - range-snapshot: a walk observes exactly one timestamp — no value
+//     it yields was committed after the walk's pinned snapshot;
 //   - range-stale / range-missing: the walk yields the NEWEST visible
 //     write of every key in its bounds — nothing older, nothing skipped;
 //   - torn-txn: a multi-key transaction is never observed torn — once a
 //     reader sees one key of a transaction, it must see every key the
 //     transaction wrote inside the walked bounds at least that new.
 //
-// Soundness leans on two recording disciplines the index guarantees:
-// writes are recorded under the index-wide writer mutex immediately
-// after their commit (so ticket order = commit order, and a write
-// ticketed before a walk's EvKVRangeBegin was fully published before the
-// walk's first load), and EvKVRangeBegin is recorded before that first
-// load. Observations are matched to writes by (key, ValueHash);
-// ambiguous matches (the same value written twice to one key) are
-// conservatively skipped, so harnesses that want the rules to have teeth
-// write values unique per (key, write).
+// Soundness needs no global writer lock; writers on disjoint slot
+// locks commit and record concurrently. It leans on three recording
+// disciplines every build keeps:
+//
+//   - A write is recorded after its commit publishes, and under its
+//     body's writer locks. One key maps to one writer lock (its slot on
+//     a hash build, the index mutex on an ordered one), so for any key
+//     ticket order equals commit order (kvstore's
+//     TestHookBeforeNextCommit pins this on every build).
+//   - EvKVRangeBegin is ticketed before the walk's first load. Tickets
+//     come from one atomic counter, so a write ticketed before it was
+//     published before that load, whichever locks the writer held.
+//   - Every rule compares tickets only between writes to ONE key, or
+//     between a write and a walk's EvKVRangeBegin. None needs a global
+//     order across keys, so none is scoped to a single writer lock.
+//
+// Observations are matched to writes by (key, ValueHash); ambiguous
+// matches (the same value written twice to one key) are conservatively
+// skipped, so harnesses that want the rules to have teeth write values
+// unique per (key, write).
 
 // ValueHash fingerprints a value for KV events (FNV-1a).
 func ValueHash(s string) uint64 {
@@ -66,10 +80,11 @@ func (h *History) keyStrings() []string {
 	return append([]string(nil), h.keyStrs...)
 }
 
-// KVWrite records one committed index mutation: key id, commit timestamp
-// cts, value fingerprint vhash (ignored for a delete), transaction id
-// txn (0 for single-key commits). Record under the index writer mutex,
-// after the commit and before the next writer can enter.
+// KVWrite records one committed store mutation: key id, commit
+// timestamp cts, value fingerprint vhash (ignored for a delete),
+// transaction id txn (0 for single-key commits). Record after the commit
+// publishes and under its writer locks, before the key's next writer
+// can enter.
 func (r *ThreadRec) KVWrite(key, cts, vhash, txn uint64, del bool) {
 	e := Event{Kind: EvKVWrite, Obj: key, TS: cts, Aux: vhash, Aux2: txn}
 	if del {
@@ -79,14 +94,12 @@ func (r *ThreadRec) KVWrite(key, cts, vhash, txn uint64, del bool) {
 	r.record(e)
 }
 
-// KVRangeBegin records a range walk pinning snapshot ts over the
-// inclusive key-id bounds [lo, hi]. Call BEFORE the walk's first load.
-func (r *ThreadRec) KVRangeBegin(ts, lo, hi uint64, rev bool) {
-	e := Event{Kind: EvKVRangeBegin, TS: ts, Obj: lo, Aux: hi}
-	if rev {
-		e.Flags = FlagRev
-	}
-	r.record(e)
+// KVRangeBegin records a walk pinning snapshot ts over the inclusive
+// key-id bounds [lo, hi]; flags is 0, FlagRev (descending) or FlagPrefix
+// (an unordered walk of the keys with prefix lo; hi unused). Call BEFORE
+// the walk's first load.
+func (r *ThreadRec) KVRangeBegin(ts, lo, hi uint64, flags uint8) {
+	r.record(Event{Kind: EvKVRangeBegin, TS: ts, Obj: lo, Aux: hi, Flags: flags})
 }
 
 // KVRangeObs records one observed pair of the open range walk.
@@ -117,11 +130,11 @@ type kvObs struct {
 
 // kvRange is one walk with its observations.
 type kvRange struct {
-	ts               uint64
-	lo, hi           uint64 // key ids
-	beginSeq, endSeq uint64
-	rev, partial     bool
-	obs              []kvObs
+	ts                   uint64
+	lo, hi               uint64 // key ids; lo is the prefix of a prefix walk
+	beginSeq, endSeq     uint64
+	rev, prefix, partial bool
+	obs                  []kvObs
 }
 
 // CheckKV validates a KV-index history and returns the verdict. Like
@@ -168,8 +181,8 @@ func CheckKV(h *History, o Opts) *Report {
 					cur.partial = true
 					ranges = append(ranges, *cur)
 				}
-				cur = &kvRange{ts: e.TS, lo: e.Obj, hi: e.Aux,
-					rev: e.Flags&FlagRev != 0, beginSeq: e.Seq}
+				cur = &kvRange{ts: e.TS, lo: e.Obj, hi: e.Aux, beginSeq: e.Seq,
+					rev: e.Flags&FlagRev != 0, prefix: e.Flags&FlagPrefix != 0}
 			case EvKVRangeObs:
 				if cur == nil {
 					r.add("kv-structure", "thread %d: range obs outside a walk (%v)", ti, e)
@@ -225,8 +238,8 @@ func CheckKV(h *History, o Opts) *Report {
 
 	// Per-key commit-order monotonicity. Sound only for an exact clock
 	// (B == 0: rlu write clock, vanilla version counter, mvrlu global
-	// counter clock): commits to one key serialize on the index writer
-	// mutex, record in that order, and an exact clock never regresses.
+	// counter clock): commits to one key serialize on its writer lock,
+	// record in that order, and an exact clock never regresses.
 	// Under ORDO skew (B > 0) two adjacent commits' hardware-clock reads
 	// may legally invert by up to B, so the rule is skipped.
 	if B == 0 {
@@ -255,27 +268,36 @@ func CheckKV(h *History, o Opts) *Report {
 		rng := &ranges[ri]
 		S := rng.ts
 		visible := func(cts uint64) bool { return cts <= S && S-cts >= B }
+		// inBounds is the walk's key set: [lo, hi], or the keys with
+		// prefix lo for a prefix walk.
 		lo, hi := name(rng.lo), name(rng.hi)
+		walk := fmt.Sprintf("range [%s,%s]", lo, hi)
+		inBounds := func(k string) bool { return lo <= k && k <= hi }
+		if rng.prefix {
+			walk = fmt.Sprintf("prefix walk %q", lo)
+			inBounds = func(k string) bool { return strings.HasPrefix(k, lo) }
+		}
 		r.Derefs += len(rng.obs)
 
-		// Structure: bounds, ordering, duplicates.
+		// Structure: bounds, ordering (prefix walks yield no key order),
+		// duplicates.
 		seen := map[uint64]bool{}
 		prev := ""
 		for i, ob := range rng.obs {
 			k := name(ob.key)
-			if k < lo || k > hi {
-				r.add("kv-range-bounds", "range [%s,%s]: observed out-of-bounds key %s", lo, hi, k)
+			if !inBounds(k) {
+				r.add("kv-range-bounds", "%s: observed out-of-bounds key %s", walk, k)
 			}
 			if seen[ob.key] {
-				r.add("kv-range-bounds", "range [%s,%s]: key %s observed twice", lo, hi, k)
+				r.add("kv-range-bounds", "%s: key %s observed twice", walk, k)
 			}
 			seen[ob.key] = true
-			if i > 0 {
+			if i > 0 && !rng.prefix {
 				if !rng.rev && k <= prev {
-					r.add("kv-range-bounds", "ascending range [%s,%s]: %s observed after %s", lo, hi, k, prev)
+					r.add("kv-range-bounds", "ascending %s: %s observed after %s", walk, k, prev)
 				}
 				if rng.rev && k >= prev {
-					r.add("kv-range-bounds", "descending range [%s,%s]: %s observed after %s", lo, hi, k, prev)
+					r.add("kv-range-bounds", "descending %s: %s observed after %s", walk, k, prev)
 				}
 			}
 			prev = k
@@ -293,8 +315,8 @@ func CheckKV(h *History, o Opts) *Report {
 			}
 			if len(cands) == 0 {
 				if truncSeq == 0 {
-					r.add("kv-unknown-value", "range [%s,%s]@ts=%d: key %s holds a value no recorded write produced",
-						lo, hi, S, name(ob.key))
+					r.add("kv-unknown-value", "%s@ts=%d: key %s holds a value no recorded write produced",
+						walk, S, name(ob.key))
 				}
 				continue
 			}
@@ -311,8 +333,8 @@ func CheckKV(h *History, o Opts) *Report {
 			// ambiguity discipline for CHAINED versions is the engine
 			// checker's snapshot rule, not this layer's.
 			if w.cts > S {
-				r.add("kv-range-snapshot", "range [%s,%s] pinned ts=%d observed key %s committed at ts=%d — two timestamps in one walk",
-					lo, hi, S, name(ob.key), w.cts)
+				r.add("kv-range-snapshot", "%s pinned ts=%d observed key %s committed at ts=%d — two timestamps in one walk",
+					walk, S, name(ob.key), w.cts)
 				continue
 			}
 			// Stale-within-range: a strictly newer write to this key,
@@ -321,35 +343,38 @@ func CheckKV(h *History, o Opts) *Report {
 			// returned instead.
 			for _, w2 := range byKey[ob.key] {
 				if w2.seq > w.seq && w2.seq < rng.beginSeq && visible(w2.cts) {
-					r.add("kv-range-stale", "range [%s,%s]@ts=%d: key %s observed at ts=%d but a visible write at ts=%d (seq %d) predates the walk",
-						lo, hi, S, name(ob.key), w.cts, w2.cts, w2.seq)
+					r.add("kv-range-stale", "%s@ts=%d: key %s observed at ts=%d but a visible write at ts=%d (seq %d) predates the walk",
+						walk, S, name(ob.key), w.cts, w2.cts, w2.seq)
 					break
 				}
 			}
 			matched[ob.key] = w
 		}
 
-		// Effective bounds for absence rules: a partial walk only proves
-		// absence up to the last key it yielded.
-		effLo, effHi := lo, hi
-		absenceOK := true
+		// covered is the key span whose absence the walk proves, from
+		// its smallest key: all of its bounds when it ran to the end; up
+		// to the last key yielded when an ordered walk stopped early;
+		// nothing when a prefix walk did, since it yields no key order.
+		from, covered := lo, inBounds
 		if rng.partial {
-			if len(rng.obs) == 0 {
-				absenceOK = false
+			if len(rng.obs) == 0 || rng.prefix {
+				covered = func(string) bool { return false }
 			} else if last := name(rng.obs[len(rng.obs)-1].key); rng.rev {
-				effLo = last
+				from, covered = last, func(k string) bool { return last <= k && k <= hi }
 			} else {
-				effHi = last
+				covered = func(k string) bool { return lo <= k && k <= last }
 			}
 		}
 
 		// Missing-within-range: key k in the covered span, newest
 		// visible write ticketed before the walk is a Set, and no
 		// visible write at all was ticketed during/after the walk that
-		// could explain a racing change — the walk had to yield k.
-		if absenceOK && truncSeq == 0 {
-			i := sort.Search(len(order), func(i int) bool { return order[i].s >= effLo })
-			for ; i < len(order) && order[i].s <= effHi; i++ {
+		// could explain a racing change — the walk had to yield k. The
+		// covered span is contiguous in key order, prefix walks'
+		// included.
+		if truncSeq == 0 {
+			i := sort.Search(len(order), func(i int) bool { return order[i].s >= from })
+			for ; i < len(order) && covered(order[i].s); i++ {
 				id := order[i].id
 				if seen[id] {
 					continue
@@ -369,8 +394,8 @@ func CheckKV(h *History, o Opts) *Report {
 					}
 				}
 				if vStar != nil && !vStar.del && !lateVisible {
-					r.add("kv-range-missing", "range [%s,%s]@ts=%d: key %s set at ts=%d (seq %d) before the walk, visible, never deleted — but absent",
-						lo, hi, S, order[i].s, vStar.cts, vStar.seq)
+					r.add("kv-range-missing", "%s@ts=%d: key %s set at ts=%d (seq %d) before the walk, visible, never deleted — but absent",
+						walk, S, order[i].s, vStar.cts, vStar.seq)
 				}
 			}
 		}
@@ -390,20 +415,20 @@ func CheckKV(h *History, o Opts) *Report {
 					continue
 				}
 				k2 := name(gw.key)
-				if k2 < lo || k2 > hi {
+				if !inBounds(k2) {
 					continue
 				}
 				if m2, ok := matched[gw.key]; ok {
 					if m2.seq < gw.seq {
-						r.add("kv-torn-txn", "range [%s,%s]@ts=%d: txn %d (ts=%d) torn — key %s observed from the txn but %s observed older (seq %d < %d)",
-							lo, hi, S, w.txn, w.cts, name(w.key), k2, m2.seq, gw.seq)
+						r.add("kv-torn-txn", "%s@ts=%d: txn %d (ts=%d) torn — key %s observed from the txn but %s observed older (seq %d < %d)",
+							walk, S, w.txn, w.cts, name(w.key), k2, m2.seq, gw.seq)
 					}
 					continue
 				}
 				if seen[gw.key] || gw.del {
 					continue // unmatched observation (ambiguous) or txn's own delete
 				}
-				if k2 < effLo || k2 > effHi || !absenceOK || truncSeq != 0 {
+				if !covered(k2) || truncSeq != 0 {
 					continue
 				}
 				excused := false
@@ -414,8 +439,8 @@ func CheckKV(h *History, o Opts) *Report {
 					}
 				}
 				if !excused {
-					r.add("kv-torn-txn", "range [%s,%s]@ts=%d: txn %d (ts=%d) torn — key %s observed from the txn but %s is absent",
-						lo, hi, S, w.txn, w.cts, name(w.key), k2)
+					r.add("kv-torn-txn", "%s@ts=%d: txn %d (ts=%d) torn — key %s observed from the txn but %s is absent",
+						walk, S, w.txn, w.cts, name(w.key), k2)
 				}
 			}
 		}

@@ -27,14 +27,14 @@ func TestKVCleanHistory(t *testing.T) {
 	w.KVWrite(h.KeyID("a"), 20, ValueHash("a2"), 7, false)
 	w.KVWrite(h.KeyID("b"), 20, ValueHash("b2"), 7, false)
 
-	rd.KVRangeBegin(25, h.KeyID("a"), h.KeyID("c"), false)
+	rd.KVRangeBegin(25, h.KeyID("a"), h.KeyID("c"), 0)
 	kvObserve(h, rd, "a", "a2")
 	kvObserve(h, rd, "b", "b2")
 	kvObserve(h, rd, "c", "c1")
 	rd.KVRangeEnd(false)
 
 	// Descending walk over the same snapshot.
-	rd.KVRangeBegin(25, h.KeyID("a"), h.KeyID("c"), true)
+	rd.KVRangeBegin(25, h.KeyID("a"), h.KeyID("c"), FlagRev)
 	kvObserve(h, rd, "c", "c1")
 	kvObserve(h, rd, "b", "b2")
 	kvObserve(h, rd, "a", "a2")
@@ -56,7 +56,7 @@ func TestKVRangeSnapshotViolation(t *testing.T) {
 	kvSet(h, w, "a", "a1", 10)
 	kvSet(h, w, "b", "b1", 12)
 
-	rd.KVRangeBegin(15, h.KeyID("a"), h.KeyID("b"), false)
+	rd.KVRangeBegin(15, h.KeyID("a"), h.KeyID("b"), 0)
 	kvObserve(h, rd, "a", "a1")
 	// The write lands mid-walk with a later timestamp, and the walk
 	// observes it anyway: a mixed-timestamp range read.
@@ -83,7 +83,7 @@ func TestKVTornTxnViolation(t *testing.T) {
 	w.KVWrite(h.KeyID("a"), 20, ValueHash("a2"), 9, false)
 	w.KVWrite(h.KeyID("b"), 20, ValueHash("b2"), 9, false)
 
-	rd.KVRangeBegin(25, h.KeyID("a"), h.KeyID("b"), false)
+	rd.KVRangeBegin(25, h.KeyID("a"), h.KeyID("b"), 0)
 	kvObserve(h, rd, "a", "a2") // from txn 9
 	kvObserve(h, rd, "b", "b1") // pre-txn value: torn
 	rd.KVRangeEnd(false)
@@ -104,7 +104,7 @@ func TestKVTornTxnAbsent(t *testing.T) {
 	w.KVWrite(h.KeyID("a"), 20, ValueHash("a2"), 3, false)
 	w.KVWrite(h.KeyID("b"), 20, ValueHash("b2"), 3, false)
 
-	rd.KVRangeBegin(25, h.KeyID("a"), h.KeyID("b"), false)
+	rd.KVRangeBegin(25, h.KeyID("a"), h.KeyID("b"), 0)
 	kvObserve(h, rd, "a", "a2")
 	// b absent although txn 3 wrote it inside the bounds.
 	rd.KVRangeEnd(false)
@@ -138,7 +138,7 @@ func TestKVRangeMissing(t *testing.T) {
 	kvSet(h, w, "b", "b1", 11)
 	kvSet(h, w, "c", "c1", 12)
 
-	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("c"), false)
+	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("c"), 0)
 	kvObserve(h, rd, "a", "a1")
 	kvObserve(h, rd, "c", "c1") // b skipped
 	rd.KVRangeEnd(false)
@@ -156,7 +156,7 @@ func TestKVRangeMissingPartialExcused(t *testing.T) {
 	kvSet(h, w, "a", "a1", 10)
 	kvSet(h, w, "b", "b1", 11)
 
-	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("b"), false)
+	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("b"), 0)
 	kvObserve(h, rd, "a", "a1")
 	rd.KVRangeEnd(true) // early stop after a
 	wantClean(t, CheckKV(h, Opts{}))
@@ -171,7 +171,7 @@ func TestKVRangeStale(t *testing.T) {
 	kvSet(h, w, "a", "a1", 10)
 	kvSet(h, w, "a", "a2", 12)
 
-	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("a"), false)
+	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("a"), 0)
 	kvObserve(h, rd, "a", "a1")
 	rd.KVRangeEnd(false)
 
@@ -188,7 +188,7 @@ func TestKVRangeBounds(t *testing.T) {
 	kvSet(h, w, "b", "b1", 10)
 	kvSet(h, w, "z", "z1", 10)
 
-	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("b"), false)
+	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("b"), 0)
 	kvObserve(h, rd, "b", "b1")
 	kvObserve(h, rd, "a", "a1") // misordered for an ascending walk
 	kvObserve(h, rd, "a", "a1") // duplicate
@@ -208,9 +208,9 @@ func TestKVStructure(t *testing.T) {
 	rd := h.ThreadRec()
 	rd.KVRangeObs(1, 2) // obs outside a walk
 	rd.KVRangeEnd(false)
-	rd.KVRangeBegin(10, 1, 2, false)
-	rd.KVRangeBegin(10, 1, 2, false) // nested
-	rd.KVWrite(1, 5, 1, 0, false)    // write inside an open walk
+	rd.KVRangeBegin(10, 1, 2, 0)
+	rd.KVRangeBegin(10, 1, 2, 0)  // nested
+	rd.KVWrite(1, 5, 1, 0, false) // write inside an open walk
 	rd.KVRangeEnd(false)
 	rd.Begin(3) // engine event in a KV history
 
@@ -229,7 +229,7 @@ func TestKVAmbiguityWindowWriteback(t *testing.T) {
 	w, rd := h.ThreadRec(), h.ThreadRec()
 	kvSet(h, w, "a", "a1", 98)
 
-	rd.KVRangeBegin(100, h.KeyID("a"), h.KeyID("a"), false)
+	rd.KVRangeBegin(100, h.KeyID("a"), h.KeyID("a"), 0)
 	kvObserve(h, rd, "a", "a1") // cts=98, S=100, B=5: inside the window
 	rd.KVRangeEnd(false)
 
@@ -245,7 +245,7 @@ func TestKVDeleteExcusesAbsence(t *testing.T) {
 	kvSet(h, w, "b", "b1", 11)
 	w.KVWrite(h.KeyID("b"), 12, 0, 0, true) // delete b
 
-	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("b"), false)
+	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("b"), 0)
 	kvObserve(h, rd, "a", "a1")
 	rd.KVRangeEnd(false)
 
@@ -259,10 +259,85 @@ func TestKVUnknownValue(t *testing.T) {
 	w, rd := h.ThreadRec(), h.ThreadRec()
 	kvSet(h, w, "a", "a1", 10)
 
-	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("a"), false)
+	rd.KVRangeBegin(20, h.KeyID("a"), h.KeyID("a"), 0)
 	kvObserve(h, rd, "a", "phantom")
 	rd.KVRangeEnd(false)
 
 	rep := CheckKV(h, Opts{})
 	wantRule(t, rep, "kv-unknown-value", "no recorded write")
+}
+
+// TestKVPrefixWalkClean: a prefix walk yields its keys in bucket order,
+// as a hash build's does, and misses no key with the prefix; keys
+// outside the prefix are neither expected nor flagged.
+func TestKVPrefixWalkClean(t *testing.T) {
+	h := NewHistory(0)
+	w, rd := h.ThreadRec(), h.ThreadRec()
+	kvSet(h, w, "p:a", "a1", 10)
+	kvSet(h, w, "p:b", "b1", 11)
+	kvSet(h, w, "p:c", "c1", 12)
+	kvSet(h, w, "q:a", "q1", 13)
+
+	rd.KVRangeBegin(20, h.KeyID("p:"), 0, FlagPrefix)
+	kvObserve(h, rd, "p:c", "c1")
+	kvObserve(h, rd, "p:a", "a1")
+	kvObserve(h, rd, "p:b", "b1")
+	rd.KVRangeEnd(false)
+	wantClean(t, CheckKV(h, Opts{}))
+}
+
+// TestKVPrefixWalkBounds: a prefix walk that yields a key without the
+// prefix is out of bounds.
+func TestKVPrefixWalkBounds(t *testing.T) {
+	h := NewHistory(0)
+	w, rd := h.ThreadRec(), h.ThreadRec()
+	kvSet(h, w, "p:a", "a1", 10)
+	kvSet(h, w, "q:a", "q1", 11)
+
+	rd.KVRangeBegin(20, h.KeyID("p:"), 0, FlagPrefix)
+	kvObserve(h, rd, "q:a", "q1")
+	kvObserve(h, rd, "p:a", "a1")
+	rd.KVRangeEnd(false)
+	wantRule(t, CheckKV(h, Opts{}), "kv-range-bounds", "out-of-bounds key q:a")
+}
+
+// TestKVPrefixWalkMissing: a complete prefix walk must yield every
+// visible key with the prefix; a partial one proves no absence, since
+// its pairs come in no key order.
+func TestKVPrefixWalkMissing(t *testing.T) {
+	for _, partial := range []bool{false, true} {
+		h := NewHistory(0)
+		w, rd := h.ThreadRec(), h.ThreadRec()
+		kvSet(h, w, "p:a", "a1", 10)
+		kvSet(h, w, "p:b", "b1", 11)
+		kvSet(h, w, "p:c", "c1", 12)
+
+		rd.KVRangeBegin(20, h.KeyID("p:"), 0, FlagPrefix)
+		kvObserve(h, rd, "p:c", "c1") // p:a and p:b not yielded
+		rd.KVRangeEnd(partial)
+		rep := CheckKV(h, Opts{})
+		if partial {
+			wantClean(t, rep)
+		} else {
+			wantRule(t, rep, "kv-range-missing", "key p:a")
+		}
+	}
+}
+
+// TestKVPrefixWalkTornTxn: a prefix walk that sees one key of a
+// transaction new and another older is torn, whatever the order it
+// yields them in.
+func TestKVPrefixWalkTornTxn(t *testing.T) {
+	h := NewHistory(0)
+	w, rd := h.ThreadRec(), h.ThreadRec()
+	kvSet(h, w, "p:a", "a1", 10)
+	kvSet(h, w, "p:b", "b1", 10)
+	w.KVWrite(h.KeyID("p:a"), 20, ValueHash("a2"), 3, false)
+	w.KVWrite(h.KeyID("p:b"), 20, ValueHash("b2"), 3, false)
+
+	rd.KVRangeBegin(25, h.KeyID("p:"), 0, FlagPrefix)
+	kvObserve(h, rd, "p:b", "b1")
+	kvObserve(h, rd, "p:a", "a2")
+	rd.KVRangeEnd(false)
+	wantRule(t, CheckKV(h, Opts{}), "kv-torn-txn", "observed older")
 }

@@ -22,10 +22,11 @@
 //
 // Each is a kvstore.Tower behind the shared kvstore.TowerSession, which
 // owns the one commit routine behind Set/Remove/ApplyTxn, hook delivery,
-// write recording and trace spans. This package adds only what ordered
-// builds have (session.go): the range walks with their KV-history
-// bracketing, and the skiplists' writer half — the index mutex and the
-// tower heights drawn under it. A tower (mvrlu.go, rlu.go, vanilla.go)
+// trace spans, the snapshot walk and all KV-history recording. This
+// package adds only what ordered builds have (session.go): RangeAscend
+// and RangeDescend, each one TowerSession.Scan over a tower walk, and
+// the skiplists' writer half — the index mutex and the tower heights
+// drawn under it. A tower (mvrlu.go, rlu.go, vanilla.go)
 // is a node type plus the loops that Deref: findPreds, the splices,
 // Apply (one Execute), Get, and the ascending and descending walks. The
 // seam is crossed a bounded number of times per operation, never per

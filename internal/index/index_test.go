@@ -313,14 +313,20 @@ func TestConcurrentTorture(t *testing.T) {
 
 // TestKVCheckClean runs a concurrent load with KV-history recording on
 // every build and asserts CheckKV passes — the positive control for the
-// planted-mutation gate.
+// planted-mutation gates. The hash builds use a small layout (4 slots ×
+// 64 buckets), so a walk stays short and a two-key body still crosses
+// slot locks. Every build's reader walks a prefix, whole and stopped
+// early; the ordered builds' reader also walks ranges both ways.
 func TestKVCheckClean(t *testing.T) {
-	for _, build := range builds {
+	for _, build := range kvstore.Names() {
 		t.Run(build, func(t *testing.T) {
-			s := newStore(t, build)
+			s, err := kvstore.New(build, 4, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
 			h := check.NewHistory(0)
-			type historied interface{ AttachKVHistory(*check.History) }
-			s.(historied).AttachKVHistory(h)
+			s.(interface{ AttachKVHistory(*check.History) }).AttachKVHistory(h)
 
 			var seq atomic.Uint64
 			var live atomic.Int32
@@ -331,7 +337,7 @@ func TestKVCheckClean(t *testing.T) {
 				go func(seed int64) {
 					defer wg.Done()
 					defer live.Add(-1)
-					sess := ordered(t, s)
+					sess := txnSession(t, s)
 					rng := rand.New(rand.NewSource(seed))
 					for i := 0; i < 400; i++ {
 						k := fmt.Sprintf("c%03d", rng.Intn(64))
@@ -350,11 +356,20 @@ func TestKVCheckClean(t *testing.T) {
 					}
 				}(int64(wi)*31 + 5)
 			}
-			reader := ordered(t, s)
+			reader := txnSession(t, s)
+			ord, _ := reader.(kvstore.OrderedSession)
+			all := func(k, v string) bool { return true }
 			for i := 0; live.Load() > 0 || i < 50; i++ {
-				reader.RangeAscend("c010", "c050", func(k, v string) bool { return true })
+				reader.ForEachPrefix("c03", all)
 				if i%3 == 0 {
-					reader.RangeDescend("c000", "c030", func(k, v string) bool { return true })
+					n := 0
+					reader.ForEach(func(k, v string) bool { n++; return n < 8 })
+				}
+				if ord != nil {
+					ord.RangeAscend("c010", "c050", all)
+					if i%3 == 0 {
+						ord.RangeDescend("c000", "c030", all)
+					}
 				}
 			}
 			wg.Wait()

@@ -64,9 +64,7 @@ func (s *MVIndex) Close() { s.d.Close() }
 
 // Session implements Store.
 func (s *MVIndex) Session() kvstore.Session {
-	k := &session{}
-	k.init(&s.StoreBase, s.hist, &mvTower{head: s.head, h: s.d.Register(), writer: writer{sl: &s.skiplist}})
-	return k
+	return newSession(&s.StoreBase, &mvTower{head: s.head, h: s.d.Register(), writer: writer{sl: &s.skiplist}})
 }
 
 // mvTower implements tower over one registered engine thread.
@@ -78,7 +76,7 @@ type mvTower struct {
 
 func (t *mvTower) ReadLock()          { t.h.ReadLock() }
 func (t *mvTower) ReadUnlock()        { t.h.ReadUnlock() }
-func (t *mvTower) snapshotTS() uint64 { return t.h.SnapshotTS() }
+func (t *mvTower) SnapshotTS() uint64 { return t.h.SnapshotTS() }
 func (t *mvTower) Close()             { t.h.Unregister() }
 func (t *mvTower) ThreadID() int      { return t.h.ID() }
 
@@ -216,7 +214,7 @@ func (t *mvTower) Walk(prefix string, fn func(key, value string) bool) {
 
 // The mutateRangeUnpin re-pin is the planted checker tooth (see
 // mutate_off.go), in both walks.
-func (t *mvTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) bool {
+func (t *mvTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) {
 	h := t.h
 	var preds [maxHeight]*core.Object[mvNode]
 	x, _ := t.findPreds(lo, &preds)
@@ -232,11 +230,10 @@ func (t *mvTower) walk(lo, hi string, bounded bool, fn func(key, value string) b
 			break
 		}
 		if !fn(d.key, d.val) {
-			return false
+			return
 		}
 		x = d.next[0]
 	}
-	return true
 }
 
 // walkDesc seeks hi, then steps down by finger search: preds holds the
@@ -246,14 +243,14 @@ func (t *mvTower) walk(lo, hi string, bounded bool, fn func(key, value string) b
 // levels below h are searched again, from preds[h]. A step costs O(1)
 // derefs expected — a few, against one for an ascending step — rather
 // than a fresh O(log n) search.
-func (t *mvTower) walkDesc(lo, hi string, fn func(key, value string) bool) bool {
+func (t *mvTower) walkDesc(lo, hi string, fn func(key, value string) bool) {
 	if lo > hi {
-		return true
+		return
 	}
 	h := t.h
 	var preds [maxHeight]*core.Object[mvNode]
 	if at, d := t.findPreds(hi, &preds); at != nil && d.key == hi && !fn(d.key, d.val) {
-		return false
+		return
 	}
 	for n := 0; preds[0] != t.head; n++ {
 		if mutateRangeUnpin && n > 0 && n%4 == 0 {
@@ -265,7 +262,7 @@ func (t *mvTower) walkDesc(lo, hi string, fn func(key, value string) bool) bool 
 			break
 		}
 		if !fn(d.key, d.val) {
-			return false
+			return
 		}
 		from := t.head
 		if d.h < maxHeight {
@@ -273,5 +270,4 @@ func (t *mvTower) walkDesc(lo, hi string, fn func(key, value string) bool) bool 
 		}
 		t.seek(d.key, from, d.h, &preds)
 	}
-	return true
 }

@@ -47,9 +47,7 @@ func (s *RLUIndex) Stats() rlu.Stats { return s.d.Stats() }
 
 // Session implements Store.
 func (s *RLUIndex) Session() kvstore.Session {
-	k := &session{}
-	k.init(&s.StoreBase, s.hist, &rluTower{head: s.head, h: s.d.Register(), writer: writer{sl: &s.skiplist}})
-	return k
+	return newSession(&s.StoreBase, &rluTower{head: s.head, h: s.d.Register(), writer: writer{sl: &s.skiplist}})
 }
 
 // rluTower implements tower over one RLU thread; every loop mirrors
@@ -62,7 +60,7 @@ type rluTower struct {
 
 func (t *rluTower) ReadLock()          { t.h.ReadLock() }
 func (t *rluTower) ReadUnlock()        { t.h.ReadUnlock() }
-func (t *rluTower) snapshotTS() uint64 { return t.h.SnapshotTS() }
+func (t *rluTower) SnapshotTS() uint64 { return t.h.SnapshotTS() }
 func (t *rluTower) Close()             {}
 func (t *rluTower) ThreadID() int      { return -1 }
 
@@ -183,7 +181,7 @@ func (t *rluTower) Walk(prefix string, fn func(key, value string) bool) {
 	t.walk(prefix, "", false, prefixed(prefix, fn))
 }
 
-func (t *rluTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) bool {
+func (t *rluTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) {
 	h := t.h
 	var preds [maxHeight]*rlu.Object[rNode]
 	x, _ := t.findPreds(lo, &preds)
@@ -197,21 +195,20 @@ func (t *rluTower) walk(lo, hi string, bounded bool, fn func(key, value string) 
 			break
 		}
 		if !fn(d.key, d.val) {
-			return false
+			return
 		}
 		x = d.next[0]
 	}
-	return true
 }
 
-func (t *rluTower) walkDesc(lo, hi string, fn func(key, value string) bool) bool {
+func (t *rluTower) walkDesc(lo, hi string, fn func(key, value string) bool) {
 	if lo > hi {
-		return true
+		return
 	}
 	h := t.h
 	var preds [maxHeight]*rlu.Object[rNode]
 	if at, d := t.findPreds(hi, &preds); at != nil && d.key == hi && !fn(d.key, d.val) {
-		return false
+		return
 	}
 	for n := 0; preds[0] != t.head; n++ {
 		if mutateRangeUnpin && n > 0 && n%4 == 0 {
@@ -223,7 +220,7 @@ func (t *rluTower) walkDesc(lo, hi string, fn func(key, value string) bool) bool
 			break
 		}
 		if !fn(d.key, d.val) {
-			return false
+			return
 		}
 		from := t.head
 		if d.h < maxHeight {
@@ -231,5 +228,4 @@ func (t *rluTower) walkDesc(lo, hi string, fn func(key, value string) bool) bool
 		}
 		t.seek(d.key, from, d.h, &preds)
 	}
-	return true
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 
-	"mvrlu/internal/check"
 	"mvrlu/internal/kvstore"
 )
 
@@ -27,7 +26,6 @@ type VanillaIndex struct {
 	vals map[string]string
 
 	verClock uint64 // guarded by mu
-	hist     *check.History
 }
 
 // NewVanillaIndex creates an empty baseline ordered index.
@@ -43,13 +41,8 @@ func (v *VanillaIndex) Close() {}
 
 // Session implements Store.
 func (v *VanillaIndex) Session() kvstore.Session {
-	k := &session{}
-	k.init(&v.StoreBase, v.hist, vanIdxTower{v})
-	return k
+	return newSession(&v.StoreBase, vanIdxTower{v})
 }
-
-// AttachKVHistory makes sessions created afterwards record KV events.
-func (v *VanillaIndex) AttachKVHistory(h *check.History) { v.hist = h }
 
 // search returns the sorted position of key and whether it is present.
 // Caller holds mu (either mode).
@@ -101,7 +94,7 @@ func (t vanIdxTower) ReadLock()                   { t.v.mu.RLock() }
 func (t vanIdxTower) ReadUnlock()                 { t.v.mu.RUnlock() }
 func (t vanIdxTower) Close()                      {}
 func (t vanIdxTower) ThreadID() int               { return -1 }
-func (t vanIdxTower) snapshotTS() uint64          { return t.v.verClock }
+func (t vanIdxTower) SnapshotTS() uint64          { return t.v.verClock }
 
 func (t vanIdxTower) Get(key string) (string, bool) {
 	t.v.mu.RLock()
@@ -130,18 +123,18 @@ func (t vanIdxTower) Walk(prefix string, fn func(key, value string) bool) {
 	t.scan(prefix, "", false, false, prefixed(prefix, fn))
 }
 
-func (t vanIdxTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) bool {
-	return t.scan(lo, hi, bounded, false, fn)
+func (t vanIdxTower) walk(lo, hi string, bounded bool, fn func(key, value string) bool) {
+	t.scan(lo, hi, bounded, false, fn)
 }
 
-func (t vanIdxTower) walkDesc(lo, hi string, fn func(key, value string) bool) bool {
-	return t.scan(lo, hi, true, true, fn)
+func (t vanIdxTower) walkDesc(lo, hi string, fn func(key, value string) bool) {
+	t.scan(lo, hi, true, true, fn)
 }
 
 // scan walks the window from either end inside the caller's read lock.
 // The mutateRangeUnpin tooth drops and retakes the lock mid-walk
 // (re-seeking by key), tearing the snapshot.
-func (t vanIdxTower) scan(lo, hi string, bounded, desc bool, fn func(key, value string) bool) bool {
+func (t vanIdxTower) scan(lo, hi string, bounded, desc bool, fn func(key, value string) bool) {
 	v := t.v
 	i, j := v.window(lo, hi, bounded)
 	for n := 0; i < j; n++ {
@@ -165,7 +158,7 @@ func (t vanIdxTower) scan(lo, hi string, bounded, desc bool, fn func(key, value 
 			p = j - 1
 		}
 		if key := v.keys[p]; !fn(key, v.vals[key]) {
-			return false
+			return
 		}
 		if desc {
 			j--
@@ -173,5 +166,4 @@ func (t vanIdxTower) scan(lo, hi string, bounded, desc bool, fn func(key, value 
 			i++
 		}
 	}
-	return true
 }

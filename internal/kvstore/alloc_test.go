@@ -9,22 +9,23 @@ import (
 	_ "mvrlu/internal/index"
 )
 
-// allocRows bounds the heap allocations of one Get and one update-Set
-// (the key already present) per build, with no slack: a change that
-// raises a count must raise its row and say why. The rlu builds' Set
-// allocations are the RLU engine's write-set bookkeeping, not the
-// session's.
-var allocRows = map[string]struct{ get, set float64 }{
-	"mvrlu-kv":    {0, 0},
-	"rlu-kv":      {0, 3},
-	"vanilla":     {0, 0},
-	"mvrlu-idx":   {0, 0},
-	"rlu-idx":     {0, 3},
-	"vanilla-idx": {0, 0},
+// allocRows bounds the heap allocations per build of one Get, one
+// update-Set (the key already present), one ForEachPrefix and, on the
+// ordered builds, one RangeAscend and one RangeDescend, each walk
+// stopping after 16 pairs — with no slack: a change that raises a count
+// must raise its row and say why. The rlu builds' Set allocations are
+// the RLU engine's write-set bookkeeping, not the session's.
+var allocRows = map[string]struct{ get, set, prefix16, range16 float64 }{
+	"mvrlu-kv":    {0, 0, 0, 0},
+	"rlu-kv":      {0, 3, 0, 0},
+	"vanilla":     {0, 0, 0, 0},
+	"mvrlu-idx":   {0, 0, 0, 0},
+	"rlu-idx":     {0, 3, 0, 0},
+	"vanilla-idx": {0, 0, 0, 0},
 }
 
-// TestAllocsPerOp measures Get and update-Set allocations with
-// testing.AllocsPerRun over 1000 preloaded keys on every build.
+// TestAllocsPerOp measures Get, update-Set and 16-pair walk allocations
+// with testing.AllocsPerRun over 1000 preloaded keys on every build.
 func TestAllocsPerOp(t *testing.T) {
 	const nkeys = 1000
 	keys := make([]string, nkeys)
@@ -62,6 +63,34 @@ func TestAllocsPerOp(t *testing.T) {
 			}
 			if set > row.set {
 				t.Errorf("%v allocations per update-Set, want at most %v", set, row.set)
+			}
+			n := 0
+			first16 := func(k, v string) bool { n++; return n < 16 }
+			prefix := testing.AllocsPerRun(100, func() {
+				n = 0
+				sess.ForEachPrefix("key:0", first16)
+			})
+			t.Logf("%s: %v allocs per 16-pair ForEachPrefix", name, prefix)
+			if prefix > row.prefix16 {
+				t.Errorf("%v allocations per 16-pair ForEachPrefix, want at most %v", prefix, row.prefix16)
+			}
+			ord, ok := sess.(kvstore.OrderedSession)
+			if !ok {
+				return
+			}
+			for _, desc := range []bool{false, true} {
+				rng := testing.AllocsPerRun(100, func() {
+					n = 0
+					if desc {
+						ord.RangeDescend("key:0100", "key:0900", first16)
+					} else {
+						ord.RangeAscend("key:0100", "key:0900", first16)
+					}
+				})
+				t.Logf("%s: %v allocs per 16-pair range (desc %v)", name, rng, desc)
+				if rng > row.range16 {
+					t.Errorf("%v allocations per 16-pair range (desc %v), want at most %v", rng, desc, row.range16)
+				}
 			}
 		})
 	}

@@ -80,29 +80,16 @@ func WALCutoffs(Store) map[uint32]uint64 { return nil }
 // Builds without a core.Engine need no wait (their commits are visible
 // at hook time).
 func WaitVisible(st Store, minTS map[uint32]uint64) {
-	forEachShard(st, func(i int, sh Store) {
-		ts, ok := minTS[uint32(i)]
-		if !ok {
-			return
-		}
-		e, ok := sh.(core.Engine)
-		if !ok {
-			return
-		}
-		for e.Now() < ts {
-			time.Sleep(50 * time.Microsecond)
-		}
-	})
-}
-
-// forEachShard visits the component stores of a Sharded composite, or
-// the store itself (index 0) when unsharded.
-func forEachShard(st Store, fn func(i int, sh Store)) {
+	shards := []Store{st}
 	if s, ok := st.(*Sharded); ok {
-		for i, sh := range s.shards {
-			fn(i, sh)
-		}
-		return
+		shards = s.shards
 	}
-	fn(0, st)
+	for i, sh := range shards {
+		ts, logged := minTS[uint32(i)]
+		if e, ok := sh.(core.Engine); ok && logged {
+			for e.Now() < ts {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}
 }

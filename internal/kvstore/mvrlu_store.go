@@ -54,7 +54,7 @@ func (s *MVRLUStore) Close() { s.d.Close() }
 func (s *MVRLUStore) Session() Session {
 	t := &mvTable{s: s, h: s.d.Register(), slotWriter: slotWriter{locks: s.locks}}
 	k := &TowerSession{}
-	k.Init(&s.StoreBase, t, nil, nil)
+	k.Init(&s.StoreBase, t)
 	return k
 }
 
@@ -106,9 +106,10 @@ type mvTable struct {
 	slotWriter
 }
 
-func (t *mvTable) ReadLock()     { t.h.ReadLock() }
-func (t *mvTable) ReadUnlock()   { t.h.ReadUnlock() }
-func (t *mvTable) ThreadID() int { return t.h.ID() }
+func (t *mvTable) ReadLock()          { t.h.ReadLock() }
+func (t *mvTable) ReadUnlock()        { t.h.ReadUnlock() }
+func (t *mvTable) SnapshotTS() uint64 { return t.h.SnapshotTS() }
+func (t *mvTable) ThreadID() int      { return t.h.ID() }
 
 // Close unregisters the engine thread, removing it from the watermark
 // scan so a retired pool handle cannot hold reclamation back.
@@ -150,6 +151,15 @@ func (t *mvTable) Get(key string) (string, bool) {
 }
 
 func (t *mvTable) Apply(ops []TxnOp, keep []int, removed []bool) uint64 {
+	if mutateSplitBody && len(keep) > 1 {
+		// Planted bug (mutate_off.go): two commits, splitBodyGap between.
+		hashes := t.hashes
+		t.hashes = hashes[:1]
+		t.Apply(ops, keep[:1], removed)
+		splitBodyGap()
+		t.hashes = hashes[1:]
+		return t.Apply(ops, keep[1:], removed)
+	}
 	t.h.Execute(func(*core.Thread[kvNode]) bool {
 		for j, i := range keep {
 			op, root := ops[i], t.root(t.hashes[j])

@@ -54,7 +54,7 @@ func (s *RLUStore) Stats() rlu.Stats { return s.d.Stats() }
 func (s *RLUStore) Session() Session {
 	t := &rluTable{s: s, h: s.d.Register(), slotWriter: slotWriter{locks: s.locks}}
 	k := &TowerSession{}
-	k.Init(&s.StoreBase, t, nil, nil)
+	k.Init(&s.StoreBase, t)
 	return k
 }
 
@@ -66,9 +66,10 @@ type rluTable struct {
 	slotWriter
 }
 
-func (t *rluTable) ReadLock()     { t.h.ReadLock() }
-func (t *rluTable) ReadUnlock()   { t.h.ReadUnlock() }
-func (t *rluTable) ThreadID() int { return -1 }
+func (t *rluTable) ReadLock()          { t.h.ReadLock() }
+func (t *rluTable) ReadUnlock()        { t.h.ReadUnlock() }
+func (t *rluTable) SnapshotTS() uint64 { return t.h.SnapshotTS() }
+func (t *rluTable) ThreadID() int      { return -1 }
 
 // Close is a no-op: the RLU registry has no thread removal (the RLU
 // design assumes a fixed thread set), so the handle merely stops being

@@ -42,6 +42,9 @@ type Tower interface {
 	Walk(prefix string, fn func(key, value string) bool)
 	ReadLock()
 	ReadUnlock()
+	// SnapshotTS is the open read section's timestamp: the engine
+	// thread's entry timestamp, or the vanilla clock under the read lock.
+	SnapshotTS() uint64
 	// ThreadID is the engine registry id of the tower's thread handle —
 	// the id the stall detector names when its snapshot pins the
 	// watermark — or -1 on a build without that detector.
@@ -51,15 +54,21 @@ type Tower interface {
 }
 
 // StoreBase is the store half every single-domain build embeds: the
-// session count, the commit hooks and the transaction sequence.
+// session count, the commit hooks, and the KV history with its
+// transaction sequence.
 type StoreBase struct {
 	sessions atomic.Int64
+	hist     *check.History
 	// txnSeq numbers multi-op commits in the KV history. Atomic: writers
 	// on disjoint slots commit concurrently.
 	txnSeq  atomic.Uint64
 	hook    CommitHook
 	txnHook TxnHook
 }
+
+// AttachKVHistory makes every session created afterwards record its
+// commits and snapshot walks into h for check.CheckKV.
+func (b *StoreBase) AttachKVHistory(h *check.History) { b.hist = h }
 
 // NumSessions implements Store.
 func (b *StoreBase) NumSessions() int { return int(b.sessions.Load()) }
@@ -75,14 +84,14 @@ func (b *StoreBase) SetTxnCommitHook(h TxnHook) { b.txnHook = h }
 // TowerSession is the whole TxnSession surface of every single-domain
 // build: the one commit routine behind Set, Remove and
 // ApplyTxn (lock, apply, record, deliver), trace spans, and the one
-// snapshot scan behind ForEach and ForEachPrefix. Everything
-// build-specific is behind the Tower. A build embeds it next to its
-// tower, or allocates it alone, and calls Init.
+// snapshot walk behind ForEach, ForEachPrefix and the ordered builds'
+// ranges. Everything build-specific is behind the Tower. A build embeds
+// it next to its tower, or allocates it alone, and calls Init.
 type TowerSession struct {
-	b    *StoreBase
-	tw   Tower
+	b  *StoreBase
+	tw Tower
+	// crec records into b's KV history; nil when none was attached.
 	crec *check.ThreadRec
-	hist *check.History
 	// tr is the active request trace; nil costs writers one pointer
 	// test per operation.
 	tr *obs.Trace
@@ -97,11 +106,14 @@ type TowerSession struct {
 // keepOnly is the effective-op list of a one-op body; read-only.
 var keepOnly = []int{0}
 
-// Init opens the session on b over tw. With crec non-nil every commit
-// is recorded into hist under the writer locks.
-func (k *TowerSession) Init(b *StoreBase, tw Tower, crec *check.ThreadRec, hist *check.History) {
+// Init opens the session on b over tw. With a KV history attached to b
+// the session records every commit and snapshot walk into it.
+func (k *TowerSession) Init(b *StoreBase, tw Tower) {
 	b.sessions.Add(1)
-	k.b, k.tw, k.crec, k.hist = b, tw, crec, hist
+	k.b, k.tw = b, tw
+	if b.hist != nil {
+		k.crec = b.hist.ThreadRec()
+	}
 }
 
 // SetTrace implements TxnSession: write paths stamp lock-wait (the
@@ -153,7 +165,7 @@ func (k *TowerSession) ApplyTxn(ops []TxnOp) []bool {
 // Everything after Apply runs under the tower's writer locks, so for any
 // key history tickets and hook calls are in commit order.
 func (k *TowerSession) commit(ops []TxnOp, removed []bool, group bool) {
-	b, tw, tr := k.b, k.tw, k.tr
+	tw, tr := k.tw, k.tr
 	keep, eff := keepOnly, k.eff1[:0]
 	if group {
 		keep = compressTxn(ops)
@@ -184,11 +196,7 @@ func (k *TowerSession) commit(ops []TxnOp, removed []bool, group bool) {
 		return
 	}
 	if k.crec != nil {
-		var txn uint64
-		if len(eff) > 1 {
-			txn = b.txnSeq.Add(1)
-		}
-		recordWrites(k.crec, k.hist, eff, txn)
+		k.record(eff)
 	}
 	k.deliver(eff, group)
 }
@@ -218,29 +226,63 @@ func (k *TowerSession) deliver(eff []CommitOp, group bool) {
 	}
 }
 
-// ForEach implements Session: one snapshot critical section around one
-// tower walk.
+// ForEach implements Session: ForEachPrefix with the empty prefix.
 func (k *TowerSession) ForEach(fn func(key, value string) bool) { k.ForEachPrefix("", fn) }
 
-// ForEachPrefix implements Session: ForEach restricted to prefix, in
-// the same single snapshot.
+// ForEachPrefix implements Session: the tower's prefix walk, recorded
+// as an unordered prefix walk.
 func (k *TowerSession) ForEachPrefix(prefix string, fn func(key, value string) bool) {
-	k.tw.ReadLock()
-	defer k.tw.ReadUnlock()
-	k.tw.Walk(prefix, fn)
+	k.scan(prefix, "", check.FlagPrefix, func(visit func(key, value string) bool) { k.tw.Walk(prefix, visit) }, fn)
 }
 
-// recordWrites publishes committed ops into the KV history as
-// transaction txn (0 for a single write). Callers are still inside the
+// Scan is an ordered build's range read over lo <= key <= hi: walk runs
+// the tower's ascending or descending walk, passing visit each pair.
+func (k *TowerSession) Scan(lo, hi string, desc bool, walk func(visit func(key, value string) bool), fn func(key, value string) bool) {
+	var flags uint8
+	if desc {
+		flags = check.FlagRev
+	}
+	k.scan(lo, hi, flags, walk, fn)
+}
+
+// scan is every snapshot read: ONE read section around one tower walk,
+// which stops as soon as fn does. With a KV history attached the walk
+// is bracketed: KVRangeBegin before its first load (a write ticketed
+// earlier was published before the walk began), one observation per
+// pair in fn's order, and KVRangeEnd, partial when fn stopped it.
+func (k *TowerSession) scan(lo, hi string, flags uint8, walk func(visit func(key, value string) bool), fn func(key, value string) bool) {
+	k.tw.ReadLock()
+	defer k.tw.ReadUnlock()
+	if k.crec == nil {
+		walk(fn)
+		return
+	}
+	crec, hist := k.crec, k.b.hist
+	crec.KVRangeBegin(k.tw.SnapshotTS(), hist.KeyID(lo), hist.KeyID(hi), flags)
+	stopped := false
+	walk(func(key, val string) bool {
+		crec.KVRangeObs(hist.KeyID(key), check.ValueHash(val))
+		stopped = !fn(key, val)
+		return !stopped
+	})
+	crec.KVRangeEnd(stopped)
+}
+
+// record publishes committed ops into the KV history, as one
+// transaction when there are several. Callers are still inside the
 // commit's writer locks, so ticket order equals commit order per key —
 // the ordering CheckKV's stale/absence rules assume.
-func recordWrites(crec *check.ThreadRec, hist *check.History, eff []CommitOp, txn uint64) {
+func (k *TowerSession) record(eff []CommitOp) {
+	var txn uint64
+	if len(eff) > 1 {
+		txn = k.b.txnSeq.Add(1)
+	}
 	for _, op := range eff {
 		var vh uint64
 		if !op.Del {
 			vh = check.ValueHash(op.Value)
 		}
-		crec.KVWrite(hist.KeyID(op.Key), op.TS, vh, txn, op.Del)
+		k.crec.KVWrite(k.b.hist.KeyID(op.Key), op.TS, vh, txn, op.Del)
 	}
 }
 

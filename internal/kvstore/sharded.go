@@ -103,36 +103,19 @@ func (k *shardedSession) Get(key string) (string, bool) { return k.shard(key).Ge
 func (k *shardedSession) Set(key, value string)         { k.shard(key).Set(key, value) }
 func (k *shardedSession) Remove(key string) bool        { return k.shard(key).Remove(key) }
 
-// ForEach visits every record, shard by shard in index order. Each
-// shard's visit is one consistent snapshot; the composite is a sequence
-// of per-shard snapshots, not one global one (see the type comment).
-func (k *shardedSession) ForEach(fn func(key, value string) bool) {
-	for _, sub := range k.subs {
-		stopped := false
-		sub.ForEach(func(key, value string) bool {
-			if !fn(key, value) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
-	}
-}
+// ForEach implements Session: ForEachPrefix with the empty prefix.
+func (k *shardedSession) ForEach(fn func(key, value string) bool) { k.ForEachPrefix("", fn) }
 
-// ForEachPrefix is ForEach restricted to a prefix, same per-shard
-// snapshot semantics.
+// ForEachPrefix visits the records with prefix shard by shard, in index
+// order. Each shard's visit is one consistent snapshot; the composite is
+// a sequence of per-shard snapshots, not one global one (see the type
+// comment).
 func (k *shardedSession) ForEachPrefix(prefix string, fn func(key, value string) bool) {
+	stopped := false
 	for _, sub := range k.subs {
-		stopped := false
 		sub.ForEachPrefix(prefix, func(key, value string) bool {
-			if !fn(key, value) {
-				stopped = true
-				return false
-			}
-			return true
+			stopped = !fn(key, value)
+			return !stopped
 		})
 		if stopped {
 			return

@@ -15,7 +15,10 @@
 // its sessions through one TowerSession (session.go): the one commit
 // routine behind Set, Remove and ApplyTxn — take the writer locks,
 // apply the body in one commit, record it, deliver it to the hooks —
-// plus trace spans and the snapshot scan behind ForEach. What differs
+// plus trace spans and the one snapshot walk behind ForEach and the
+// ordered builds' ranges. KV-history recording for check.CheckKV is
+// part of both, so every build records once AttachKVHistory (on
+// StoreBase) is called. What differs
 // per build is a Tower: its node type, its writer locks and the loops
 // that read and write its structure. The three hash towers lock the
 // distinct slots of a body's keys in ascending slot order and apply the

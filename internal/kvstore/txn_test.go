@@ -6,6 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"mvrlu/internal/check"
+	"mvrlu/internal/core"
 )
 
 // TestHashTxnAtomicVisibility: a transaction on a hash build spans
@@ -122,5 +125,42 @@ func TestSlotLocksAscending(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("slots locked in order %v, want %v", got, want)
 		}
+	}
+}
+
+// TestKVCheckCatchesSplitBody is the hash builds' checker tooth, and
+// deterministic: a reader walks the store while a two-key body commits,
+// on the writer's goroutine (an MV-RLU reader never waits for a writer),
+// and CheckKV must find the history clean. Built with -tags
+// mvrlu_mutate, mvrlu-kv commits the body as two Executes and the reader
+// walks in the gap between them, seeing the first key new and the second
+// old: CheckKV reports the torn body (kv-range-snapshot or kv-torn-txn),
+// and the test must fail on every run — the check-si gate asserts it
+// does. Without the tag there is no gap: the reader walks after the one
+// commit, and the test is the clean control.
+func TestKVCheckCatchesSplitBody(t *testing.T) {
+	s := NewMVRLUStore(4, 64, core.DefaultOptions())
+	defer s.Close()
+	h := check.NewHistory(0)
+	s.AttachKVHistory(h)
+	writer, reader := s.Session().(TxnSession), s.Session()
+	defer writer.Close()
+	defer reader.Close()
+	writer.Set("s:a", "a0")
+	writer.Set("s:b", "b0")
+
+	walks := 0
+	walk := func() {
+		reader.ForEach(func(k, v string) bool { return true })
+		walks++
+	}
+	splitBodyGap = walk
+	defer func() { splitBodyGap = func() {} }()
+	writer.ApplyTxn([]TxnOp{{Key: "s:a", Value: "a1"}, {Key: "s:b", Value: "b1"}})
+	if walks == 0 {
+		walk()
+	}
+	if rep := check.CheckKV(h, check.Opts{Boundary: s.Boundary()}); !rep.Ok() || rep.Sections != 1 {
+		t.Fatalf("CheckKV: %s", rep)
 	}
 }

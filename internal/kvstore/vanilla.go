@@ -26,7 +26,8 @@ type Vanilla struct {
 	locks   slotLocks
 	roots   []*vNode // bucket trees, slot-major (rootOf)
 	buckets int
-	// clock stamps commits; ticked under the global write lock.
+	// clock stamps commits; ticked under the global write lock, read
+	// under the read lock as a snapshot's timestamp.
 	clock uint64
 }
 
@@ -48,7 +49,7 @@ func (v *Vanilla) Close() {}
 // Session implements Store.
 func (v *Vanilla) Session() Session {
 	k := &TowerSession{}
-	k.Init(&v.StoreBase, &vanillaTower{v: v, slotWriter: slotWriter{locks: v.locks}}, nil, nil)
+	k.Init(&v.StoreBase, &vanillaTower{v: v, slotWriter: slotWriter{locks: v.locks}})
 	return k
 }
 
@@ -60,10 +61,11 @@ type vanillaTower struct {
 	slotWriter
 }
 
-func (t *vanillaTower) ReadLock()     { t.v.global.RLock() }
-func (t *vanillaTower) ReadUnlock()   { t.v.global.RUnlock() }
-func (t *vanillaTower) Close()        {}
-func (t *vanillaTower) ThreadID() int { return -1 }
+func (t *vanillaTower) ReadLock()          { t.v.global.RLock() }
+func (t *vanillaTower) ReadUnlock()        { t.v.global.RUnlock() }
+func (t *vanillaTower) SnapshotTS() uint64 { return t.v.clock }
+func (t *vanillaTower) Close()             {}
+func (t *vanillaTower) ThreadID() int      { return -1 }
 
 // root is the link to the bucket tree of a key hashing to h.
 func (t *vanillaTower) root(h uint64) **vNode {
