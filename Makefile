@@ -97,7 +97,8 @@ trace-smoke:
 # Snapshot-isolation checker gate: race-built replay runs on all three
 # engines (with and without injected clock skew), a checker-attached
 # torture pass, and mutation runs — a build with -tags mvrlu_mutate
-# plants known engine bugs (including a late-publishing commit word), so
+# plants known engine bugs (including a late-publishing commit word and,
+# on mvrlu-kv, a split body and a late-published bucket sentinel), so
 # the checker, the commit-word test and each engine's no-wait test MUST
 # flag it; the gate goes red if a mutated run comes back clean.
 check-si:
@@ -135,6 +136,15 @@ check-si:
 		fi; \
 		echo "$$out" | grep -qE 'kv-range-snapshot|kv-torn-txn' || { echo "$$out"; echo "FAIL: no torn-body report (-cpu $$cpu)"; exit 1; }; \
 		echo "ok: CheckKV caught the split body (-cpu $$cpu)"; \
+	done
+	@echo "late-sentinel mutation runs (each must FAIL with a kv-range-missing report):"
+	@$(GO) test -count=1 -cpu 1,2 -run '^TestKVCheckCatchesLateBucket$$' ./internal/kvstore >/dev/null || { echo "FAIL: TestKVCheckCatchesLateBucket fails unmutated"; exit 1; }
+	@for cpu in 1 2; do \
+		if out=$$($(GO) test -tags mvrlu_mutate -count=1 -cpu $$cpu -run '^TestKVCheckCatchesLateBucket$$' ./internal/kvstore 2>&1); then \
+			echo "FAIL: TestKVCheckCatchesLateBucket passed with late sentinels planted (-cpu $$cpu)"; exit 1; \
+		fi; \
+		echo "$$out" | grep -q 'kv-range-missing' || { echo "$$out"; echo "FAIL: no kv-range-missing report (-cpu $$cpu)"; exit 1; }; \
+		echo "ok: CheckKV caught the late sentinel (-cpu $$cpu)"; \
 	done
 	@echo "late-publish mutation runs (each must FAIL: the word-level test and every engine's no-wait test):"
 	@for pt in clock:TestLatePublishTearsSnapshot core:TestReaderStampsCommittingHeader \

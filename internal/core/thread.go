@@ -817,7 +817,15 @@ func (t *Thread[T]) getWSHeader() *clock.CommitWord {
 		// > retire-ts + boundary: the straggler has exited, and its
 		// ReadUnlock ordered all its loads before the scan that
 		// produced this watermark — it can never observe the reset.
-		if e.ts < t.d.watermark.Load() {
+		// A full pool whose oldest header the broadcast has not passed
+		// means the detector has not published for a whole pool of
+		// commits (stalled, panicking, descheduled): refresh once
+		// through the coalesced thread-side path (at most one scan per
+		// freshness window) rather than allocate on every commit until
+		// it does. A pool with room just grows, so the write path adds
+		// no scans and GC write-back timing stays the detector's.
+		if e.ts < t.d.watermark.Load() ||
+			t.wsPoolTail-t.wsPoolHead == wsPoolCap && e.ts < t.refreshWatermark(t.d.wmFreshness) {
 			t.wsPoolHead++
 			e.h.Reset()
 			return e.h

@@ -2,11 +2,12 @@
 
 package kvstore
 
-// mutateSplitBody is the hash builds' planted mutation (see the
-// Makefile's check-si gate): built with -tags mvrlu_mutate, mvrlu-kv
-// commits a multi-op body as two Executes and calls splitBodyGap
-// between them. TestKVCheckCatchesSplitBody walks the store in the gap,
-// and CheckKV must report the torn body; CI asserts it does.
-const mutateSplitBody = false
+// The hash builds' planted mutations (Makefile check-si), on mvrlu-kv
+// under -tags mvrlu_mutate: a multi-op body commits as two Executes with
+// splitBodyGap between, and a new bucket's sentinel is stored only at
+// Unlock, after the body is committed and recorded, lateBucketGap first.
+// TestKVCheckCatchesSplitBody and TestKVCheckCatchesLateBucket walk the
+// store in those gaps, and CheckKV must report each; CI asserts it does.
+const mutateSplitBody, mutateLateBucket = false, false
 
-var splitBodyGap = func() {}
+var splitBodyGap, lateBucketGap = func() {}, func() {}

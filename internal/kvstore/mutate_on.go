@@ -2,8 +2,7 @@
 
 package kvstore
 
-// See mutate_off.go: a multi-op body commits in two Executes, with
-// splitBodyGap between them.
-const mutateSplitBody = true
+// See mutate_off.go.
+const mutateSplitBody, mutateLateBucket = true, true
 
-var splitBodyGap = func() {}
+var splitBodyGap, lateBucketGap = func() {}, func() {}

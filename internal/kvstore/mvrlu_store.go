@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"strings"
+	"sync/atomic"
 
 	"mvrlu/internal/core"
 )
@@ -24,24 +25,20 @@ type MVRLUStore struct {
 	core.Engine
 	d       *core.Domain[kvNode]
 	locks   slotLocks
-	roots   []*core.Object[kvNode] // sentinel headers, slot-major; trees hang off left
+	roots   []atomic.Pointer[core.Object[kvNode]] // bucket sentinels, slot-major; trees hang off left
 	buckets int
 }
 
 // NewMVRLUStore creates an MV-RLU-backed store.
 func NewMVRLUStore(slots, bucketsPerSlot int, opts core.Options) *MVRLUStore {
 	d := core.NewDomain[kvNode](opts)
-	s := &MVRLUStore{
+	return &MVRLUStore{
 		Engine:  d,
 		d:       d,
 		locks:   make(slotLocks, slots),
-		roots:   make([]*core.Object[kvNode], slots*bucketsPerSlot),
+		roots:   make([]atomic.Pointer[core.Object[kvNode]], slots*bucketsPerSlot),
 		buckets: bucketsPerSlot,
 	}
-	for i := range s.roots {
-		s.roots[i] = core.NewObject(kvNode{})
-	}
-	return s
 }
 
 // Name implements Store.
@@ -72,8 +69,10 @@ func (s *MVRLUStore) ChainMetrics() (records, versions, maxChain int) {
 	defer h.Unregister()
 	var objs []*core.Object[kvNode]
 	h.ReadLock()
-	for _, root := range s.roots {
-		objs = collectObjs(h, h.Deref(root).left, objs)
+	for i := range s.roots {
+		if root := s.roots[i].Load(); root != nil {
+			objs = collectObjs(h, h.Deref(root).left, objs)
+		}
 	}
 	h.ReadUnlock()
 	for _, o := range objs {
@@ -104,6 +103,7 @@ type mvTable struct {
 	s *MVRLUStore
 	h *core.Thread[kvNode]
 	slotWriter
+	late func() // mutateLateBucket's deferred sentinel store
 }
 
 func (t *mvTable) ReadLock()          { t.h.ReadLock() }
@@ -115,15 +115,37 @@ func (t *mvTable) ThreadID() int      { return t.h.ID() }
 // scan so a retired pool handle cannot hold reclamation back.
 func (t *mvTable) Close() { t.h.Unregister() }
 
-// root is the bucket tree of a key hashing to h.
-func (t *mvTable) root(h uint64) *core.Object[kvNode] {
-	return t.s.roots[rootOf(h, len(t.locks), t.s.buckets)]
+// root holds the bucket sentinel of a key hashing to h (nil: empty).
+func (t *mvTable) root(h uint64) *atomic.Pointer[core.Object[kvNode]] {
+	return &t.s.roots[rootOf(h, len(t.locks), t.s.buckets)]
 }
 
-// findKV descends to key. left reports which child of parent holds node.
+// sentinel is the tree a Set links into (see sentinel[O]); with
+// mutateLateBucket a new one is stored only at Unlock.
+func (t *mvTable) sentinel(r *atomic.Pointer[core.Object[kvNode]]) *core.Object[kvNode] {
+	if mutateLateBucket && r.Load() == nil {
+		s := new(core.Object[kvNode])
+		t.late = func() { lateBucketGap(); r.Store(s) }
+		return s
+	}
+	return sentinel(r)
+}
+
+func (t *mvTable) Unlock() {
+	if mutateLateBucket && t.late != nil {
+		t.late()
+		t.late = nil
+	}
+	t.slotWriter.Unlock()
+}
+
+// findKV descends to key from its bucket's sentinel (nil: an empty
+// bucket). left reports which child of parent holds node.
 func findKV(h *core.Thread[kvNode], root *core.Object[kvNode], key string) (parent, node *core.Object[kvNode], left bool) {
 	parent, left = root, true
-	node = h.Deref(root).left
+	if root != nil {
+		node = h.Deref(root).left
+	}
 	for node != nil {
 		d := h.Deref(node)
 		if d.key == key {
@@ -141,7 +163,7 @@ func findKV(h *core.Thread[kvNode], root *core.Object[kvNode], key string) (pare
 
 func (t *mvTable) Get(key string) (string, bool) {
 	t.h.ReadLock()
-	_, node, _ := findKV(t.h, t.root(hashString(key)), key)
+	_, node, _ := findKV(t.h, t.root(hashString(key)).Load(), key)
 	var val string
 	if node != nil {
 		val = t.h.Deref(node).value
@@ -162,14 +184,14 @@ func (t *mvTable) Apply(ops []TxnOp, keep []int, removed []bool) uint64 {
 	}
 	t.h.Execute(func(*core.Thread[kvNode]) bool {
 		for j, i := range keep {
-			op, root := ops[i], t.root(t.hashes[j])
+			op, r := ops[i], t.root(t.hashes[j])
 			if !op.Del {
-				if !t.set(root, op.Key, op.Value) {
+				if !t.set(t.sentinel(r), op.Key, op.Value) {
 					return false
 				}
 				continue
 			}
-			rm, ok := t.del(root, op.Key)
+			rm, ok := t.del(r.Load(), op.Key)
 			if !ok {
 				return false
 			}
@@ -269,8 +291,8 @@ func (t *mvTable) del(root *core.Object[kvNode], key string) (removed, ok bool) 
 // Walk visits every tree in slot-major order, filtering on prefix: the
 // hashed layout has no prefix to seek.
 func (t *mvTable) Walk(prefix string, fn func(key, value string) bool) {
-	for _, root := range t.s.roots {
-		if !t.walk(t.h.Deref(root).left, prefix, fn) {
+	for i := range t.s.roots {
+		if root := t.s.roots[i].Load(); root != nil && !t.walk(t.h.Deref(root).left, prefix, fn) {
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"strings"
+	"sync/atomic"
 
 	"mvrlu/internal/rlu"
 )
@@ -23,22 +24,18 @@ type RLUStore struct {
 	StoreBase
 	d       *rlu.Domain[rkvNode]
 	locks   slotLocks
-	roots   []*rlu.Object[rkvNode]
+	roots   []atomic.Pointer[rlu.Object[rkvNode]]
 	buckets int
 }
 
 // NewRLUStore creates an RLU-backed store.
 func NewRLUStore(slots, bucketsPerSlot int) *RLUStore {
-	s := &RLUStore{
+	return &RLUStore{
 		d:       rlu.NewDomain[rkvNode](rlu.ClockGlobal),
 		locks:   make(slotLocks, slots),
-		roots:   make([]*rlu.Object[rkvNode], slots*bucketsPerSlot),
+		roots:   make([]atomic.Pointer[rlu.Object[rkvNode]], slots*bucketsPerSlot),
 		buckets: bucketsPerSlot,
 	}
-	for i := range s.roots {
-		s.roots[i] = rlu.NewObject(rkvNode{})
-	}
-	return s
 }
 
 // Name implements Store.
@@ -76,13 +73,15 @@ func (t *rluTable) ThreadID() int      { return -1 }
 // used.
 func (t *rluTable) Close() {}
 
-func (t *rluTable) root(h uint64) *rlu.Object[rkvNode] {
-	return t.s.roots[rootOf(h, len(t.locks), t.s.buckets)]
+func (t *rluTable) root(h uint64) *atomic.Pointer[rlu.Object[rkvNode]] {
+	return &t.s.roots[rootOf(h, len(t.locks), t.s.buckets)]
 }
 
 func rluFindKV(h *rlu.Thread[rkvNode], root *rlu.Object[rkvNode], key string) (parent, node *rlu.Object[rkvNode], left bool) {
 	parent, left = root, true
-	node = h.Deref(root).left
+	if root != nil {
+		node = h.Deref(root).left
+	}
 	for node != nil {
 		d := h.Deref(node)
 		if d.key == key {
@@ -100,7 +99,7 @@ func rluFindKV(h *rlu.Thread[rkvNode], root *rlu.Object[rkvNode], key string) (p
 
 func (t *rluTable) Get(key string) (string, bool) {
 	t.h.ReadLock()
-	_, node, _ := rluFindKV(t.h, t.root(hashString(key)), key)
+	_, node, _ := rluFindKV(t.h, t.root(hashString(key)).Load(), key)
 	var val string
 	if node != nil {
 		val = t.h.Deref(node).value
@@ -112,14 +111,14 @@ func (t *rluTable) Get(key string) (string, bool) {
 func (t *rluTable) Apply(ops []TxnOp, keep []int, removed []bool) uint64 {
 	t.h.Execute(func(*rlu.Thread[rkvNode]) bool {
 		for j, i := range keep {
-			op, root := ops[i], t.root(t.hashes[j])
+			op, r := ops[i], t.root(t.hashes[j])
 			if !op.Del {
-				if !t.set(root, op.Key, op.Value) {
+				if !t.set(sentinel(r), op.Key, op.Value) {
 					return false
 				}
 				continue
 			}
-			rm, ok := t.del(root, op.Key)
+			rm, ok := t.del(r.Load(), op.Key)
 			if !ok {
 				return false
 			}
@@ -213,8 +212,8 @@ func (t *rluTable) del(root *rlu.Object[rkvNode], key string) (removed, ok bool)
 }
 
 func (t *rluTable) Walk(prefix string, fn func(key, value string) bool) {
-	for _, root := range t.s.roots {
-		if !t.walk(t.h.Deref(root).left, prefix, fn) {
+	for i := range t.s.roots {
+		if root := t.s.roots[i].Load(); root != nil && !t.walk(t.h.Deref(root).left, prefix, fn) {
 			return
 		}
 	}

@@ -31,6 +31,7 @@ package kvstore
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Session is a handle to the store.
@@ -126,6 +127,24 @@ func bucketOf(h uint64, buckets int) int { return int((h >> 32) % uint64(buckets
 // rootOf is the index of h's bucket tree in a slot-major root array.
 func rootOf(h uint64, slots, buckets int) int {
 	return slotOf(h, slots)*buckets + bucketOf(h, buckets)
+}
+
+// sentinel is the bucket tree root r holds, made and stored first if the
+// bucket is empty (a zero engine object is an empty one): an engine hash
+// build's roots are nil until their bucket's first insert, and readers
+// take nil for an empty tree. A Set calls it in its body, under the
+// bucket's slot lock (no writer races the store) and before the commit
+// timestamp is drawn: a reader whose snapshot follows the commit loads
+// the sentinel, so one that loads nil took its snapshot before the
+// commit, under MV-RLU and RLU alike. Nothing un-publishes a sentinel:
+// an abort, retry or panic rollback leaves an empty tree.
+func sentinel[O any](r *atomic.Pointer[O]) *O {
+	s := r.Load()
+	if s == nil {
+		s = new(O)
+		r.Store(s)
+	}
+	return s
 }
 
 // slotLocks are a hash build's writer locks, one per slot, each on its

@@ -164,3 +164,41 @@ func TestKVCheckCatchesSplitBody(t *testing.T) {
 		t.Fatalf("CheckKV: %s", rep)
 	}
 }
+
+// TestKVCheckCatchesLateBucket is the bucket table's checker tooth, and
+// deterministic: a Set links a key into a bucket that was empty, and a
+// reader walks the store once the commit is recorded, on the writer's
+// goroutine. Built with -tags mvrlu_mutate, mvrlu-kv stores the new
+// sentinel only at Unlock, after calling lateBucketGap: the reader walks
+// in that gap, its snapshot follows the recorded commit, yet the bucket
+// still reads empty, so CheckKV reports kv-range-missing, and the test
+// must fail on every run (the check-si gate asserts it does). Without
+// the tag there is no gap: the reader walks after Set returns, and the
+// test is the clean control. The exact global clock keeps the check
+// free of ORDO's ambiguity window, so one walk suffices.
+func TestKVCheckCatchesLateBucket(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.ClockMode = core.ClockGlobal
+	s := NewMVRLUStore(4, 64, opts)
+	defer s.Close()
+	h := check.NewHistory(0)
+	s.AttachKVHistory(h)
+	writer, reader := s.Session(), s.Session()
+	defer writer.Close()
+	defer reader.Close()
+
+	walks := 0
+	walk := func() {
+		reader.ForEachPrefix("b:", func(k, v string) bool { return true })
+		walks++
+	}
+	lateBucketGap = walk
+	defer func() { lateBucketGap = func() {} }()
+	writer.Set("b:new", "v0")
+	if walks == 0 {
+		walk()
+	}
+	if rep := check.CheckKV(h, check.Opts{Boundary: s.Boundary()}); !rep.Ok() || rep.Sections != 1 {
+		t.Fatalf("CheckKV: %s", rep)
+	}
+}
