@@ -45,23 +45,3 @@ var seq atomic.Uint64
 
 // nextSeq draws the next event ticket.
 func nextSeq() uint64 { return seq.Add(1) }
-
-// objCtr allocates stable object identities (see ObjID).
-var objCtr atomic.Uint64
-
-// ObjID returns the stable checker identity stored in slot, assigning the
-// next one on first use. Engines give each master object an identity slot
-// instead of using its address because a freed object's memory can be
-// reused by the runtime for a new object mid-history, which would fuse
-// two unrelated version chains in the record. The slot is only touched
-// from record sites, so disabled runs never pay the assignment.
-func ObjID(slot *atomic.Uint64) uint64 {
-	if v := slot.Load(); v != 0 {
-		return v
-	}
-	n := objCtr.Add(1)
-	if slot.CompareAndSwap(0, n) {
-		return n
-	}
-	return slot.Load()
-}

@@ -1,9 +1,11 @@
 package check
 
 import (
+	"runtime"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // rules collects the distinct rule names in a report.
@@ -410,14 +412,56 @@ func TestViolationCap(t *testing.T) {
 	}
 }
 
-// TestObjID: identities are stable per slot and unique across slots.
+// TestObjID: an object's id is the same through the history and every
+// thread's cache, including threads asking at once; two objects never
+// share an id, not even once a recorded object is dropped and the
+// runtime's collector is free to hand its memory to a new object.
 func TestObjID(t *testing.T) {
-	var s1, s2 atomic.Uint64
-	id1 := ObjID(&s1)
-	if id1 == 0 || ObjID(&s1) != id1 {
-		t.Fatal("ObjID not stable")
+	type obj struct{ a, b uint64 }
+	h := NewHistory(0)
+	shared := make([]*obj, 64)
+	for i := range shared {
+		shared[i] = new(obj)
 	}
-	if ObjID(&s2) == id1 {
-		t.Fatal("ObjID not unique")
+	recs := make([]*ThreadRec, 4)
+	ids := make([][]uint64, len(recs))
+	var wg sync.WaitGroup
+	for w := range recs {
+		recs[w] = h.ThreadRec()
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ {
+				ids[w] = ids[w][:0]
+				for _, o := range shared {
+					ids[w] = append(ids[w], recs[w].ObjID(unsafe.Pointer(o)))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool)
+	for i, o := range shared {
+		id := h.ObjID(unsafe.Pointer(o))
+		for w := range recs {
+			if ids[w][i] != id {
+				t.Fatalf("object %d: thread %d saw id %d, the history %d", i, w, ids[w][i], id)
+			}
+		}
+		if id == 0 || seen[id] {
+			t.Fatalf("object %d: id %d is zero or already taken", i, id)
+		}
+		seen[id] = true
+	}
+	r := recs[0]
+	for round := 0; round < 8; round++ {
+		for i := 0; i < 512; i++ {
+			id := r.ObjID(unsafe.Pointer(new(obj))) // recorded, then dropped
+			if seen[id] {
+				t.Fatalf("round %d: id %d named two objects", round, id)
+			}
+			seen[id] = true
+		}
+		runtime.GC()
 	}
 }

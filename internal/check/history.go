@@ -1,6 +1,9 @@
 package check
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // DefaultMaxEvents bounds each stream (per-thread and global) so a
 // runaway torture run cannot exhaust memory. At 56 bytes/event this is
@@ -36,6 +39,11 @@ type History struct {
 	keyMu   sync.Mutex
 	keyIDs  map[string]uint64
 	keyStrs []string
+
+	// Engine-object identities (see ObjID), under their own mutex like
+	// the keys.
+	objMu  sync.Mutex
+	objIDs map[unsafe.Pointer]uint64
 }
 
 // NewHistory returns an empty history whose streams each hold at most
@@ -76,6 +84,27 @@ func (h *History) markTruncated(s uint64) {
 	h.mu.Unlock()
 }
 
+// ObjID returns the checker identity of the engine object at p, the
+// next unused one on p's first call. The table holds p, so the runtime
+// cannot reuse a freed object's memory for a new object while the
+// history lives: an id never names two objects, and the record never
+// fuses two unrelated version chains. Ids are 1-based and per history.
+// Engines call it from reclamation, which may run on any goroutine; a
+// thread's own record sites use ThreadRec.ObjID.
+func (h *History) ObjID(p unsafe.Pointer) uint64 {
+	h.objMu.Lock()
+	defer h.objMu.Unlock()
+	id, ok := h.objIDs[p]
+	if !ok {
+		if h.objIDs == nil {
+			h.objIDs = make(map[unsafe.Pointer]uint64)
+		}
+		id = uint64(len(h.objIDs)) + 1
+		h.objIDs[p] = id
+	}
+	return id
+}
+
 // ThreadRec hands out a new per-thread stream. Each engine thread gets
 // its own at registration; the recorder must only be used by the single
 // goroutine driving that thread (the engine's existing Session/Thread
@@ -96,6 +125,22 @@ type ThreadRec struct {
 	h  *History
 	mu sync.Mutex
 	ev []Event
+	// ids caches History.ObjID for this thread (owner-only), so a
+	// repeated observation takes no lock that other threads share.
+	ids map[unsafe.Pointer]uint64
+}
+
+// ObjID is History.ObjID through the thread's private cache.
+func (r *ThreadRec) ObjID(p unsafe.Pointer) uint64 {
+	if id, ok := r.ids[p]; ok {
+		return id
+	}
+	id := r.h.ObjID(p)
+	if r.ids == nil {
+		r.ids = make(map[unsafe.Pointer]uint64)
+	}
+	r.ids[p] = id
+	return id
 }
 
 func (r *ThreadRec) record(e Event) {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"mvrlu/internal/check"
 )
 
 // Microbenchmarks for the engine's primitives — the per-hop costs behind
@@ -130,4 +132,40 @@ func BenchmarkTryLockConflict(b *testing.B) {
 	}
 	b.StopTimer()
 	holder.ReadUnlock()
+}
+
+// BenchmarkDerefRecorded measures a Deref with a history checker
+// attached: the object's checker id, the ticket and one event append on
+// top of the walk. Each round of derefs runs against a fresh domain and
+// history, so the event streams never fill up and drop events.
+func BenchmarkDerefRecorded(b *testing.B) {
+	const objects, round = 64, 1 << 14
+	b.ReportAllocs()
+	var sum int
+	for done := 0; done < b.N; {
+		b.StopTimer()
+		opts := DefaultOptions()
+		opts.Check = check.NewHistory(round + 16)
+		d := NewDomain[payload](opts)
+		h := d.Register()
+		objs := make([]*Object[payload], objects)
+		for i := range objs {
+			objs[i] = NewObject(payload{A: i})
+		}
+		n := min(round, b.N-done)
+		b.StartTimer()
+		h.ReadLock()
+		for i := 0; i < n; i++ {
+			sum += h.Deref(objs[i%objects]).A
+		}
+		h.ReadUnlock()
+		b.StopTimer()
+		h.Unregister()
+		d.Close()
+		done += n
+		b.StartTimer()
+	}
+	if sum < 0 {
+		b.Fatal("unreachable")
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mvrlu/internal/clock"
+	"mvrlu/internal/failpoint"
 )
 
 type payload struct {
@@ -135,8 +136,8 @@ func TestTryLockConstConflicts(t *testing.T) {
 	h2.Abort()
 	h1.ReadUnlock()
 	// Const lock committed: no version chain should exist.
-	if o.chainLen() != 0 {
-		t.Fatalf("const lock published a version: chain len %d", o.chainLen())
+	if d.ChainLen(o) != 0 {
+		t.Fatalf("const lock published a version: chain len %d", d.ChainLen(o))
 	}
 }
 
@@ -232,7 +233,7 @@ func TestFig2MVRLUProceeds(t *testing.T) {
 		c.A = i
 		w.ReadUnlock()
 	}
-	if got := o.chainLen(); got < 3 {
+	if got := d.ChainLen(o); got < 3 {
 		t.Fatalf("expected ≥3 live versions under a pinned reader, got %d", got)
 	}
 	w.ReadLock()
@@ -323,9 +324,23 @@ func TestReaderStampsCommittingHeader(t *testing.T) {
 	}
 }
 
+// TestFreeBlocksFutureLocks: a committed Free leaves the domain's freed
+// marker in the object's pending word, so the object stays locked for
+// good — TryLock fails, and a freed object is no conflict, so LockFails
+// does not count it — even once reclamation has reused the freeing
+// version's log slot for the very write set that retries the lock. (A
+// lock word still pointing at that slot would name this thread's write
+// set, and TryLock would hand back another object's copy.) The detector
+// is down: the test steps reclamation itself.
 func TestFreeBlocksFutureLocks(t *testing.T) {
-	d := newTestDomain(t, DefaultOptions())
-	o := NewObject(payload{A: 1})
+	defer failpoint.Reset()
+	if err := failpoint.Enable("detector-scan=panic/1", 1); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.LogSlots = 16
+	d := newTestDomain(t, opts)
+	o, other := NewObject(payload{A: 1}), NewObject(payload{})
 	h := d.Register()
 	h.ReadLock()
 	if _, ok := h.TryLock(o); !ok {
@@ -335,15 +350,54 @@ func TestFreeBlocksFutureLocks(t *testing.T) {
 		t.Fatal("Free failed")
 	}
 	h.ReadUnlock()
+	freeing := o.copy.Load()
 
-	if !o.Freed() {
-		t.Fatal("freed flag not set after commit")
+	stillFreed := func(when string) {
+		t.Helper()
+		if !o.Freed() {
+			t.Fatalf("%s: Freed() = false", when)
+		}
+		if p := o.pending.Load(); p != d.freed {
+			t.Fatalf("%s: pending holds %p, want the freed marker %p", when, p, d.freed)
+		}
+		before := d.Stats().LockFails
+		if _, ok := h.TryLock(o); ok {
+			t.Fatalf("%s: TryLock succeeded on a freed object", when)
+		}
+		if h.TryLockConst(o) {
+			t.Fatalf("%s: TryLockConst succeeded on a freed object", when)
+		}
+		if n := d.Stats().LockFails - before; n != 0 {
+			t.Fatalf("%s: locking a freed object counted %d lock failures, want 0", when, n)
+		}
 	}
 	h.ReadLock()
-	if _, ok := h.TryLock(o); ok {
-		t.Fatal("TryLock succeeded on freed object")
-	}
+	stillFreed("after the free")
 	h.Abort()
+
+	for i := 0; freeing.obj != other; i++ {
+		if i == 4*opts.LogSlots {
+			t.Fatalf("the freeing version's slot was not reused in %d writes", i)
+		}
+		d.refreshWatermark()
+		h.collect()
+		h.ReadLock()
+		c, ok := h.TryLock(other)
+		if !ok {
+			t.Fatalf("TryLock(other) failed at write %d", i)
+		}
+		c.A = i
+		if freeing.obj == other {
+			stillFreed("with the freeing slot in this write set")
+		}
+		h.ReadUnlock()
+	}
+	h.ReadLock()
+	stillFreed("after the slot's reuse committed")
+	h.Abort()
+	if err := d.CheckObject(o); err != nil {
+		t.Fatalf("CheckObject on the freed object: %v", err)
+	}
 }
 
 func TestFreeRequiresLock(t *testing.T) {
@@ -437,7 +491,16 @@ func TestPanicsOutsideCriticalSection(t *testing.T) {
 	h.ReadUnlock()
 }
 
+// TestWritebackAndReclaim: 200 commits on one object recycle a 64-slot
+// log, and the last one reaches the master. The detector is down, so
+// every watermark is one the thread takes itself and the test decides
+// when reclamation sees the last commit: one refresh and one GC pass
+// after the loop must write it back.
 func TestWritebackAndReclaim(t *testing.T) {
+	defer failpoint.Reset()
+	if err := failpoint.Enable("detector-scan=panic/1", 1); err != nil {
+		t.Fatal(err)
+	}
 	opts := DefaultOptions()
 	opts.LogSlots = 64
 	d := newTestDomain(t, opts)
@@ -453,7 +516,11 @@ func TestWritebackAndReclaim(t *testing.T) {
 		c.A = i
 		h.ReadUnlock()
 	}
-	// The log (64 slots) survived 200 writes: reclamation works.
+	d.refreshWatermark()
+	h.collect()
+	if o.master.A != 200 {
+		t.Fatalf("master value %d after the write-back, want 200", o.master.A)
+	}
 	h.ReadLock()
 	if got := h.Deref(o).A; got != 200 {
 		t.Fatalf("final value %d, want 200", got)

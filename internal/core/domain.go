@@ -68,8 +68,9 @@ type Domain[T any] struct {
 	// lifecycle (guarded by mu).
 	departed threadStats
 
-	// sentinel occupies Object.pending during GC write-back.
-	sentinel *version[T]
+	// sentinel occupies Object.pending during GC write-back, and freed
+	// for good once a Free committed.
+	sentinel, freed *version[T]
 
 	// chk is the attached history recorder (Options.Check), nil in
 	// normal operation; threads registered while it is set record into
@@ -182,7 +183,8 @@ func NewDomain[T any](opts Options) *Domain[T] {
 			d.wmFreshness = d.boundary
 		}
 	}
-	d.sentinel = &version[T]{owner: -1}
+	d.sentinel = &version[T]{owner: sentinelOwner}
+	d.freed = &version[T]{owner: freedOwner}
 	d.chk = opts.Check
 	empty := make([]threadEntry[T], 0)
 	d.threads.Store(&empty)

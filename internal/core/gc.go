@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"runtime/trace"
+	"unsafe"
 
 	"mvrlu/internal/check"
 	"mvrlu/internal/failpoint"
@@ -263,7 +264,7 @@ func (t *Thread[T]) collectPass() uint64 {
 			if pts != 0 {
 				fl |= check.FlagPruned
 			}
-			chk.Reclaim(check.ObjID(&v.obj.oid), v.commitTS.Load(),
+			chk.Reclaim(chk.ObjID(unsafe.Pointer(v.obj)), v.commitTS.Load(),
 				v.supersededTS.Load(), pts, w, fl)
 		}
 		n++
@@ -371,7 +372,7 @@ func (t *Thread[T]) writeback(v *version[T]) {
 		v.prunedTS.Store(pts)
 		t.stats.writebacks++
 		if chk := t.d.chk; chk != nil {
-			chk.Writeback(check.ObjID(&o.oid), v.commitTS.Load(), pts)
+			chk.Writeback(chk.ObjID(unsafe.Pointer(o)), v.commitTS.Load(), pts)
 		}
 	}
 	o.pending.Store(nil)

@@ -108,11 +108,11 @@ func TestDerefWatermarkPrunesChains(t *testing.T) {
 			_ = h.Deref(o).A
 		}
 		h.ReadUnlock()
-		if o.chainLen() == 0 {
+		if d.ChainLen(o) == 0 {
 			break
 		}
 	}
-	if o.chainLen() != 0 {
+	if d.ChainLen(o) != 0 {
 		t.Fatal("dereference watermark never pruned the chain")
 	}
 	h.ReadLock()

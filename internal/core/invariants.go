@@ -16,7 +16,7 @@ import "fmt"
 //     newest-to-oldest invariant),
 //   - no chain entry in the prefix is still marked uncommitted, and
 //   - the pending slot, if set, belongs to a registered thread or is the
-//     domain's write-back sentinel.
+//     domain's write-back sentinel or freed marker.
 //
 // The walk stops at the watermark frontier deliberately: every active
 // and future reader selects a version at or above the first one whose
@@ -48,7 +48,7 @@ func (d *Domain[T]) CheckObject(o *Object[T]) error {
 			break // below the watermark: unreachable by any reader
 		}
 	}
-	if p := o.pending.Load(); p != nil && p != d.sentinel {
+	if p := o.pending.Load(); p != nil && p != d.sentinel && p != d.freed {
 		if p.owner < 0 {
 			return fmt.Errorf("mvrlu: pending owner %d invalid", p.owner)
 		}

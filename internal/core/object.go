@@ -15,18 +15,9 @@ type Object[T any] struct {
 	// pending is the uncommitted copy (p-pending) and doubles as the
 	// per-object try-lock word. The domain's write-back sentinel
 	// occupies it during GC write-back, which is the paper's
-	// reclamation barrier in per-object form.
+	// reclamation barrier in per-object form; its freed marker occupies
+	// it for good once a Free committed (§3.8).
 	pending atomic.Pointer[version[T]]
-	// freed is set once a Free committed; the object can never be
-	// locked again (§3.8).
-	freed atomic.Bool
-	// oid is the object's history-checker identity (internal/check),
-	// lazily assigned on the first recorded event that touches the
-	// object. A dedicated field rather than the object's address: freed
-	// objects' memory can be reused by the runtime mid-history, which
-	// would fuse two unrelated version chains in the record. Never
-	// touched unless recording is enabled.
-	oid atomic.Uint64
 	// master is the master copy of the payload. It is read by
 	// dereferences that find no applicable version and written only
 	// during GC write-back, when the watermark proves no reader can be
@@ -43,13 +34,7 @@ func NewObject[T any](data T) *Object[T] {
 
 // Freed reports whether the object has been freed. Dereferencing a freed
 // object from an old snapshot is legal; locking it is not.
-func (o *Object[T]) Freed() bool { return o.freed.Load() }
-
-// chainLen reports the number of committed versions (testing/stats only).
-func (o *Object[T]) chainLen() int {
-	n := 0
-	for v := o.copy.Load(); v != nil; v = v.older {
-		n++
-	}
-	return n
+func (o *Object[T]) Freed() bool {
+	p := o.pending.Load()
+	return p != nil && p.owner == freedOwner
 }

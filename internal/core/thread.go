@@ -7,6 +7,7 @@ import (
 	"runtime/trace"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"mvrlu/internal/check"
 	"mvrlu/internal/clock"
@@ -481,7 +482,7 @@ func (t *Thread[T]) derefChecked(o *Object[T]) *T {
 	if o == nil {
 		return nil
 	}
-	oid := check.ObjID(&o.oid)
+	oid := t.crec.ObjID(unsafe.Pointer(o))
 	tk := t.crec.DerefTicket()
 	steps := t.stats.chainSteps
 	p, v := t.derefWalk(o)
@@ -537,20 +538,22 @@ func (t *Thread[T]) tryLockWalk(o *Object[T], constLock bool) (*version[T], bool
 	if !t.inCS {
 		panic("mvrlu: TryLock outside critical section")
 	}
-	if o == nil || o.freed.Load() {
+	if o == nil {
 		return nil, false
 	}
 	if p := o.pending.Load(); p != nil {
 		// Already locked. By us in this critical section: reuse the
 		// copy (upgrading a const lock to a real one is allowed —
-		// the copy exists either way).
+		// the copy exists either way). A freed object is no conflict.
 		if p.owner == t.id && p.ws == t.ws && t.ws != nil {
 			if !constLock {
 				p.constLock = false
 			}
 			return p, true
 		}
-		t.stats.lockFails++
+		if p.owner != freedOwner {
+			t.stats.lockFails++
+		}
 		return nil, false
 	}
 
@@ -715,8 +718,9 @@ func (t *Thread[T]) finishCommit() {
 			v.older.supersededTS.Store(cts)
 		}
 		if v.freeing {
-			v.obj.freed.Store(true)
-			// Leave pending set: the object stays locked.
+			// Locked for good by the marker, not by v, whose slot
+			// is reused once reclaimed.
+			v.obj.pending.Store(t.d.freed)
 			continue
 		}
 		v.obj.pending.Store(nil)
@@ -739,7 +743,7 @@ func (t *Thread[T]) finishCommit() {
 			} else {
 				fl |= check.FlagFromMaster
 			}
-			t.crec.Write(check.ObjID(&v.obj.oid), cts, basedOn, fl)
+			t.crec.Write(t.crec.ObjID(unsafe.Pointer(v.obj)), cts, basedOn, fl)
 		}
 	}
 	t.stats.commits++

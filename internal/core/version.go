@@ -10,6 +10,9 @@ import (
 // write set commits).
 const infinity = clock.Infinity
 
+// Owners of the domain's write-back sentinel and freed marker.
+const sentinelOwner, freedOwner = -1, -2
+
 // version is a copy object. Versions live in per-thread circular logs and
 // their slots are reused once reclamation proves no reader can reach them.
 type version[T any] struct {
@@ -40,7 +43,7 @@ type version[T any] struct {
 	// (Lemma 3) and the slot is reusable.
 	prunedTS atomic.Uint64
 	// owner is the registering index of the thread whose log holds the
-	// version, or -1 for the domain's write-back sentinel.
+	// version, or sentinelOwner/freedOwner for the domain's markers.
 	owner int
 	// overflow marks a heap-allocated version (Options.DynamicLog):
 	// it lives outside the circular log and is reclaimed by the
@@ -51,7 +54,7 @@ type version[T any] struct {
 	// immediately after commit.
 	constLock bool
 	// freeing marks the final version of an object being freed (§3.8);
-	// at commit the master is marked freed and stays locked forever.
+	// at commit the freed marker takes the object's pending word.
 	freeing bool
 	// data is the private copy of the payload.
 	data T

@@ -6,9 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"mvrlu/internal/check"
 	"mvrlu/internal/core"
+	"mvrlu/internal/rlu"
 )
 
 // published counts the sentinels in a root table.
@@ -19,6 +21,29 @@ func published[O any](roots []atomic.Pointer[O]) (n int) {
 		}
 	}
 	return n
+}
+
+// TestObjectSize is the counted cost of an engine object (DESIGN.md §3):
+// an MV-RLU header is the paper's two words, p-copy and p-pending, in
+// front of the master, and an RLU header its one copy word, so a store
+// record's object is its payload plus those words and nothing else. An
+// mvrlu-kv record is then exactly one 64-byte cache line. Headers are
+// measured against a real payload: Go pads a struct whose last field
+// has size zero, so Object[struct{}] would read one word more.
+func TestObjectSize(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"core.Object header", unsafe.Sizeof(core.Object[kvNode]{}) - unsafe.Sizeof(kvNode{}), 16},
+		{"core.Object[kvNode]", unsafe.Sizeof(core.Object[kvNode]{}), 64},
+		{"rlu.Object header", unsafe.Sizeof(rlu.Object[rkvNode]{}) - unsafe.Sizeof(rkvNode{}), 8},
+		{"rlu.Object[rkvNode]", unsafe.Sizeof(rlu.Object[rkvNode]{}), 56},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d B, want %d", c.name, c.got, c.want)
+		}
+	}
 }
 
 // TestEmptyBucketCost is the counted cost of the engine hash builds'

@@ -1,6 +1,10 @@
 package rlu
 
-import "mvrlu/internal/check"
+import (
+	"unsafe"
+
+	"mvrlu/internal/check"
+)
 
 // Deferred write-back ("RLU defer", RLU paper §3.5; the MV-RLU paper
 // evaluated both and reports no noticeable difference — §6.1). In
@@ -60,23 +64,25 @@ func (t *Thread[T]) flush() {
 			if e.freeing {
 				fl |= check.FlagFree
 			}
-			t.crec.Write(check.ObjID(&e.obj.oid), wc, 0, fl)
+			t.crec.Write(t.crec.ObjID(unsafe.Pointer(e.obj)), wc, 0, fl)
 		}
 	}
 	t.synchronize(wc)
 	for _, e := range t.wlog {
-		if e.freeing {
-			e.obj.freed.Store(true)
-		} else {
+		if !e.freeing {
 			e.obj.data = e.data
 		}
 	}
 	for _, e := range t.wlog {
-		if rec && !e.freeing {
+		if e.freeing {
+			e.obj.copy.Store(t.d.freed)
+			continue
+		}
+		if rec {
 			// The master-write above is this commit's write-back.
 			// Recorded before the unlock below so a successor that
 			// locks the master can only be ticketed after it.
-			t.d.chk.Writeback(check.ObjID(&e.obj.oid), wc, 0)
+			t.d.chk.Writeback(t.crec.ObjID(unsafe.Pointer(e.obj)), wc, 0)
 		}
 		e.obj.copy.Store(nil)
 	}

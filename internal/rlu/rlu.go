@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"mvrlu/internal/check"
 	"mvrlu/internal/clock"
@@ -40,11 +41,9 @@ const (
 // Object is an RLU-protected master object. At most one copy of it exists
 // at a time, in the locking thread's write log.
 type Object[T any] struct {
-	copy  atomic.Pointer[entry[T]] // lock word and copy pointer in one
-	freed atomic.Bool
-	// oid is the history-checker identity (internal/check), lazily
-	// assigned on first recorded event; untouched otherwise.
-	oid  atomic.Uint64
+	// copy is the lock word and copy pointer in one. A committed Free
+	// stores the domain's freed marker here for good.
+	copy atomic.Pointer[entry[T]]
 	data T // master
 }
 
@@ -52,11 +51,14 @@ type Object[T any] struct {
 func NewObject[T any](data T) *Object[T] { return &Object[T]{data: data} }
 
 // Freed reports whether the object was freed.
-func (o *Object[T]) Freed() bool { return o.freed.Load() }
+func (o *Object[T]) Freed() bool {
+	e := o.copy.Load()
+	return e != nil && e.thr == nil
+}
 
 // entry is a write-log entry: the single copy RLU maintains.
 type entry[T any] struct {
-	thr *Thread[T]
+	thr *Thread[T] // nil only for the domain's freed marker
 	obj *Object[T]
 	// writeC is the commit word of the flush that will write this entry
 	// back, fixed at TryLock.
@@ -81,6 +83,9 @@ type Domain[T any] struct {
 	deferCap int
 	// chk is the attached history recorder, nil in normal operation.
 	chk *check.History
+	// freed is every freed object's copy word: no thread owns it and its
+	// write clock stays Pending, so a Deref reads the master.
+	freed *entry[T]
 }
 
 // AttachHistory attaches a history recorder: threads registered
@@ -100,7 +105,9 @@ func (d *Domain[T]) AttachHistory(h *check.History) {
 
 // NewDomain creates an RLU domain.
 func NewDomain[T any](mode ClockMode) *Domain[T] {
-	d := &Domain[T]{mode: mode}
+	never := new(clock.CommitWord)
+	never.Reset()
+	d := &Domain[T]{mode: mode, freed: &entry[T]{writeC: never}}
 	empty := make([]*Thread[T], 0)
 	d.threads.Store(&empty)
 	return d
@@ -212,15 +219,6 @@ type Stats struct {
 	Flushes   uint64 // write-back rounds (== Commits unless deferring)
 }
 
-// AbortRatio returns aborts/(aborts+commits).
-func (s Stats) AbortRatio() float64 {
-	total := s.Aborts + s.Commits
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Aborts) / float64(total)
-}
-
 // Stats aggregates thread counters; call while quiescent.
 func (d *Domain[T]) Stats() Stats {
 	var s Stats
@@ -266,13 +264,13 @@ func (t *Thread[T]) Deref(o *Object[T]) *T {
 	e := o.copy.Load()
 	if e == nil {
 		if rec {
-			t.crec.DerefAt(tk, check.ObjID(&o.oid), 0, 0, check.FlagFromMaster)
+			t.crec.DerefAt(tk, t.crec.ObjID(unsafe.Pointer(o)), 0, 0, check.FlagFromMaster)
 		}
 		return &o.data
 	}
 	if e.thr == t {
 		if rec {
-			t.crec.DerefAt(tk, check.ObjID(&o.oid), 0, 1, check.FlagOwn)
+			t.crec.DerefAt(tk, t.crec.ObjID(unsafe.Pointer(o)), 0, 1, check.FlagOwn)
 		}
 		return &e.data
 	}
@@ -285,12 +283,12 @@ func (t *Thread[T]) Deref(o *Object[T]) *T {
 		if rec {
 			// A stolen copy is an observation of the commit at the
 			// writer's advertised write clock.
-			t.crec.DerefAt(tk, check.ObjID(&o.oid), wc, 1, 0)
+			t.crec.DerefAt(tk, t.crec.ObjID(unsafe.Pointer(o)), wc, 1, 0)
 		}
 		return &e.data
 	}
 	if rec {
-		t.crec.DerefAt(tk, check.ObjID(&o.oid), 0, 1, check.FlagFromMaster)
+		t.crec.DerefAt(tk, t.crec.ObjID(unsafe.Pointer(o)), 0, 1, check.FlagFromMaster)
 	}
 	return &o.data
 }
@@ -302,7 +300,7 @@ func (t *Thread[T]) TryLock(o *Object[T]) (*T, bool) {
 	if !t.inCS {
 		panic("rlu: TryLock outside critical section")
 	}
-	if o == nil || o.freed.Load() {
+	if o == nil {
 		return nil, false
 	}
 	if e := o.copy.Load(); e != nil {
@@ -315,7 +313,7 @@ func (t *Thread[T]) TryLock(o *Object[T]) (*T, bool) {
 			}
 			return &e.data, true
 		}
-		if t.d.deferred {
+		if t.d.deferred && e.thr != nil {
 			// Ask the deferring owner to flush at its next boundary.
 			e.thr.syncReq.Store(true)
 		}
