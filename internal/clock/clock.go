@@ -132,9 +132,14 @@ type Hardware struct {
 
 var base = time.Now()
 
-// Now returns monotonic nanoseconds since process start, plus one so that
-// 0 can be used as "before all time".
-func (h *Hardware) Now() uint64 { return uint64(time.Since(base)) + 1 }
+// Nanotime returns the runtime's monotonic nanoseconds since process
+// start. It is the one base of Hardware timestamps and of obs.Now, so a
+// Hardware timestamp minus one is a telemetry time.
+func Nanotime() int64 { return int64(time.Since(base)) }
+
+// Now returns Nanotime plus one, so that 0 can be used as "before all
+// time".
+func (h *Hardware) Now() uint64 { return uint64(Nanotime()) + 1 }
 
 // Peek is Now: reading the hardware clock allocates nothing.
 func (h *Hardware) Peek() uint64 { return h.Now() }

@@ -54,6 +54,10 @@ type Domain[T any] struct {
 	// a conservative lower bound and stays monotone — it only delays
 	// reclamation by at most the window.
 	wmFreshness uint64
+	// hwClock is set when clk is a clock.Hardware, whose timestamps are
+	// obs.Now plus one: ReadLock then times its section from the entry
+	// timestamp it draws anyway.
+	hwClock bool
 
 	// threads is a copy-on-write snapshot of registry entries, read by
 	// the watermark scan without locks; mu guards its mutation, the
@@ -172,6 +176,7 @@ func NewDomain[T any](opts Options) *Domain[T] {
 		d.clk = &clock.Global{}
 	default:
 		d.clk = &clock.Hardware{Window: opts.OrdoWindow}
+		d.hwClock = true
 	}
 	d.boundary = d.clk.Boundary()
 	switch opts.ClockMode {

@@ -25,16 +25,18 @@ import (
 // when) instead of leaving the writer to spin blind through the abort
 // loop.
 func (t *Thread[T]) allocSlot() *version[T] {
-	if t.log == nil {
+	if t.segs == nil {
 		t.initLog()
 	}
-	capU := uint64(len(t.log))
 	for attempt := 0; ; attempt++ {
 		if t.headC-t.pin.tail.Load() < t.highSlots {
 			if t.needsGCMu {
 				t.gcMu.Lock()
 			}
-			v := &t.log[t.headC%capU]
+			if t.segMask != 0 && t.headC/logSegSlots == t.segHi {
+				t.installSeg()
+			}
+			v := t.slot(t.headC)
 			v.reset()
 			t.headC++
 			t.pin.head.Store(t.headC)
@@ -85,6 +87,36 @@ func (t *Thread[T]) allocSlot() *version[T] {
 		}
 		runtime.Gosched()
 	}
+}
+
+// installSeg installs the segment the head enters for the first time.
+// It takes a segment reclamation released; if none is left it first runs
+// one GC pass over this log at the broadcast watermark (in
+// single-collector mode it kicks the collector instead), and allocates a
+// new segment only if that released none. So a log grows only while
+// reclamation holds back more than its segments, and never past the ring
+// that highSlots sizes. The pass takes no watermark scan of its own: one
+// here would advance the watermark at segment boundaries while the
+// detector is down, and the write-set header pool, whose refresh fires
+// only once it is full, would then never fill (see getWSHeader). Called
+// by allocSlot, under gcMu in single-collector mode.
+func (t *Thread[T]) installSeg() {
+	if len(t.segFree) == 0 && t.headC != t.pin.tail.Load() {
+		if t.d.opts.GCMode == GCConcurrent {
+			t.collect()
+		} else {
+			t.d.gp.request()
+		}
+	}
+	var seg []version[T]
+	if n := len(t.segFree); n > 0 {
+		seg = t.segFree[n-1]
+		t.segFree = t.segFree[:n-1]
+	} else {
+		seg = t.newSeg()
+	}
+	t.segs[t.segHi&t.segMask] = seg
+	t.segHi++
 }
 
 // reportAllocStall runs when allocSlot exhausts its attempts: the log is
@@ -233,17 +265,16 @@ func (t *Thread[T]) collect() {
 func (t *Thread[T]) collectPass() uint64 {
 	t.gcMu.Lock()
 	defer t.gcMu.Unlock()
-	if t.log == nil {
+	if t.segs == nil {
 		return 0 // no write yet: the log is not even allocated
 	}
 	w := t.d.watermark.Load()
-	capU := uint64(len(t.log))
 	head := t.pin.head.Load()
 	tail := t.pin.tail.Load()
 	chk := t.d.chk
 	n := uint64(0)
 	for tail+n < head {
-		v := &t.log[(tail+n)%capU]
+		v := t.slot(tail + n)
 		if !t.reclaimable(v, w) {
 			break
 		}
@@ -272,6 +303,18 @@ func (t *Thread[T]) collectPass() uint64 {
 	if n > 0 {
 		t.pin.tail.Store(tail + n)
 		t.stats.reclaimed += n
+		// Release every segment the tail has wholly passed, reset: the
+		// tail rule above already proved its versions unreachable, and
+		// a free segment may wait long for reuse, so it must not keep
+		// their payloads (and whatever those point to) alive.
+		for t.segMask != 0 && t.segLo < (tail+n)/logSegSlots {
+			seg := t.segs[t.segLo&t.segMask]
+			for i := range seg {
+				seg[i].reset()
+			}
+			t.segFree = append(t.segFree, seg)
+			t.segLo++
+		}
 	}
 	// Bound the write-back scan so a boundary-time GC pass costs O(1)
 	// amortized rather than O(log occupancy); the budget is large enough
@@ -289,7 +332,7 @@ func (t *Thread[T]) collectPass() uint64 {
 			limit = tail + n + wbBudget
 		}
 		for i := tail + n; i < limit; i++ {
-			v := &t.log[i%capU]
+			v := t.slot(i)
 			cts := v.commitTS.Load()
 			if cts == infinity {
 				break // uncommitted: current write set reached

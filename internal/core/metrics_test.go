@@ -66,6 +66,32 @@ func TestHistogramsRecordWhenEnabled(t *testing.T) {
 	}
 }
 
+// TestSectionTimeFromEntryTimestamp: a section that sleeps 1 ms records
+// one HistCS value between 1 ms and the elapsed time measured around it.
+// On a hardware clock the start is the section's entry timestamp, so a
+// unit or base mismatch between clock.Hardware and obs.Now fails this.
+func TestSectionTimeFromEntryTimestamp(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	for _, mode := range []ClockMode{ClockOrdo, ClockGlobal} {
+		opts := DefaultOptions()
+		opts.ClockMode = mode
+		d := newTestDomain(t, opts)
+		h := d.Register()
+		start := time.Now()
+		h.ReadLock()
+		time.Sleep(time.Millisecond)
+		h.ReadUnlock()
+		elapsed := time.Since(start)
+		h.Unregister()
+		s := d.HistogramSnapshot(HistCS)
+		if s.Count() != 1 || s.Sum < uint64(time.Millisecond) || s.Sum > uint64(elapsed) {
+			t.Errorf("clock mode %d: %d sections summing %d ns, want one of 1 ms..%d ns",
+				mode, s.Count(), s.Sum, elapsed.Nanoseconds())
+		}
+	}
+}
+
 // TestHistogramsSilentWhenDisabled asserts the gate: the same workload
 // with telemetry off records nothing.
 func TestHistogramsSilentWhenDisabled(t *testing.T) {

@@ -37,8 +37,14 @@ const (
 // Options configure a Domain. The zero value is not valid; use
 // DefaultOptions as a base.
 type Options struct {
-	// LogSlots is the per-thread circular log capacity in versions.
-	// The paper configures 512 KB logs; slots are the Go analogue.
+	// LogSlots is the ceiling of a thread's version log, in versions:
+	// occupancy blocks writers at HighCapacity of it, and the capacity
+	// watermarks are fractions of it. The paper configures 512 KB
+	// circular logs; here a log larger than 64 slots grows by 64-slot
+	// segments as reclamation holds versions back, and reuses the
+	// segments the tail passes, so a writer holds the slots its
+	// reclamation lag needs rather than LogSlots up front. A log of at
+	// most 64 slots is one fixed ring.
 	LogSlots int
 
 	// HighCapacity is the fraction of log occupancy at which a writer

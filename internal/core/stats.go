@@ -25,6 +25,7 @@ type threadStats struct {
 	overflowAllocs uint64 // heap-allocated versions (DynamicLog)
 	wmCoalesced    uint64 // watermark refreshes served by the broadcast value
 	wsAllocs       uint64 // write-set headers allocated (pool misses)
+	logSegAllocs   uint64 // version-log segments allocated
 }
 
 // add folds b into a (aggregation by Domain.Stats and the departed fold).
@@ -46,6 +47,7 @@ func (a *threadStats) add(b *threadStats) {
 	a.overflowAllocs += b.overflowAllocs
 	a.wmCoalesced += b.wmCoalesced
 	a.wsAllocs += b.wsAllocs
+	a.logSegAllocs += b.logSegAllocs
 }
 
 // Stats is a point-in-time aggregate of a domain's counters. Collect it
@@ -78,6 +80,12 @@ type Stats struct {
 	// WSHeaderAllocs counts write-set headers allocated from the heap;
 	// steady-state write paths recycle headers and keep this flat.
 	WSHeaderAllocs uint64
+
+	// LogSegmentAllocs counts version-log segments allocated from the
+	// heap. A log grows by one only when a GC pass frees none of its
+	// segments, so the count is flat once reclamation keeps pace and
+	// climbs while a pinned snapshot holds a writer's log back.
+	LogSegmentAllocs uint64
 
 	// Failure observability (see gpdetector.go). StallEvents counts
 	// declared watermark-stall episodes; StalledFor is how long the
@@ -126,6 +134,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.WatermarkScans += o.WatermarkScans
 	s.WatermarkCoalesced += o.WatermarkCoalesced
 	s.WSHeaderAllocs += o.WSHeaderAllocs
+	s.LogSegmentAllocs += o.LogSegmentAllocs
 	s.StallEvents += o.StallEvents
 	s.StalledFor += o.StalledFor
 	s.StallReports += o.StallReports
@@ -200,6 +209,7 @@ func (d *Domain[T]) Stats() Stats {
 		OverflowAllocs:     agg.overflowAllocs,
 		WatermarkCoalesced: agg.wmCoalesced + d.wmCoalesced.Load(),
 		WSHeaderAllocs:     agg.wsAllocs,
+		LogSegmentAllocs:   agg.logSegAllocs,
 		WatermarkScans:     d.wmScans.Load(),
 		StallEvents:        d.stallEvents.Load(),
 		StallReports:       agg.stallReports,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/trace"
 	"sync"
@@ -68,10 +69,21 @@ type Thread[T any] struct {
 	// enable gate, so the common nil case costs no atomics at all.
 	crec *check.ThreadRec
 
-	// log is the circular array of version slots; headC is the owner's
-	// cached head counter (slot = counter mod capacity).
-	log   []version[T]
-	headC uint64
+	// The version log is a FIFO of segments of segN slots: counter c
+	// lives at slot c%segN of segment number c/segN, which is held in
+	// the ring segs at index (c/segN)&segMask. Segment numbers
+	// [segLo, segHi) are installed; reclamation moves each segment the
+	// tail has wholly passed to segFree (segLo++), and allocSlot installs
+	// the next one from there (segHi++, see installSeg). With LogSlots ≤
+	// logSegSlots the log is one segment of LogSlots slots, installed by
+	// initLog and never released: a plain ring (segMask 0). headC is the
+	// owner's cached head counter.
+	segs         [][]version[T]
+	segFree      [][]version[T]
+	segN         uint64
+	segMask      uint64
+	segLo, segHi uint64
+	headC        uint64
 
 	// wset is the current critical section's write set; ws its header.
 	wset    []*version[T]
@@ -143,6 +155,11 @@ type retiredWS struct {
 	ts uint64
 }
 
+// logSegSlots is the size of one version-log segment: the unit by which
+// a writer's log grows to what its reclamation lag holds back, up to the
+// Options.LogSlots ceiling.
+const logSegSlots = 64
+
 // wsPoolCap bounds the per-thread header pool. It must cover the headers
 // a thread can retire within one watermark lag (~two grace-period
 // intervals): at ~1 commit/µs and the default 200µs interval that is a
@@ -164,28 +181,55 @@ func newThread[T any](d *Domain[T], id int) *Thread[T] {
 		t.highSlots = uint64(d.opts.LogSlots)
 	}
 	t.lowSlots = uint64(d.opts.LowCapacity * float64(d.opts.LogSlots))
+	t.segN = uint64(d.opts.LogSlots)
+	if t.segN > logSegSlots {
+		// The live span [tail, head] holds at most highSlots slots and
+		// straddles at most one more segment; a power-of-two ring of
+		// that many entries never gives two installed segments one index.
+		t.segN = logSegSlots
+		t.segMask = 1<<bits.Len64((t.highSlots+logSegSlots-1)/logSegSlots) - 1
+	}
 	return t
 }
 
-// initLog allocates the version log on first write. Registration stays
-// allocation-light this way: read-only handles never pay for a log, so
-// wide registered fleets (the paper evaluates up to 448 threads) cost
-// the watermark scan one cache line each, not LogSlots versions. Under
-// single-collector mode the published slice must not race the
-// collector's len(t.log) read, so the swap happens under gcMu.
+// initLog allocates the log's segment ring on first write. Registration
+// stays allocation-light this way: read-only handles never pay for a
+// log, so wide registered fleets (the paper evaluates up to 448 threads)
+// cost the watermark scan one cache line each, not LogSlots versions.
+// A one-segment log is installed here, once; a segmented log installs
+// its segments as the head enters them (installSeg). Under
+// single-collector mode the collector reads the ring, so it is published
+// under gcMu.
 func (t *Thread[T]) initLog() {
-	log := make([]version[T], t.d.opts.LogSlots)
-	for i := range log {
-		log[i].commitTS.Store(infinity)
-		log[i].owner = t.id
+	segs := make([][]version[T], t.segMask+1)
+	if t.segMask == 0 {
+		segs[0] = t.newSeg()
 	}
 	if t.needsGCMu {
 		t.gcMu.Lock()
-		t.log = log
-		t.gcMu.Unlock()
-	} else {
-		t.log = log
+		defer t.gcMu.Unlock()
 	}
+	t.segs = segs
+	t.segFree = make([][]version[T], 0, len(segs))
+}
+
+// newSeg allocates one log segment.
+func (t *Thread[T]) newSeg() []version[T] {
+	seg := make([]version[T], t.segN)
+	for i := range seg {
+		seg[i].commitTS.Store(infinity)
+		seg[i].owner = t.id
+	}
+	t.stats.logSegAllocs++
+	return seg
+}
+
+// slot returns the log slot of head counter c.
+func (t *Thread[T]) slot(c uint64) *version[T] {
+	if t.segMask == 0 {
+		return &t.segs[0][c%t.segN]
+	}
+	return &t.segs[(c/logSegSlots)&t.segMask][c%logSegSlots]
 }
 
 // ReadLock enters an MV-RLU critical section (§2.1): it records the local
@@ -225,7 +269,11 @@ func (t *Thread[T]) ReadLock() {
 		t.wsRetired = nil
 	}
 	if obs.Enabled() {
-		t.csStart = obs.Now()
+		if t.d.hwClock {
+			t.csStart = int64(ts - 1)
+		} else {
+			t.csStart = obs.Now()
+		}
 	}
 	if trace.IsEnabled() {
 		t.csRegion = trace.StartRegion(context.Background(), "mvrlu.cs")

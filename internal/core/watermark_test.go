@@ -178,7 +178,7 @@ func TestLazyLogAllocation(t *testing.T) {
 		}
 		r.ReadUnlock()
 	}
-	if r.log != nil {
+	if r.segs != nil {
 		t.Fatal("read-only handle allocated a version log")
 	}
 
@@ -188,7 +188,7 @@ func TestLazyLogAllocation(t *testing.T) {
 		c.A = 6
 	}
 	w.ReadUnlock()
-	if w.log == nil {
+	if w.segs == nil {
 		t.Fatal("writing handle did not allocate its version log")
 	}
 }

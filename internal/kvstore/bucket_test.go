@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"mvrlu/internal/check"
@@ -115,6 +116,42 @@ func TestEmptyBucketCost(t *testing.T) {
 				t.Fatalf("Get(%s) = %q, %v", twin, v, ok)
 			}
 		})
+	}
+}
+
+// TestSessionLogCost is the counted cost of a writer's version log
+// (DESIGN.md §3): 1000 Sets through one mvrlu-kv session, each followed
+// by a watermark broadcast past it, leave the session's log at no more
+// than 2 segments of 64 versions. The log holds what reclamation holds
+// back, not the 4096-version ceiling of the default options.
+func TestSessionLogCost(t *testing.T) {
+	const sets, maxSegs = 1000, 2
+	st, err := New("mvrlu-kv", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	d := st.(*MVRLUStore).d
+	sess := st.Session()
+	defer sess.Close()
+	for i := range sets {
+		sess.Set(fmt.Sprintf("l:%d", i%100), fmt.Sprint(i))
+		now := d.Now()
+		deadline := time.Now().Add(10 * time.Second)
+		for d.Watermark() <= now {
+			if time.Now().After(deadline) {
+				t.Fatalf("the watermark did not pass Set %d in 10 s", i)
+			}
+			runtime.Gosched()
+		}
+	}
+	n := d.Stats().LogSegmentAllocs
+	t.Logf("%d Sets: the session's log holds %d segments", sets, n)
+	if n > maxSegs {
+		t.Fatalf("%d Sets left the session's log at %d segments, want at most %d", sets, n, maxSegs)
+	}
+	if v, ok := sess.Get("l:99"); !ok || v != "999" {
+		t.Fatalf("Get(l:99) = %q, %v", v, ok)
 	}
 }
 

@@ -25,7 +25,8 @@ package obs
 
 import (
 	"sync/atomic"
-	"time"
+
+	"mvrlu/internal/clock"
 )
 
 // enabled gates every hot-path record site in the engine and server.
@@ -42,12 +43,9 @@ func Enabled() bool { return enabled.Load() }
 // their record (or skip it); histograms only ever accumulate.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// base anchors Now's monotonic reading; using time.Since keeps Now on
-// the runtime's monotonic clock (immune to wall-clock steps) without
-// linking into runtime internals.
-var base = time.Now()
-
 // Now returns a monotonic timestamp in nanoseconds since process start,
 // for bracketing record sites. One call is a single time.Since — the
-// vDSO clock read — with no allocation.
-func Now() int64 { return int64(time.Since(base)) }
+// vDSO clock read — with no allocation. It shares clock.Hardware's base,
+// so an engine that has just drawn a hardware timestamp can start a
+// timing from it without a second read.
+func Now() int64 { return clock.Nanotime() }

@@ -222,7 +222,7 @@ func TestServerCommands(t *testing.T) {
 		// INFO: the one-shard server keeps the historical unlabelled
 		// section names; more shards label every per-shard section.
 		infoWant := []string{"build:mvrlu-kv", fmt.Sprintf("shards:%d", shards), "stalled:0"}
-		allWant := []string{"commits:", "gc_runs:"}
+		allWant := []string{"commits:", "gc_runs:", "log_segment_allocs:"}
 		if shards == 1 {
 			infoWant = append(infoWant, "# watermark\n", "\nhandle_0:")
 			allWant = append(allWant, "# engine\n")
