@@ -35,7 +35,7 @@ type Report struct {
 	// because the record is incomplete.
 	Truncated bool
 
-	Sections, Derefs, Commits, Reclaims, Writebacks, Watermarks int
+	Sections, Derefs, Commits, Reclaims, SlotResets, Writebacks, Watermarks int
 
 	max int
 }
@@ -52,8 +52,8 @@ func (r *Report) add(rule, format string, args ...any) {
 
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "check: %d sections, %d derefs, %d commits, %d reclaims, %d writebacks, %d watermarks",
-		r.Sections, r.Derefs, r.Commits, r.Reclaims, r.Writebacks, r.Watermarks)
+	fmt.Fprintf(&b, "check: %d sections, %d derefs, %d commits, %d reclaims, %d slot resets, %d writebacks, %d watermarks",
+		r.Sections, r.Derefs, r.Commits, r.Reclaims, r.SlotResets, r.Writebacks, r.Watermarks)
 	if r.Truncated {
 		b.WriteString(" (truncated)")
 	}
@@ -226,6 +226,17 @@ func Check(h *History, o Opts) *Report {
 			}
 			if s, dup := m[e.VTS]; !dup || e.Seq < s {
 				m[e.VTS] = e.Seq
+			}
+		case EvSlotReset:
+			r.SlotResets++
+			// R6: a slot is reset only after the tail passed it, and the
+			// pass that moved the tail recorded the version's reclaim
+			// first, so recl (built in ticket order) already holds it.
+			// Sound on a truncated record: both events go to this one
+			// stream, which only grows, from collector passes serialized
+			// per log, so a recorded reset's reclaim was recorded too.
+			if _, ok := recl[e.Obj][e.VTS]; !ok {
+				r.add("reset-before-reclaim", "obj %d version %d: slot reset at #%d before any reclaim of it", e.Obj, e.VTS, e.Seq)
 			}
 		case EvWatermark:
 			r.Watermarks++

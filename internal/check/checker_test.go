@@ -254,6 +254,56 @@ func TestUseAfterReclaim(t *testing.T) {
 	wantRule(t, Check(h, Opts{}), "use-after-reclaim", "after reclaim")
 }
 
+// TestResetBeforeReclaim: a log slot reset for reuse with no earlier
+// reclaim of the version it held was released ahead of the tail. The rule
+// stays live, and silent on a correct record, once streams truncate.
+func TestResetBeforeReclaim(t *testing.T) {
+	build := func(max int) (*History, *ThreadRec) {
+		h := NewHistory(max)
+		w := h.ThreadRec()
+		w.Begin(5)
+		w.Write(1, 10, 0, FlagFromMaster)
+		w.End()
+		w.Begin(15)
+		w.Write(1, 20, 10, 0)
+		w.End()
+		h.Watermark(50, 50, 0)
+		return h, w
+	}
+	h, _ := build(0)
+	h.Reclaim(1, 10, 20, 0, 50, 0)
+	h.SlotReset(1, 10)
+	rep := Check(h, Opts{})
+	wantClean(t, rep)
+	if rep.SlotResets != 1 {
+		t.Fatalf("SlotResets = %d, want 1", rep.SlotResets)
+	}
+
+	h2, _ := build(0)
+	h2.SlotReset(1, 20) // the newest version: never reclaimed
+	h2.Reclaim(1, 20, 0, 0, 50, FlagFree)
+	wantRule(t, Check(h2, Opts{}), "reset-before-reclaim", "obj 1 version 20")
+
+	// The thread stream drops its second section and the global stream
+	// its last two events: nothing recorded is judged against a
+	// dropped event, and the recorded early reset is still named.
+	h3, w3 := build(4)
+	h3.Reclaim(1, 10, 20, 0, 50, 0)
+	h3.SlotReset(1, 20)
+	h3.SlotReset(1, 10)
+	h3.Reclaim(1, 20, 0, 0, 50, FlagFree)
+	w3.Begin(60)
+	w3.End()
+	rep3 := Check(h3, Opts{})
+	if !rep3.Truncated {
+		t.Fatal("history not truncated")
+	}
+	wantRule(t, rep3, "reset-before-reclaim", "obj 1 version 20")
+	if rep3.Total != 1 {
+		t.Fatalf("truncated history: %v", rep3)
+	}
+}
+
 // TestWatermarkBroadcast: publishing more than min-entry-ts minus the
 // boundary (the mutation-mode bug), or scanning a minimum above a
 // provably pinned reader, is flagged.

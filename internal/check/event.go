@@ -57,6 +57,10 @@ const (
 	// a correct engine), Aux = the boundary in effect. Stamped after
 	// the publish CAS.
 	EvWatermark
+	// EvSlotReset: GC reset a version's log slot for reuse (a segment
+	// release). Obj/VTS name the version the slot held. Stamped before
+	// the reset; a correct engine reclaimed that version first.
+	EvSlotReset
 
 	// RCU events (internal/rcu has no timestamps; ordering is purely by
 	// ticket). EvRCUBegin is stamped after the reader's run counter
@@ -110,6 +114,7 @@ var kindNames = map[Kind]string{
 	EvReclaim:      "reclaim",
 	EvWriteback:    "writeback",
 	EvWatermark:    "watermark",
+	EvSlotReset:    "slot-reset",
 	EvRCUBegin:     "rcu-begin",
 	EvRCUEnd:       "rcu-end",
 	EvRCUSyncStart: "rcu-sync-start",

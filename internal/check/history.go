@@ -229,6 +229,12 @@ func (h *History) Reclaim(obj, vts, sts, pts, wm uint64, flags uint8) {
 	h.recordGlobal(Event{Kind: EvReclaim, Obj: obj, VTS: vts, Aux: sts, Aux2: wm, TS: pts, Flags: flags})
 }
 
+// SlotReset records GC resetting the log slot of obj's version committed
+// at vts for reuse. Call before the reset.
+func (h *History) SlotReset(obj, vts uint64) {
+	h.recordGlobal(Event{Kind: EvSlotReset, Obj: obj, VTS: vts})
+}
+
 // Writeback records GC writing the version committed at vts back to
 // obj's master and detaching the chain at prune timestamp pts.
 func (h *History) Writeback(obj, vts, pts uint64) {

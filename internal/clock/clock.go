@@ -94,6 +94,11 @@ func (w *CommitWord) Stamp(ts uint64) uint64 {
 	return w.v.Load()
 }
 
+// Set stores ts, a stamp already won on another word of the same write
+// set: the committer copies the set's commit timestamp into each
+// version's own word this way once its header holds it.
+func (w *CommitWord) Set(ts uint64) { w.v.Store(ts) }
+
 // Abort marks a word that was never sealed as aborted.
 func (w *CommitWord) Abort() { w.v.Store(Aborted) }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mvrlu/internal/check"
+	"mvrlu/internal/failpoint"
 )
 
 // TestCheckerLiveEngine runs concurrent workloads with the history
@@ -145,6 +146,73 @@ func runCheckedWorkload(t *testing.T, opts Options, h *check.History, dur time.D
 		t.Fatalf("history recorded nothing useful: %s", rep)
 	}
 	t.Logf("%s", rep)
+}
+
+// TestCheckerNamesEarlySlotReset: a log segment is released, and its
+// slots reset for reuse, only once the tail has passed every slot in it,
+// and the checker's reset-before-reclaim rule names a slot reset ahead of
+// the tail. Const copies, reclaimable at commit, fill segment 0 but for
+// its last slot, where a chain head that a pinned reader keeps
+// unreclaimable stops the tail; the segment is released once the reader
+// has left, and every slot reset must follow its version's reclaim in
+// the history. The detector is down: the test steps reclamation itself.
+func TestCheckerNamesEarlySlotReset(t *testing.T) {
+	defer failpoint.Reset()
+	if err := failpoint.Enable("detector-scan=panic/1", 1); err != nil {
+		t.Fatal(err)
+	}
+	hist := check.NewHistory(0)
+	opts := DefaultOptions()
+	opts.Check = hist
+	d := newTestDomain(t, opts)
+	z, y := NewObject(payload{}), NewObject(payload{})
+	h := d.Register()
+	defer h.Unregister()
+	write := func(o *Object[payload], v int) {
+		t.Helper()
+		h.ReadLock()
+		c, ok := h.TryLock(o)
+		if !ok {
+			t.Fatalf("TryLock failed at head %d", h.headC)
+		}
+		c.A = v
+		h.ReadUnlock()
+	}
+	step := func() {
+		d.refreshWatermark()
+		h.collect()
+	}
+	for h.headC%logSegSlots != logSegSlots-1 {
+		h.ReadLock()
+		if !h.TryLockConst(z) {
+			t.Fatalf("TryLockConst failed at head %d", h.headC)
+		}
+		h.ReadUnlock()
+	}
+	write(y, 1) // the last slot of segment 0
+	r := d.Register()
+	r.ReadLock()
+	step() // y is written back at a prune stamp above the reader
+	tail := h.pin.tail.Load()
+	r.ReadUnlock()
+	r.Unregister()
+	if tail != logSegSlots-1 {
+		t.Fatalf("tail %d with the reader pinned, want %d", tail, logSegSlots-1)
+	}
+	for i := 0; h.segLo == 0; i++ {
+		if i == 2*logSegSlots {
+			t.Fatal("segment 0 was never released")
+		}
+		write(z, i)
+		step()
+	}
+	rep := check.Check(hist, check.Opts{Boundary: d.Boundary()})
+	if !rep.Ok() {
+		t.Fatalf("checker verdict:\n%s", rep)
+	}
+	if rep.SlotResets != logSegSlots {
+		t.Fatalf("%d slot resets recorded, want the %d of segment 0: %s", rep.SlotResets, logSegSlots, rep)
+	}
 }
 
 // TestDerefOrdoWindowRegression is the S1 regression: a commit stamped

@@ -292,17 +292,19 @@ func TestReaderStampsCommittingHeader(t *testing.T) {
 		cy, _ := w.TryLock(y)
 		cx.A, cy.A = 2, -2
 		// commit's front half, by hand.
+		h := w.header()
 		for _, v := range w.wset {
+			v.ws = h
 			v.obj.copy.Store(v)
 		}
-		w.ws.Seal()
+		h.Seal()
 
 		r := d.Register()
 		r.ReadLock()
 		if gx, gy := r.Deref(x).A, r.Deref(y).A; gx != 1 || gy != -1 {
 			t.Fatalf("mode %v: mid-commit reader saw x=%d y=%d, want 1 -1", mode, gx, gy)
 		}
-		stamped := w.ws.Load()
+		stamped := h.Load()
 		if stamped == clock.Committing || stamped <= r.SnapshotTS() {
 			t.Fatalf("mode %v: header %d after a reader at %d met it, want a stamp above the reader", mode, stamped, r.SnapshotTS())
 		}
@@ -324,14 +326,86 @@ func TestReaderStampsCommittingHeader(t *testing.T) {
 	}
 }
 
+// TestWriteSetHeaderLifetime pins where a write set keeps its header:
+// in the commit word of its last version, so the header outlives the
+// set's earlier slots. A set whose first slot (a const copy, reclaimable
+// at commit) closes log segment 0 and whose other versions lie in
+// segment 1 loses segment 0 to reclamation while its versions are still
+// chain heads. A reader that met one of them before the timestamp was
+// copied in would then consult the header, which must still hold the
+// commit timestamp — a header in the released segment reads Pending,
+// i.e. "not yet committed", and the reader would skip a committed write.
+// The detector is down: the test steps reclamation itself.
+func TestWriteSetHeaderLifetime(t *testing.T) {
+	defer failpoint.Reset()
+	if err := failpoint.Enable("detector-scan=panic/1", 1); err != nil {
+		t.Fatal(err)
+	}
+	d := newTestDomain(t, DefaultOptions())
+	z, c, b := NewObject(payload{}), NewObject(payload{}), NewObject(payload{})
+	h := d.Register()
+	defer h.Unregister()
+	for i := 0; h.headC%logSegSlots != logSegSlots-1; i++ {
+		h.ReadLock()
+		cz, ok := h.TryLock(z)
+		if !ok {
+			t.Fatalf("TryLock(z) failed at write %d", i)
+		}
+		cz.A = i
+		h.ReadUnlock()
+	}
+	h.ReadLock()
+	if !h.TryLockConst(c) {
+		t.Fatal("TryLockConst(c) failed")
+	}
+	cz, okz := h.TryLock(z)
+	cb, okb := h.TryLock(b)
+	if !okz || !okb {
+		t.Fatal("TryLock failed")
+	}
+	cz.A, cb.A = -1, 7
+	h.ReadUnlock()
+	if h.headC != logSegSlots+2 {
+		t.Fatalf("the set ends at head %d, want %d", h.headC, logSegSlots+2)
+	}
+	cts, vb := h.LastCommitTS(), b.copy.Load()
+
+	r := d.Register()
+	r.ReadLock()
+	for i := 0; h.segLo == 0 && i < 8; i++ {
+		d.refreshWatermark()
+		h.collect()
+	}
+	released, header := h.segLo != 0, vb.ws.Load()
+	gb, gz := r.Deref(b).A, r.Deref(z).A
+	r.ReadUnlock()
+	r.Unregister()
+	if !released {
+		t.Fatal("segment 0 was never released")
+	}
+	if header != cts {
+		t.Fatalf("b's write-set header reads %d once segment 0 was released, want the commit timestamp %d", header, cts)
+	}
+	if gb != 7 || gz != -1 {
+		t.Fatalf("pinned reader sees b=%d z=%d, want 7 -1", gb, gz)
+	}
+	for _, o := range []*Object[payload]{z, b} {
+		if err := d.CheckObject(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestFreeBlocksFutureLocks: a committed Free leaves the domain's freed
 // marker in the object's pending word, so the object stays locked for
 // good — TryLock fails, and a freed object is no conflict, so LockFails
 // does not count it — even once reclamation has reused the freeing
 // version's log slot for the very write set that retries the lock. (A
 // lock word still pointing at that slot would name this thread's write
-// set, and TryLock would hand back another object's copy.) The detector
-// is down: the test steps reclamation itself.
+// set, and TryLock would hand back another object's copy.) The slot is
+// reused once its segment is released and installed again, one segment
+// of writes later. The detector is down: the test steps reclamation
+// itself.
 func TestFreeBlocksFutureLocks(t *testing.T) {
 	defer failpoint.Reset()
 	if err := failpoint.Enable("detector-scan=panic/1", 1); err != nil {
@@ -376,7 +450,7 @@ func TestFreeBlocksFutureLocks(t *testing.T) {
 	h.Abort()
 
 	for i := 0; freeing.obj != other; i++ {
-		if i == 4*opts.LogSlots {
+		if i == 4*logSegSlots {
 			t.Fatalf("the freeing version's slot was not reused in %d writes", i)
 		}
 		d.refreshWatermark()

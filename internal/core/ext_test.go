@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mvrlu/internal/failpoint"
 )
 
 // TestDynamicLogOversizedWriteSet: with DynamicLog a single critical
@@ -42,6 +44,75 @@ func TestDynamicLogOversizedWriteSet(t *testing.T) {
 	h.ReadUnlock()
 	if s := d.Stats(); s.OverflowAllocs == 0 {
 		t.Fatal("expected overflow allocations")
+	}
+}
+
+// TestDynamicLogOverflowHeader: a write set that holds a heap overflow
+// version keeps its header in that version's word, never in a log slot.
+// The set here is an overflow version of a (taken while a pinned reader
+// holds the log full) followed by a log slot for b (taken once the
+// reader left). The log slot's segment is then released while a's
+// overflow version is still its chain head, which a header in b's slot
+// would not survive: CheckObject's header rule names it. The detector is
+// down: the test steps reclamation itself.
+func TestDynamicLogOverflowHeader(t *testing.T) {
+	defer failpoint.Reset()
+	if err := failpoint.Enable("detector-scan=panic/1", 1); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.LogSlots = 16
+	opts.DynamicLog = true
+	d := newTestDomain(t, opts)
+	a, b, z := NewObject(payload{}), NewObject(payload{}), NewObject(payload{})
+	h, r := d.Register(), d.Register()
+	defer h.Unregister()
+	defer r.Unregister()
+	write := func(o *Object[payload], v int) {
+		t.Helper()
+		h.ReadLock()
+		c, ok := h.TryLock(o)
+		if !ok {
+			t.Fatalf("TryLock failed at head %d", h.headC)
+		}
+		c.A = v
+		h.ReadUnlock()
+	}
+
+	r.ReadLock()
+	for i := 0; uint64(h.LogOccupancy()) < h.highSlots; i++ {
+		write(z, i)
+	}
+	h.ReadLock()
+	ca, oka := h.TryLock(a)
+	r.ReadUnlock()
+	cb, okb := h.TryLock(b)
+	if !oka || !okb {
+		t.Fatal("TryLock failed")
+	}
+	va, vb := a.pending.Load(), b.pending.Load()
+	ca.A, cb.A = 1, 2
+	h.ReadUnlock()
+	if !va.overflow || vb.overflow {
+		t.Fatalf("a's version overflow=%v, b's overflow=%v: want a heap version of a and a log slot for b", va.overflow, vb.overflow)
+	}
+
+	for i := 0; h.segLo == 0; i++ {
+		if i == 4*logSegSlots {
+			t.Fatal("segment 0 was never released")
+		}
+		write(b, i)
+		d.refreshWatermark()
+		h.collect()
+	}
+	if err := d.CheckObject(a); err != nil {
+		t.Fatal(err)
+	}
+	r.ReadLock()
+	got := r.Deref(a).A
+	r.ReadUnlock()
+	if got != 1 {
+		t.Fatalf("a reads %d, want 1", got)
 	}
 }
 

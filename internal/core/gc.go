@@ -33,7 +33,7 @@ func (t *Thread[T]) allocSlot() *version[T] {
 			if t.needsGCMu {
 				t.gcMu.Lock()
 			}
-			if t.segMask != 0 && t.headC/logSegSlots == t.segHi {
+			if t.headC/logSegSlots == t.segHi {
 				t.installSeg()
 			}
 			v := t.slot(t.headC)
@@ -45,7 +45,7 @@ func (t *Thread[T]) allocSlot() *version[T] {
 			}
 			return v
 		}
-		if !t.d.opts.DynamicLog && t.ws != nil && t.headC-t.wsStart >= t.highSlots {
+		if !t.d.opts.DynamicLog && len(t.wset) != 0 && t.headC-t.wsStart >= t.highSlots {
 			panic("mvrlu: write set exceeds log capacity; increase Options.LogSlots")
 		}
 		t.stats.capacityBlocks++
@@ -79,7 +79,7 @@ func (t *Thread[T]) allocSlot() *version[T] {
 				// the runtime GC reclaims them once unreferenced.
 				t.stats.overflowAllocs++
 				v := &version[T]{owner: t.id, overflow: true}
-				v.commitTS.Store(infinity)
+				v.commitTS.Reset()
 				return v
 			}
 			t.reportAllocStall()
@@ -95,11 +95,10 @@ func (t *Thread[T]) allocSlot() *version[T] {
 // single-collector mode it kicks the collector instead), and allocates a
 // new segment only if that released none. So a log grows only while
 // reclamation holds back more than its segments, and never past the ring
-// that highSlots sizes. The pass takes no watermark scan of its own: one
-// here would advance the watermark at segment boundaries while the
-// detector is down, and the write-set header pool, whose refresh fires
-// only once it is full, would then never fill (see getWSHeader). Called
-// by allocSlot, under gcMu in single-collector mode.
+// that highSlots sizes. The pass reads the broadcast watermark and takes
+// no scan of its own, so a boundary adds no O(threads) work; the capacity
+// path refreshes once the log is actually full. Called by allocSlot,
+// under gcMu in single-collector mode.
 func (t *Thread[T]) installSeg() {
 	if len(t.segFree) == 0 && t.headC != t.pin.tail.Load() {
 		if t.d.opts.GCMode == GCConcurrent {
@@ -307,10 +306,17 @@ func (t *Thread[T]) collectPass() uint64 {
 		// tail rule above already proved its versions unreachable, and
 		// a free segment may wait long for reuse, so it must not keep
 		// their payloads (and whatever those point to) alive.
-		for t.segMask != 0 && t.segLo < (tail+n)/logSegSlots {
+		for t.segLo < (tail+n)/logSegSlots {
 			seg := t.segs[t.segLo&t.segMask]
 			for i := range seg {
-				seg[i].reset()
+				v := &seg[i]
+				if chk != nil {
+					// Before the reset, and after the slot's reclaim
+					// event: a reset with none before it names a slot
+					// released ahead of the tail.
+					chk.SlotReset(chk.ObjID(unsafe.Pointer(v.obj)), v.commitTS.Load())
+				}
+				v.reset()
 			}
 			t.segFree = append(t.segFree, seg)
 			t.segLo++
@@ -334,7 +340,7 @@ func (t *Thread[T]) collectPass() uint64 {
 		for i := tail + n; i < limit; i++ {
 			v := t.slot(i)
 			cts := v.commitTS.Load()
-			if cts == infinity {
+			if cts >= uncommitted {
 				break // uncommitted: current write set reached
 			}
 			if cts < w && !v.constLock && !v.freeing &&
@@ -375,7 +381,7 @@ func (t *Thread[T]) resetDerefCounters() {
 // pruned now (Lemma 2) and reclaimed by a later pass.
 func (t *Thread[T]) reclaimable(v *version[T], w uint64) bool {
 	cts := v.commitTS.Load()
-	if cts == infinity {
+	if cts >= uncommitted {
 		return false // uncommitted: current write set reached
 	}
 	if v.constLock {

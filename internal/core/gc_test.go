@@ -178,9 +178,6 @@ func TestLogSegments(t *testing.T) {
 			segs := func() uint64 { return d.Stats().LogSegmentAllocs }
 			high := h.highSlots
 			ceiling := (high+logSegSlots-1)/logSegSlots + 1 // segments the live span can touch
-			if c.slots <= logSegSlots {
-				ceiling = 1
-			}
 
 			// (a) A steady writer settles, then allocates nothing.
 			for range 10000 {
@@ -253,7 +250,7 @@ func TestLogSegments(t *testing.T) {
 				t.Fatalf("capacity blocks %d → %d, log fails %d → %d: the writer never blocked",
 					before.CapacityBlocks, s.CapacityBlocks, before.LogFails, s.LogFails)
 			}
-			if got, want := s.LogSegmentAllocs, (high+logSegSlots-1)/logSegSlots; c.slots > logSegSlots && got < want || got > ceiling {
+			if got, want := s.LogSegmentAllocs, (high+logSegSlots-1)/logSegSlots; got < want || got > ceiling {
 				t.Fatalf("%d segments behind a pinned reader, want %d..%d", got, want, ceiling)
 			}
 			grown := s.LogSegmentAllocs

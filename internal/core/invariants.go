@@ -14,7 +14,9 @@ import "fmt"
 //   - the prefix is acyclic and of sane length,
 //   - commit timestamps strictly decrease from head onwards (§3.2's
 //     newest-to-oldest invariant),
-//   - no chain entry in the prefix is still marked uncommitted, and
+//   - no chain entry in the prefix is still marked uncommitted,
+//   - every entry's write-set header holds the entry's timestamp (the
+//     header outlives every reader that may still consult it), and
 //   - the pending slot, if set, belongs to a registered thread or is the
 //     domain's write-back sentinel or freed marker.
 //
@@ -29,7 +31,7 @@ func (d *Domain[T]) CheckObject(o *Object[T]) error {
 	}
 	w := d.refreshWatermark()
 	const maxChain = 1 << 20
-	prev := infinity
+	prev := uncommitted // above every commit timestamp
 	n := 0
 	for v := o.copy.Load(); v != nil; v = v.older {
 		n++
@@ -37,8 +39,11 @@ func (d *Domain[T]) CheckObject(o *Object[T]) error {
 			return fmt.Errorf("mvrlu: chain exceeds %d entries (cycle?)", maxChain)
 		}
 		ts := v.commitTS.Load()
-		if ts == infinity {
+		if ts >= uncommitted {
 			return fmt.Errorf("mvrlu: uncommitted version in chain at depth %d", n)
+		}
+		if h := v.ws; h == nil || h.Load() != ts {
+			return fmt.Errorf("mvrlu: write-set header of the version at depth %d lost its timestamp %d", n, ts)
 		}
 		if ts >= prev {
 			return fmt.Errorf("mvrlu: chain not newest-to-oldest at depth %d (%d after %d)", n, ts, prev)

@@ -24,7 +24,6 @@ type threadStats struct {
 	chainSteps     uint64 // versions inspected across all derefs
 	overflowAllocs uint64 // heap-allocated versions (DynamicLog)
 	wmCoalesced    uint64 // watermark refreshes served by the broadcast value
-	wsAllocs       uint64 // write-set headers allocated (pool misses)
 	logSegAllocs   uint64 // version-log segments allocated
 }
 
@@ -46,7 +45,6 @@ func (a *threadStats) add(b *threadStats) {
 	a.chainSteps += b.chainSteps
 	a.overflowAllocs += b.overflowAllocs
 	a.wmCoalesced += b.wmCoalesced
-	a.wsAllocs += b.wsAllocs
 	a.logSegAllocs += b.logSegAllocs
 }
 
@@ -76,10 +74,6 @@ type Stats struct {
 	// normally coalesce instead of recomputing the grace period.
 	WatermarkScans     uint64
 	WatermarkCoalesced uint64
-
-	// WSHeaderAllocs counts write-set headers allocated from the heap;
-	// steady-state write paths recycle headers and keep this flat.
-	WSHeaderAllocs uint64
 
 	// LogSegmentAllocs counts version-log segments allocated from the
 	// heap. A log grows by one only when a GC pass frees none of its
@@ -133,7 +127,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.OverflowAllocs += o.OverflowAllocs
 	s.WatermarkScans += o.WatermarkScans
 	s.WatermarkCoalesced += o.WatermarkCoalesced
-	s.WSHeaderAllocs += o.WSHeaderAllocs
 	s.LogSegmentAllocs += o.LogSegmentAllocs
 	s.StallEvents += o.StallEvents
 	s.StalledFor += o.StalledFor
@@ -208,7 +201,6 @@ func (d *Domain[T]) Stats() Stats {
 		ChainSteps:         agg.chainSteps,
 		OverflowAllocs:     agg.overflowAllocs,
 		WatermarkCoalesced: agg.wmCoalesced + d.wmCoalesced.Load(),
-		WSHeaderAllocs:     agg.wsAllocs,
 		LogSegmentAllocs:   agg.logSegAllocs,
 		WatermarkScans:     d.wmScans.Load(),
 		StallEvents:        d.stallEvents.Load(),

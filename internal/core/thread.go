@@ -69,35 +69,24 @@ type Thread[T any] struct {
 	// enable gate, so the common nil case costs no atomics at all.
 	crec *check.ThreadRec
 
-	// The version log is a FIFO of segments of segN slots: counter c
-	// lives at slot c%segN of segment number c/segN, which is held in
-	// the ring segs at index (c/segN)&segMask. Segment numbers
-	// [segLo, segHi) are installed; reclamation moves each segment the
-	// tail has wholly passed to segFree (segLo++), and allocSlot installs
-	// the next one from there (segHi++, see installSeg). With LogSlots ≤
-	// logSegSlots the log is one segment of LogSlots slots, installed by
-	// initLog and never released: a plain ring (segMask 0). headC is the
-	// owner's cached head counter.
+	// The version log is a FIFO of segments of logSegSlots slots:
+	// counter c lives at slot c%logSegSlots of segment number
+	// c/logSegSlots, which is held in the ring segs at index
+	// (c/logSegSlots)&segMask. Segment numbers [segLo, segHi) are
+	// installed; reclamation moves each segment the tail has wholly
+	// passed to segFree (segLo++), and allocSlot installs the next one
+	// from there (segHi++, see installSeg). headC is the owner's cached
+	// head counter.
 	segs         [][]version[T]
 	segFree      [][]version[T]
-	segN         uint64
 	segMask      uint64
 	segLo, segHi uint64
 	headC        uint64
 
-	// wset is the current critical section's write set; ws its header.
+	// wset is the current critical section's write set; its header is
+	// one of its versions' commit words (see header).
 	wset    []*version[T]
-	ws      *clock.CommitWord
 	wsStart uint64 // head counter at write-set begin
-
-	// wsPool is the FIFO ring of retired write-set headers awaiting
-	// recycling (owner-only; see getWSHeader for the reuse rule).
-	// wsRetired holds the last committed header until the next
-	// ReadLock's clock read stamps its retire timestamp.
-	wsPool     []retiredWS
-	wsPoolHead uint64
-	wsPoolTail uint64
-	wsRetired  *clock.CommitWord
 
 	// Dereference-watermark accounting (owner-only).
 	derefMaster uint64
@@ -149,23 +138,10 @@ type pinState struct {
 	_       [56]byte
 }
 
-// retiredWS is a pool entry: a write-set header retired at clock time ts.
-type retiredWS struct {
-	h  *clock.CommitWord
-	ts uint64
-}
-
 // logSegSlots is the size of one version-log segment: the unit by which
 // a writer's log grows to what its reclamation lag holds back, up to the
 // Options.LogSlots ceiling.
 const logSegSlots = 64
-
-// wsPoolCap bounds the per-thread header pool. It must cover the headers
-// a thread can retire within one watermark lag (~two grace-period
-// intervals): at ~1 commit/µs and the default 200µs interval that is a
-// few hundred; beyond the cap, retired headers are dropped to the
-// runtime GC.
-const wsPoolCap = 1024
 
 func newThread[T any](d *Domain[T], id int) *Thread[T] {
 	t := &Thread[T]{
@@ -181,14 +157,10 @@ func newThread[T any](d *Domain[T], id int) *Thread[T] {
 		t.highSlots = uint64(d.opts.LogSlots)
 	}
 	t.lowSlots = uint64(d.opts.LowCapacity * float64(d.opts.LogSlots))
-	t.segN = uint64(d.opts.LogSlots)
-	if t.segN > logSegSlots {
-		// The live span [tail, head] holds at most highSlots slots and
-		// straddles at most one more segment; a power-of-two ring of
-		// that many entries never gives two installed segments one index.
-		t.segN = logSegSlots
-		t.segMask = 1<<bits.Len64((t.highSlots+logSegSlots-1)/logSegSlots) - 1
-	}
+	// The live span [tail, head] holds at most highSlots slots and
+	// straddles at most one more segment; a power-of-two ring of that
+	// many entries never gives two installed segments one index.
+	t.segMask = 1<<bits.Len64((t.highSlots+logSegSlots-1)/logSegSlots) - 1
 	return t
 }
 
@@ -196,15 +168,11 @@ func newThread[T any](d *Domain[T], id int) *Thread[T] {
 // stays allocation-light this way: read-only handles never pay for a
 // log, so wide registered fleets (the paper evaluates up to 448 threads)
 // cost the watermark scan one cache line each, not LogSlots versions.
-// A one-segment log is installed here, once; a segmented log installs
-// its segments as the head enters them (installSeg). Under
+// Segments are installed as the head enters them (installSeg). Under
 // single-collector mode the collector reads the ring, so it is published
 // under gcMu.
 func (t *Thread[T]) initLog() {
 	segs := make([][]version[T], t.segMask+1)
-	if t.segMask == 0 {
-		segs[0] = t.newSeg()
-	}
 	if t.needsGCMu {
 		t.gcMu.Lock()
 		defer t.gcMu.Unlock()
@@ -215,9 +183,9 @@ func (t *Thread[T]) initLog() {
 
 // newSeg allocates one log segment.
 func (t *Thread[T]) newSeg() []version[T] {
-	seg := make([]version[T], t.segN)
+	seg := make([]version[T], logSegSlots)
 	for i := range seg {
-		seg[i].commitTS.Store(infinity)
+		seg[i].commitTS.Reset()
 		seg[i].owner = t.id
 	}
 	t.stats.logSegAllocs++
@@ -226,9 +194,6 @@ func (t *Thread[T]) newSeg() []version[T] {
 
 // slot returns the log slot of head counter c.
 func (t *Thread[T]) slot(c uint64) *version[T] {
-	if t.segMask == 0 {
-		return &t.segs[0][c%t.segN]
-	}
 	return &t.segs[(c/logSegSlots)&t.segMask][c%logSegSlots]
 }
 
@@ -259,14 +224,6 @@ func (t *Thread[T]) ReadLock() {
 		// the recorded order never claims a pin earlier than the scan
 		// machinery could have seen it.
 		t.crec.Begin(ts)
-	}
-	if t.wsRetired != nil {
-		// Stamp the header the last commit retired. This clock read
-		// postdates that commit's duplicate stores (same goroutine),
-		// which is all the reuse rule in getWSHeader needs — and it
-		// was drawn anyway, saving a dedicated read per commit.
-		t.poolPush(t.wsRetired, ts)
-		t.wsRetired = nil
 	}
 	if obs.Enabled() {
 		if t.d.hwClock {
@@ -467,11 +424,13 @@ func (t *Thread[T]) derefWalk(o *Object[T]) (*T, *version[T]) {
 	// Read-your-own-writes (the paper's mvrlu_deref self-locked case):
 	// an object this section already locked must be read through its
 	// uncommitted copy, or a multi-step body (the ordered index's
-	// transactions) would traverse its own splices inconsistently. The
-	// t.ws guard keeps the read-only hot path at a single atomic load —
-	// a section that locked nothing cannot own a pending copy.
-	if t.ws != nil {
-		if p := o.pending.Load(); p != nil && p.owner == t.id && p.ws == t.ws {
+	// transactions) would traverse its own splices inconsistently. A
+	// pending copy this thread owns is this section's: commit and abort
+	// release every lock a set took, and thread ids are never reused.
+	// The wset guard keeps the read-only hot path at a single atomic
+	// load — a section that locked nothing cannot own a pending copy.
+	if len(t.wset) != 0 {
+		if p := o.pending.Load(); p != nil && p.owner == t.id {
 			t.derefCopy++
 			return &p.data, nil
 		}
@@ -491,15 +450,14 @@ func (t *Thread[T]) derefWalk(o *Object[T]) (*T, *version[T]) {
 		t.stats.chainSteps++
 		// resolveTS folded inline: the common hop — a committed
 		// version — costs one atomic load with no call or write-set
-		// header chase; only a version caught mid-commit (duplicate
-		// timestamp not yet stored) consults its header, and stamps a
-		// sealed one itself (see clock.CommitWord).
+		// header chase; only a version caught mid-commit (timestamp
+		// not yet copied in) consults its header, and stamps a sealed
+		// one itself (see clock.CommitWord).
 		cts := v.commitTS.Load()
-		if cts == infinity {
-			if h := v.ws; h != nil {
-				if cts = h.Load(); cts == clock.Committing {
-					cts = h.Stamp(t.d.drawCommitTS())
-				}
+		if cts >= uncommitted {
+			h := v.ws
+			if cts = h.Load(); cts == clock.Committing {
+				cts = h.Stamp(t.d.drawCommitTS())
 			}
 		}
 		// Window-conservative pick (§3.9): a commit timestamp inside
@@ -593,7 +551,7 @@ func (t *Thread[T]) tryLockWalk(o *Object[T], constLock bool) (*version[T], bool
 		// Already locked. By us in this critical section: reuse the
 		// copy (upgrading a const lock to a real one is allowed —
 		// the copy exists either way). A freed object is no conflict.
-		if p.owner == t.id && p.ws == t.ws && t.ws != nil {
+		if p.owner == t.id {
 			if !constLock {
 				p.constLock = false
 			}
@@ -613,15 +571,13 @@ func (t *Thread[T]) tryLockWalk(o *Object[T], constLock bool) (*version[T], bool
 		t.stats.logFails++
 		return nil, false
 	}
-	if t.ws == nil {
-		t.ws = t.getWSHeader()
+	if len(t.wset) == 0 {
 		t.wsStart = t.headC
 		if !v.overflow {
 			t.wsStart-- // the slot just allocated belongs to this set
 		}
 	}
 	v.obj = o
-	v.ws = t.ws
 	v.constLock = constLock
 
 	if failpoint.Enabled() {
@@ -693,19 +649,22 @@ func (t *Thread[T]) Free(o *Object[T]) bool {
 		return false
 	}
 	p := o.pending.Load()
-	if p == nil || p.owner != t.id || p.ws != t.ws || t.ws == nil || p.constLock {
+	if p == nil || p.owner != t.id || p.constLock {
 		return false
 	}
 	p.freeing = true
 	return true
 }
 
-// commit publishes the write set (§3.5): push pending copies to their
-// chains, publish the write-set commit timestamp (linearization point),
-// duplicate it into the copy headers, mark superseded predecessors for
-// reclamation, and unlock the masters (freed masters stay locked).
+// commit publishes the write set (§3.5): point every copy at the set's
+// header, push pending copies to their chains, publish the write-set
+// commit timestamp (linearization point), copy it into the versions,
+// mark superseded predecessors for reclamation, and unlock the masters
+// (freed masters stay locked).
 func (t *Thread[T]) commit() {
+	h := t.header()
 	for _, v := range t.wset {
+		v.ws = h
 		if v.constLock {
 			continue
 		}
@@ -714,7 +673,7 @@ func (t *Thread[T]) commit() {
 		v.obj.copy.Store(v)
 	}
 	// Every version is in its chain (see clock.CommitWord).
-	t.ws.Seal()
+	h.Seal()
 	if failpoint.Enabled() {
 		t.injectCommitPublish()
 	}
@@ -746,15 +705,14 @@ func (t *Thread[T]) injectCommitPublish() {
 }
 
 // finishCommit is the back half of commit: draw and publish the commit
-// timestamp (the linearization point), duplicate it into the copies,
-// mark superseded predecessors, and unlock the masters. The header is
-// sealed, so a reader may have stamped it first; its timestamp then
-// stands.
+// timestamp (the linearization point), copy it into the versions, mark
+// superseded predecessors, and unlock the masters. The header is sealed,
+// so a reader may have stamped it first; its timestamp then stands.
 func (t *Thread[T]) finishCommit() {
-	cts := t.ws.Stamp(t.d.drawCommitTS())
+	cts := t.header().Stamp(t.d.drawCommitTS())
 	t.lastCommitTS = cts
 	for _, v := range t.wset {
-		v.commitTS.Store(cts)
+		v.commitTS.Set(cts)
 		if v.constLock {
 			// Never published: reusable as soon as the slot
 			// reaches the tail.
@@ -776,7 +734,7 @@ func (t *Thread[T]) finishCommit() {
 	if t.crec != nil {
 		// One event per write-set entry, after the set is fully
 		// published (the records are bookkeeping, not part of the
-		// commit protocol) and before endWriteSet clears it.
+		// commit protocol) and before the set is cleared.
 		for _, v := range t.wset {
 			var fl uint8
 			basedOn := uint64(0)
@@ -795,7 +753,28 @@ func (t *Thread[T]) finishCommit() {
 		}
 	}
 	t.stats.commits++
-	t.endWriteSet(true)
+	t.wset = t.wset[:0]
+}
+
+// header returns the write set's commit word (§3.2): the commitTS word
+// of its last version. A reader consults a version's header only after
+// it loaded that version's word before the timestamp was copied in, and
+// such a reader holds the version unreclaimable until it exits (its
+// superseded, pruned or freed timestamp is drawn later). A set's log
+// slots are contiguous and the tail passes them in order, so it passes
+// the last one only once every version of the set was reclaimable: log
+// reclamation frees the header with the set. A DynamicLog overflow
+// version lies outside that order, so a set holding one uses its word
+// instead; heap versions are never reset.
+func (t *Thread[T]) header() *clock.CommitWord {
+	if t.d.opts.DynamicLog {
+		for _, v := range t.wset {
+			if v.overflow {
+				return &v.commitTS
+			}
+		}
+	}
+	return &t.wset[len(t.wset)-1].commitTS
 }
 
 // drawCommitTS draws a commit timestamp. The +1 meets the CommitWord
@@ -824,82 +803,7 @@ func (t *Thread[T]) rollback() {
 			t.gcMu.Unlock()
 		}
 	}
-	t.endWriteSet(false)
-}
-
-// endWriteSet clears the write set and retires its header for recycling;
-// published reports whether commit ran (the header's commit timestamp
-// was made reachable through version chains).
-func (t *Thread[T]) endWriteSet(published bool) {
-	if t.ws != nil {
-		if published {
-			// The retire timestamp must be drawn after commit stored
-			// the duplicate timestamp into every version of the set
-			// (the reuse rule in getWSHeader bounds straggling readers
-			// by it). Defer the stamping to the next ReadLock, whose
-			// clock read satisfies that order for free.
-			t.wsRetired = t.ws
-		} else {
-			// Aborted: the header was never reachable (its versions
-			// were popped unpublished), so it retires at 0 and is
-			// reusable immediately.
-			t.poolPush(t.ws, 0)
-		}
-		t.ws = nil
-	}
 	t.wset = t.wset[:0]
-}
-
-// getWSHeader returns a write-set header reset to Pending, recycling a
-// retired one when the watermark proves it unobservable. This keeps the
-// steady-state write path allocation-free.
-func (t *Thread[T]) getWSHeader() *clock.CommitWord {
-	if t.wsPoolHead != t.wsPoolTail {
-		e := t.wsPool[t.wsPoolHead%wsPoolCap]
-		// Reuse rule: only once the watermark has passed the header's
-		// retire timestamp. A reader can still consult this header only
-		// through resolveTS's fallback — it loaded some version's
-		// commitTS while it was still infinity, i.e. before commit
-		// duplicated the timestamp into that version, and is about to
-		// read the header. Such a reader entered its critical section
-		// before the duplicates were all stored, hence before the
-		// retire timestamp was drawn, so its local-ts is below
-		// retire-ts + boundary. watermark > retire-ts means every
-		// active section's local-ts is at least watermark + boundary
-		// > retire-ts + boundary: the straggler has exited, and its
-		// ReadUnlock ordered all its loads before the scan that
-		// produced this watermark — it can never observe the reset.
-		// A full pool whose oldest header the broadcast has not passed
-		// means the detector has not published for a whole pool of
-		// commits (stalled, panicking, descheduled): refresh once
-		// through the coalesced thread-side path (at most one scan per
-		// freshness window) rather than allocate on every commit until
-		// it does. A pool with room just grows, so the write path adds
-		// no scans and GC write-back timing stays the detector's.
-		if e.ts < t.d.watermark.Load() ||
-			t.wsPoolTail-t.wsPoolHead == wsPoolCap && e.ts < t.refreshWatermark(t.d.wmFreshness) {
-			t.wsPoolHead++
-			e.h.Reset()
-			return e.h
-		}
-	}
-	t.stats.wsAllocs++
-	h := new(clock.CommitWord)
-	h.Reset()
-	return h
-}
-
-// poolPush enqueues a retired header with its retire timestamp (0 for
-// never-published headers, which are reusable at once).
-func (t *Thread[T]) poolPush(h *clock.CommitWord, ts uint64) {
-	if t.wsPoolTail-t.wsPoolHead == wsPoolCap {
-		return // pool full: drop to the runtime GC
-	}
-	if t.wsPool == nil {
-		t.wsPool = make([]retiredWS, wsPoolCap)
-	}
-	t.wsPool[t.wsPoolTail%wsPoolCap] = retiredWS{h: h, ts: ts}
-	t.wsPoolTail++
 }
 
 // ID returns the thread's registration index within its domain.

@@ -6,9 +6,10 @@ import (
 	"mvrlu/internal/clock"
 )
 
-// infinity marks an uncommitted version (§3.2: commit-ts is ∞ until the
-// write set commits).
-const infinity = clock.Infinity
+// uncommitted is the least commit-word value that reads as "not yet
+// committed": Pending (∞ until the write set commits, §3.2) and
+// Committing (a sealed header not yet stamped).
+const uncommitted = clock.Committing
 
 // Owners of the domain's write-back sentinel and freed marker.
 const sentinelOwner, freedOwner = -1, -2
@@ -16,13 +17,15 @@ const sentinelOwner, freedOwner = -1, -2
 // version is a copy object. Versions live in per-thread circular logs and
 // their slots are reused once reclamation proves no reader can reach them.
 type version[T any] struct {
-	// commitTS is the version's commit timestamp, infinity until the
-	// owning write set commits. It duplicates the ws header's stamp to
-	// save a pointer chase during chain traversal (§3.2).
-	commitTS atomic.Uint64
+	// commitTS is the version's commit word: Pending until the owning
+	// write set commits, then its commit timestamp, copied in once the
+	// set's header holds it so a committed hop costs one load (§3.2).
+	// One version's word is the set's header itself (Thread.header).
+	commitTS clock.CommitWord
 	// ws is the write-set header (§3.2), shared by every copy of one
-	// critical section and consulted while commitTS is still infinity
-	// mid-commit. Its stamp is the commit's linearization point (§3.5).
+	// critical section: set at commit before the version is published,
+	// and consulted while commitTS is not yet final. Its stamp is the
+	// commit's linearization point (§3.5).
 	ws *clock.CommitWord
 	// obj is the master this version belongs to.
 	obj *Object[T]
@@ -61,19 +64,19 @@ type version[T any] struct {
 }
 
 // resolveTS returns the version's effective commit timestamp, falling back
-// to the write-set header while the duplicate is still infinity (§3.2).
+// to the write-set header while its own word is not yet final (§3.2).
 func (v *version[T]) resolveTS() uint64 {
 	ts := v.commitTS.Load()
-	if ts == infinity && v.ws != nil {
+	if ts >= uncommitted {
 		ts = v.ws.Load()
 	}
 	return ts
 }
 
 // reset prepares a slot for reuse. Safe only once reclamation has proved
-// no reader can reach the version.
+// no reader can reach the version, nor the header word it may hold.
 func (v *version[T]) reset() {
-	v.commitTS.Store(infinity)
+	v.commitTS.Reset()
 	v.ws = nil
 	v.obj = nil
 	v.older = nil

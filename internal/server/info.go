@@ -152,7 +152,6 @@ func (s *Server) writeEngineSection(b *strings.Builder, i int, e core.Engine) {
 		fmt.Fprintf(b, "overflow_allocs:%d\n", stats.OverflowAllocs)
 		fmt.Fprintf(b, "watermark_scans:%d\n", stats.WatermarkScans)
 		fmt.Fprintf(b, "watermark_coalesced:%d\n", stats.WatermarkCoalesced)
-		fmt.Fprintf(b, "ws_header_allocs:%d\n", stats.WSHeaderAllocs)
 		fmt.Fprintf(b, "log_segment_allocs:%d\n", stats.LogSegmentAllocs)
 		fmt.Fprintf(b, "handle_leaks:%d\n", stats.HandleLeaks)
 		fmt.Fprintf(b, "detector_recoveries:%d\n", stats.DetectorRecoveries)
