@@ -10,8 +10,8 @@ import (
 )
 
 // TestDynamicLogOversizedWriteSet: with DynamicLog a single critical
-// section larger than the log must succeed via overflow versions instead
-// of panicking.
+// section larger than the log must succeed by growing the log past its
+// ceiling instead of panicking.
 func TestDynamicLogOversizedWriteSet(t *testing.T) {
 	opts := DefaultOptions()
 	opts.LogSlots = 8
@@ -47,13 +47,13 @@ func TestDynamicLogOversizedWriteSet(t *testing.T) {
 	}
 }
 
-// TestDynamicLogOverflowHeader: a write set that holds a heap overflow
-// version keeps its header in that version's word, never in a log slot.
-// The set here is an overflow version of a (taken while a pinned reader
-// holds the log full) followed by a log slot for b (taken once the
-// reader left). The log slot's segment is then released while a's
-// overflow version is still its chain head, which a header in b's slot
-// would not survive: CheckObject's header rule names it. The detector is
+// TestDynamicLogOverflowHeader: a write set that straddles the log's
+// ceiling keeps its header in its last slot, like any other. The set
+// here is a version of a in the first slot past the ceiling (taken while
+// a pinned reader holds the log full) followed by one of b in the next
+// slot (taken once the reader left). The segment holding both is then
+// released, which the tail reaches only after a's version was written
+// back: CheckObject's header rule must find a clean. The detector is
 // down: the test steps reclamation itself.
 func TestDynamicLogOverflowHeader(t *testing.T) {
 	defer failpoint.Reset()
@@ -85,21 +85,27 @@ func TestDynamicLogOverflowHeader(t *testing.T) {
 	}
 	h.ReadLock()
 	ca, oka := h.TryLock(a)
+	ia := h.headC - 1
+	pastCeiling := ia-h.pin.tail.Load() >= h.highSlots
 	r.ReadUnlock()
 	cb, okb := h.TryLock(b)
+	ib := h.headC - 1
 	if !oka || !okb {
 		t.Fatal("TryLock failed")
 	}
 	va, vb := a.pending.Load(), b.pending.Load()
 	ca.A, cb.A = 1, 2
 	h.ReadUnlock()
-	if !va.overflow || vb.overflow {
-		t.Fatalf("a's version overflow=%v, b's overflow=%v: want a heap version of a and a log slot for b", va.overflow, vb.overflow)
+	if !pastCeiling || h.slot(ia) != va || ib != ia+1 || h.slot(ib) != vb {
+		t.Fatalf("a's version in slot %d (past the ceiling: %v), b's in slot %d: want b's in the slot after a's past the ceiling", ia, pastCeiling, ib)
+	}
+	if va.ws != &vb.commitTS {
+		t.Fatal("the set's header is not b's commit word")
 	}
 
-	for i := 0; h.segLo == 0; i++ {
+	for i := 0; h.segLo <= ib/logSegSlots; i++ {
 		if i == 4*logSegSlots {
-			t.Fatal("segment 0 was never released")
+			t.Fatalf("segment %d was never released", ib/logSegSlots)
 		}
 		write(b, i)
 		d.refreshWatermark()
@@ -116,8 +122,94 @@ func TestDynamicLogOverflowHeader(t *testing.T) {
 	}
 }
 
+// TestDynamicLogGrowth: behind a pinned reader a DynamicLog log grows
+// past its ceiling, doubling its segment ring as it fills; once the
+// reader leaves and reclamation catches up, the log holds no more
+// segments, installed or free, than the ceiling's ring, and every chain
+// is intact. The detector is down: the test steps reclamation itself.
+func TestDynamicLogGrowth(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mode GCMode
+	}{{"concurrent", GCConcurrent}, {"single-collector", GCSingleCollector}} {
+		t.Run(c.name, func(t *testing.T) {
+			defer failpoint.Reset()
+			if err := failpoint.Enable("detector-scan=panic/1", 1); err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultOptions()
+			opts.LogSlots = 128 // a 96-slot ceiling, a ring of 4
+			opts.GCMode = c.mode
+			opts.DynamicLog = true
+			d := newTestDomain(t, opts)
+			h, r := d.Register(), d.Register()
+			defer h.Unregister()
+			defer r.Unregister()
+			objs := make([]*Object[payload], 50)
+			for i := range objs {
+				objs[i] = NewObject(payload{A: -1})
+			}
+			checkAll := func(when string) {
+				t.Helper()
+				for i, o := range objs {
+					if err := d.CheckObject(o); err != nil {
+						t.Fatalf("%s: object %d: %v", when, i, err)
+					}
+				}
+			}
+			ring := h.segCap
+
+			r.ReadLock()
+			const writes = 3000
+			for i := range writes {
+				h.ReadLock()
+				c, ok := h.TryLock(objs[i%len(objs)])
+				if !ok {
+					t.Fatalf("TryLock %d failed despite DynamicLog", i)
+				}
+				c.A = i
+				h.ReadUnlock()
+			}
+			if got := r.Deref(objs[7]).A; got != -1 {
+				t.Fatalf("the pinned snapshot reads %d, want -1", got)
+			}
+			occ, grown := uint64(h.LogOccupancy()), uint64(len(h.segs))
+			if occ <= h.highSlots || grown <= ring {
+				t.Fatalf("behind a pinned reader: occupancy %d, ring %d; want past the %d-slot ceiling and its ring of %d", occ, grown, h.highSlots, ring)
+			}
+			checkAll("pinned")
+			r.ReadUnlock()
+
+			for i := 0; h.LogOccupancy() > 0; i++ {
+				if i == 100 {
+					t.Fatalf("occupancy %d after %d GC passes", h.LogOccupancy(), i)
+				}
+				d.refreshWatermark()
+				h.collect()
+			}
+			held := h.segHi - h.segLo + uint64(len(h.segFree))
+			s := d.Stats()
+			t.Logf("occupancy %d, ring %d, %d segments held, %d segment allocations", occ, grown, held, s.LogSegmentAllocs)
+			if held > ring {
+				t.Fatalf("%d segments held once reclamation caught up, want at most the ceiling's ring of %d", held, ring)
+			}
+			if s.OverflowAllocs == 0 {
+				t.Fatal("no version was placed past the ceiling")
+			}
+			checkAll("reclaimed")
+			h.ReadLock()
+			for i, o := range objs {
+				if got, want := h.Deref(o).A, writes-len(objs)+i; got != want {
+					t.Fatalf("object %d reads %d, want its last write %d", i, got, want)
+				}
+			}
+			h.ReadUnlock()
+		})
+	}
+}
+
 // TestDynamicLogAbortRollsBackOverflow: aborting a write set that spilled
-// into overflow versions must fully unlock and discard.
+// past the log's ceiling must fully unlock and discard.
 func TestDynamicLogAbortRollsBackOverflow(t *testing.T) {
 	opts := DefaultOptions()
 	opts.LogSlots = 8

@@ -384,17 +384,20 @@ func TestFailpointDetectorScan(t *testing.T) {
 // TestCommitHeaderReuseWithoutDetector pins that a commit allocates
 // nothing without help from the detector goroutine: with every detector
 // pass panicking before it publishes a watermark, a warm commit loop
-// allocates nothing. A write set's header is one of its versions' commit
-// words, so it comes with the log slot. The log is large enough that its
-// capacity trigger, whose GC pass would refresh the watermark, never
-// fires during the run.
+// allocates nothing, neither a header nor a log segment. A write set's
+// header is one of its versions' commit words, so it comes with the log
+// slot. The log is small enough that the warm-up crosses its capacity
+// trigger, whose GC pass refreshes the watermark itself, so segments
+// are reused from then on; LogSegmentAllocs says so exactly, where
+// AllocsPerRun's rounded-down mean would miss one segment per 64
+// commits.
 func TestCommitHeaderReuseWithoutDetector(t *testing.T) {
 	defer failpoint.Reset()
 	if err := failpoint.Enable("detector-scan=panic/1", 1); err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.LogSlots = 1 << 14
+	opts.LogSlots = 256
 	d := newTestDomain(t, opts)
 	o := NewObject(payload{})
 	h := d.Register()
@@ -408,8 +411,15 @@ func TestCommitHeaderReuseWithoutDetector(t *testing.T) {
 		h.ReadUnlock()
 		i++
 	}
+	for range 1000 {
+		commit()
+	}
+	segs := d.Stats().LogSegmentAllocs
 	if a := testing.AllocsPerRun(1000, commit); a != 0 {
 		t.Fatalf("%v allocations per commit with the detector down, want 0", a)
+	}
+	if got := d.Stats().LogSegmentAllocs; got != segs {
+		t.Fatalf("1000 warm commits with the detector down allocated %d log segments, want 0", got-segs)
 	}
 }
 

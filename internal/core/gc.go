@@ -23,28 +23,13 @@ import (
 // a stalled reader pinning the watermark — giving up cannot clear it;
 // reportAllocStall then surfaces the stall context (who pins, since
 // when) instead of leaving the writer to spin blind through the abort
-// loop.
+// loop. Under Options.DynamicLog it takes the next slot past the
+// ceiling instead of giving up (see installSeg).
 func (t *Thread[T]) allocSlot() *version[T] {
 	if t.segs == nil {
 		t.initLog()
 	}
-	for attempt := 0; ; attempt++ {
-		if t.headC-t.pin.tail.Load() < t.highSlots {
-			if t.needsGCMu {
-				t.gcMu.Lock()
-			}
-			if t.headC/logSegSlots == t.segHi {
-				t.installSeg()
-			}
-			v := t.slot(t.headC)
-			v.reset()
-			t.headC++
-			t.pin.head.Store(t.headC)
-			if t.needsGCMu {
-				t.gcMu.Unlock()
-			}
-			return v
-		}
+	for attempt := 0; t.headC-t.pin.tail.Load() >= t.highSlots; attempt++ {
 		if !t.d.opts.DynamicLog && len(t.wset) != 0 && t.headC-t.wsStart >= t.highSlots {
 			panic("mvrlu: write set exceeds log capacity; increase Options.LogSlots")
 		}
@@ -72,21 +57,32 @@ func (t *Thread[T]) allocSlot() *version[T] {
 		}
 		if attempt >= 128 {
 			if t.d.opts.DynamicLog {
-				// Dynamic-log extension (§5's future work): fall
-				// back to a heap-allocated version instead of
-				// failing the TryLock. Overflow versions never
-				// occupy a slot, so they cannot block the tail;
-				// the runtime GC reclaims them once unreferenced.
+				// Dynamic-log extension (§5's future work): grow
+				// the log past its ceiling instead of failing the
+				// TryLock. The slot stays in the FIFO, so the tail
+				// rule reclaims it like any other.
 				t.stats.overflowAllocs++
-				v := &version[T]{owner: t.id, overflow: true}
-				v.commitTS.Reset()
-				return v
+				break
 			}
 			t.reportAllocStall()
 			return nil
 		}
 		runtime.Gosched()
 	}
+	if t.needsGCMu {
+		t.gcMu.Lock()
+	}
+	if t.headC/logSegSlots == t.segHi {
+		t.installSeg()
+	}
+	v := t.slot(t.headC)
+	v.reset()
+	t.headC++
+	t.pin.head.Store(t.headC)
+	if t.needsGCMu {
+		t.gcMu.Unlock()
+	}
+	return v
 }
 
 // installSeg installs the segment the head enters for the first time.
@@ -94,11 +90,14 @@ func (t *Thread[T]) allocSlot() *version[T] {
 // one GC pass over this log at the broadcast watermark (in
 // single-collector mode it kicks the collector instead), and allocates a
 // new segment only if that released none. So a log grows only while
-// reclamation holds back more than its segments, and never past the ring
-// that highSlots sizes. The pass reads the broadcast watermark and takes
-// no scan of its own, so a boundary adds no O(threads) work; the capacity
-// path refreshes once the log is actually full. Called by allocSlot,
-// under gcMu in single-collector mode.
+// reclamation holds back more than its segments, and below its ceiling
+// never past the ring that highSlots sizes. A DynamicLog log that grows
+// past the ceiling fills that ring; installSeg then doubles it, and
+// collectPass later drops the segments the ceiling's ring cannot hold.
+// The pass reads the broadcast watermark and takes no scan of its own,
+// so a boundary adds no O(threads) work; the capacity path refreshes
+// once the log is actually full. Called by allocSlot, under gcMu in
+// single-collector mode.
 func (t *Thread[T]) installSeg() {
 	if len(t.segFree) == 0 && t.headC != t.pin.tail.Load() {
 		if t.d.opts.GCMode == GCConcurrent {
@@ -113,6 +112,14 @@ func (t *Thread[T]) installSeg() {
 		t.segFree = t.segFree[:n-1]
 	} else {
 		seg = t.newSeg()
+	}
+	if t.segHi-t.segLo > t.segMask {
+		segs := make([][]version[T], 2*len(t.segs))
+		mask := uint64(len(segs) - 1)
+		for n := t.segLo; n < t.segHi; n++ {
+			segs[n&mask] = t.segs[n&t.segMask]
+		}
+		t.segs, t.segMask = segs, mask
 	}
 	t.segs[t.segHi&t.segMask] = seg
 	t.segHi++
@@ -145,12 +152,8 @@ func (t *Thread[T]) reportAllocStall() {
 }
 
 // popSlot rewinds the head over a just-allocated slot whose TryLock
-// failed to install. Overflow versions are not in the log; dropping the
-// reference is enough.
-func (t *Thread[T]) popSlot(v *version[T]) {
-	if v.overflow {
-		return
-	}
+// failed to install.
+func (t *Thread[T]) popSlot() {
 	if t.needsGCMu {
 		t.gcMu.Lock()
 	}
@@ -305,7 +308,9 @@ func (t *Thread[T]) collectPass() uint64 {
 		// Release every segment the tail has wholly passed, reset: the
 		// tail rule above already proved its versions unreachable, and
 		// a free segment may wait long for reuse, so it must not keep
-		// their payloads (and whatever those point to) alive.
+		// their payloads (and whatever those point to) alive. Segments
+		// a DynamicLog log grew past its ceiling go to the runtime:
+		// the log holds at most the ceiling's ring, free or installed.
 		for t.segLo < (tail+n)/logSegSlots {
 			seg := t.segs[t.segLo&t.segMask]
 			for i := range seg {
@@ -318,8 +323,10 @@ func (t *Thread[T]) collectPass() uint64 {
 				}
 				v.reset()
 			}
-			t.segFree = append(t.segFree, seg)
 			t.segLo++
+			if uint64(len(t.segFree))+t.segHi-t.segLo < t.segCap {
+				t.segFree = append(t.segFree, seg)
+			}
 		}
 	}
 	// Bound the write-back scan so a boundary-time GC pass costs O(1)

@@ -40,11 +40,10 @@ type Options struct {
 	// LogSlots is the ceiling of a thread's version log, in versions:
 	// occupancy blocks writers at HighCapacity of it, and the capacity
 	// watermarks are fractions of it. The paper configures 512 KB
-	// circular logs; here a log larger than 64 slots grows by 64-slot
-	// segments as reclamation holds versions back, and reuses the
-	// segments the tail passes, so a writer holds the slots its
-	// reclamation lag needs rather than LogSlots up front. A log of at
-	// most 64 slots is one fixed ring.
+	// circular logs; here every log grows by 64-slot segments as
+	// reclamation holds versions back, and reuses the segments the tail
+	// passes, so a writer holds the slots its reclamation lag needs
+	// rather than LogSlots up front.
 	LogSlots int
 
 	// HighCapacity is the fraction of log occupancy at which a writer
@@ -77,11 +76,12 @@ type Options struct {
 
 	// DynamicLog enables the extension the paper leaves as future work
 	// (§5: "our current implementation statically allocates the log and
-	// is prone to blocking"): when a thread's circular log is exhausted
-	// and reclamation is pinned by its own critical section, versions
-	// are allocated individually from the heap instead of failing the
-	// TryLock. Overflow versions are reclaimed by the runtime GC rather
-	// than slot reuse, so they never block the log tail.
+	// is prone to blocking"): when a thread's log stays at the
+	// HighCapacity ceiling for a writer's whole bounded wait, the log
+	// grows past the ceiling by further segments instead of failing the
+	// TryLock. Those slots stay in the log's FIFO and are reclaimed by
+	// the same tail rule as any other; once reclamation catches up the
+	// log drops the segments beyond what the ceiling needs.
 	DynamicLog bool
 
 	// OrdoWindow injects an artificial ORDO uncertainty window (in

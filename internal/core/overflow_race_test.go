@@ -8,11 +8,11 @@ import (
 )
 
 // TestDynamicLogOverflowDeterministic drives a writer through a tiny log
-// behind a pinned reader: the circular log fills, allocSlot falls back to
-// heap-allocated overflow versions, and — because the reader entered
+// behind a pinned reader: the log fills, allocSlot places versions past
+// its ceiling, and — because the reader entered
 // before every write — the reader's snapshot must keep reading the
-// initial values the whole time (snapshot isolation across the overflow
-// boundary).
+// initial values the whole time (snapshot isolation across the
+// ceiling).
 func TestDynamicLogOverflowDeterministic(t *testing.T) {
 	opts := DefaultOptions()
 	opts.LogSlots = 16 // highSlots = 12
@@ -41,7 +41,7 @@ func TestDynamicLogOverflowDeterministic(t *testing.T) {
 				return true
 			})
 			// The pinned snapshot predates every write: it must keep
-			// seeing the initial values, overflow versions included.
+			// seeing the initial values, past the ceiling too.
 			if got := reader.Deref(objs[i]).A; got != 100+i {
 				t.Fatalf("snapshot broken at round %d: objs[%d] = %d, want %d", round, i, got, 100+i)
 			}
@@ -51,7 +51,7 @@ func TestDynamicLogOverflowDeterministic(t *testing.T) {
 
 	s := d.Stats()
 	if s.OverflowAllocs == 0 {
-		t.Fatal("no overflow versions allocated: the dynamic-log path was never exercised")
+		t.Fatal("no version placed past the ceiling: the dynamic-log path was never exercised")
 	}
 	// After the reader exits, the latest committed values win.
 	reader.ReadLock()
@@ -68,8 +68,8 @@ func TestDynamicLogOverflowDeterministic(t *testing.T) {
 	}
 }
 
-// TestDynamicLogOverflowRace interleaves overflow-allocating writers,
-// pooled write-set header reuse, an on/off pinning reader, and concurrent
+// TestDynamicLogOverflowRace interleaves writers that grow their logs
+// past the ceiling, write-set header reuse, an on/off pinning reader, and concurrent
 // snapshot validators, under -race in CI. The invariant is exact
 // conservation of the account total in every snapshot.
 func TestDynamicLogOverflowRace(t *testing.T) {

@@ -22,7 +22,7 @@ type threadStats struct {
 	writebacks     uint64
 	derefs         uint64
 	chainSteps     uint64 // versions inspected across all derefs
-	overflowAllocs uint64 // heap-allocated versions (DynamicLog)
+	overflowAllocs uint64 // versions placed past the log ceiling (DynamicLog)
 	wmCoalesced    uint64 // watermark refreshes served by the broadcast value
 	logSegAllocs   uint64 // version-log segments allocated
 }
@@ -64,7 +64,7 @@ type Stats struct {
 	Writebacks     uint64 // chain heads written back to masters
 	Derefs         uint64 // Deref calls
 	ChainSteps     uint64 // version-chain entries inspected by Deref
-	OverflowAllocs uint64 // heap-allocated overflow versions (DynamicLog)
+	OverflowAllocs uint64 // versions placed past the log ceiling (DynamicLog)
 
 	// WatermarkScans counts full O(threads) scans by refreshWatermark;
 	// WatermarkCoalesced counts refresh requests that were satisfied by

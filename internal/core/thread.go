@@ -75,16 +75,18 @@ type Thread[T any] struct {
 	// (c/logSegSlots)&segMask. Segment numbers [segLo, segHi) are
 	// installed; reclamation moves each segment the tail has wholly
 	// passed to segFree (segLo++), and allocSlot installs the next one
-	// from there (segHi++, see installSeg). headC is the owner's cached
-	// head counter.
+	// from there (segHi++, see installSeg). segCap is the ring size the
+	// ceiling needs, the most segments a log keeps once reclamation
+	// catches up. headC is the owner's cached head counter.
 	segs         [][]version[T]
 	segFree      [][]version[T]
 	segMask      uint64
+	segCap       uint64
 	segLo, segHi uint64
 	headC        uint64
 
 	// wset is the current critical section's write set; its header is
-	// one of its versions' commit words (see header).
+	// its last version's commit word (see header).
 	wset    []*version[T]
 	wsStart uint64 // head counter at write-set begin
 
@@ -159,8 +161,10 @@ func newThread[T any](d *Domain[T], id int) *Thread[T] {
 	t.lowSlots = uint64(d.opts.LowCapacity * float64(d.opts.LogSlots))
 	// The live span [tail, head] holds at most highSlots slots and
 	// straddles at most one more segment; a power-of-two ring of that
-	// many entries never gives two installed segments one index.
-	t.segMask = 1<<bits.Len64((t.highSlots+logSegSlots-1)/logSegSlots) - 1
+	// many entries never gives two installed segments one index. (A
+	// DynamicLog log past the ceiling doubles the ring, see installSeg.)
+	t.segCap = 1 << bits.Len64((t.highSlots+logSegSlots-1)/logSegSlots)
+	t.segMask = t.segCap - 1
 	return t
 }
 
@@ -572,16 +576,13 @@ func (t *Thread[T]) tryLockWalk(o *Object[T], constLock bool) (*version[T], bool
 		return nil, false
 	}
 	if len(t.wset) == 0 {
-		t.wsStart = t.headC
-		if !v.overflow {
-			t.wsStart-- // the slot just allocated belongs to this set
-		}
+		t.wsStart = t.headC - 1 // the slot just allocated
 	}
 	v.obj = o
 	v.constLock = constLock
 
 	if failpoint.Enabled() {
-		t.injectTryLockCAS(v)
+		t.injectTryLockCAS()
 	}
 
 	// Acquire the object lock first (§3.4): only with p-pending held is
@@ -590,7 +591,7 @@ func (t *Thread[T]) tryLockWalk(o *Object[T], constLock bool) (*version[T], bool
 	// a newer version in and this copy would silently drop it from the
 	// chain (a lost update).
 	if !o.pending.CompareAndSwap(nil, v) {
-		t.popSlot(v)
+		t.popSlot()
 		t.stats.lockFails++
 		return nil, false
 	}
@@ -604,7 +605,7 @@ func (t *Thread[T]) tryLockWalk(o *Object[T], constLock bool) (*version[T], bool
 		hts := head.resolveTS()
 		if t.ts < hts+t.d.boundary {
 			o.pending.Store(nil)
-			t.popSlot(v)
+			t.popSlot()
 			t.stats.orderFails++
 			return nil, false
 		}
@@ -624,10 +625,10 @@ func (t *Thread[T]) tryLockWalk(o *Object[T], constLock bool) (*version[T], bool
 // allocated slot but no object lock yet; pop the slot on the unwind so
 // the log head stays consistent, then let the panic continue — the
 // write set's earlier locks are released by Execute's rollback.
-func (t *Thread[T]) injectTryLockCAS(v *version[T]) {
+func (t *Thread[T]) injectTryLockCAS() {
 	defer func() {
 		if r := recover(); r != nil {
-			t.popSlot(v)
+			t.popSlot()
 			panic(r)
 		}
 	}()
@@ -763,17 +764,8 @@ func (t *Thread[T]) finishCommit() {
 // superseded, pruned or freed timestamp is drawn later). A set's log
 // slots are contiguous and the tail passes them in order, so it passes
 // the last one only once every version of the set was reclaimable: log
-// reclamation frees the header with the set. A DynamicLog overflow
-// version lies outside that order, so a set holding one uses its word
-// instead; heap versions are never reset.
+// reclamation frees the header with the set.
 func (t *Thread[T]) header() *clock.CommitWord {
-	if t.d.opts.DynamicLog {
-		for _, v := range t.wset {
-			if v.overflow {
-				return &v.commitTS
-			}
-		}
-	}
 	return &t.wset[len(t.wset)-1].commitTS
 }
 

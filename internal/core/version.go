@@ -48,10 +48,6 @@ type version[T any] struct {
 	// owner is the registering index of the thread whose log holds the
 	// version, or sentinelOwner/freedOwner for the domain's markers.
 	owner int
-	// overflow marks a heap-allocated version (Options.DynamicLog):
-	// it lives outside the circular log and is reclaimed by the
-	// runtime GC instead of slot reuse.
-	overflow bool
 	// constLock marks a try_lock_const copy (§2.1): it conflicts like a
 	// write but is never pushed to the chain and its slot is reusable
 	// immediately after commit.

@@ -37,16 +37,3 @@ func Example() {
 	// before: 10
 	// after: 20
 }
-
-// ExampleThread_Call defers work past a grace period, batched.
-func ExampleThread_Call() {
-	d := rcu.NewDomain()
-	w := d.Register()
-	reclaimed := 0
-	for i := 0; i < 3; i++ {
-		w.Call(func() { reclaimed++ })
-	}
-	w.Barrier()
-	fmt.Println(reclaimed)
-	// Output: 3
-}

@@ -64,8 +64,6 @@ type Thread struct {
 	d *Domain
 	// runCnt is odd while inside a read-side critical section.
 	runCnt atomic.Uint64
-	// callbacks are deferred reclamation callbacks (call_rcu).
-	callbacks []func()
 	// crec is the history-checker stream, nil unless attached.
 	crec *check.ThreadRec
 	// SyncSpins counts grace-period polling iterations (stats).
@@ -138,32 +136,4 @@ func (t *Thread) Synchronize() {
 func (d *Domain) Synchronize() {
 	tmp := &Thread{d: d}
 	tmp.Synchronize()
-}
-
-// callBatch is the number of deferred callbacks that triggers a flush.
-const callBatch = 32
-
-// Call defers fn until a grace period has elapsed — call_rcu. Callbacks
-// accumulate on the thread and are flushed (one Synchronize for the whole
-// batch) when callBatch of them are pending or on an explicit Barrier.
-// The callback runs on this thread, outside any read-side section.
-func (t *Thread) Call(fn func()) {
-	t.callbacks = append(t.callbacks, fn)
-	if len(t.callbacks) >= callBatch {
-		t.Barrier()
-	}
-}
-
-// Barrier waits for a grace period and runs every deferred callback. The
-// caller must be outside its read-side critical section.
-func (t *Thread) Barrier() {
-	if len(t.callbacks) == 0 {
-		return
-	}
-	t.Synchronize()
-	cbs := t.callbacks
-	t.callbacks = nil
-	for _, fn := range cbs {
-		fn()
-	}
 }

@@ -92,16 +92,3 @@ func TestCheckerLiveRLU(t *testing.T) {
 		})
 	}
 }
-
-// TestAttachHistoryDeferredPanics: the deferred flush runs outside any
-// critical section, which the section-structured event model cannot
-// express; attaching must refuse loudly rather than record garbage.
-func TestAttachHistoryDeferredPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AttachHistory on a deferred domain did not panic")
-		}
-	}()
-	d := NewDeferredDomain[item](ClockGlobal)
-	d.AttachHistory(check.NewHistory(0))
-}

@@ -64,10 +64,7 @@ type entry[T any] struct {
 	// back, fixed at TryLock.
 	writeC  *clock.CommitWord
 	freeing bool
-	// sealed marks an entry whose critical section already committed
-	// (deferring mode): it may no longer be mutated, only flushed.
-	sealed bool
-	data   T
+	data    T
 }
 
 // Domain is an RLU domain: the clock plus the registered threads that
@@ -78,9 +75,6 @@ type Domain[T any] struct {
 	hw      clock.Hardware
 	threads atomic.Pointer[[]*Thread[T]]
 	mu      sync.Mutex
-	// deferred enables RLU's deferred write-back mode (see defer.go).
-	deferred bool
-	deferCap int
 	// chk is the attached history recorder, nil in normal operation.
 	chk *check.History
 	// freed is every freed object's copy word: no thread owns it and its
@@ -93,15 +87,7 @@ type Domain[T any] struct {
 // check recording is enabled. RLU maps onto the checker's multi-version
 // model directly: every TryLock copies from the master (from-master
 // commits) and every flush is the write-back of its write clock.
-// Deferred domains are rejected — a deferred flush runs outside any
-// critical section, which the section-structured event model cannot
-// express.
-func (d *Domain[T]) AttachHistory(h *check.History) {
-	if d.deferred {
-		panic("rlu: AttachHistory on a deferred domain")
-	}
-	d.chk = h
-}
+func (d *Domain[T]) AttachHistory(h *check.History) { d.chk = h }
 
 // NewDomain creates an RLU domain.
 func NewDomain[T any](mode ClockMode) *Domain[T] {
@@ -182,12 +168,7 @@ type Thread[T any] struct {
 	writeC atomic.Pointer[clock.CommitWord]
 
 	wlog []*entry[T]
-	// wsStart is the wlog index where the current critical section's
-	// entries begin (deferring mode retains earlier, sealed entries).
-	wsStart int
-	inCS    bool
-	// syncReq asks a deferring thread to flush at its next boundary.
-	syncReq atomic.Bool
+	inCS bool
 
 	// crec is the history-checker stream, nil unless the domain had a
 	// History attached at registration time.
@@ -216,7 +197,6 @@ type Stats struct {
 	Aborts    uint64
 	SyncSpins uint64 // polling iterations inside rlu_synchronize
 	Steals    uint64 // dereferences served from another writer's copy
-	Flushes   uint64 // write-back rounds (== Commits unless deferring)
 }
 
 // Stats aggregates thread counters; call while quiescent.
@@ -227,7 +207,6 @@ func (d *Domain[T]) Stats() Stats {
 		s.Aborts += t.stats.Aborts
 		s.SyncSpins += t.stats.SyncSpins
 		s.Steals += t.stats.Steals
-		s.Flushes += t.stats.Flushes
 	}
 	return s
 }
@@ -236,9 +215,6 @@ func (d *Domain[T]) Stats() Stats {
 func (t *Thread[T]) ReadLock() {
 	if t.inCS {
 		panic("rlu: nested ReadLock")
-	}
-	if t.d.deferred && t.syncReq.Load() && len(t.wlog) > 0 {
-		t.flush()
 	}
 	t.inCS = true
 	t.runCnt.Add(1) // odd: active
@@ -305,17 +281,7 @@ func (t *Thread[T]) TryLock(o *Object[T]) (*T, bool) {
 	}
 	if e := o.copy.Load(); e != nil {
 		if e.thr == t {
-			if e.sealed {
-				// Our own deferred lock from an earlier section:
-				// it must flush before it can be retaken.
-				t.syncReq.Store(true)
-				return nil, false
-			}
 			return &e.data, true
-		}
-		if t.d.deferred && e.thr != nil {
-			// Ask the deferring owner to flush at its next boundary.
-			e.thr.syncReq.Store(true)
 		}
 		return nil, false
 	}
@@ -334,7 +300,7 @@ func (t *Thread[T]) Free(o *Object[T]) bool {
 		return false
 	}
 	e := o.copy.Load()
-	if e == nil || e.thr != t || e.sealed {
+	if e == nil || e.thr != t {
 		return false
 	}
 	e.freeing = true
@@ -348,7 +314,7 @@ func (t *Thread[T]) ReadUnlock() {
 	if !t.inCS {
 		panic("rlu: ReadUnlock outside critical section")
 	}
-	if len(t.wlog) > t.wsStart {
+	if len(t.wlog) > 0 {
 		t.commit()
 	}
 	t.inCS = false
@@ -356,10 +322,6 @@ func (t *Thread[T]) ReadUnlock() {
 		t.crec.End() // before the quiescent transition, like core's End
 	}
 	t.runCnt.Add(1) // even: quiescent
-	if t.d.deferred && len(t.wlog) > 0 &&
-		(t.syncReq.Load() || len(t.wlog) >= t.d.deferCap) {
-		t.flush()
-	}
 }
 
 // Abort discards the write log and unlocks.
@@ -367,13 +329,13 @@ func (t *Thread[T]) Abort() {
 	if !t.inCS {
 		panic("rlu: Abort outside critical section")
 	}
-	for i := len(t.wlog) - 1; i >= t.wsStart; i-- {
+	for i := len(t.wlog) - 1; i >= 0; i-- {
 		e := t.wlog[i]
 		if e.obj.copy.Load() == e {
 			e.obj.copy.Store(nil)
 		}
 	}
-	t.wlog = t.wlog[:t.wsStart]
+	t.wlog = t.wlog[:0]
 	t.inCS = false
 	if t.crec != nil {
 		t.crec.Abort()
@@ -398,18 +360,47 @@ func (t *Thread[T]) Execute(fn func(*Thread[T]) bool) {
 	}
 }
 
+// commit runs the commit protocol over the write log: seal and stamp
+// the write clock, rlu_synchronize, write back, unlock.
 func (t *Thread[T]) commit() {
 	t.stats.Commits++
-	if t.d.deferred {
-		// Deferring mode: seal the section's entries and postpone the
-		// write-back (see defer.go).
-		for _, e := range t.wlog[t.wsStart:] {
-			e.sealed = true
+	w := t.writeC.Load()
+	w.Seal() // every copy is reachable since its TryLock
+	wc := w.Stamp(t.d.writeClock())
+	t.lastWC = wc
+	rec := t.crec != nil
+	if rec {
+		// Every RLU commit copies from the master (TryLock has no
+		// chain to base on) and carries the flush's write clock.
+		for _, e := range t.wlog {
+			fl := check.FlagFromMaster
+			if e.freeing {
+				fl |= check.FlagFree
+			}
+			t.crec.Write(t.crec.ObjID(unsafe.Pointer(e.obj)), wc, 0, fl)
 		}
-		t.wsStart = len(t.wlog)
-		return
 	}
-	t.flush()
+	t.synchronize(wc)
+	for _, e := range t.wlog {
+		if !e.freeing {
+			e.obj.data = e.data
+		}
+	}
+	for _, e := range t.wlog {
+		if e.freeing {
+			e.obj.copy.Store(t.d.freed)
+			continue
+		}
+		if rec {
+			// The master-write above is this commit's write-back.
+			// Recorded before the unlock below so a successor that
+			// locks the master can only be ticketed after it.
+			t.d.chk.Writeback(t.crec.ObjID(unsafe.Pointer(e.obj)), wc, 0)
+		}
+		e.obj.copy.Store(nil)
+	}
+	t.newWriteC()
+	t.wlog = t.wlog[:0]
 }
 
 // synchronize is rlu_synchronize: wait until every thread that was inside

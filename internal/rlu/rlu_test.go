@@ -260,41 +260,34 @@ func TestOrdoWriteClockAboveReadClock(t *testing.T) {
 
 // TestFreeBlocksRelock: a committed Free stores the domain's freed
 // marker in the object's copy word for good. No thread can lock the
-// object again (in deferring mode either, where a lock conflict asks the
-// holder to flush and the marker has no holder), and a Deref from a
-// later section still reads the master, as it did before the free.
+// object again, and a Deref from a later section still reads the master,
+// as it did before the free.
 func TestFreeBlocksRelock(t *testing.T) {
-	for _, deferred := range []bool{false, true} {
-		d := NewDomain[item](ClockGlobal)
-		if deferred {
-			d = NewDeferredDomain[item](ClockGlobal)
+	d := NewDomain[item](ClockGlobal)
+	h, h2 := d.Register(), d.Register()
+	o := NewObject(item{Val: 1})
+	h.ReadLock()
+	c, ok := h.TryLock(o)
+	if !ok {
+		t.Fatal("lock failed")
+	}
+	c.Val = 2
+	if !h.Free(o) {
+		t.Fatal("free failed")
+	}
+	h.ReadUnlock()
+	if !o.Freed() || o.copy.Load() != d.freed {
+		t.Fatalf("Freed() = %v, copy word %p, want the freed marker", o.Freed(), o.copy.Load())
+	}
+	for _, th := range []*Thread[item]{h, h2} {
+		th.ReadLock()
+		if _, ok := th.TryLock(o); ok {
+			t.Fatalf("thread %d locked a freed object", th.id)
 		}
-		h, h2 := d.Register(), d.Register()
-		o := NewObject(item{Val: 1})
-		h.ReadLock()
-		c, ok := h.TryLock(o)
-		if !ok {
-			t.Fatal("lock failed")
+		if p := th.Deref(o); p != &o.data || p.Val != 1 {
+			t.Fatalf("thread %d read %+v, want the master {Val:1}", th.id, *p)
 		}
-		c.Val = 2
-		if !h.Free(o) {
-			t.Fatal("free failed")
-		}
-		h.ReadUnlock()
-		h.Flush()
-		if !o.Freed() || o.copy.Load() != d.freed {
-			t.Fatalf("deferred=%v: Freed() = %v, copy word %p, want the freed marker", deferred, o.Freed(), o.copy.Load())
-		}
-		for _, th := range []*Thread[item]{h, h2} {
-			th.ReadLock()
-			if _, ok := th.TryLock(o); ok {
-				t.Fatalf("deferred=%v: thread %d locked a freed object", deferred, th.id)
-			}
-			if p := th.Deref(o); p != &o.data || p.Val != 1 {
-				t.Fatalf("deferred=%v: thread %d read %+v, want the master {Val:1}", deferred, th.id, *p)
-			}
-			th.Abort()
-		}
+		th.Abort()
 	}
 }
 
