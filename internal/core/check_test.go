@@ -148,6 +148,105 @@ func runCheckedWorkload(t *testing.T, opts Options, h *check.History, dur time.D
 	t.Logf("%s", rep)
 }
 
+// TestCheckerIdleTrim puts the detector's collection of other threads'
+// logs under the checker: writers commit transfers in bursts and go
+// idle between them past the trim threshold, while readers keep taking
+// snapshot sums. The trims then run — GC passes, write-backs and slot
+// resets on a log whose owner is idle — concurrently with the readers,
+// and the history must stay clean. A writer sits out each idle spell
+// until its log is empty, which outside a section only a trim (or, in
+// single-collector mode, the collector) can do, so the test also counts
+// the spells the detector emptied.
+func TestCheckerIdleTrim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("checker torture skipped in -short mode")
+	}
+	for _, c := range gcModes {
+		t.Run(c.name, func(t *testing.T) {
+			hist := check.NewHistory(0)
+			opts := DefaultOptions()
+			opts.GCMode = c.mode
+			opts.GPInterval = 50 * time.Microsecond // a 0.8 ms idle threshold
+			opts.Check = hist
+			d := NewDomain[payload](opts)
+			const writers, readers, objects = 2, 2, 12
+			accounts := make([]*Object[payload], objects)
+			for i := range accounts {
+				accounts[i] = NewObject(payload{A: 1000})
+			}
+			var stop atomic.Bool
+			var emptied atomic.Int64
+			var wg sync.WaitGroup
+			for g := range writers + readers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					th := d.Register()
+					defer th.Unregister()
+					rng := rand.New(rand.NewSource(int64(g)*7919 + 5))
+					for !stop.Load() {
+						if g >= writers {
+							th.ReadLock()
+							sum := 0
+							for _, o := range accounts {
+								sum += th.Deref(o).A
+							}
+							th.ReadUnlock()
+							if sum != objects*1000 {
+								t.Error("conservation violated")
+								stop.Store(true)
+							}
+							// A reader that never sleeps would starve
+							// the detector's ticks on a small host.
+							time.Sleep(20 * time.Microsecond)
+							continue
+						}
+						for range 1 + rng.Intn(3*logSegSlots) {
+							i, j := rng.Intn(objects), rng.Intn(objects)
+							if i == j {
+								continue
+							}
+							th.Execute(func(th *Thread[payload]) bool {
+								ci, ok := th.TryLock(accounts[i])
+								if !ok {
+									return false
+								}
+								cj, ok := th.TryLock(accounts[j])
+								if !ok {
+									return false
+								}
+								ci.A -= 7
+								cj.A += 7
+								return true
+							})
+						}
+						for idle := time.Now(); time.Since(idle) < 20*time.Millisecond && !stop.Load(); {
+							if th.LogOccupancy() == 0 {
+								emptied.Add(1)
+								break
+							}
+							time.Sleep(100 * time.Microsecond)
+						}
+					}
+				}()
+			}
+			time.Sleep(300 * time.Millisecond)
+			stop.Store(true)
+			wg.Wait()
+			d.Close()
+
+			rep := check.Check(hist, check.Opts{Boundary: d.Boundary()})
+			if !rep.Ok() {
+				t.Fatalf("checker verdict on idle trims:\n%s", rep)
+			}
+			if emptied.Load() == 0 {
+				t.Fatal("no idle writer's log was ever emptied")
+			}
+			t.Logf("%d idle spells emptied; %s", emptied.Load(), rep)
+		})
+	}
+}
+
 // TestCheckerNamesEarlySlotReset: a log segment is released, and its
 // slots reset for reuse, only once the tail has passed every slot in it,
 // and the checker's reset-before-reclaim rule names a slot reset ahead of

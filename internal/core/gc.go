@@ -24,12 +24,26 @@ import (
 // reportAllocStall then surfaces the stall context (who pins, since
 // when) instead of leaving the writer to spin blind through the abort
 // loop. Under Options.DynamicLog it takes the next slot past the
-// ceiling instead of giving up (see installSeg).
+// ceiling instead of giving up (see installSeg), and waits once per
+// watermark: while the watermark its last full wait ended at has not
+// moved, no further wait can free a slot.
+//
+// allocSlot runs only inside a section, after ReadLock published
+// localTS, so its load of park completes the detector's handshake
+// (see trimIdle): it waits out a trim in progress, and a trim that
+// has not yet begun sees localTS and backs off.
 func (t *Thread[T]) allocSlot() *version[T] {
+	for t.pin.park.Load() != 0 {
+		runtime.Gosched()
+	}
 	if t.segs == nil {
 		t.initLog()
 	}
 	for attempt := 0; t.headC-t.pin.tail.Load() >= t.highSlots; attempt++ {
+		if t.d.opts.DynamicLog && t.overflowW != 0 && t.d.watermark.Load() == t.overflowW {
+			t.stats.overflowAllocs++
+			break
+		}
 		if !t.d.opts.DynamicLog && len(t.wset) != 0 && t.headC-t.wsStart >= t.highSlots {
 			panic("mvrlu: write set exceeds log capacity; increase Options.LogSlots")
 		}
@@ -62,6 +76,7 @@ func (t *Thread[T]) allocSlot() *version[T] {
 				// TryLock. The slot stays in the FIFO, so the tail
 				// rule reclaims it like any other.
 				t.stats.overflowAllocs++
+				t.overflowW = t.d.watermark.Load()
 				break
 			}
 			t.reportAllocStall()
@@ -86,29 +101,40 @@ func (t *Thread[T]) allocSlot() *version[T] {
 }
 
 // installSeg installs the segment the head enters for the first time.
-// It takes a segment reclamation released; if none is left it first runs
-// one GC pass over this log at the broadcast watermark (in
-// single-collector mode it kicks the collector instead), and allocates a
-// new segment only if that released none. So a log grows only while
-// reclamation holds back more than its segments, and below its ceiling
-// never past the ring that highSlots sizes. A DynamicLog log that grows
-// past the ceiling fills that ring; installSeg then doubles it, and
-// collectPass later drops the segments the ceiling's ring cannot hold.
-// The pass reads the broadcast watermark and takes no scan of its own,
-// so a boundary adds no O(threads) work; the capacity path refreshes
-// once the log is actually full. Called by allocSlot, under gcMu in
-// single-collector mode.
+// It takes a segment reclamation released, and allocates a new one only
+// if none is left. Entering a segment is also a GC trigger. With the
+// capacity watermark on (LowCapacity > 0) every boundary runs a
+// coalesced watermark refresh and one GC pass over this log, so a
+// writer holds what its reclamation lag needs rather than what
+// accumulates up to the low watermark. Without it the pass runs only
+// when the free list is empty; in single-collector mode that kicks the
+// collector instead. So a log grows only while reclamation holds back
+// more than its segments, and below its ceiling never past the ring
+// that highSlots sizes. A DynamicLog log that grows past the ceiling
+// fills that ring; installSeg then doubles it, and collectPass later
+// drops the segments the ceiling's ring cannot hold. The refresh is the
+// coalesced one, so a boundary scans the threads at most once per
+// freshness window; the capacity path refreshes once the log is
+// actually full. Called by allocSlot, under gcMu in single-collector
+// mode.
 func (t *Thread[T]) installSeg() {
-	if len(t.segFree) == 0 && t.headC != t.pin.tail.Load() {
-		if t.d.opts.GCMode == GCConcurrent {
+	if t.headC != t.pin.tail.Load() {
+		switch {
+		case t.d.opts.GCMode != GCConcurrent:
+			if len(t.segFree) == 0 {
+				t.d.gp.request()
+			}
+		case t.lowSlots > 0:
+			t.refreshWatermark(t.d.wmFreshness)
 			t.collect()
-		} else {
-			t.d.gp.request()
+		case len(t.segFree) == 0:
+			t.collect()
 		}
 	}
 	var seg []version[T]
 	if n := len(t.segFree); n > 0 {
 		seg = t.segFree[n-1]
+		t.segFree[n-1] = nil
 		t.segFree = t.segFree[:n-1]
 	} else {
 		seg = t.newSeg()
@@ -123,6 +149,19 @@ func (t *Thread[T]) installSeg() {
 	}
 	t.segs[t.segHi&t.segMask] = seg
 	t.segHi++
+	t.segPeak = max(t.segPeak, t.segHi-t.segLo)
+}
+
+// keepFree reports whether a segment reclamation releases goes to the
+// free list rather than to the runtime. The free list holds at most the
+// span the log needed since the detector last trimmed it (segPeak, at
+// least one segment), so a log that grew behind a pinned snapshot keeps
+// that span only until it next goes idle. The log, installed and free
+// together, holds at most the ring its ceiling needs, so the segments a
+// DynamicLog log grew past its ceiling go. Under gcMu.
+func (t *Thread[T]) keepFree() bool {
+	free := uint64(len(t.segFree))
+	return free < max(1, t.segPeak) && free+t.segHi-t.segLo < t.segCap
 }
 
 // reportAllocStall runs when allocSlot exhausts its attempts: the log is
@@ -238,10 +277,9 @@ func (t *Thread[T]) refreshWatermark(window uint64) uint64 {
 // pass can reclaim them all (Lemma 3). Writing back only the
 // tail-blocking version would drain the log one slot per pass and starve
 // writers under workloads with many cold, singly-written objects.
-func (t *Thread[T]) collect() {
+func (t *Thread[T]) collect() uint64 {
 	if !obs.Enabled() && !trace.IsEnabled() && !obs.TraceEnabled() {
-		t.collectPass()
-		return
+		return t.collectPass()
 	}
 	var reg *trace.Region
 	if trace.IsEnabled() {
@@ -260,6 +298,7 @@ func (t *Thread[T]) collect() {
 	if reg != nil {
 		reg.End()
 	}
+	return n
 }
 
 // collectPass is collect's body, returning the number of slots
@@ -308,25 +347,17 @@ func (t *Thread[T]) collectPass() uint64 {
 		// Release every segment the tail has wholly passed, reset: the
 		// tail rule above already proved its versions unreachable, and
 		// a free segment may wait long for reuse, so it must not keep
-		// their payloads (and whatever those point to) alive. Segments
-		// a DynamicLog log grew past its ceiling go to the runtime:
-		// the log holds at most the ceiling's ring, free or installed.
+		// their payloads (and whatever those point to) alive. The ring
+		// entry is cleared too, so a segment keepFree turns away is
+		// left to the runtime's collector.
 		for t.segLo < (tail+n)/logSegSlots {
-			seg := t.segs[t.segLo&t.segMask]
-			for i := range seg {
-				v := &seg[i]
-				if chk != nil {
-					// Before the reset, and after the slot's reclaim
-					// event: a reset with none before it names a slot
-					// released ahead of the tail.
-					chk.SlotReset(chk.ObjID(unsafe.Pointer(v.obj)), v.commitTS.Load())
-				}
-				v.reset()
-			}
+			idx := t.segLo & t.segMask
+			t.resetSlots(t.segs[idx])
 			t.segLo++
-			if uint64(len(t.segFree))+t.segHi-t.segLo < t.segCap {
-				t.segFree = append(t.segFree, seg)
+			if t.keepFree() {
+				t.segFree = append(t.segFree, t.segs[idx])
 			}
+			t.segs[idx] = nil
 		}
 	}
 	// Bound the write-back scan so a boundary-time GC pass costs O(1)
@@ -359,6 +390,99 @@ func (t *Thread[T]) collectPass() uint64 {
 	}
 	t.stats.gcRuns++
 	return n
+}
+
+// resetSlots resets reclaimed slots for reuse, skipping any already
+// reset (trimIdle resets the reclaimed part of the head's segment
+// early). Under gcMu.
+func (t *Thread[T]) resetSlots(slots []version[T]) {
+	chk := t.d.chk
+	for i := range slots {
+		v := &slots[i]
+		if v.obj == nil {
+			continue
+		}
+		if chk != nil {
+			// Before the reset, and after the slot's reclaim event:
+			// a reset with none before it names a slot released
+			// ahead of the tail.
+			chk.SlotReset(chk.ObjID(unsafe.Pointer(v.obj)), v.commitTS.Load())
+		}
+		v.reset()
+	}
+}
+
+// idleTrimTicks is how many consecutive detector ticks a log's head must
+// stay put, with its owner outside a section at each, before the
+// detector trims the log: about 3.2 ms at the default GPInterval. At one
+// tick the detector trims a writer between two bursts and the writer
+// re-grows its log at the next one.
+const idleTrimTicks = 16
+
+// idleTrimPasses bounds the GC passes of one trim; a log that is still
+// not empty after them is trimmed again after its next idle spell.
+const idleTrimPasses = 64
+
+// trimIdle is the detector's collection of an idle log (see idleTick).
+// It runs GC passes, each after a full watermark refresh, until the log
+// is empty. Then it resets the reclaimed slots of the head's segment and
+// cuts the free list to one segment, which restarts segPeak. It reports
+// whether it left the log trimmed. It gives up when the owner enters a
+// section, or when two passes in a row reclaim nothing because a reader
+// elsewhere pins the watermark; the next idle spell tries again.
+//
+// Under concurrent GC the owner changes segs, segFree and segHi in
+// allocSlot without gcMu, so the trim first takes the log with a Dekker
+// handshake. The trim stores park and then loads localTS; the owner
+// stores localTS (ReadLock) and then loads park (allocSlot). With
+// sequentially consistent atomics one of the two sees the other's
+// store: either the trim sees the owner in a section and backs off
+// before it touches anything, or the owner's allocSlot sees park and
+// waits until the trim is done. Outside a section the owner touches the
+// log only through collectPass, under gcMu like every step here.
+// installSeg, popSlot and rollback all run inside a section, after that
+// load of park. In single-collector mode gcMu alone would do, since
+// allocSlot takes it there; the handshake is the same in both modes.
+func (t *Thread[T]) trimIdle() bool {
+	p := t.pin
+	p.park.Store(1)
+	defer p.park.Store(0)
+	if p.localTS.Load() != 0 {
+		return false
+	}
+	for i, idle := 0, 0; p.head.Load() != p.tail.Load(); i++ {
+		if i == idleTrimPasses || p.localTS.Load() != 0 {
+			return false
+		}
+		t.d.refreshWatermark()
+		if t.collect() != 0 {
+			idle = 0
+		} else if idle++; idle == 2 {
+			return false
+		}
+	}
+	t.gcMu.Lock()
+	defer t.gcMu.Unlock()
+	if t.segs == nil || p.head.Load() != p.tail.Load() {
+		return t.segs == nil
+	}
+	// The slots of the head's segment behind the tail were reclaimed,
+	// but are reset only once the tail leaves the segment. Until then
+	// their payloads and older links would keep the dropped segments
+	// alive.
+	if tail := p.tail.Load(); tail%logSegSlots != 0 {
+		seg := t.segs[(tail/logSegSlots)&t.segMask]
+		t.resetSlots(seg[:tail%logSegSlots])
+	}
+	t.segPeak = t.segHi - t.segLo
+	if n, keep := len(t.segFree), int(max(1, t.segPeak)); n > keep {
+		// Keep the most recently released: installSeg takes from the
+		// end, and the last write set's versions may lie there.
+		copy(t.segFree, t.segFree[n-keep:])
+		clear(t.segFree[keep:])
+		t.segFree = t.segFree[:keep]
+	}
+	return true
 }
 
 // resetDerefCounters folds the dereference-watermark counters into the

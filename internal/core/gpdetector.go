@@ -104,7 +104,8 @@ func (g *gpDetector[T]) run() {
 }
 
 // tick is one detector pass: broadcast the watermark, run stall
-// detection, and (single-collector mode) reclaim every thread's log.
+// detection, and sweep the logs: trim the idle ones and, in
+// single-collector mode, reclaim every other.
 // The pass recovers panics — an injected detector-scan fault or a
 // panicking user OnStall callback must not kill the goroutine the whole
 // domain's reclamation depends on; recoveries are counted in
@@ -133,22 +134,62 @@ func (g *gpDetector[T]) tick() {
 		obs.RecordEvent(obs.EvGPBroadcast, g.d.evTag.Load(), w, age)
 	}
 	g.checkStall(w)
-	if g.d.opts.GCMode == GCSingleCollector {
-		for _, e := range *g.d.threads.Load() {
-			// Re-check quit between collects: a collection sweep over
-			// many threads must not make Close wait out the whole
-			// scan, and a quit signaled mid-iteration must win over a
-			// stale thread snapshot.
-			select {
-			case <-g.quit:
-				return
-			default:
-			}
-			if t := e.handle.Value(); t != nil {
-				t.collect()
-			}
+	g.sweep()
+}
+
+// sweep is the detector's pass over the registered logs: it trims every
+// log idle for idleTrimTicks ticks (see Thread.trimIdle), and in
+// single-collector mode collects every other. An owner's own GC runs
+// only at its section boundaries, so without the trim an idle writer —
+// a pooled session, a worker whose load stopped — would keep the log
+// its last burst left behind.
+func (g *gpDetector[T]) sweep() {
+	single := g.d.opts.GCMode == GCSingleCollector
+	for _, e := range *g.d.threads.Load() {
+		// Re-check quit between logs: a sweep over many threads must
+		// not make Close wait out the whole scan, and a quit signaled
+		// mid-iteration must win over a stale thread snapshot.
+		select {
+		case <-g.quit:
+			return
+		default:
+		}
+		trim := e.pin.idleTick()
+		if !trim && !single {
+			continue
+		}
+		t := e.handle.Value()
+		switch {
+		case t == nil:
+		case trim:
+			// A trim that gave up (a pinned watermark, an owner back
+			// in a section) waits out another idle spell before it
+			// retries, so a pinned watermark costs the sweep a scan
+			// or two per idle log per spell, not per tick.
+			e.pin.trimmed = t.trimIdle()
+			e.pin.idleTicks = 0
+		default:
+			t.collect()
 		}
 	}
+}
+
+// idleTick advances a log's idle count by one detector tick and reports
+// whether the log is due a trim: its head has not moved and its owner
+// was outside a section at each of the last idleTrimTicks ticks, and it
+// was not already trimmed at this head. Detector-only state; a read-only
+// owner never moves its head, so it is trimmed once, not every tick.
+func (p *pinState) idleTick() bool {
+	if head := p.head.Load(); head != p.idleHead {
+		p.idleHead, p.idleTicks, p.trimmed = head, 0, false
+		return false
+	}
+	if p.trimmed || p.localTS.Load() != 0 {
+		p.idleTicks = 0
+		return false
+	}
+	p.idleTicks++
+	return p.idleTicks >= idleTrimTicks
 }
 
 // checkStall advances the stall state machine by one detector tick. A

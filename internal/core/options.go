@@ -40,10 +40,15 @@ type Options struct {
 	// LogSlots is the ceiling of a thread's version log, in versions:
 	// occupancy blocks writers at HighCapacity of it, and the capacity
 	// watermarks are fractions of it. The paper configures 512 KB
-	// circular logs; here every log grows by 64-slot segments as
-	// reclamation holds versions back, and reuses the segments the tail
-	// passes, so a writer holds the slots its reclamation lag needs
-	// rather than LogSlots up front.
+	// circular logs; here a log is never allocated up front. It grows
+	// by 64-slot segments as reclamation holds versions back and gives
+	// them back as reclamation catches up: with the capacity watermark
+	// on, a writer collects each time it enters a new segment, so it
+	// holds the segments its reclamation lag needs plus at most as many
+	// free ones as that lag peaked at since the log was last trimmed,
+	// and the detector empties and trims the log of an owner gone idle.
+	// With LowCapacity 0 a writer collects at a segment boundary only
+	// when no released segment is free.
 	LogSlots int
 
 	// HighCapacity is the fraction of log occupancy at which a writer
@@ -79,9 +84,12 @@ type Options struct {
 	// is prone to blocking"): when a thread's log stays at the
 	// HighCapacity ceiling for a writer's whole bounded wait, the log
 	// grows past the ceiling by further segments instead of failing the
-	// TryLock. Those slots stay in the log's FIFO and are reclaimed by
-	// the same tail rule as any other; once reclamation catches up the
-	// log drops the segments beyond what the ceiling needs.
+	// TryLock. A writer waits so once per watermark: while the
+	// watermark its last full wait ended at has not moved, it goes past
+	// the ceiling at once. Those slots stay in the log's FIFO and are
+	// reclaimed by the same tail rule as any other; once reclamation
+	// catches up the log drops the segments beyond what the ceiling
+	// needs.
 	DynamicLog bool
 
 	// OrdoWindow injects an artificial ORDO uncertainty window (in

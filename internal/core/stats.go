@@ -80,6 +80,11 @@ type Stats struct {
 	// segments, so the count is flat once reclamation keeps pace and
 	// climbs while a pinned snapshot holds a writer's log back.
 	LogSegmentAllocs uint64
+	// LogSegmentsHeld is the version-log segments the live threads
+	// hold, installed plus free: what the logs cost in memory, in
+	// units of 64 slots. It follows the reclamation lag, and the
+	// detector trims the log of an owner gone idle.
+	LogSegmentsHeld uint64
 
 	// Failure observability (see gpdetector.go). StallEvents counts
 	// declared watermark-stall episodes; StalledFor is how long the
@@ -128,6 +133,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.WatermarkScans += o.WatermarkScans
 	s.WatermarkCoalesced += o.WatermarkCoalesced
 	s.LogSegmentAllocs += o.LogSegmentAllocs
+	s.LogSegmentsHeld += o.LogSegmentsHeld
 	s.StallEvents += o.StallEvents
 	s.StalledFor += o.StalledFor
 	s.StallReports += o.StallReports
@@ -168,6 +174,7 @@ func (s Stats) ReadAmplification() float64 {
 // collecting (and counting) even while users are quiescent.
 func (d *Domain[T]) Stats() Stats {
 	var agg threadStats
+	var held uint64
 	d.mu.Lock()
 	entries := *d.threads.Load()
 	agg.add(&d.departed)
@@ -176,6 +183,7 @@ func (d *Domain[T]) Stats() Stats {
 		if t := e.handle.Value(); t != nil {
 			t.gcMu.Lock()
 			agg.add(e.stats)
+			held += t.segHi - t.segLo + uint64(len(t.segFree))
 			t.gcMu.Unlock()
 			agg.derefs += t.derefMaster + t.derefCopy
 		} else {
@@ -202,6 +210,7 @@ func (d *Domain[T]) Stats() Stats {
 		OverflowAllocs:     agg.overflowAllocs,
 		WatermarkCoalesced: agg.wmCoalesced + d.wmCoalesced.Load(),
 		LogSegmentAllocs:   agg.logSegAllocs,
+		LogSegmentsHeld:    held,
 		WatermarkScans:     d.wmScans.Load(),
 		StallEvents:        d.stallEvents.Load(),
 		StallReports:       agg.stallReports,

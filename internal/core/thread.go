@@ -74,15 +74,18 @@ type Thread[T any] struct {
 	// c/logSegSlots, which is held in the ring segs at index
 	// (c/logSegSlots)&segMask. Segment numbers [segLo, segHi) are
 	// installed; reclamation moves each segment the tail has wholly
-	// passed to segFree (segLo++), and allocSlot installs the next one
-	// from there (segHi++, see installSeg). segCap is the ring size the
-	// ceiling needs, the most segments a log keeps once reclamation
-	// catches up. headC is the owner's cached head counter.
+	// passed to segFree (segLo++) or drops it, and allocSlot installs
+	// the next one from there (segHi++, see installSeg). segCap is the
+	// ring size the ceiling needs, the most segments a log keeps once
+	// reclamation catches up. segPeak is the most segments installed at
+	// once since the detector last trimmed the log; it bounds the free
+	// list (see keepFree). headC is the owner's cached head counter.
 	segs         [][]version[T]
 	segFree      [][]version[T]
 	segMask      uint64
 	segCap       uint64
 	segLo, segHi uint64
+	segPeak      uint64
 	headC        uint64
 
 	// wset is the current critical section's write set; its header is
@@ -99,6 +102,10 @@ type Thread[T any] struct {
 	// this thread last reported from allocSlot, one OnStall call per
 	// episode per blocked writer.
 	lastStallReport int64
+	// overflowW is the watermark at which a DynamicLog capacity wait
+	// last ran all its attempts; while the watermark stays there,
+	// allocSlot goes past the ceiling without waiting again.
+	overflowW uint64
 
 	highSlots uint64
 	lowSlots  uint64
@@ -118,8 +125,11 @@ type Thread[T any] struct {
 // published for the detector's watermark scan; head and tail bound the
 // live log region (the owner allocates at head, reclamation advances
 // tail; in single-collector mode the collector reads head and writes
-// tail). It is a separate allocation, strongly held by the registry
-// entry, for two reasons:
+// tail). park is set while the detector trims the log (see trimIdle):
+// it shares localTS's line, which the owner has just written when it
+// loads park in allocSlot. The idle fields after tail are the
+// detector's own (see idleTick). It is a separate allocation, strongly
+// held by the registry entry, for two reasons:
 //
 //   - cache-line isolation (carried over from the padded-atomics layout):
 //     detector scans of localTS must not contend with the owner's
@@ -133,11 +143,16 @@ type Thread[T any] struct {
 type pinState struct {
 	_       [64]byte
 	localTS atomic.Uint64
-	_       [56]byte
+	park    atomic.Uint32
+	_       [52]byte
 	head    atomic.Uint64
 	_       [56]byte
 	tail    atomic.Uint64
 	_       [56]byte
+
+	idleHead  uint64
+	idleTicks int
+	trimmed   bool
 }
 
 // logSegSlots is the size of one version-log segment: the unit by which

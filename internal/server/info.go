@@ -153,6 +153,7 @@ func (s *Server) writeEngineSection(b *strings.Builder, i int, e core.Engine) {
 		fmt.Fprintf(b, "watermark_scans:%d\n", stats.WatermarkScans)
 		fmt.Fprintf(b, "watermark_coalesced:%d\n", stats.WatermarkCoalesced)
 		fmt.Fprintf(b, "log_segment_allocs:%d\n", stats.LogSegmentAllocs)
+		fmt.Fprintf(b, "log_segments_held:%d\n", stats.LogSegmentsHeld)
 		fmt.Fprintf(b, "handle_leaks:%d\n", stats.HandleLeaks)
 		fmt.Fprintf(b, "detector_recoveries:%d\n", stats.DetectorRecoveries)
 		fmt.Fprintf(b, "stall_events:%d\n", stats.StallEvents)
