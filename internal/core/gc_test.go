@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"mvrlu/internal/failpoint"
 )
@@ -124,6 +125,19 @@ func TestDerefWatermarkPrunesChains(t *testing.T) {
 	h.ReadUnlock()
 	if s := d.Stats(); s.DerefTriggers == 0 {
 		t.Fatal("deref watermark never fired")
+	}
+}
+
+// TestVersionHeaderSize is the counted cost of a log slot past its
+// payload: the bytes every version spends on its commit word, header
+// and chain links, timestamps, owner and flags. A store's slot is this
+// header plus its node (kvstore's TestObjectSize, index's TestNodeSize).
+// It is measured against a real payload, as TestObjectSize measures
+// object headers: Go pads a struct whose last field has size zero.
+func TestVersionHeaderSize(t *testing.T) {
+	const want = 72
+	if got := unsafe.Sizeof(version[payload]{}) - unsafe.Sizeof(payload{}); got != want {
+		t.Errorf("version header is %d B, want %d", got, want)
 	}
 }
 

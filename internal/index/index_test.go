@@ -486,13 +486,7 @@ func TestRangeWalkOracle(t *testing.T) {
 
 			// Even keys k010..k200; every 20th (k100 and the last key
 			// among them) on a max-height tower in the engine builds.
-			var base *skiplist
-			switch st := s.(type) {
-			case *MVIndex:
-				base = &st.skiplist
-			case *RLUIndex:
-				base = &st.skiplist
-			}
+			base := skiplistOf(s)
 			for i := 10; i <= 200; i += 2 {
 				k := fmt.Sprintf("k%03d", i)
 				if base != nil && i%20 == 0 {

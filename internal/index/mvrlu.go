@@ -7,12 +7,11 @@ import (
 
 // mvNode is one skiplist node under MV-RLU: key, value, and the tower.
 // The whole node is one engine object, so TryLock copies the tower with
-// the payload and a splice is an ordinary field store on the copy.
+// the payload: a level-0 splice is an ordinary field store on the copy,
+// an upper-level one a store into the copy's own clone of up (links).
 type mvNode struct {
-	key  string
-	val  string
-	h    int
-	next [maxHeight]*core.Object[mvNode]
+	key, val string
+	links[*core.Object[mvNode]]
 }
 
 // MVIndex is the MV-RLU ordered index: a skiplist whose nodes are
@@ -52,7 +51,7 @@ func NewMVIndexOpts(opts core.Options) *MVIndex {
 		skiplist: newSkiplist(),
 		Engine:   d,
 		d:        d,
-		head:     core.NewObject(mvNode{h: maxHeight}),
+		head:     core.NewObject(mvNode{links: headLinks[*core.Object[mvNode]]()}),
 	}
 }
 
@@ -100,7 +99,7 @@ func (t *mvTower) seek(key string, x *core.Object[mvNode], top int, preds *[maxH
 	var ad *mvNode
 	for lvl := top - 1; lvl >= 0; lvl-- {
 		for {
-			at = xd.next[lvl]
+			at = xd.at(lvl)
 			if at == nil {
 				ad = nil
 				break
@@ -130,23 +129,16 @@ func (t *mvTower) set(key, val string, hgt int) bool {
 		c.val = val
 		return true
 	}
-	var cps [maxHeight]*mvNode
+	var cps [maxHeight]*links[*core.Object[mvNode]]
 	for l := 0; l < hgt; l++ {
 		cp, ok := h.TryLock(preds[l])
 		if !ok {
 			return false
 		}
-		cps[l] = cp
+		cps[l] = &cp.links
 	}
-	var n mvNode
-	n.key, n.val, n.h = key, val, hgt
-	for l := 0; l < hgt; l++ {
-		n.next[l] = cps[l].next[l]
-	}
-	obj := core.NewObject(n)
-	for l := 0; l < hgt; l++ {
-		cps[l].next[l] = obj
-	}
+	obj := core.NewObject(mvNode{key: key, val: val, links: successors(cps[:hgt])})
+	relink(cps[:hgt], func(int) *core.Object[mvNode] { return obj })
 	return true
 }
 
@@ -160,18 +152,20 @@ func (t *mvTower) del(key string) (removed, ok bool) {
 	if cand == nil || cd.key != key {
 		return false, true
 	}
-	hgt := cd.h
 	cn, lok := h.TryLock(cand)
 	if !lok {
 		return false, false
 	}
+	hgt := cn.height()
+	var cps [maxHeight]*links[*core.Object[mvNode]]
 	for l := 0; l < hgt; l++ {
 		cp, lok := h.TryLock(preds[l])
 		if !lok {
 			return false, false
 		}
-		cp.next[l] = cn.next[l]
+		cps[l] = &cp.links
 	}
+	relink(cps[:hgt], cn.at)
 	h.Free(cand)
 	return true, true
 }
@@ -232,7 +226,7 @@ func (t *mvTower) walk(lo, hi string, bounded bool, fn func(key, value string) b
 		if !fn(d.key, d.val) {
 			return
 		}
-		x = d.next[0]
+		x = d.next
 	}
 }
 
@@ -264,10 +258,10 @@ func (t *mvTower) walkDesc(lo, hi string, fn func(key, value string) bool) {
 		if !fn(d.key, d.val) {
 			return
 		}
-		from := t.head
-		if d.h < maxHeight {
-			from = preds[d.h]
+		from, hd := t.head, d.height()
+		if hd < maxHeight {
+			from = preds[hd]
 		}
-		t.seek(d.key, from, d.h, &preds)
+		t.seek(d.key, from, hd, &preds)
 	}
 }

@@ -5,12 +5,11 @@ import (
 	"mvrlu/internal/rlu"
 )
 
-// rNode mirrors mvNode for the single-version RLU engine.
+// rNode is mvNode's layout for the single-version RLU engine: RLU's
+// TryLock copies the payload too, so the same copy-on-write rule holds.
 type rNode struct {
-	key  string
-	val  string
-	h    int
-	next [maxHeight]*rlu.Object[rNode]
+	key, val string
+	links[*rlu.Object[rNode]]
 }
 
 // RLUIndex is the RLU port of the ordered index — same skiplist, same
@@ -32,7 +31,7 @@ func NewRLUIndex() *RLUIndex {
 	return &RLUIndex{
 		skiplist: newSkiplist(),
 		d:        rlu.NewDomain[rNode](rlu.ClockGlobal),
-		head:     rlu.NewObject(rNode{h: maxHeight}),
+		head:     rlu.NewObject(rNode{links: headLinks[*rlu.Object[rNode]]()}),
 	}
 }
 
@@ -75,7 +74,7 @@ func (t *rluTower) seek(key string, x *rlu.Object[rNode], top int, preds *[maxHe
 	var ad *rNode
 	for lvl := top - 1; lvl >= 0; lvl-- {
 		for {
-			at = xd.next[lvl]
+			at = xd.at(lvl)
 			if at == nil {
 				ad = nil
 				break
@@ -102,23 +101,16 @@ func (t *rluTower) set(key, val string, hgt int) bool {
 		c.val = val
 		return true
 	}
-	var cps [maxHeight]*rNode
+	var cps [maxHeight]*links[*rlu.Object[rNode]]
 	for l := 0; l < hgt; l++ {
 		cp, ok := h.TryLock(preds[l])
 		if !ok {
 			return false
 		}
-		cps[l] = cp
+		cps[l] = &cp.links
 	}
-	var n rNode
-	n.key, n.val, n.h = key, val, hgt
-	for l := 0; l < hgt; l++ {
-		n.next[l] = cps[l].next[l]
-	}
-	obj := rlu.NewObject(n)
-	for l := 0; l < hgt; l++ {
-		cps[l].next[l] = obj
-	}
+	obj := rlu.NewObject(rNode{key: key, val: val, links: successors(cps[:hgt])})
+	relink(cps[:hgt], func(int) *rlu.Object[rNode] { return obj })
 	return true
 }
 
@@ -129,18 +121,20 @@ func (t *rluTower) del(key string) (removed, ok bool) {
 	if cand == nil || cd.key != key {
 		return false, true
 	}
-	hgt := cd.h
 	cn, lok := h.TryLock(cand)
 	if !lok {
 		return false, false
 	}
+	hgt := cn.height()
+	var cps [maxHeight]*links[*rlu.Object[rNode]]
 	for l := 0; l < hgt; l++ {
 		cp, lok := h.TryLock(preds[l])
 		if !lok {
 			return false, false
 		}
-		cp.next[l] = cn.next[l]
+		cps[l] = &cp.links
 	}
+	relink(cps[:hgt], cn.at)
 	h.Free(cand)
 	return true, true
 }
@@ -197,7 +191,7 @@ func (t *rluTower) walk(lo, hi string, bounded bool, fn func(key, value string) 
 		if !fn(d.key, d.val) {
 			return
 		}
-		x = d.next[0]
+		x = d.next
 	}
 }
 
@@ -222,10 +216,10 @@ func (t *rluTower) walkDesc(lo, hi string, fn func(key, value string) bool) {
 		if !fn(d.key, d.val) {
 			return
 		}
-		from := t.head
-		if d.h < maxHeight {
-			from = preds[d.h]
+		from, hd := t.head, d.height()
+		if hd < maxHeight {
+			from = preds[hd]
 		}
-		t.seek(d.key, from, d.h, &preds)
+		t.seek(d.key, from, hd, &preds)
 	}
 }
